@@ -39,16 +39,6 @@ fn bench_paths(b: &mut Bench) {
         b.iter(&format!("opt_shaped_n{n}/dual_path"), || {
             black_box(model.solve(SolveVia::Dual).unwrap())
         });
-        {
-            use geoind_lp::simplex::{Pricing, SimplexOptions};
-            let opts = SimplexOptions {
-                pricing: Pricing::Devex,
-                ..SimplexOptions::default()
-            };
-            b.iter(&format!("opt_shaped_n{n}/dual_path_devex"), || {
-                black_box(model.solve_with(SolveVia::Dual, opts.clone()).unwrap())
-            });
-        }
         if n <= 6 {
             b.iter(&format!("opt_shaped_n{n}/primal_path"), || {
                 black_box(model.solve(SolveVia::Primal).unwrap())

@@ -1,10 +1,10 @@
-//! Benchmarks for the parallel precompute path and the simplex pricing
-//! rule — the two knobs behind `geoind precompute --jobs`.
+//! Benchmarks for the parallel precompute path (`geoind precompute
+//! --jobs`) and the OPT constraint strategies.
 //!
 //! ```text
 //! bench_precompute precompute --g 4 --height 3 --eps 0.5 --jobs-max 4
 //! bench_precompute cutgen --g 8 --g-small 6 --eps 0.7 --dilation 1.2
-//! bench_precompute pricing --grids 6,8,10 --eps 0.5
+//! bench_precompute dilation --g 6 --eps 0.7 --dilations 1.0,1.2,1.5
 //! ```
 //!
 //! `precompute` runs the four-cell grid {jobs 1, jobs max} × {cold, warm}
@@ -27,16 +27,14 @@
 //! pivots, wall_s, loss}` so the working-set ratio behind each wall
 //! clock is part of the artifact.
 //!
-//! `pricing` solves a single OPT dual per grid size with Dantzig and
-//! with Devex pricing and prints a markdown table of pivot counts — the
-//! evidence behind `SimplexOptions::default().pricing`.
+//! `dilation` prints the utility-vs-dilation markdown table of
+//! EXPERIMENTS.md.
 
 use geoind_core::alloc::AllocationStrategy;
 use geoind_core::metrics::QualityMetric;
 use geoind_core::msm::MsmMechanism;
 use geoind_core::opt::{ConstraintSet, CutGenOptions, OptOptions, OptimalMechanism};
 use geoind_data::prior::GridPrior;
-use geoind_lp::simplex::Pricing;
 use geoind_spatial::geom::BBox;
 use geoind_spatial::grid::Grid;
 use std::time::Instant;
@@ -83,17 +81,8 @@ fn main() {
                 .collect();
             bench_dilation(g, eps, &dilations);
         }
-        "pricing" => {
-            let grids: Vec<u32> = flag("--grids")
-                .unwrap_or_else(|| "6,8".into())
-                .split(',')
-                .filter_map(|v| v.trim().parse().ok())
-                .collect();
-            let eps: f64 = flag("--eps").and_then(|v| v.parse().ok()).unwrap_or(0.5);
-            bench_pricing(&grids, eps);
-        }
         other => {
-            eprintln!("unknown mode '{other}' (expected precompute|cutgen|pricing)");
+            eprintln!("unknown mode '{other}' (expected precompute|cutgen|dilation)");
             std::process::exit(2);
         }
     }
@@ -272,45 +261,5 @@ fn bench_dilation(g: u32, eps: f64, dilations: &[f64]) {
             "| {dilation} | {dilation}·ε | {} | {} | {wall:.2} | {loss:.6} | {delta:+.2} % |",
             st.rows_total, st.iterations
         );
-    }
-}
-
-fn bench_pricing(grids: &[u32], eps: f64) {
-    println!(
-        "| grid | locations | dual rows | Dantzig pivots | Devex pivots | Dantzig s | Devex s |"
-    );
-    println!(
-        "|------|-----------|-----------|----------------|--------------|-----------|---------|"
-    );
-    for &g in grids {
-        let domain = BBox::square(16.0);
-        let grid = Grid::new(domain, g);
-        let prior = skewed_prior(domain, g);
-        let mut row = vec![
-            format!("{g}x{g}"),
-            format!("{}", g * g),
-            format!("{}", (g as usize * g as usize).pow(2)),
-        ];
-        let mut cells = Vec::new();
-        for pricing in [Pricing::Dantzig, Pricing::Devex] {
-            let mut opts = OptOptions::default();
-            opts.simplex.pricing = pricing;
-            let start = Instant::now();
-            let opt = OptimalMechanism::solve_with(
-                eps,
-                &grid.centers(),
-                prior.probs(),
-                QualityMetric::Euclidean,
-                opts,
-            )
-            .expect("pricing benchmark solve must succeed");
-            let wall = start.elapsed().as_secs_f64();
-            cells.push((opt.stats().iterations, wall));
-        }
-        row.push(format!("{}", cells[0].0));
-        row.push(format!("{}", cells[1].0));
-        row.push(format!("{:.2}", cells[0].1));
-        row.push(format!("{:.2}", cells[1].1));
-        println!("| {} |", row.join(" | "));
     }
 }

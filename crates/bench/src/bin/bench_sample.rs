@@ -5,26 +5,19 @@
 //! bench_sample --g 4 --height 3 --eps 0.5 --requests 200000 --batch 256
 //! ```
 //!
-//! Four cells, each over a fully warm mechanism (every channel admitted
+//! Three cells, each over a fully warm mechanism (every channel admitted
 //! and cached before timing starts, so no LP solve is ever on the clock):
 //!
-//! * `seed` — the pre-flattening serving path: per-level channel-cache
-//!   fetch, child-id `Vec` assembly, inverse-CDF row scan. Reconstructed
-//!   by admitting every channel with the `sample.alias.build` failpoint
-//!   armed, which is exactly how a degraded table build serves today —
-//!   and byte-for-byte the only serving path the seed tree had. Needs
-//!   the `failpoints` feature (`scripts/bench.sh` builds with it);
-//!   without it the cell is skipped and `unfused_alias` is the baseline.
-//! * `unfused_alias` — the same per-level walk, but each row sampled
-//!   through its admission-built alias table;
+//! * `unfused_alias` — the baseline: per-level channel-cache fetch, each
+//!   row sampled through its admission-built alias table;
 //! * `fused` — single requests through the fused flattened-tree walk
 //!   (one contiguous table, no cache fetch, no allocation);
 //! * `fused_batched` — `report_many` batches through the same tree, the
 //!   shape the serve worker loop uses.
 //!
-//! The last three paths are bit-identical per seed (pinned by the
-//! determinism suite, and re-asserted on the sums below); this binary
-//! measures only the cost. Output is one JSON object on stdout —
+//! The three paths are bit-identical per seed (pinned by the determinism
+//! suite, and re-asserted on the sums below); this binary measures only
+//! the cost. Output is one JSON object on stdout —
 //! `scripts/bench.sh` redirects it into `BENCH_sample.json` and
 //! `scripts/check_bench.sh` gates it in CI.
 
@@ -81,35 +74,6 @@ fn build(g: u32, height: u32, eps: f64) -> MsmMechanism {
         .strategy(AllocationStrategy::FixedHeight(height))
         .build()
         .expect("benchmark configuration must build")
-}
-
-/// The seed-path mechanism: every channel admitted with the alias-table
-/// build degraded, so serving is the pre-flattening cache-fetch +
-/// inverse-CDF walk. `None` when the binary was built without live
-/// failpoints.
-fn seed_mechanism(g: u32, height: u32, eps: f64) -> Option<MsmMechanism> {
-    #[cfg(feature = "failpoints")]
-    {
-        use geoind_testkit::failpoint::{self, FailSpec};
-        failpoint::arm_global("sample.alias.build", FailSpec::always());
-        let msm = build(g, height, eps);
-        msm.precompute(usize::MAX).expect("precompute");
-        failpoint::reset_global();
-        // Prove the reconstruction: with no table admitted anywhere,
-        // flattening must refuse and serving must stay on the CDF path.
-        assert!(
-            msm.flatten().is_err(),
-            "seed baseline unexpectedly built alias tables"
-        );
-        assert!(!msm.is_flattened());
-        Some(msm)
-    }
-    #[cfg(not(feature = "failpoints"))]
-    {
-        let _ = (g, height, eps);
-        eprintln!("# failpoints feature off: skipping the seed-path cell");
-        None
-    }
 }
 
 struct Cell {
@@ -169,12 +133,6 @@ fn bench_sample(g: u32, height: u32, eps: f64, requests: usize, batch: usize, po
         })
         .collect();
 
-    let mut cells = Vec::new();
-
-    // Cell 1: the seed path — cache fetch + inverse-CDF scan per level.
-    let seed_cell =
-        seed_mechanism(g, height, eps).map(|msm| time_single(&msm, "seed", &xs, requests).0);
-
     let msm = build(g, height, eps);
     eprintln!("# warming: solving and admitting every channel");
     let start = Instant::now();
@@ -183,15 +141,15 @@ fn bench_sample(g: u32, height: u32, eps: f64, requests: usize, batch: usize, po
         "# {nodes} nodes admitted in {:.2}s",
         start.elapsed().as_secs_f64()
     );
-    // Cell 2: the per-level walk with admission-built alias tables.
+    // Cell 1: the per-level walk with admission-built alias tables.
     assert!(!msm.is_flattened());
     let (alias_cell, alias_sum) = time_single(&msm, "unfused_alias", &xs, requests);
 
-    // Cell 3: single requests through the fused flattened tree.
+    // Cell 2: single requests through the fused flattened tree.
     msm.flatten().expect("flatten");
     let (fused_cell, fused_sum) = time_single(&msm, "fused", &xs, requests);
 
-    // Cell 4: report_many batches through the same tree (the serve
+    // Cell 3: report_many batches through the same tree (the serve
     // worker-loop shape: one tree resolution per batch).
     let rounds = requests / batch;
     let batched_requests = rounds * batch;
@@ -215,7 +173,7 @@ fn bench_sample(g: u32, height: u32, eps: f64, requests: usize, batch: usize, po
     let ns_batched = wall_batched * 1e9 / batched_requests as f64;
     eprintln!("# fused_batched (batch {batch}): {ns_batched:.1} ns/op");
 
-    // The three flattened-era paths drew identical streams from the same
+    // The three paths drew identical streams from the same
     // seed, so their sums must agree to the last bit (the per-request
     // cells over `requests` inputs, the batched cell over its rounds).
     assert_eq!(
@@ -235,30 +193,24 @@ fn bench_sample(g: u32, height: u32, eps: f64, requests: usize, batch: usize, po
         "batched serving diverged from sequential"
     );
 
-    let baseline = match &seed_cell {
-        Some(c) => ("seed", c.ns_per_op),
-        None => ("unfused_alias", alias_cell.ns_per_op),
-    };
-    if let Some(c) = seed_cell {
-        cells.push(c.json);
-    }
-    cells.push(alias_cell.json);
-    cells.push(fused_cell.json);
-    cells.push(format!(
-        "    {{\"path\": \"fused_batched\", \"batch\": {batch}, \
-         \"requests\": {batched_requests}, \"wall_s\": {wall_batched:.6}, \
-         \"ns_per_op\": {ns_batched:.2}}}"
-    ));
-
-    let speedup = baseline.1 / fused_cell.ns_per_op.max(1e-12);
-    let batched_speedup = baseline.1 / ns_batched.max(1e-12);
+    let baseline = alias_cell.ns_per_op;
+    let speedup = baseline / fused_cell.ns_per_op.max(1e-12);
+    let batched_speedup = baseline / ns_batched.max(1e-12);
+    let cells = [
+        alias_cell.json,
+        fused_cell.json,
+        format!(
+            "    {{\"path\": \"fused_batched\", \"batch\": {batch}, \
+             \"requests\": {batched_requests}, \"wall_s\": {wall_batched:.6}, \
+             \"ns_per_op\": {ns_batched:.2}}}"
+        ),
+    ];
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "{{\n  \"bench\": \"sample\",\n  \"g\": {g},\n  \"height\": {height},\n  \
          \"eps\": {eps},\n  \"cores\": {cores},\n  \"nodes\": {nodes},\n  \
-         \"baseline\": \"{}\",\n  \"cells\": [\n{}\n  ],\n  \
+         \"baseline\": \"unfused_alias\",\n  \"cells\": [\n{}\n  ],\n  \
          \"speedup\": {speedup:.4},\n  \"batched_speedup\": {batched_speedup:.4}\n}}",
-        baseline.0,
         cells.join(",\n")
     );
 }

@@ -293,8 +293,9 @@ fn l1_delta(a: &Channel, b: &Channel) -> f64 {
 
 /// The mandatory admission gate: certify → repair → re-certify →
 /// quarantine. Returns the (possibly repaired) channel carrying its
-/// [`Certificate`], or [`MechanismError::ChannelQuarantined`] when even
-/// the repaired channel fails strict re-certification.
+/// [`Certificate`] and alias tables, or
+/// [`MechanismError::ChannelQuarantined`] when even the repaired channel
+/// fails strict re-certification or cannot back an alias table.
 ///
 /// The repair lift runs unconditionally — it is the numerical finishing
 /// step that turns the solver's row-scaled tolerance into an honest
@@ -336,7 +337,7 @@ pub fn admit(
         verdict,
         repair_l1_delta: l1_delta(&channel, &polished),
     };
-    Ok(polished.with_certificate(cert))
+    polished.with_certificate(cert, gate)
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@
 use crate::certify::Certificate;
 use crate::flat::FlatChannel;
 use crate::metrics::QualityMetric;
+use crate::MechanismError;
 use geoind_rng::Rng;
 use geoind_spatial::geom::Point;
 
@@ -20,14 +21,20 @@ pub struct Channel {
     outputs: Vec<Point>,
     /// Row-major `n × m`: `probs[x * m + z] = K(x)(z)`.
     probs: Vec<f64>,
-    /// Contiguous row-major alias tables for O(1) sampling, built at the
-    /// admission gate (with the certificate) so only certified rows are
-    /// ever flattened; `None` until admitted, or when the build degraded
-    /// (`sample.alias.build`) — sampling then scans the inverse CDF.
-    flat: Option<FlatChannel>,
-    /// Proof of ε·d compliance attached by an admission gate
-    /// ([`crate::certify::admit`]); `None` for channels built directly.
-    certificate: Option<Certificate>,
+    /// Set by an admission gate ([`crate::certify::admit`] or the offline
+    /// import); `None` for channels built directly, which sample through
+    /// the inverse-CDF scan.
+    admission: Option<Admission>,
+}
+
+/// What an admission gate attaches to a channel: the proof of ε·d
+/// compliance and the alias tables built from exactly the rows it
+/// vouches for. One field, so an admitted channel always has both.
+#[derive(Debug, Clone)]
+struct Admission {
+    certificate: Certificate,
+    /// Contiguous row-major alias tables for O(1) sampling.
+    flat: FlatChannel,
 }
 
 impl Channel {
@@ -74,8 +81,7 @@ impl Channel {
             inputs,
             outputs,
             probs,
-            flat: None,
-            certificate: None,
+            admission: None,
         }
     }
 
@@ -83,37 +89,48 @@ impl Channel {
     /// built directly (or transformed by [`Channel::then`] /
     /// [`Channel::geoind_repair`]) carry none until re-admitted.
     pub fn certificate(&self) -> Option<Certificate> {
-        self.certificate
+        self.admission.as_ref().map(|a| a.certificate)
     }
 
     /// Attach a certification proof (admission gates only) and flatten
     /// the now-certified rows into the contiguous alias layout the serving
     /// path samples from. Flattening sits *behind* the gate on purpose: a
     /// table can only ever be built from rows a certificate vouches for.
-    /// A degraded build (`sample.alias.build`) leaves `flat` unset and the
-    /// channel serving through the inverse-CDF scan.
-    pub(crate) fn with_certificate(mut self, cert: Certificate) -> Self {
+    ///
+    /// # Errors
+    /// [`MechanismError::ChannelQuarantined`] (at `gate`, with an infinite
+    /// violation) when a row cannot back an alias table: no channel is
+    /// ever admitted without one.
+    pub(crate) fn with_certificate(
+        mut self,
+        certificate: Certificate,
+        gate: &'static str,
+    ) -> Result<Self, MechanismError> {
         let (n, m) = (self.inputs.len(), self.outputs.len());
-        self.flat = FlatChannel::build(&self.probs, n, m);
-        self.certificate = Some(cert);
-        self
+        let flat =
+            FlatChannel::build(&self.probs, n, m).ok_or(MechanismError::ChannelQuarantined {
+                gate,
+                max_violation: f64::INFINITY,
+            })?;
+        self.admission = Some(Admission { certificate, flat });
+        Ok(self)
     }
 
-    /// The admission-built flattened alias tables, when present.
+    /// The admission-built flattened alias tables: `Some` exactly when the
+    /// channel was admitted.
     pub fn flat(&self) -> Option<&FlatChannel> {
-        self.flat.as_ref()
+        self.admission.as_ref().map(|a| &a.flat)
     }
 
     /// Worst absolute deviation, over every `(row, output)` entry, between
     /// the distribution the flattened alias tables actually sample from
     /// (reconstructed exactly via [`FlatChannel::row_marginal`]) and the
-    /// certified matrix entries. `None` when the channel carries no flat
-    /// table (it serves through the inverse-CDF scan over `probs` itself,
-    /// which cannot drift). A corrupted or stale table shows up here even
-    /// though the certificate — which vouches for `probs`, not the derived
-    /// slots — still validates.
+    /// certified matrix entries. `None` for a channel that was never
+    /// admitted. A corrupted or stale table shows up here even though the
+    /// certificate — which vouches for `probs`, not the derived slots —
+    /// still validates.
     pub fn flat_marginal_error(&self) -> Option<f64> {
-        let flat = self.flat.as_ref()?;
+        let flat = self.flat()?;
         let m = self.outputs.len();
         let mut worst = 0.0f64;
         for r in 0..self.inputs.len() {
@@ -124,11 +141,12 @@ impl Channel {
         Some(worst)
     }
 
-    /// Test-only: override the flat table to simulate corruption between
-    /// admission and serving (the audit in `MsmMechanism` must catch it).
+    /// Test-only: override an admitted channel's flat table to simulate
+    /// corruption between admission and serving (the audit in
+    /// `MsmMechanism` must catch it).
     #[cfg(test)]
-    pub(crate) fn with_flat_override(mut self, flat: Option<FlatChannel>) -> Self {
-        self.flat = flat;
+    pub(crate) fn with_flat_override(mut self, flat: FlatChannel) -> Self {
+        self.admission.as_mut().expect("admitted channel").flat = flat;
         self
     }
 
@@ -165,10 +183,10 @@ impl Channel {
     }
 
     /// Sample an output index for input index `x`: the admission-built
-    /// alias tables when present (two draws: slot + coin), otherwise the
-    /// inverse-CDF scan (one draw).
+    /// alias tables of an admitted channel (two draws: slot + coin),
+    /// otherwise the inverse-CDF scan (one draw).
     pub fn sample<R: Rng + ?Sized>(&self, x: usize, rng: &mut R) -> usize {
-        match &self.flat {
+        match self.flat() {
             Some(flat) => flat.sample_row(x, rng),
             None => self.sample_cdf(x, rng),
         }
@@ -176,8 +194,8 @@ impl Channel {
 
     /// Reference sampling path: one uniform inverted through the row's
     /// CDF by linear scan. This is the pre-flattening distribution the
-    /// equivalence suite compares the alias tables against, and the
-    /// fallback when an alias build degraded.
+    /// equivalence suite compares the alias tables against, and the path
+    /// of channels that were never admitted.
     pub fn sample_cdf<R: Rng + ?Sized>(&self, x: usize, rng: &mut R) -> usize {
         let m = self.outputs.len();
         let row = &self.probs[x * m..(x + 1) * m];
@@ -574,7 +592,7 @@ mod tests {
         // No flat table yet: nothing to audit.
         assert!(c.flat_marginal_error().is_none());
         let cert: Certificate = certify(&c, 1.0, 1e-6);
-        let admitted = c.with_certificate(cert);
+        let admitted = c.with_certificate(cert, "test").expect("valid rows");
         let honest = admitted.flat_marginal_error().expect("table built");
         assert!(
             honest <= 8.0 * f64::EPSILON,
@@ -583,7 +601,7 @@ mod tests {
         // A flat table built from *different* rows behind the same
         // certificate must be flagged with an error of the row gap.
         let wrong = FlatChannel::build(&[0.9, 0.1, 0.1, 0.9], 2, 2).expect("build");
-        let tampered = admitted.with_flat_override(Some(wrong));
+        let tampered = admitted.with_flat_override(wrong);
         let err = tampered.flat_marginal_error().expect("table present");
         assert!(
             (err - 0.2).abs() < 1e-9,

@@ -17,14 +17,12 @@
 //! categories as the per-row tables it replaces — the determinism suite
 //! pins this against goldens recorded before the flattening existed.
 //!
-//! A failed build is not a panic: `build` returns `None` (exercised
-//! through the `sample.alias.build` failpoint) and the channel keeps
-//! serving through the one-uniform inverse-CDF scan
-//! ([`crate::channel::Channel::sample_cdf`]).
+//! A row that cannot back a table is not a panic: `build` returns `None`
+//! and the admission gate refuses the channel as quarantined, so every
+//! admitted channel carries its tables.
 
 use geoind_math::sampling::AliasTable;
 use geoind_rng::Rng;
-use geoind_testkit::failpoint;
 
 /// Contiguous row-major alias tables for an `rows × m` stochastic matrix.
 #[derive(Debug, Clone)]
@@ -41,14 +39,10 @@ impl FlatChannel {
     /// Build the flattened tables for a row-major `rows × m` matrix of
     /// (already normalized) row distributions.
     ///
-    /// Returns `None` instead of panicking when a row cannot back an alias
-    /// table (non-finite or negative mass, or a row summing to zero) or
-    /// when the `sample.alias.build` failpoint is armed — the caller keeps
-    /// the inverse-CDF path in both cases.
+    /// Returns `None` instead of panicking when the shape is wrong or a
+    /// row cannot back an alias table (non-finite or negative mass, or a
+    /// row summing to zero).
     pub fn build(probs: &[f64], rows: usize, m: usize) -> Option<FlatChannel> {
-        if failpoint::hit("sample.alias.build") {
-            return None;
-        }
         if rows == 0 || m == 0 || probs.len() != rows * m {
             return None;
         }
@@ -141,7 +135,6 @@ impl FlatChannel {
 mod tests {
     use super::*;
     use geoind_rng::SeededRng;
-    use geoind_testkit::failpoint::{FailSpec, Session};
 
     #[test]
     fn flat_rows_match_per_row_alias_tables_bitwise() {
@@ -191,14 +184,5 @@ mod tests {
         assert!(FlatChannel::build(&[0.0, 0.0], 1, 2).is_none());
         assert!(FlatChannel::build(&[0.5, 0.5], 2, 2).is_none()); // shape
         assert!(FlatChannel::build(&[], 0, 0).is_none());
-    }
-
-    #[test]
-    fn armed_failpoint_degrades_build_to_none() {
-        let mut fp = Session::new();
-        fp.arm("sample.alias.build", FailSpec::times(1));
-        assert!(FlatChannel::build(&[0.5, 0.5], 1, 2).is_none());
-        // The next build (failpoint exhausted) succeeds.
-        assert!(FlatChannel::build(&[0.5, 0.5], 1, 2).is_some());
     }
 }

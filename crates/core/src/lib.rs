@@ -108,7 +108,8 @@ pub enum MechanismError {
     ChannelQuarantined {
         /// The admission gate that refused it (`opt.solve`, `cache.import`, …).
         gate: &'static str,
-        /// The scaled constraint violation measured after repair.
+        /// The scaled constraint violation measured after repair (infinite
+        /// when a row could not back an alias table).
         max_violation: f64,
     },
     /// A request was served by a lower tier of the degradation ladder;

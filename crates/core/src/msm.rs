@@ -210,6 +210,10 @@ pub(crate) struct FlatTree {
 /// of g³⁴ cells.
 const MAX_FLAT_HEIGHT: usize = 16;
 
+/// Every cached channel came through an admission gate, and admission
+/// refuses a channel whose rows cannot back alias tables.
+const ADMITTED_HAS_TABLES: &str = "cached channels are admitted, so they carry alias tables";
+
 impl FlatTree {
     /// One fused root-to-leaf walk. Infallible: every internal node's
     /// table was copied in at [`MsmMechanism::flatten`] time.
@@ -328,7 +332,8 @@ pub struct DescentInterrupted {
 pub struct FlatAudit {
     /// Cached channels inspected.
     pub channels: usize,
-    /// How many of them carry an admission-built flat table.
+    /// How many of them carry an admission-built flat table — all of
+    /// them, since admission refuses a channel without one.
     pub flattened: usize,
     /// Worst `|reconstructed - certified|` entry across all tables.
     pub worst_error: f64,
@@ -708,11 +713,7 @@ impl MsmMechanism {
         };
         for (cell, ch) in self.cache_snapshot() {
             audit.channels += 1;
-            let Some(err) = ch.flat_marginal_error() else {
-                // No table: the channel serves through the inverse-CDF scan
-                // over the certified matrix itself, which cannot drift.
-                continue;
-            };
+            let err = ch.flat_marginal_error().expect(ADMITTED_HAS_TABLES);
             audit.flattened += 1;
             audit.worst_error = audit.worst_error.max(err);
             let tol = crate::certify::strict_tolerance(ch.num_inputs(), ch.num_outputs());
@@ -834,11 +835,9 @@ impl MsmMechanism {
     ///
     /// # Errors
     /// Any [`MechanismError`] from a per-node solve, or
-    /// [`MechanismError::BadParameter`] when an admitted channel has no
-    /// flattened table (its admission-time build degraded through the
-    /// `sample.alias.build` failpoint) — serving then simply stays on the
-    /// unfused per-level path, which falls back to the inverse-CDF scan
-    /// for the affected node.
+    /// [`MechanismError::BadParameter`] for a hierarchy taller than the
+    /// fused walk supports (16 levels) — serving then simply stays on the
+    /// unfused per-level path.
     pub fn flatten(&self) -> Result<usize, MechanismError> {
         let g = self.hier.granularity() as usize;
         let gg = g * g;
@@ -862,12 +861,7 @@ impl MsmMechanism {
             for id in 0..grids[level as usize].num_cells() {
                 let cell = LevelCell { level, id };
                 let channel = self.try_channel_for(cell)?;
-                let flat = channel.flat().ok_or_else(|| {
-                    MechanismError::BadParameter(format!(
-                        "channel for level-{level} node {id} has no flattened alias \
-                         tables (admission-time build degraded)"
-                    ))
-                })?;
+                let flat = channel.flat().expect(ADMITTED_HAS_TABLES);
                 if flat.rows() != gg || flat.outputs() != gg {
                     return Err(MechanismError::BadParameter(format!(
                         "channel for level-{level} node {id} is {}x{}, expected {gg}x{gg}",
@@ -1101,7 +1095,7 @@ mod tests {
         }
         let tampered = (*ch)
             .clone()
-            .with_flat_override(FlatChannel::build(&wrong, n, m));
+            .with_flat_override(FlatChannel::build(&wrong, n, m).expect("valid rows"));
         msm.cache_insert(cell, Arc::new(tampered));
         // Re-certification still passes — the certificate vouches for the
         // matrix, which is untouched. Only the marginal audit can see it.
@@ -1112,6 +1106,27 @@ mod tests {
             "corrupted table not flagged: {audit:?}"
         );
         assert!(audit.worst_error > 0.05, "error too small: {audit:?}");
+    }
+
+    #[test]
+    fn every_admitted_channel_carries_alias_tables() {
+        // Both admission paths — the solver gate and the bundle import —
+        // leave no channel without tables.
+        let solved = tiny_msm(0.8);
+        let nodes = solved.precompute(usize::MAX).expect("precompute");
+        let audit = solved.audit_flat_tables();
+        assert_eq!(audit.channels, nodes);
+        assert_eq!(audit.flattened, audit.channels);
+        let mut bundle = Vec::new();
+        solved.export_cache(&mut bundle).expect("export");
+        let imported = tiny_msm(0.8);
+        let report = imported
+            .import_cache(&mut bundle.as_slice())
+            .expect("import");
+        assert_eq!((report.loaded, report.quarantined.len()), (nodes, 0));
+        let audit = imported.audit_flat_tables();
+        assert_eq!(audit.channels, nodes);
+        assert_eq!(audit.flattened, audit.channels);
     }
 
     #[test]

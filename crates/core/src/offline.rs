@@ -357,11 +357,12 @@ impl MsmMechanism {
                 return Err(corrupt(&section, "payload checksum mismatch"));
             }
             let (cell, channel) = self.parse_entry(&payload, (n, m), &section)?;
-            staged.push((cell, Arc::new(channel)));
+            staged.push((cell, channel));
         }
         // Certify-on-load: checksums prove the bytes, not the channel.
         // Certify each staged channel against its level budget; violators
-        // are quarantined individually and never committed.
+        // (and rows that cannot back an alias table) are quarantined
+        // individually and never committed.
         let mut quarantined = Vec::new();
         let mut admitted = Vec::with_capacity(staged.len());
         for (cell, channel) in staged {
@@ -376,18 +377,26 @@ impl MsmMechanism {
                 self.opt_options().constraints,
             );
             let cert = certify::certify(&channel, eps_entry, tol);
-            if cert.verdict == Verdict::Quarantined {
-                quarantined.push((cell, cert));
-            } else {
-                admitted.push((cell, channel, cert));
+            // Attach the fresh certificate so descents can trust (and
+            // count) imported channels exactly like solver-admitted ones.
+            let certified = match cert.verdict {
+                Verdict::Quarantined => None,
+                _ => channel.with_certificate(cert, "cache.import").ok(),
+            };
+            match certified {
+                Some(c) => admitted.push((cell, c)),
+                None => quarantined.push((
+                    cell,
+                    Certificate {
+                        verdict: Verdict::Quarantined,
+                        ..cert
+                    },
+                )),
             }
         }
         let loaded = admitted.len();
-        for (cell, channel, cert) in admitted {
-            // Attach the fresh certificate so descents can trust (and
-            // count) imported channels exactly like solver-admitted ones.
-            let certified = Arc::new(Channel::clone(&channel).with_certificate(cert));
-            self.cache_insert(cell, certified);
+        for (cell, channel) in admitted {
+            self.cache_insert(cell, Arc::new(channel));
         }
         Ok(CacheImportReport {
             loaded,

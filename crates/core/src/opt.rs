@@ -81,11 +81,10 @@ impl Default for CutGenOptions {
     }
 }
 
-/// Options for [`OptimalMechanism::solve_with`].
+/// Options for [`OptimalMechanism::solve_with`]. The LP always runs
+/// through its dual ([`SolveVia::Dual`]).
 #[derive(Debug, Clone)]
 pub struct OptOptions {
-    /// LP path; `Dual` is right for every non-trivial size.
-    pub via: SolveVia,
     /// Constraint generation strategy.
     pub constraints: ConstraintSet,
     /// Delayed-constraint-generation tuning.
@@ -103,7 +102,6 @@ pub struct OptOptions {
 impl Default for OptOptions {
     fn default() -> Self {
         Self {
-            via: SolveVia::Dual,
             constraints: ConstraintSet::Full,
             cutgen: CutGenOptions::default(),
             shared_spanner: None,
@@ -351,10 +349,6 @@ impl OptimalMechanism {
 
         let stats_cols = model.num_vars();
         let solver_slack = opts.simplex.opt_tol;
-        // Cut warm restarts are only sound on the dual path, where the
-        // exit basis can be remapped past the appended dual columns. Other
-        // paths re-solve cold each round (still exact, just slower).
-        let warm_capable = opts.via == SolveVia::Dual;
         let mut simplex = opts.simplex.clone();
         let mut total_iterations = 0usize;
         let mut rounds = 0usize;
@@ -364,7 +358,7 @@ impl OptimalMechanism {
                 return Err(MechanismError::Lp(LpError::IterationLimit));
             }
             rounds += 1;
-            let sol = model.solve_with(opts.via, simplex.clone())?;
+            let sol = model.solve_with(SolveVia::Dual, simplex.clone())?;
             total_iterations += sol.iterations;
             if seed_basis.is_none() {
                 // The seed-round exit basis lives in the seed LP's column
@@ -396,16 +390,12 @@ impl OptimalMechanism {
             // column references are shifted past the insertion block —
             // resume primal phase 2 instead of re-solving from scratch.
             // (Computed against the model *before* the rows go in.)
-            if warm_capable {
-                simplex.start_basis = Some(remap_dual_basis_after_le_append(
-                    &model,
-                    &sol.basis,
-                    n * fresh.len(),
-                ));
-                simplex.warm_mode = WarmMode::PrimalContinue;
-            } else {
-                simplex.start_basis = None;
-            }
+            simplex.start_basis = Some(remap_dual_basis_after_le_append(
+                &model,
+                &sol.basis,
+                n * fresh.len(),
+            ));
+            simplex.warm_mode = WarmMode::PrimalContinue;
             for (x, xp) in fresh {
                 included[x * n + xp] = true;
                 active_pairs += 1;
@@ -473,12 +463,11 @@ impl OptimalMechanism {
     }
 
     /// The optimal basis the solve exited with, in the standard-form
-    /// column space of the formulation that actually ran (the dual, for
-    /// the default [`SolveVia::Dual`] path). Feed it to a later solve via
-    /// [`SimplexOptions::start_basis`] to warm-start a structurally
-    /// identical LP — e.g. the sibling node of a hierarchical index, whose
-    /// constraint matrix is the same and only the prior-dependent
-    /// right-hand side differs.
+    /// column space of the dual formulation the solve runs on. Feed it to
+    /// a later solve via [`SimplexOptions::start_basis`] to warm-start a
+    /// structurally identical LP — e.g. the sibling node of a hierarchical
+    /// index, whose constraint matrix is the same and only the
+    /// prior-dependent right-hand side differs.
     pub fn basis(&self) -> &Basis {
         &self.basis
     }

@@ -376,8 +376,8 @@ impl ResilientMechanism {
     ///
     /// # Errors
     /// Propagates the wrapped mechanism's flattening failure (a channel
-    /// solve failed, or the admission-time alias build degraded); the
-    /// ladder keeps serving on the unfused path.
+    /// solve failed, or the hierarchy is too tall to fuse); the ladder
+    /// keeps serving on the unfused path.
     pub fn flatten(&self) -> Result<usize, MechanismError> {
         self.msm.flatten()
     }

@@ -132,36 +132,6 @@ fn every_site_keeps_report_total_and_counters_exact() {
                 );
                 assert!(fp.fired(site) >= 1, "site {site} never fired");
             }
-            "sample.alias.build" => {
-                // Fires in the admission gate's flattening step: the
-                // channel is still certified and admitted, it just keeps
-                // the inverse-CDF sampling path — tier-0 service is
-                // untouched, and an explicit flatten() refuses with a
-                // typed error instead of installing a partial tree.
-                let r = resilient();
-                let centers = r.msm().leaf_grid().centers();
-                let mut rng = SeededRng::from_seed(19);
-                let n = 6u64;
-                for i in 0..n {
-                    let x = Point::new((i % 8) as f64, (i % 5) as f64 + 0.4);
-                    let (z, tier) = r.report_with_tier(x, &mut rng);
-                    assert_eq!(tier, Tier::Optimal, "site {site}");
-                    assert!(
-                        centers.iter().any(|c| c.dist(z) < 1e-12),
-                        "{site}: {z:?} is not a leaf center"
-                    );
-                }
-                let report = r.degradation_report();
-                assert_eq!(report.served_by_tier, [n, 0, 0], "site {site}");
-                assert_eq!(report.sampled_flat, 0, "no fused tree exists");
-                let err = r.flatten().unwrap_err();
-                assert!(
-                    matches!(err, MechanismError::BadParameter(_)),
-                    "{site}: expected BadParameter, got {err:?}"
-                );
-                assert!(!r.msm().is_flattened());
-                assert!(fp.fired(site) >= 1, "site {site} never fired");
-            }
             _ if site.starts_with("serve.") => {
                 // Serving-layer journal sites (geoind-serve's WAL). They
                 // are not wired into the core ladder: arming one must
@@ -211,6 +181,25 @@ fn every_site_keeps_report_total_and_counters_exact() {
             }
         }
     }
+}
+
+#[test]
+fn flatten_succeeds_with_no_site_armed() {
+    // Admission builds alias tables for every channel it lets in, so with
+    // nothing armed the fused tree always installs and serves tier 0.
+    let r = resilient();
+    assert_eq!(r.flatten().expect("flatten"), 5, "1 root + 4 level-1 nodes");
+    assert!(r.msm().is_flattened());
+    let mut rng = SeededRng::from_seed(19);
+    let n = 6u64;
+    for i in 0..n {
+        let x = Point::new((i % 8) as f64, (i % 5) as f64 + 0.4);
+        let (_, tier) = r.report_with_tier(x, &mut rng);
+        assert_eq!(tier, Tier::Optimal);
+    }
+    let report = r.degradation_report();
+    assert_eq!(report.served_by_tier, [n, 0, 0]);
+    assert_eq!(report.sampled_flat, n, "every report took the fused walk");
 }
 
 #[test]

@@ -281,16 +281,4 @@ mod tests {
         m.add_row(&[(x, 1.0)], Op::Le, 2.0);
         assert_eq!(m.solve(SolveVia::Dual).unwrap_err(), LpError::Infeasible);
     }
-
-    #[test]
-    fn auto_picks_dual_for_row_heavy() {
-        // 1 variable, 40 rows: Auto must still produce the right answer.
-        let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var(1.0);
-        for i in 0..40 {
-            m.add_row(&[(x, 1.0)], Op::Ge, i as f64 / 10.0);
-        }
-        let s = m.solve(SolveVia::Auto).unwrap();
-        assert_close(s.values[x], 3.9, 1e-9, "x");
-    }
 }

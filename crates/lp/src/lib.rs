@@ -12,16 +12,14 @@
 //! * [`simplex`] — a revised primal simplex on computational standard form
 //!   with an explicitly maintained (periodically refactorized) basis
 //!   inverse, crash slack basis, two phases, Dantzig pricing with Bland
-//!   anti-cycling fallback.
+//!   anti-cycling fallback, and warm starts from an exported [`Basis`].
 //! * [`dual`] — mechanical dualization. The OPT LP is *row-heavy*
 //!   (`O(n³)` rows, `O(n²)` columns); its dual is column-heavy, which is the
 //!   shape the revised simplex wants (basis size = row count). Solving the
 //!   dual and reading the primal solution off the row duals is exactly how a
-//!   commercial dual-simplex run behaves on the original problem.
-//! * [`presolve`] — empty-row/column elimination and singleton-equality
-//!   substitution ahead of the simplex.
-//! * [`mps`] — free-format MPS read/write for debugging against external
-//!   solvers.
+//!   commercial dual-simplex run behaves on the original problem, and
+//!   [`SolveVia::Dual`] is the only path the optimal mechanism uses;
+//!   [`SolveVia::Primal`] runs the same engine on the model as given.
 //! * [`tableau`] — a naive dense two-phase tableau simplex kept as a test
 //!   oracle.
 //! * [`sparse`] / [`dense`] — CSC matrices and a dense LU with partial
@@ -54,15 +52,13 @@
 pub mod dense;
 pub mod dual;
 pub mod model;
-pub mod mps;
-pub mod presolve;
 pub mod simplex;
 pub mod sparse;
 pub mod tableau;
 
 pub use dual::remap_dual_basis_after_le_append;
 pub use model::{Model, Op, Sense, Solution, SolveVia, VarDomain};
-pub use simplex::{Basis, Pricing, SimplexOptions, SimplexStatus, WarmMode};
+pub use simplex::{Basis, SimplexOptions, SimplexStatus, WarmMode};
 pub use sparse::CscMatrix;
 
 /// Errors surfaced by the solvers.

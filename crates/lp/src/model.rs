@@ -42,8 +42,6 @@ pub enum VarDomain {
 /// Which formulation the simplex actually runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolveVia {
-    /// Pick automatically: row-heavy models go through the dual.
-    Auto,
     /// Solve the model as given.
     Primal,
     /// Solve the dual and recover the primal solution from its row duals.
@@ -56,9 +54,6 @@ pub(crate) struct Row {
     pub op: Op,
     pub rhs: f64,
 }
-
-/// Row data in `(entries, op, rhs)` tuple form, shared by presolve and MPS.
-pub(crate) type RowTuple = (Vec<(usize, f64)>, Op, f64);
 
 /// A linear program under construction.
 #[derive(Debug, Clone)]
@@ -163,19 +158,6 @@ impl Model {
         self.domains[var]
     }
 
-    /// Clone the rows in presolve-friendly form.
-    pub(crate) fn rows_for_presolve(&self) -> Vec<RowTuple> {
-        self.rows
-            .iter()
-            .map(|r| (r.entries.clone(), r.op, r.rhs))
-            .collect()
-    }
-
-    /// Clone the rows for MPS serialization (same shape as presolve's view).
-    pub(crate) fn rows_for_mps(&self) -> Vec<RowTuple> {
-        self.rows_for_presolve()
-    }
-
     /// Solve with default simplex options.
     pub fn solve(&self, via: SolveVia) -> Result<Solution, LpError> {
         self.solve_with(via, SimplexOptions::default())
@@ -186,20 +168,9 @@ impl Model {
         if self.obj.is_empty() {
             return Err(LpError::BadModel("model has no variables".into()));
         }
-        let via = match via {
-            SolveVia::Auto => {
-                if self.rows.len() > 2 * self.obj.len().max(16) {
-                    SolveVia::Dual
-                } else {
-                    SolveVia::Primal
-                }
-            }
-            v => v,
-        };
         match via {
             SolveVia::Primal => self.solve_primal(opts),
             SolveVia::Dual => solve_via_dual(self, opts),
-            SolveVia::Auto => unreachable!(),
         }
     }
 

@@ -58,19 +58,6 @@ pub struct StandardLp {
     pub rhs: Vec<f64>,
 }
 
-/// Entering-variable selection rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Pricing {
-    /// Most negative reduced cost. Simple and cheap per iteration.
-    #[default]
-    Dantzig,
-    /// Devex (Forrest–Goldfarb) approximate steepest edge: picks the column
-    /// maximizing `d_j² / w_j` with reference weights updated each pivot.
-    /// Costs one extra BTRAN per iteration but typically needs markedly
-    /// fewer pivots on degenerate LPs like the optimal-mechanism duals.
-    Devex,
-}
-
 /// An optimal basis exported from a finished solve, reusable to warm-start
 /// a later solve of a structurally identical LP (same constraint matrix and
 /// costs, different right-hand side — the classic dual-simplex restart).
@@ -154,8 +141,6 @@ pub struct SimplexOptions {
     pub refactor_every: usize,
     /// Consecutive non-improving pivots before switching to Bland's rule.
     pub stall_limit: usize,
-    /// Entering-variable selection rule.
-    pub pricing: Pricing,
     /// Largest `‖Ax − b‖∞` accepted at an optimal exit; a nominally
     /// optimal basis with a larger residual is demoted to
     /// [`SimplexStatus::SingularBasis`] instead of being reported as a
@@ -198,7 +183,6 @@ impl Default for SimplexOptions {
             pivot_tol: 1e-9,
             refactor_every: 0,
             stall_limit: 2_000,
-            pricing: Pricing::Dantzig,
             residual_tol: 1e-6,
             start_basis: None,
             warm_mode: WarmMode::default(),
@@ -271,8 +255,6 @@ struct Engine<'a> {
     /// Set when an LU refactorization fails: the explicit inverse can no
     /// longer be trusted, so the run must stop at the next loop head.
     singular: bool,
-    /// Devex reference weights, one per real column (unused under Dantzig).
-    devex: Vec<f64>,
 }
 
 impl<'a> Engine<'a> {
@@ -308,11 +290,6 @@ impl<'a> Engine<'a> {
                 None => Basic::Artificial(r),
             })
             .collect();
-        let devex = if opts.pricing == Pricing::Devex {
-            vec![1.0; lp.cols.ncols()]
-        } else {
-            Vec::new()
-        };
         Self {
             lp,
             opts,
@@ -324,7 +301,6 @@ impl<'a> Engine<'a> {
             iterations: 0,
             pivots_since_refactor: 0,
             singular: false,
-            devex,
         }
     }
 
@@ -337,10 +313,7 @@ impl<'a> Engine<'a> {
         match (b, phase1) {
             (Basic::Artificial(_), true) => 1.0,
             (Basic::Artificial(_), false) => 0.0,
-            (Basic::Col(j), true) => {
-                let _ = j;
-                0.0
-            }
+            (Basic::Col(_), true) => 0.0,
             (Basic::Col(j), false) => self.lp.costs[j],
         }
     }
@@ -355,10 +328,9 @@ impl<'a> Engine<'a> {
         self.binv.mul_vec_transpose(&cb)
     }
 
-    /// Dantzig / Devex (or Bland) pricing: pick an entering column.
+    /// Dantzig (or Bland) pricing: pick an entering column.
     fn price(&self, y: &[f64], phase1: bool, bland: bool) -> Option<usize> {
-        let devex = self.opts.pricing == Pricing::Devex && !bland;
-        // (column, score) where score is -d for Dantzig, d²/w for Devex.
+        // (column, -d): the most negative reduced cost wins.
         let mut best: Option<(usize, f64)> = None;
         for j in 0..self.lp.cols.ncols() {
             if self.in_basis[j] {
@@ -370,56 +342,12 @@ impl<'a> Engine<'a> {
                 if bland {
                     return Some(j);
                 }
-                let score = if devex { d * d / self.devex[j] } else { -d };
-                if best.is_none_or(|(_, bs)| score > bs) {
-                    best = Some((j, score));
+                if best.is_none_or(|(_, bs)| -d > bs) {
+                    best = Some((j, -d));
                 }
             }
         }
         best.map(|(j, _)| j)
-    }
-
-    /// Devex weight update after selecting entering `q` with FTRAN column
-    /// `w` and leaving row `r` (Forrest–Goldfarb reference framework).
-    /// `rho` is row `r` of the pre-pivot `B⁻¹`, gathered by the caller
-    /// (which also needs it for the incremental dual update):
-    /// `alpha_j = A_jᵀ·rho` for nonbasic `j`.
-    fn update_devex(&mut self, q: usize, r: usize, w: &[f64], rho: &[f64]) {
-        if self.opts.pricing != Pricing::Devex {
-            return;
-        }
-        let alpha_q = w[r];
-        if alpha_q.abs() < self.opts.pivot_tol {
-            return;
-        }
-        let wq = self.devex[q].max(1.0);
-        let scale = wq / (alpha_q * alpha_q);
-        let mut overflow = false;
-        for j in 0..self.lp.cols.ncols() {
-            if j == q || self.in_basis[j] {
-                continue;
-            }
-            let alpha_j = self.lp.cols.col_dot(j, rho);
-            if alpha_j != 0.0 {
-                let cand = alpha_j * alpha_j * scale;
-                if cand > self.devex[j] {
-                    self.devex[j] = cand;
-                    if cand > 1e12 {
-                        overflow = true;
-                    }
-                }
-            }
-        }
-        // The leaving variable re-enters the nonbasic pool.
-        if let Basic::Col(j) = self.basis[r] {
-            self.devex[j] = (wq / (alpha_q * alpha_q)).max(1.0);
-        }
-        // Reset the reference framework when weights blow up.
-        if overflow {
-            for v in &mut self.devex {
-                *v = 1.0;
-            }
-        }
     }
 
     /// FTRAN: `w = B⁻¹ A_q`.
@@ -713,10 +641,13 @@ impl<'a> Engine<'a> {
                 // signals numerical trouble; report it as unbounded anyway.
                 return Some(SimplexStatus::Unbounded);
             };
-            // Row r of B⁻¹, gathered before the pivot mutates the inverse;
-            // shared by the Devex update and the dual update.
-            let rho: Vec<f64> = (0..self.m).map(|i| self.binv.col(i)[r]).collect();
-            self.update_devex(q, r, &w, &rho);
+            // Row r of B⁻¹, gathered before the pivot mutates the inverse,
+            // for the incremental dual update.
+            let rho: Vec<f64> = if incremental {
+                (0..self.m).map(|i| self.binv.col(i)[r]).collect()
+            } else {
+                Vec::new()
+            };
             let step = dq / w[r];
             self.pivot(r, q, &w);
             if incremental {
@@ -867,7 +798,6 @@ impl<'a> Engine<'a> {
             if w[r] >= -self.opts.pivot_tol {
                 return false; // rho-gathered alpha disagrees with FTRAN
             }
-            self.update_devex(q, r, &w, &rho);
             let step = dq / w[r];
             self.pivot(r, q, &w);
             if incremental {

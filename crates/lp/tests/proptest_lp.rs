@@ -156,91 +156,6 @@ fn dual_path_matches_primal_path() {
     );
 }
 
-/// Devex pricing reaches the same optimum as Dantzig.
-#[test]
-fn devex_matches_dantzig() {
-    check(
-        "devex_matches_dantzig",
-        Config::cases(300),
-        &(RandomLpGen, bool_any()),
-        |(lp, maximize)| {
-            use geoind_lp::simplex::{Pricing, SimplexOptions};
-            let sense = if *maximize {
-                Sense::Maximize
-            } else {
-                Sense::Minimize
-            };
-            let model = build_model(lp, sense);
-            let dantzig = model.solve(SolveVia::Primal);
-            let devex = model.solve_with(
-                SolveVia::Primal,
-                SimplexOptions {
-                    pricing: Pricing::Devex,
-                    ..SimplexOptions::default()
-                },
-            );
-            match (dantzig, devex) {
-                (Ok(a), Ok(b)) => {
-                    ensure!(
-                        (a.objective - b.objective).abs() < 1e-6 * (1.0 + a.objective.abs()),
-                        "objective mismatch: dantzig {} devex {}",
-                        a.objective,
-                        b.objective
-                    );
-                    ensure!(b.residual < 1e-6);
-                }
-                (Err(LpError::Unbounded), Err(LpError::Unbounded)) => {}
-                (a, b) => ensure!(false, "status mismatch: dantzig {a:?}, devex {b:?}"),
-            }
-            Ok(())
-        },
-    );
-}
-
-/// Presolve + solve agrees with the direct solve.
-#[test]
-fn presolve_is_transparent() {
-    check(
-        "presolve_is_transparent",
-        Config::cases(300),
-        &(RandomLpGen, bool_any()),
-        |(lp, maximize)| {
-            use geoind_lp::presolve::presolve_and_solve;
-            use geoind_lp::simplex::SimplexOptions;
-            let sense = if *maximize {
-                Sense::Maximize
-            } else {
-                Sense::Minimize
-            };
-            let model = build_model(lp, sense);
-            let direct = model.solve(SolveVia::Primal);
-            let pre = presolve_and_solve(&model, SolveVia::Primal, SimplexOptions::default());
-            match (direct, pre) {
-                (Ok(d), Ok(p)) => {
-                    ensure!(
-                        (d.objective - p.objective).abs() < 1e-6 * (1.0 + d.objective.abs()),
-                        "objective mismatch: direct {} presolved {}",
-                        d.objective,
-                        p.objective
-                    );
-                    // The presolved solution must be feasible for the original.
-                    for (coefs, op, rhs) in &lp.rows {
-                        let ax: f64 = coefs.iter().zip(&p.values).map(|(a, x)| a * x).sum();
-                        match op {
-                            Op::Le => ensure!(ax <= rhs + 1e-6),
-                            Op::Ge => ensure!(ax >= rhs - 1e-6),
-                            Op::Eq => ensure!((ax - rhs).abs() < 1e-6),
-                        }
-                    }
-                }
-                (Err(LpError::Unbounded), Err(LpError::Unbounded)) => {}
-                (d, p) => ensure!(false, "status mismatch: direct {d:?}, presolved {p:?}"),
-            }
-            Ok(())
-        },
-    );
-}
-
 /// Strong duality and sign conventions of the returned duals.
 #[test]
 fn duality_invariants() {

@@ -431,10 +431,14 @@ impl Server {
     ) -> Self {
         let eps_per_request = mechanism.msm().epsilon();
         // Flatten the admitted channels into the fused serving tree up
-        // front (this also warms the channel cache). A failed build is
+        // front (this also warms the channel cache). A failed build — a
+        // per-node solve fault, or a hierarchy too tall to fuse — is
         // tolerated: workers then serve through the per-level cache path,
-        // which produces the same bits at a higher per-request cost.
-        let _ = mechanism.flatten();
+        // which produces the same bits at a higher per-request cost. Say
+        // so once, so an operator can see why serving is slower.
+        if let Err(e) = mechanism.flatten() {
+            eprintln!("warning: serving unfused (per-level channel path): {e}");
+        }
         let shared = Arc::new(Shared {
             queue: Mutex::new(QueueState {
                 jobs: VecDeque::new(),

@@ -77,7 +77,6 @@ pub const SITES: &[&str] = &[
     "serve.wal.reset",           // post-snapshot fresh-WAL swap fails
     "certify.channel.violation", // channel certification finds an ε·d constraint violation
     "certify.repair.fail",       // post-repair re-certification still fails (quarantine)
-    "sample.alias.build",        // flattened alias-table build fails (serve via the CDF path)
     "serve.net.accept",          // accepted connection is dropped before any byte is read
     "serve.net.read_torn",       // request frame arrives torn (cut mid-read); no budget burns
     "serve.net.write_short",     // response write is cut short after the spend is journaled

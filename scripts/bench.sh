@@ -5,8 +5,10 @@
 #   parallel precompute path, over the four-cell grid
 #   {--jobs 1, --jobs max} x {cold, warm-started}.
 #   BENCH_sample.json — ns/op for the served sampling hot path: the
-#   pre-flattening seed walk vs the fused flattened-tree walk, single
-#   and batched.
+#   unfused per-level alias walk vs the fused flattened-tree walk, single
+#   and batched. (The committed file still carries the pre-flattening
+#   "seed" cell as its recorded baseline; a regeneration replaces it with
+#   the unfused_alias baseline.)
 #   BENCH_serve.json — throughput and latency percentiles for the
 #   networked wire (serve --listen + loadgen over loopback), one steady
 #   phase and one deliberate-overload phase; both must reconcile exactly.
@@ -82,18 +84,11 @@ cat BENCH_precompute.json
 echo "== smoke-check the merged artifact"
 sh scripts/check_bench.sh BENCH_precompute.json
 
-# The sampling bench wants the failpoints feature so it can reconstruct
-# the pre-flattening seed path as its baseline cell (arming
-# sample.alias.build during admission); rebuilding here is cheap and the
-# precompute artifact above is already captured.
 SG="${BENCH_SAMPLE_G:-4}"
 SH="${BENCH_SAMPLE_H:-3}"
 SEPS="${BENCH_SAMPLE_EPS:-0.5}"
 SREQ="${BENCH_SAMPLE_REQUESTS:-400000}"
 SBATCH="${BENCH_SAMPLE_BATCH:-256}"
-
-echo "== build sampling bench (release, offline, failpoints)"
-cargo build -p geoind-bench --release --offline --features failpoints
 
 echo "== sampling hot path: g=$SG height=$SH eps=$SEPS requests=$SREQ batch=$SBATCH"
 target/release/bench_sample \

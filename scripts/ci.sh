@@ -39,7 +39,7 @@ echo "== fault injection sweep (degradation ladder stays total per armed site)"
 # single-flight cache.
 for fp in lp.refactor.singular lp.iterations.exhausted cache.import.corrupt \
           cache.lock.poisoned alloc.budget.infeasible data.loader.truncated \
-          certify.channel.violation certify.repair.fail sample.alias.build; do
+          certify.channel.violation certify.repair.fail; do
     echo "   -- GEOIND_FAILPOINTS=$fp=* GEOIND_JOBS=2"
     GEOIND_FAILPOINTS="$fp=*" GEOIND_JOBS=2 cargo test -q -p geoind-core --offline \
         --test resilience_env -- --test-threads=1
@@ -57,14 +57,6 @@ for fp in serve.journal.append serve.journal.torn serve.journal.flush \
     GEOIND_FAILPOINTS="$fp=3:1" cargo test -q -p geoind-serve --offline \
         --test journal_env -- --test-threads=1
 done
-
-echo "== closed-loop serve run (seeded workload, books must balance exactly)"
-# The release binary drives itself: a bounded-queue worker pool serves a
-# seeded workload with per-user budgets, pre-expired deadlines, and a
-# graceful drain; any client/server count mismatch exits nonzero.
-target/release/geoind serve --self-drive 400 --users 24 --cap 1.6 \
-    --eps 0.4 --g 2 --synthetic-size 5000 --workers 4 --queue 32 --batch 8 \
-    --seed 7
 
 echo "== doctor run (precompute a bundle, then re-certify every channel)"
 # The certification invariant end to end on the release binary: precompute

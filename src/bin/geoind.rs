@@ -5,7 +5,6 @@
 //! geoind eval       --eps 0.3 --queries 2000                      # PL vs MSM utility
 //! geoind audit      --eps 0.5 --samples 20000                     # black-box GeoInd check
 //! geoind precompute --out cache.bin --eps 0.5 --g 4               # offline channel bundle
-//! geoind serve      --self-drive 400 --users 24 --cap 1.6         # crash-safe serving loop
 //! geoind serve      --listen 127.0.0.1:0 --shards 4               # networked serving over TCP
 //! geoind loadgen    --connect 127.0.0.1:4770 --requests 500       # retrying closed-loop client
 //! geoind doctor     --cache cache.bin --eps 0.5 --g 4             # certify every channel
@@ -24,8 +23,7 @@ use geoind::serve::clock::{Clock, SystemClock};
 use geoind::serve::{
     install_promote_handler, install_termination_handler, register_with_primary, run_load,
     take_promote_requested, termination_requested, ClientConfig, ClientError, LedgerConfig,
-    RepairMode, Request, Response, ServeConfig, Server, ShardedLedger, Shipper, ShipperConfig,
-    SpendLedger, SubmitError, WireConfig, WireServer,
+    RepairMode, ServeConfig, ShardedLedger, Shipper, ShipperConfig, WireConfig, WireServer,
 };
 use geoind_rng::SeededRng;
 use std::collections::HashMap;
@@ -525,226 +523,18 @@ fn cmd_doctor(flags: &Flags) -> Result<(), String> {
     }
 }
 
-/// `geoind serve --self-drive N`: run the crash-safe serving front-end
-/// against a seeded closed-loop workload and verify the books balance.
-///
-/// The closed loop is the CI contract: every submitted request is tracked
-/// client-side, every terminal response is tallied, and the client tallies
-/// must match the server's own counters exactly — any drift (a lost
-/// request, a double count, a served-but-refused mixup) exits nonzero.
-fn cmd_serve(flags: &Flags) -> Result<(), String> {
-    if let Some(listen) = flags.get("listen") {
-        return cmd_serve_listen(flags, listen);
-    }
-    let data = dataset_resilient(flags, true)?;
-    let n = get_u64(flags, "self-drive", 200)?;
-    let users = get_u64(flags, "users", 16)?.max(1);
-    let cap = get_f64(flags, "cap", 1.6)?;
-    let epoch = get_u64(flags, "epoch", 0)?;
-    let seed = get_u64(flags, "seed", 42)?;
-    let msm = build_msm(flags, &data)?;
-    let eps = msm.epsilon();
-    let ladder = ResilientMechanism::new(msm);
-
-    // The ledger journal persists across runs when --ledger-dir is given
-    // (budgets carry over within an epoch); otherwise a throwaway dir.
-    let (dir, ephemeral) = match flags.get("ledger-dir") {
-        Some(d) => (std::path::PathBuf::from(d), false),
-        None => (
-            std::env::temp_dir().join(format!("geoind-serve-{}", std::process::id())),
-            true,
-        ),
-    };
-    let ledger = SpendLedger::open(
-        &dir,
-        LedgerConfig {
-            cap_per_user: cap,
-            epoch,
-            compact_after: 64,
-        },
-    )
-    .map_err(|e| format!("opening ledger at {}: {e}", dir.display()))?;
-    println!(
-        "# ledger: {} (epoch {epoch}, cap {cap} eps/user, {} eps/request)",
-        dir.display(),
-        eps
-    );
-
-    let clock: Arc<dyn Clock> = Arc::new(SystemClock);
-    // Deadline 0 is "already expired" only once the clock has ticked past
-    // its origin; make sure it has.
-    while clock.now_nanos() == 0 {
-        std::thread::yield_now();
-    }
-    let server = Server::start(
-        ladder,
-        ShardedLedger::single(ledger),
-        Arc::clone(&clock),
-        ServeConfig {
-            workers: get_u64(flags, "workers", 4)? as usize,
-            queue_capacity: get_u64(flags, "queue", 64)? as usize,
-            seed,
-            batch: get_u64(flags, "batch", 8)? as usize,
-        },
-    );
-
-    // Seeded closed-loop workload: users drawn round-robin, locations from
-    // the dataset, every 10th request pre-expired to exercise the deadline
-    // gate deterministically. The client self-paces: once its in-flight
-    // window fills, it blocks on the oldest response before submitting
-    // more, so shedding only happens on genuine bursts.
-    let checkins = data.checkins();
-    let queue_capacity = get_u64(flags, "queue", 64)? as usize;
-    let mut pending = std::collections::VecDeque::new();
-    let (mut served, mut refused, mut expired, mut faulted) = (0u64, 0u64, 0u64, 0u64);
-    let (mut shard_refused, mut disk_refused) = (0u64, 0u64);
-    let mut sent_expired = 0u64;
-    let mut shed = 0u64;
-    #[allow(clippy::too_many_arguments)]
-    fn tally(
-        response: Response,
-        served: &mut u64,
-        refused: &mut u64,
-        expired: &mut u64,
-        faulted: &mut u64,
-        shard_refused: &mut u64,
-        disk_refused: &mut u64,
-    ) {
-        match response {
-            Response::Served { .. } => *served += 1,
-            Response::BudgetExhausted { .. } => *refused += 1,
-            Response::Expired => *expired += 1,
-            Response::JournalFault(e) => {
-                eprintln!("warning: request refused fail-closed: {e}");
-                *faulted += 1;
-            }
-            Response::ShardUnavailable { shard } => {
-                eprintln!("warning: request refused fail-closed: shard {shard} unavailable");
-                *shard_refused += 1;
-            }
-            Response::DiskFull => {
-                eprintln!("warning: request refused fail-closed: journal disk full");
-                *disk_refused += 1;
-            }
-            // The self-driving loop never attaches a replication
-            // shipper, so these cannot fire here; tally them anyway so
-            // the books would catch a stray refusal.
-            Response::ReplicaLag { lag } => {
-                eprintln!("warning: request refused fail-closed: replica lag {lag}");
-                *shard_refused += 1;
-            }
-            Response::Fenced => {
-                eprintln!("warning: request refused fail-closed: fenced");
-                *shard_refused += 1;
-            }
-        }
-    }
-    for i in 0..n {
-        let pre_expired = i % 10 == 9;
-        let request = Request {
-            user: i % users,
-            point: checkins[i as usize % checkins.len()].location,
-            deadline_nanos: pre_expired.then_some(0),
-        };
-        match server.submit(request) {
-            Ok(rx) => {
-                if pre_expired {
-                    sent_expired += 1;
-                }
-                pending.push_back(rx);
-            }
-            Err(SubmitError::QueueFull) => shed += 1,
-            Err(SubmitError::Closed) => return Err("server closed mid-workload".into()),
-        }
-        while pending.len() >= queue_capacity {
-            let rx: std::sync::mpsc::Receiver<Response> =
-                pending.pop_front().expect("window is non-empty");
-            let response = rx
-                .recv()
-                .map_err(|_| "an accepted request never got a response")?;
-            tally(
-                response,
-                &mut served,
-                &mut refused,
-                &mut expired,
-                &mut faulted,
-                &mut shard_refused,
-                &mut disk_refused,
-            );
-        }
-    }
-
-    // Graceful drain: shutdown stops admission, workers finish the
-    // backlog, and every accepted request still gets its response below.
-    let outcome = server.shutdown();
-    outcome
-        .checkpoint
-        .map_err(|e| format!("final ledger checkpoint: {e}"))?;
-    let report = outcome.report;
-    for rx in pending {
-        let response = rx
-            .recv()
-            .map_err(|_| "a drained request never got a response")?;
-        tally(
-            response,
-            &mut served,
-            &mut refused,
-            &mut expired,
-            &mut faulted,
-            &mut shard_refused,
-            &mut disk_refused,
-        );
-    }
-
-    println!("{report}");
-    println!("{}", report.log_line());
-    println!("{}", outcome.degradation);
-    println!("{}", outcome.degradation.log_line());
-
-    // The books must balance exactly.
-    let mut errors = Vec::new();
-    let mut check = |what: &str, got: u64, want: u64| {
-        if got != want {
-            errors.push(format!("{what}: client saw {want}, server counted {got}"));
-        }
-    };
-    check("served", report.served(), served);
-    check("refused (budget)", report.refused_budget, refused);
-    check("expired", report.expired, expired);
-    check("journal faults", report.journal_faults, faulted);
-    check("shard refusals", report.refused_shard, shard_refused);
-    check("disk-full refusals", report.disk_full, disk_refused);
-    check("shed", report.shed, shed);
-    check("expired vs pre-expired sent", report.expired, sent_expired);
-    check(
-        "ladder reports vs served",
-        outcome.degradation.total(),
-        served,
-    );
-    check("total vs submitted", report.total(), n);
-    if ephemeral {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    if errors.is_empty() {
-        println!("# closed loop balanced: all {n} requests accounted for");
-        Ok(())
-    } else {
-        Err(format!(
-            "closed-loop count mismatch:\n  {}",
-            errors.join("\n  ")
-        ))
-    }
-}
-
-/// `geoind serve --listen ADDR`: the networked front-end. Binds a TCP
-/// listener, serves JSON protect queries over HTTP/1.1 through the same
-/// admission-controlled worker pool as the self-driving loop, and drains
-/// gracefully when a client posts `/shutdown`.
+/// `geoind serve --listen ADDR`: the serving front end. Binds a TCP
+/// listener, serves JSON protect queries over HTTP/1.1 through the
+/// admission-controlled worker pool, and drains gracefully when a client
+/// posts `/shutdown`. `geoind loadgen` drives it and reconciles its books.
 ///
 /// The budget ledger is sharded by user hash (`--shards`, default 4);
 /// a shard whose journal fails recovery refuses exactly its own users
 /// fail-closed while the rest keep serving.
-fn cmd_serve_listen(flags: &Flags, listen: &str) -> Result<(), String> {
+fn cmd_serve(flags: &Flags) -> Result<(), String> {
+    let listen = flags
+        .get("listen")
+        .ok_or("serve needs --listen ADDR (drive it with `geoind loadgen`)")?;
     let data = dataset_resilient(flags, true)?;
     let cap = get_f64(flags, "cap", 1.6)?;
     let epoch = get_u64(flags, "epoch", 0)?;
@@ -1034,12 +824,11 @@ COMMANDS
   precompute  build offline channel bundle (--out FILE; atomic temp+rename
               write; --jobs N parallel LP solves, default all cores — the
               output bytes are identical at any --jobs)
-  serve       crash-safe serving front-end, closed-loop self-driving workload
-              (--self-drive N, --users U, --cap EPS_PER_USER, --workers W,
+  serve       crash-safe serving front-end: --listen ADDR serves JSON
+              protect queries over HTTP/1.1 (--cap EPS_PER_USER, --workers W,
                --queue DEPTH, --batch B requests drained per worker pass,
-               --epoch E, --ledger-dir DIR to persist budgets); with
-              --listen ADDR it serves JSON protect queries over HTTP/1.1
-              instead (--shards K user-hash ledger shards, --max-conns C,
+               --epoch E, --ledger-dir DIR to persist budgets,
+               --shards K user-hash ledger shards, --max-conns C,
                --read-timeout-ms/--write-timeout-ms, --deadline-ms D,
                --max-body BYTES, --idle-timeout-ms I to reap idle
                keep-alive connections, --repair auto|manual|off for

@@ -1,9 +1,75 @@
 //! End-to-end tests of the `geoind` CLI binary.
 
+use std::io::{BufRead, BufReader, Read};
 use std::process::Command;
 
 fn geoind() -> Command {
     Command::new(env!("CARGO_BIN_EXE_geoind"))
+}
+
+/// Spawn `geoind serve --listen 127.0.0.1:0` on a ledger under `dir` with
+/// `args` appended, and wait for the "# listening on IP:PORT" line (all
+/// before it is startup chatter). Returns the child, its remaining
+/// stdout, and the bound address.
+fn spawn_server(
+    dir: &std::path::Path,
+    args: &[&str],
+) -> (
+    std::process::Child,
+    BufReader<std::process::ChildStdout>,
+    String,
+) {
+    let mut server = geoind()
+        .args(["serve", "--listen", "127.0.0.1:0", "--ledger-dir"])
+        .arg(dir)
+        .args(args)
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("server spawns");
+    let mut reader = BufReader::new(server.stdout.take().expect("stdout piped"));
+    let addr = loop {
+        let mut line = String::new();
+        assert_ne!(
+            reader.read_line(&mut line).expect("server stdout readable"),
+            0,
+            "server exited before announcing its port"
+        );
+        if let Some(rest) = line.trim().strip_prefix("# listening on ") {
+            break rest.to_string();
+        }
+    };
+    (server, reader, addr)
+}
+
+/// Drain a server's remaining stdout and wait for it to exit 0.
+fn finish_server(
+    mut server: std::process::Child,
+    mut reader: BufReader<std::process::ChildStdout>,
+) -> String {
+    let mut rest = String::new();
+    reader
+        .read_to_string(&mut rest)
+        .expect("server stdout drains");
+    let status = server.wait().expect("server exits");
+    assert!(status.success(), "server exited nonzero:\n{rest}");
+    rest
+}
+
+/// Run `geoind loadgen` against `addr` and return its stdout; it must
+/// reconcile (exit 0).
+fn loadgen(addr: &str, args: &[&str]) -> String {
+    let out = geoind()
+        .args(["loadgen", "--connect", addr])
+        .args(args)
+        .output()
+        .expect("loadgen runs");
+    let text = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(
+        out.status.success(),
+        "loadgen failed:\nstdout: {text}\nstderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    text
 }
 
 #[test]
@@ -198,73 +264,10 @@ fn doctor_passes_on_a_healthy_cache_and_fails_on_a_corrupt_one() {
 
 #[test]
 fn networked_serve_reconciles_with_loadgen_over_loopback() {
-    use std::io::{BufRead, BufReader, Read};
-
     let dir = std::env::temp_dir().join(format!("geoind-cli-wire-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let common = ["--eps", "0.4", "--g", "2", "--synthetic-size", "3000"];
-    let mut server = geoind()
-        .args([
-            "serve",
-            "--listen",
-            "127.0.0.1:0",
-            "--shards",
-            "4",
-            "--cap",
-            "10.0",
-            "--workers",
-            "2",
-            "--queue",
-            "16",
-            "--seed",
-            "7",
-            "--ledger-dir",
-        ])
-        .arg(&dir)
-        .args(common)
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .expect("server spawns");
-
-    // The server prints "# listening on IP:PORT" once bound; everything
-    // before it is startup chatter.
-    let mut reader = BufReader::new(server.stdout.take().expect("stdout piped"));
-    let addr = loop {
-        let mut line = String::new();
-        assert_ne!(
-            reader.read_line(&mut line).expect("server stdout readable"),
-            0,
-            "server exited before announcing its port"
-        );
-        if let Some(rest) = line.trim().strip_prefix("# listening on ") {
-            break rest.to_string();
-        }
-    };
-
-    let out = geoind()
-        .args([
-            "loadgen",
-            "--connect",
-            &addr,
-            "--requests",
-            "24",
-            "--connections",
-            "3",
-            "--users",
-            "4",
-            "--seed",
-            "9",
-            "--shutdown",
-            "on",
-        ])
-        .output()
-        .expect("loadgen runs");
-    let client_text = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "loadgen failed:\nstdout: {client_text}\nstderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let (server, reader, addr) = spawn_server(&dir, &SERVER_ARGS);
+    let client_text = loadgen(&addr, &LOAD_ARGS_24);
     assert!(
         client_text.contains("loadgen total=24 served=24"),
         "every request must be served under a generous cap:\n{client_text}"
@@ -273,18 +276,48 @@ fn networked_serve_reconciles_with_loadgen_over_loopback() {
 
     // --shutdown on posted /shutdown: the server drains and exits 0, and
     // its final report carries the wire counters.
-    let mut rest = String::new();
-    reader
-        .read_to_string(&mut rest)
-        .expect("server stdout drains");
-    let status = server.wait().expect("server exits");
-    assert!(status.success(), "server exited nonzero:\n{rest}");
+    let rest = finish_server(server, reader);
     assert!(
         rest.contains("served=24") && rest.contains("shed_net="),
         "final server report missing or missing wire counters:\n{rest}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Server flags shared by the networked tests: a generous cap, so every
+/// request is served.
+const SERVER_ARGS: [&str; 16] = [
+    "--shards",
+    "4",
+    "--cap",
+    "10.0",
+    "--workers",
+    "2",
+    "--queue",
+    "16",
+    "--seed",
+    "7",
+    "--eps",
+    "0.4",
+    "--g",
+    "2",
+    "--synthetic-size",
+    "3000",
+];
+
+/// 24 requests from 4 users over 3 connections, then `POST /shutdown`.
+const LOAD_ARGS_24: [&str; 10] = [
+    "--requests",
+    "24",
+    "--connections",
+    "3",
+    "--users",
+    "4",
+    "--seed",
+    "9",
+    "--shutdown",
+    "on",
+];
 
 /// `kill -TERM` must run the same graceful drain as `POST /shutdown`:
 /// the server stops accepting, finishes what it owes, checkpoints the
@@ -293,71 +326,13 @@ fn networked_serve_reconciles_with_loadgen_over_loopback() {
 #[test]
 #[cfg(unix)]
 fn sigterm_drains_the_networked_server_gracefully() {
-    use std::io::{BufRead, BufReader, Read};
-
     let dir = std::env::temp_dir().join(format!("geoind-cli-sigterm-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let common = ["--eps", "0.4", "--g", "2", "--synthetic-size", "3000"];
-    let mut server = geoind()
-        .args([
-            "serve",
-            "--listen",
-            "127.0.0.1:0",
-            "--shards",
-            "4",
-            "--cap",
-            "10.0",
-            "--workers",
-            "2",
-            "--queue",
-            "16",
-            "--seed",
-            "7",
-            "--ledger-dir",
-        ])
-        .arg(&dir)
-        .args(common)
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .expect("server spawns");
-
-    let mut reader = BufReader::new(server.stdout.take().expect("stdout piped"));
-    let addr = loop {
-        let mut line = String::new();
-        assert_ne!(
-            reader.read_line(&mut line).expect("server stdout readable"),
-            0,
-            "server exited before announcing its port"
-        );
-        if let Some(rest) = line.trim().strip_prefix("# listening on ") {
-            break rest.to_string();
-        }
-    };
+    let (server, reader, addr) = spawn_server(&dir, &SERVER_ARGS);
 
     // Drive a load WITHOUT --shutdown: the server must stay up until the
     // signal arrives.
-    let out = geoind()
-        .args([
-            "loadgen",
-            "--connect",
-            &addr,
-            "--requests",
-            "24",
-            "--connections",
-            "3",
-            "--users",
-            "4",
-            "--seed",
-            "9",
-        ])
-        .output()
-        .expect("loadgen runs");
-    let client_text = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "loadgen failed:\nstdout: {client_text}\nstderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let client_text = loadgen(&addr, &LOAD_ARGS_24[..8]);
     assert!(
         client_text.contains("loadgen total=24 served=24"),
         "{client_text}"
@@ -376,15 +351,7 @@ fn sigterm_drains_the_networked_server_gracefully() {
         .expect("kill runs");
     assert!(killed.success(), "kill -TERM failed");
 
-    let mut rest = String::new();
-    reader
-        .read_to_string(&mut rest)
-        .expect("server stdout drains");
-    let status = server.wait().expect("server exits");
-    assert!(
-        status.success(),
-        "server exited nonzero after SIGTERM:\n{rest}"
-    );
+    let rest = finish_server(server, reader);
     assert!(
         rest.contains("# termination signal received; draining"),
         "signal path not taken:\n{rest}"
@@ -397,77 +364,63 @@ fn sigterm_drains_the_networked_server_gracefully() {
 }
 
 #[test]
+fn serve_without_listen_is_a_usage_error() {
+    let out = geoind()
+        .args(["serve", "--eps", "0.4"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--listen"));
+}
+
+#[test]
 fn serve_closed_loop_balances_and_persists_budgets() {
     let dir = std::env::temp_dir().join(format!("geoind-cli-serve-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let args = [
-        "serve",
-        "--self-drive",
-        "60",
-        "--users",
-        "4",
-        "--cap",
-        "0.8",
-        "--eps",
-        "0.4",
-        "--g",
-        "2",
-        "--synthetic-size",
-        "3000",
-        "--workers",
-        "2",
-        "--queue",
-        "8",
-        "--seed",
-        "7",
-        "--ledger-dir",
-    ];
-    let out = geoind().args(args).arg(&dir).output().expect("binary runs");
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    // Cap 0.8 at eps 0.4 = 2 requests per user; 4 users => 8 served, the
-    // rest split between budget refusals and the forced pre-expired tenth.
-    assert!(
-        text.contains("serve total=60 served=8"),
-        "log line drifted:\n{text}"
-    );
-    assert!(text.contains("expired=6"), "deadline gate missed:\n{text}");
-    assert!(text.contains("closed loop balanced"), "{text}");
+    // Each run is a fresh server on the same ledger dir, driven by a
+    // reconciling loadgen. Cap 0.8 at eps 0.4 = 2 serves per user.
+    let run = |extra: &[&str]| {
+        let mut args = SERVER_ARGS.to_vec();
+        assert_eq!(args[2], "--cap");
+        args[3] = "0.8";
+        args.extend_from_slice(extra);
+        let (server, reader, addr) = spawn_server(&dir, &args);
+        let client = loadgen(&addr, &LOAD_ARGS_24);
+        (client, finish_server(server, reader))
+    };
 
-    // Same epoch, same ledger dir: budgets persist, so every in-budget
-    // request is now refused — nothing is served twice.
-    let out = geoind().args(args).arg(&dir).output().expect("binary runs");
+    // 4 users => 8 served, the rest refused.
+    let (client, server) = run(&[]);
     assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
+        client.contains("loadgen total=24 served=8 refused=16"),
+        "{client}"
     );
-    let text = String::from_utf8_lossy(&out.stdout);
     assert!(
-        text.contains("serve total=60 served=0"),
-        "spent budgets were resurrected across a restart:\n{text}"
+        server.contains("serve total=24 served=8"),
+        "log line drifted:\n{server}"
+    );
+
+    // Same epoch, same ledger dir: budgets persist, so every request is
+    // now refused — nothing is served twice.
+    let (client, server) = run(&[]);
+    assert!(
+        client.contains("loadgen total=24 served=0 refused=24"),
+        "{client}"
+    );
+    assert!(
+        server.contains("serve total=24 served=0"),
+        "spent budgets were resurrected across a restart:\n{server}"
     );
 
     // Epoch advance renews the budgets.
-    let out = geoind()
-        .args(args)
-        .arg(&dir)
-        .args(["--epoch", "1"])
-        .output()
-        .expect("binary runs");
+    let (client, server) = run(&["--epoch", "1"]);
     assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
+        client.contains("loadgen total=24 served=8 refused=16"),
+        "{client}"
     );
-    let text = String::from_utf8_lossy(&out.stdout);
     assert!(
-        text.contains("serve total=60 served=8"),
-        "epoch renewal failed:\n{text}"
+        server.contains("serve total=24 served=8"),
+        "epoch renewal failed:\n{server}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
