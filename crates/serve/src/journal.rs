@@ -13,7 +13,9 @@
 //! inequality:
 //!
 //! * a spend is acknowledged (and the request served) only **after** its
-//!   WAL record is fully written *and* fsynced;
+//!   WAL record is fully written *and* fsynced. A group of records
+//!   ([`Journal::append_many`]) shares one write and one fsync and is
+//!   acknowledged whole or not at all;
 //! * a torn or flush-failed append is refused, and the journal repairs
 //!   its tail (truncate back to the last acknowledged record) before any
 //!   later append is acknowledged — so an acknowledged record is never
@@ -402,15 +404,28 @@ impl Journal {
         self.records
     }
 
-    /// Durably append one spend record. On `Ok`, the record is fully
-    /// written **and fsynced** — only then may the caller serve the
-    /// request. On `Err` nothing is acknowledged: the caller must refuse
-    /// the request, and the journal repairs its tail so the failed bytes
-    /// can never be ordered ahead of a later acknowledged record.
+    /// Durably append one spend record: the one-record case of
+    /// [`Self::append_many`].
     ///
     /// # Errors
     /// [`JournalError`] on any step failure (including injected faults).
     pub fn append(&mut self, user: u64, eps: f64) -> Result<(), JournalError> {
+        self.append_many(&[(user, eps)])
+    }
+
+    /// Durably append a group of spend records with one write and one
+    /// fsync. On `Ok`, every record is fully written **and fsynced** —
+    /// only then may the caller serve the requests. On `Err` none of them
+    /// is acknowledged: the caller must refuse them all, and the journal
+    /// repairs its tail so the failed bytes can never be ordered ahead of
+    /// a later acknowledged record. An empty group touches nothing.
+    ///
+    /// # Errors
+    /// [`JournalError`] on any step failure (including injected faults).
+    pub fn append_many(&mut self, group: &[(u64, f64)]) -> Result<(), JournalError> {
+        if group.is_empty() {
+            return Ok(());
+        }
         // Self-heal before acknowledging anything. The two failure modes
         // need opposite treatments: a stale-generation WAL is *replaced*
         // (its records are already folded into the committed snapshot),
@@ -446,17 +461,25 @@ impl Journal {
                 source: io::Error::from_raw_os_error(EIO),
             });
         }
-        let record = encode_record(user, eps, self.records + 1);
+        let mut bytes = Vec::with_capacity(group.len() * RECORD_LEN as usize);
+        for (seq, &(user, eps)) in (self.records + 1..).zip(group) {
+            bytes.extend_from_slice(&encode_record(user, eps, seq));
+        }
 
         if failpoint::hit("serve.journal.torn") {
-            // Simulate a write cut mid-record: a prefix lands, the rest
-            // does not. The repair below truncates it away.
-            let _ = self.wal.write_all(&record[0..13]);
+            // Simulate a write cut inside the group's last record: every
+            // earlier record lands whole, then a prefix of the last. The
+            // repair below truncates it all away; were the repair lost to
+            // a crash, recovery would count the complete but unacknowledged
+            // records — over-counting, the safe direction.
+            let _ = self
+                .wal
+                .write_all(&bytes[..bytes.len() - RECORD_LEN as usize + 13]);
             let _ = self.wal.sync_data();
             self.repair_tail();
             return Err(JournalError::Injected("serve.journal.torn"));
         }
-        if let Err(e) = self.wal.write_all(&record) {
+        if let Err(e) = self.wal.write_all(&bytes) {
             self.repair_tail();
             return Err(JournalError::Io {
                 step: "wal append",
@@ -470,15 +493,15 @@ impl Journal {
             self.wal.sync_data().map_err(io_err("wal flush"))
         };
         if let Err(e) = synced {
-            // The record's bytes may or may not be durable; either way it
-            // was not acknowledged, so truncate it back out. If the
+            // The group's bytes may or may not be durable; either way none
+            // of it was acknowledged, so truncate it back out. If the
             // truncation itself cannot be confirmed, recovery may count
-            // the record — the safe direction.
+            // the records — the safe direction.
             self.repair_tail();
             return Err(e);
         }
-        self.records += 1;
-        self.committed_len += RECORD_LEN;
+        self.records += group.len() as u64;
+        self.committed_len += group.len() as u64 * RECORD_LEN;
         Ok(())
     }
 

@@ -6,9 +6,7 @@
 #   {--jobs 1, --jobs max} x {cold, warm-started}.
 #   BENCH_sample.json — ns/op for the served sampling hot path: the
 #   unfused per-level alias walk vs the fused flattened-tree walk, single
-#   and batched. (The committed file still carries the pre-flattening
-#   "seed" cell as its recorded baseline; a regeneration replaces it with
-#   the unfused_alias baseline.)
+#   and batched, against the unfused_alias baseline.
 #   BENCH_serve.json — throughput and latency percentiles for the
 #   networked wire (serve --listen + loadgen over loopback), one steady
 #   phase and one deliberate-overload phase; both must reconcile exactly.
