@@ -21,36 +21,50 @@
 //!   later append is acknowledged — so an acknowledged record is never
 //!   ordered after unsynced bytes;
 //! * snapshot commits are atomic (temp file + rename); the rename is the
-//!   commit point, and a generation number ties the WAL to its snapshot
-//!   so replay never double-applies or misses a fold.
+//!   commit point, and a generation number ties each WAL segment to the
+//!   snapshot that covers it, so replay never double-applies or misses a
+//!   fold.
 //!
 //! ## On-disk layout
 //!
-//! Two files in the journal directory, both little-endian, both carrying
-//! FNV-1a 64 checksums:
+//! One snapshot and a chain of WAL segments in the journal directory,
+//! all little-endian, all carrying FNV-1a 64 checksums:
 //!
 //! ```text
-//! ledger.snap                       ledger.wal
+//! ledger.snap                       ledger.wal.<gen> (one per segment)
 //!   magic    8B "GEOINDSN"            magic    8B "GEOINDWL"
 //!   version  u32 = 1                  version  u32 = 1
-//!   gen      u64                      gen      u64
+//!   gen      u64                      gen      u64 (= the file's <gen>)
 //!   epoch    u64                      epoch    u64
 //!   count    u64                      header_sum u64 (over the 20 bytes above)
 //!   header_sum u64 (over the 28      record × N (32B each):
 //!     bytes above)                      user    u64
 //!   entry × count:                      eps     f64 bits
-//!     user   u64                        seq     u64 (1-based since snapshot)
+//!     user   u64                        seq     u64 (1-based within the segment)
 //!     spent  f64 bits                   rec_sum u64 (over the 24 bytes above)
 //!   body_sum u64 (over all entries)
 //! ```
 //!
-//! The snapshot holds the folded state as of generation `gen`; the WAL
-//! holds the deltas since. On recovery the WAL is replayed **only if its
-//! generation matches the snapshot's** — a stale WAL (crash between
-//! snapshot commit and WAL reset) is discarded because its records are
-//! already folded in. Replay stops at the first torn, checksum-failed, or
-//! out-of-sequence record and truncates the tail there; everything before
-//! it is applied.
+//! Snapshot generation `S` holds the folded state of every segment with
+//! a generation below `S`; segments `S, S+1, …` hold the deltas since.
+//! Recovery deletes the segments below `S` (already folded in), replays
+//! `S, S+1, …` in order — a gap in that chain is [`JournalError::Corrupt`]
+//! — and in each segment stops at the first torn, checksum-failed, or
+//! out-of-sequence record and truncates the tail there. The highest
+//! segment becomes the active one that appends extend.
+//!
+//! ## Folding without the lock
+//!
+//! A fold has two halves. [`Journal::rotate`] runs under the caller's
+//! lock and makes no file-system call: it switches appends to a durable,
+//! already-created spare segment `active + 1`. A [`Fold`] then runs on
+//! any thread, in this order: commit snapshot `T` (the new active
+//! generation) from a capture of the state at the segment boundary,
+//! delete the segments below `T`, create the next spare `T + 1`. A
+//! segment is deleted only after the snapshot covering it has
+//! committed, so recovered ≥ served holds at every crash point. A failed
+//! step is retried from that step; the capture stays valid for snapshot
+//! `T` until it commits.
 //!
 //! Every journal step carries a deterministic failpoint site
 //! (`serve.journal.*`, `serve.snapshot.*`, `serve.wal.reset` — see
@@ -63,6 +77,8 @@ use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Snapshot file magic.
 const SNAP_MAGIC: &[u8; 8] = b"GEOINDSN";
@@ -262,6 +278,48 @@ fn sync_parent_dir(path: &Path) {
     }
 }
 
+/// The snapshot file's name in a journal directory.
+const SNAP_FILE: &str = "ledger.snap";
+/// Prefix of a WAL segment's file name: `ledger.wal.<gen>`.
+const SEGMENT_PREFIX: &str = "ledger.wal.";
+
+/// The path of WAL segment `gen` in `dir`.
+fn segment_path(dir: &Path, gen: u64) -> PathBuf {
+    dir.join(format!("{SEGMENT_PREFIX}{gen}"))
+}
+
+/// The generations of the WAL segments in `dir`, ascending. Temp files
+/// (`ledger.wal.<gen>.tmp`) are not segments.
+fn list_segments(dir: &Path) -> Result<Vec<u64>, JournalError> {
+    let mut gens = Vec::new();
+    for entry in fs::read_dir(dir).map_err(io_err("journal dir read"))? {
+        let name = entry.map_err(io_err("journal dir read"))?.file_name();
+        if let Some(gen) = name
+            .to_str()
+            .and_then(|n| n.strip_prefix(SEGMENT_PREFIX))
+            .and_then(|g| g.parse::<u64>().ok())
+        {
+            gens.push(gen);
+        }
+    }
+    gens.sort_unstable();
+    Ok(gens)
+}
+
+/// Remove leftover temp files: they are uncommitted by definition.
+fn remove_temp_files(dir: &Path) {
+    let _ = fs::remove_file(tmp_sibling(&dir.join(SNAP_FILE)));
+    if let Ok(entries) = fs::read_dir(dir) {
+        for entry in entries.flatten() {
+            let name = entry.file_name();
+            let name = name.to_string_lossy();
+            if name.starts_with(SEGMENT_PREFIX) && name.ends_with(".tmp") {
+                let _ = fs::remove_file(entry.path());
+            }
+        }
+    }
+}
+
 /// The state a [`Journal::open`] recovered from disk.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveredState {
@@ -276,24 +334,23 @@ pub struct RecoveredState {
 #[derive(Debug)]
 pub struct Journal {
     dir: PathBuf,
+    /// The active segment, positioned at `committed_len`.
     wal: File,
-    gen: u64,
+    /// The active segment's generation.
+    active: u64,
     epoch: u64,
-    /// Records acknowledged since the last snapshot; also the next
+    /// Records acknowledged in the active segment; also the next
     /// record's `seq - 1`.
     records: u64,
     /// File length covering exactly the acknowledged records. The tail
     /// beyond it is repaired (truncated) before any further append.
     committed_len: u64,
-    /// Generation stamped in the WAL file currently on disk. Falls behind
-    /// `gen` when a snapshot committed but the fresh-WAL swap failed; the
-    /// next append then swaps in a fresh WAL (safe: a stale-generation
-    /// WAL's records are already folded into the snapshot).
-    wal_file_gen: u64,
     /// True when a failed append left unacknowledged bytes that could not
-    /// be truncated away. Appends must strictly repair the tail first —
-    /// never reset the file, which still holds acknowledged records.
+    /// be truncated away. Appends must strictly repair the tail first.
     tail_dirty: bool,
+    /// The durable, empty segment `active + 1` that [`Self::rotate`]
+    /// switches to, once a fold has created it.
+    spare: Option<File>,
 }
 
 impl Journal {
@@ -306,44 +363,36 @@ impl Journal {
     /// [`JournalError::EpochRegression`].
     ///
     /// # Errors
-    /// [`JournalError`] on I/O failure, committed-region corruption, or
-    /// epoch regression. Never panics on any on-disk state.
+    /// [`JournalError`] on I/O failure, committed-region corruption, a
+    /// gap in the segment chain, or epoch regression. Never panics on any
+    /// on-disk state.
     pub fn open(dir: &Path, epoch: u64) -> Result<(Self, RecoveredState), JournalError> {
         fs::create_dir_all(dir).map_err(io_err("journal dir create"))?;
-        let snap_path = dir.join("ledger.snap");
-        let wal_path = dir.join("ledger.wal");
-        // Leftover temp files are uncommitted by definition.
-        let _ = fs::remove_file(tmp_sibling(&snap_path));
-        let _ = fs::remove_file(tmp_sibling(&wal_path));
-
-        if !snap_path.exists() {
-            if wal_path.exists() {
-                return Err(corrupt(
-                    "journal dir",
-                    "WAL present without a snapshot (snapshots are written first); \
-                     refusing to guess at the missing committed state",
-                ));
-            }
-            // Fresh directory: commit an empty snapshot, then a fresh WAL.
-            write_snapshot_file(&snap_path, 1, epoch, &BTreeMap::new())?;
-            let wal = create_wal_file(&wal_path, 1, epoch)?;
-            let journal = Self {
-                dir: dir.to_path_buf(),
-                wal,
-                gen: 1,
-                epoch,
-                records: 0,
-                committed_len: WAL_HEADER_LEN,
-                wal_file_gen: 1,
-                tail_dirty: false,
-            };
-            return Ok((
+        let snap_path = dir.join(SNAP_FILE);
+        remove_temp_files(dir);
+        let segments = list_segments(dir)?;
+        let renewed = |gen| -> Result<(Self, RecoveredState), JournalError> {
+            let journal = Self::fresh(dir, gen, epoch)?;
+            Ok((
                 journal,
                 RecoveredState {
                     epoch,
                     spent: BTreeMap::new(),
                 },
-            ));
+            ))
+        };
+
+        if !snap_path.exists() {
+            if !segments.is_empty() {
+                return Err(corrupt(
+                    "journal dir",
+                    "WAL segment present without a snapshot (snapshots are written \
+                     first); refusing to guess at the missing committed state",
+                ));
+            }
+            // Fresh directory: commit an empty snapshot, then segment 1.
+            commit_snapshot(dir, 1, epoch, &mut snapshot_image([]))?;
+            return renewed(1);
         }
 
         let (snap_gen, snap_epoch, mut spent) = read_snapshot_file(&snap_path)?;
@@ -353,38 +402,66 @@ impl Journal {
                 requested: epoch,
             });
         }
-
-        // Recover the WAL against the snapshot's generation.
-        let (wal, records, committed_len) =
-            recover_wal(&wal_path, snap_gen, snap_epoch, &mut spent)?;
-
-        let mut journal = Self {
-            dir: dir.to_path_buf(),
-            wal,
-            gen: snap_gen,
-            epoch: snap_epoch,
-            records,
-            committed_len,
-            wal_file_gen: snap_gen,
-            tail_dirty: false,
-        };
-
         if snap_epoch < epoch {
             // New epoch: budgets renew. Commit the reset before returning
             // so a crash right after open cannot resurrect old spends into
-            // the new epoch.
-            journal.epoch = epoch;
-            journal.snapshot(&BTreeMap::new())?;
-            return Ok((
-                journal,
-                RecoveredState {
-                    epoch,
-                    spent: BTreeMap::new(),
-                },
-            ));
+            // the new epoch. Its generation covers every segment on disk.
+            let gen = segments.last().map_or(snap_gen, |&g| g.max(snap_gen)) + 1;
+            commit_snapshot(dir, gen, epoch, &mut snapshot_image([]))?;
+            retire_segments(dir, gen)?;
+            return renewed(gen);
         }
 
+        // Segments below the snapshot's generation are already folded in.
+        retire_segments(dir, snap_gen)?;
+        let live: Vec<u64> = segments.into_iter().filter(|&g| g >= snap_gen).collect();
+        if live.is_empty() {
+            // A crash between the snapshot commit and the creation of its
+            // segment: no record in that segment was ever acknowledged.
+            let journal = Self::fresh(dir, snap_gen, epoch)?;
+            return Ok((journal, RecoveredState { epoch, spent }));
+        }
+        if let Some((want, _)) = (snap_gen..).zip(&live).find(|(want, gen)| want != *gen) {
+            return Err(corrupt(
+                format!("wal segment {want}"),
+                format!(
+                    "missing from the chain after snapshot generation {snap_gen} \
+                     (segments on disk: {live:?})"
+                ),
+            ));
+        }
+        // Replay the chain in order; the highest segment stays open as
+        // the active one.
+        let mut replayed = None;
+        for &gen in &live {
+            replayed = Some((gen, replay_segment(dir, gen, snap_epoch, &mut spent)?));
+        }
+        let (active, (wal, records, committed_len)) = replayed.expect("the chain is not empty");
+        let journal = Self {
+            dir: dir.to_path_buf(),
+            wal,
+            active,
+            epoch,
+            records,
+            committed_len,
+            tail_dirty: false,
+            spare: None,
+        };
         Ok((journal, RecoveredState { epoch, spent }))
+    }
+
+    /// A journal appending to a freshly created, empty segment `gen`.
+    fn fresh(dir: &Path, gen: u64, epoch: u64) -> Result<Self, JournalError> {
+        Ok(Self {
+            dir: dir.to_path_buf(),
+            wal: create_segment(dir, gen, epoch)?,
+            active: gen,
+            epoch,
+            records: 0,
+            committed_len: WAL_HEADER_LEN,
+            tail_dirty: false,
+            spare: None,
+        })
     }
 
     /// The journal's current epoch.
@@ -392,15 +469,13 @@ impl Journal {
         self.epoch
     }
 
-    /// The generation of the committed snapshot (bumped by every
-    /// [`Self::snapshot`]). The WAL on disk carries the same number, which
-    /// is how recovery proves a stale WAL is already folded in.
-    pub fn generation(&self) -> u64 {
-        self.gen
+    /// The generation of the active segment, the one appends extend.
+    pub fn active_segment(&self) -> u64 {
+        self.active
     }
 
-    /// Records acknowledged since the last committed snapshot.
-    pub fn records_since_snapshot(&self) -> u64 {
+    /// Records acknowledged in the active segment.
+    pub fn segment_records(&self) -> u64 {
         self.records
     }
 
@@ -426,14 +501,9 @@ impl Journal {
         if group.is_empty() {
             return Ok(());
         }
-        // Self-heal before acknowledging anything. The two failure modes
-        // need opposite treatments: a stale-generation WAL is *replaced*
-        // (its records are already folded into the committed snapshot),
-        // while a dirty tail is *truncated* — the file still holds
-        // acknowledged records that a reset would forget.
-        if self.wal_file_gen != self.gen {
-            self.reset_wal()?;
-        } else if self.tail_dirty {
+        // Self-heal before acknowledging anything: a dirty tail is
+        // truncated back to the last acknowledged record.
+        if self.tail_dirty {
             self.wal
                 .set_len(self.committed_len)
                 .and_then(|()| self.wal.sync_data())
@@ -518,81 +588,212 @@ impl Journal {
         self.tail_dirty = !repaired;
     }
 
-    /// Fold `state` into a new committed snapshot (generation `gen + 1`)
-    /// and start a fresh WAL. The snapshot rename is the commit point: a
-    /// crash before it keeps the old snapshot + WAL, a crash after it
-    /// leaves a stale-generation WAL that recovery discards as already
-    /// folded.
-    ///
-    /// # Errors
-    /// [`JournalError`] on any step failure. If the failure happens
-    /// *after* the commit point (the fresh-WAL swap failed), the
-    /// snapshot stands and appends self-heal on the next call.
-    pub fn snapshot(&mut self, state: &BTreeMap<u64, f64>) -> Result<(), JournalError> {
-        if failpoint::hit("serve.snapshot.write") {
-            return Err(JournalError::Injected("serve.snapshot.write"));
-        }
-        let snap_path = self.dir.join("ledger.snap");
-        let next_gen = self.gen + 1;
-        let bytes = encode_snapshot(next_gen, self.epoch, state);
-        let tmp = tmp_sibling(&snap_path);
-        {
-            let mut f = File::create(&tmp).map_err(io_err("snapshot temp create"))?;
-            if failpoint::hit("serve.snapshot.enospc") {
-                // Injected full disk at the temp-file write boundary: the
-                // old committed snapshot is untouched, only the fold is
-                // refused — spends stay durable in the WAL.
-                let _ = fs::remove_file(&tmp);
-                return Err(JournalError::DiskFull {
-                    step: "snapshot temp write",
-                });
-            }
-            f.write_all(&bytes).map_err(io_err("snapshot temp write"))?;
-            f.sync_all().map_err(io_err("snapshot temp sync"))?;
-        }
-        if failpoint::hit("serve.snapshot.commit") {
-            let _ = fs::remove_file(&tmp);
-            return Err(JournalError::Injected("serve.snapshot.commit"));
-        }
-        fs::rename(&tmp, &snap_path).map_err(io_err("snapshot commit"))?;
-        sync_parent_dir(&snap_path);
-        // Commit point passed: the old WAL is now stale whatever happens
-        // (wal_file_gen lags self.gen until the swap below succeeds, and
-        // appends self-heal by retrying it).
-        self.gen = next_gen;
-        self.reset_wal()
+    /// Hand the journal the spare segment a [`Fold`] created.
+    pub(crate) fn install_spare(&mut self, spare: File) {
+        self.spare = Some(spare);
     }
 
-    /// Swap in a fresh empty WAL at the current generation (atomic:
-    /// temp + rename). On success `wal_file_gen` catches up to `gen`.
-    fn reset_wal(&mut self) -> Result<(), JournalError> {
-        let wal_path = self.dir.join("ledger.wal");
-        let tmp = tmp_sibling(&wal_path);
-        {
-            let mut f = File::create(&tmp).map_err(io_err("wal reset create"))?;
-            f.write_all(&encode_wal_header(self.gen, self.epoch))
-                .map_err(io_err("wal reset write"))?;
-            f.sync_all().map_err(io_err("wal reset sync"))?;
-        }
-        if failpoint::hit("serve.wal.reset") {
-            let _ = fs::remove_file(&tmp);
-            return Err(JournalError::Injected("serve.wal.reset"));
-        }
-        fs::rename(&tmp, &wal_path).map_err(io_err("wal reset commit"))?;
-        sync_parent_dir(&wal_path);
-        let mut wal = OpenOptions::new()
-            .write(true)
-            .open(&wal_path)
-            .map_err(io_err("wal reopen"))?;
-        wal.seek(SeekFrom::Start(WAL_HEADER_LEN))
-            .map_err(io_err("wal reopen seek"))?;
-        self.wal = wal;
+    /// Seal the active segment and start appending to the spare, without
+    /// a single file-system call. Returns the new active generation — the
+    /// snapshot generation that will cover the sealed segments — and the
+    /// sealed segment's handle, to be closed off the caller's lock; `None`
+    /// (and nothing changes) while no spare exists.
+    pub(crate) fn rotate(&mut self) -> Option<(u64, File)> {
+        let spare = self.spare.take()?;
+        let sealed = std::mem::replace(&mut self.wal, spare);
+        self.active += 1;
         self.records = 0;
         self.committed_len = WAL_HEADER_LEN;
-        self.wal_file_gen = self.gen;
+        // A dirty tail stays behind in the sealed segment: replay stops at
+        // it, and the bytes were never acknowledged.
         self.tail_dirty = false;
-        Ok(())
+        Some((self.active, sealed))
     }
+}
+
+/// How many folds committed their snapshot, and how many fold steps
+/// failed — counted by whichever thread ran the fold.
+#[derive(Debug, Default)]
+pub(crate) struct FoldCounts {
+    /// Snapshots committed by folds.
+    pub(crate) folds: AtomicU64,
+    /// Fold steps that failed (each is retried later).
+    pub(crate) faults: AtomicU64,
+}
+
+/// The next step of a [`Fold`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FoldStep {
+    /// Commit snapshot `target` from the image.
+    Commit,
+    /// Delete the segments below `target`.
+    Retire,
+    /// Create the spare segment `target + 1`.
+    Spare,
+    /// Nothing left to do.
+    Done,
+}
+
+/// One snapshot fold, runnable on any thread: commit snapshot `target`
+/// from a capture of the state at the start of segment `target`, delete
+/// the segments it covers, create the spare `target + 1` (module docs).
+/// One `Fold` serves a ledger for its lifetime, so its snapshot image
+/// buffer is reused fold to fold.
+#[derive(Debug)]
+pub(crate) struct Fold {
+    dir: PathBuf,
+    epoch: u64,
+    target: u64,
+    /// Snapshot `target`'s image: header room, then every account's
+    /// `(user, spent)` at the start of segment `target`, in user order.
+    image: Vec<u8>,
+    step: FoldStep,
+    /// The sealed segment's handle, closed by the fold.
+    sealed: Option<File>,
+    /// Failpoint arming of the thread that queued the fold.
+    scope: failpoint::Scope,
+    counts: Arc<FoldCounts>,
+}
+
+impl Fold {
+    /// The first fold of an opened journal: it has nothing to commit and
+    /// only creates the spare segment after the active one.
+    pub(crate) fn first_spare(journal: &Journal, counts: Arc<FoldCounts>) -> Self {
+        Self {
+            dir: journal.dir.clone(),
+            epoch: journal.epoch,
+            target: journal.active,
+            image: Vec::new(),
+            step: FoldStep::Spare,
+            sealed: None,
+            scope: failpoint::Scope::current(),
+            counts,
+        }
+    }
+
+    /// Whether a step is left to run: a new fold, or a failed one to
+    /// retry from the step that failed.
+    pub(crate) fn pending(&self) -> bool {
+        self.step != FoldStep::Done
+    }
+
+    /// Start the fold of a [`Journal::rotate`] into segment `target`,
+    /// capturing `state` — every account's spend at that segment
+    /// boundary — straight into the snapshot image.
+    pub(crate) fn start(
+        &mut self,
+        target: u64,
+        sealed: File,
+        state: impl Iterator<Item = (u64, f64)>,
+    ) {
+        self.target = target;
+        fill_snapshot_image(&mut self.image, state);
+        self.sealed = Some(sealed);
+        self.step = FoldStep::Commit;
+    }
+
+    /// Make the current thread's failpoint arming the one the fold runs
+    /// under (it is captured here and entered by [`Self::run`]).
+    pub(crate) fn rescope(&mut self) {
+        self.scope = failpoint::Scope::current();
+    }
+
+    /// Run the remaining steps in order and return the new spare
+    /// segment. A failed step is counted and left to be retried; the
+    /// image stays valid for snapshot `target` until it commits.
+    ///
+    /// # Errors
+    /// The failed step's [`JournalError`].
+    pub(crate) fn run(&mut self) -> Result<File, JournalError> {
+        let _scope = self.scope.enter();
+        drop(self.sealed.take());
+        let result = self.steps();
+        if result.is_err() {
+            self.counts.faults.fetch_add(1, Ordering::Relaxed);
+        }
+        result
+    }
+
+    fn steps(&mut self) -> Result<File, JournalError> {
+        if self.step == FoldStep::Commit {
+            commit_snapshot(&self.dir, self.target, self.epoch, &mut self.image)?;
+            self.counts.folds.fetch_add(1, Ordering::Relaxed);
+            self.step = FoldStep::Retire;
+        }
+        if self.step == FoldStep::Retire {
+            retire_segments(&self.dir, self.target)?;
+            self.step = FoldStep::Spare;
+        }
+        if failpoint::hit("serve.wal.reset") {
+            return Err(JournalError::Injected("serve.wal.reset"));
+        }
+        let spare = create_segment(&self.dir, self.target + 1, self.epoch)?;
+        self.step = FoldStep::Done;
+        Ok(spare)
+    }
+}
+
+/// Commit snapshot `gen` from `image` (see [`fill_snapshot_image`])
+/// atomically: fill in its header, write it and the body checksum to a
+/// temp file, fsync, rename — the commit point — then sync the directory.
+fn commit_snapshot(dir: &Path, gen: u64, epoch: u64, image: &mut [u8]) -> Result<(), JournalError> {
+    if failpoint::hit("serve.snapshot.write") {
+        return Err(JournalError::Injected("serve.snapshot.write"));
+    }
+    let snap_path = dir.join(SNAP_FILE);
+    let body_sum = seal_snapshot_image(gen, epoch, image);
+    let tmp = tmp_sibling(&snap_path);
+    {
+        let mut f = File::create(&tmp).map_err(io_err("snapshot temp create"))?;
+        if failpoint::hit("serve.snapshot.enospc") {
+            // Injected full disk at the temp-file write boundary: the
+            // old committed snapshot is untouched, only the fold is
+            // refused — spends stay durable in the WAL.
+            let _ = fs::remove_file(&tmp);
+            return Err(JournalError::DiskFull {
+                step: "snapshot temp write",
+            });
+        }
+        f.write_all(image)
+            .and_then(|()| f.write_all(&body_sum.to_le_bytes()))
+            .map_err(io_err("snapshot temp write"))?;
+        f.sync_all().map_err(io_err("snapshot temp sync"))?;
+    }
+    if failpoint::hit("serve.snapshot.commit") {
+        let _ = fs::remove_file(&tmp);
+        return Err(JournalError::Injected("serve.snapshot.commit"));
+    }
+    fs::rename(&tmp, &snap_path).map_err(io_err("snapshot commit"))?;
+    sync_parent_dir(&snap_path);
+    Ok(())
+}
+
+/// Delete every segment below generation `below` — only ever called once
+/// a snapshot covering them has committed.
+fn retire_segments(dir: &Path, below: u64) -> Result<(), JournalError> {
+    for gen in list_segments(dir)?.into_iter().take_while(|&g| g < below) {
+        match fs::remove_file(segment_path(dir, gen)) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => {
+                return Err(io_err("segment retire")(e));
+            }
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
+/// Create the empty segment `gen` durably (temp + rename + directory
+/// sync) and return it opened for append.
+fn create_segment(dir: &Path, gen: u64, epoch: u64) -> Result<File, JournalError> {
+    let path = segment_path(dir, gen);
+    atomic_write(&path, &encode_wal_header(gen, epoch)).map_err(io_err("segment create"))?;
+    let mut wal = OpenOptions::new()
+        .write(true)
+        .open(&path)
+        .map_err(io_err("segment open"))?;
+    wal.seek(SeekFrom::Start(WAL_HEADER_LEN))
+        .map_err(io_err("segment open seek"))?;
+    Ok(wal)
 }
 
 /// Encode one 32-byte spend record — the WAL on-disk format *and* the
@@ -679,46 +880,36 @@ fn encode_wal_header(gen: u64, epoch: u64) -> Vec<u8> {
     bytes
 }
 
-fn encode_snapshot(gen: u64, epoch: u64, state: &BTreeMap<u64, f64>) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(SNAP_HEADER_LEN as usize + state.len() * 16 + 8);
-    bytes.extend_from_slice(SNAP_MAGIC);
-    bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&gen.to_le_bytes());
-    bytes.extend_from_slice(&epoch.to_le_bytes());
-    bytes.extend_from_slice(&(state.len() as u64).to_le_bytes());
-    let header_sum = fnv1a64(&bytes[8..36]);
-    bytes.extend_from_slice(&header_sum.to_le_bytes());
-    let body_start = bytes.len();
-    for (&user, &spent) in state {
-        bytes.extend_from_slice(&user.to_le_bytes());
-        bytes.extend_from_slice(&spent.to_bits().to_le_bytes());
+/// Make `image` a snapshot image of `state` (one entry per user, in user
+/// order): room for the header, then the entries. Reuses its capacity.
+fn fill_snapshot_image(image: &mut Vec<u8>, state: impl IntoIterator<Item = (u64, f64)>) {
+    image.clear();
+    image.resize(SNAP_HEADER_LEN as usize, 0);
+    for (user, spent) in state {
+        image.extend_from_slice(&user.to_le_bytes());
+        image.extend_from_slice(&spent.to_bits().to_le_bytes());
     }
-    let body_sum = fnv1a64(&bytes[body_start..]);
-    bytes.extend_from_slice(&body_sum.to_le_bytes());
-    bytes
 }
 
-fn write_snapshot_file(
-    path: &Path,
-    gen: u64,
-    epoch: u64,
-    state: &BTreeMap<u64, f64>,
-) -> Result<(), JournalError> {
-    if failpoint::hit("serve.snapshot.write") {
-        return Err(JournalError::Injected("serve.snapshot.write"));
-    }
-    atomic_write(path, &encode_snapshot(gen, epoch, state)).map_err(io_err("snapshot commit"))
+/// A fresh snapshot image of `state`.
+fn snapshot_image(state: impl IntoIterator<Item = (u64, f64)>) -> Vec<u8> {
+    let mut image = Vec::new();
+    fill_snapshot_image(&mut image, state);
+    image
 }
 
-fn create_wal_file(path: &Path, gen: u64, epoch: u64) -> Result<File, JournalError> {
-    atomic_write(path, &encode_wal_header(gen, epoch)).map_err(io_err("wal create"))?;
-    let mut wal = OpenOptions::new()
-        .write(true)
-        .open(path)
-        .map_err(io_err("wal reopen"))?;
-    wal.seek(SeekFrom::Start(WAL_HEADER_LEN))
-        .map_err(io_err("wal reopen seek"))?;
-    Ok(wal)
+/// Write snapshot `gen`'s header into `image` and return the body
+/// checksum that follows the entries on disk.
+fn seal_snapshot_image(gen: u64, epoch: u64, image: &mut [u8]) -> u64 {
+    let count = (image.len() as u64 - SNAP_HEADER_LEN) / 16;
+    image[0..8].copy_from_slice(SNAP_MAGIC);
+    image[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+    image[12..20].copy_from_slice(&gen.to_le_bytes());
+    image[20..28].copy_from_slice(&epoch.to_le_bytes());
+    image[28..36].copy_from_slice(&count.to_le_bytes());
+    let header_sum = fnv1a64(&image[8..36]);
+    image[36..44].copy_from_slice(&header_sum.to_le_bytes());
+    fnv1a64(&image[SNAP_HEADER_LEN as usize..])
 }
 
 fn read_snapshot_file(path: &Path) -> Result<(u64, u64, BTreeMap<u64, f64>), JournalError> {
@@ -801,74 +992,37 @@ fn read_snapshot_file(path: &Path) -> Result<(u64, u64, BTreeMap<u64, f64>), Jou
     Ok((gen, epoch, spent))
 }
 
-/// Validate and replay the WAL onto `spent`, truncating any unreplayable
-/// tail, and return the file reopened for append plus the replayed record
-/// count and committed length.
-fn recover_wal(
-    path: &Path,
-    snap_gen: u64,
-    snap_epoch: u64,
+/// Validate segment `gen` against the snapshot's `epoch` and replay its
+/// records onto `spent`, truncating any unreplayable tail. Returns the
+/// segment opened for append at its committed end, its record count and
+/// its committed length.
+fn replay_segment(
+    dir: &Path,
+    gen: u64,
+    epoch: u64,
     spent: &mut BTreeMap<u64, f64>,
 ) -> Result<(File, u64, u64), JournalError> {
-    let bytes = match fs::read(path) {
-        Ok(b) => b,
-        // Only reachable by a crash during initial creation (the snapshot
-        // commits first, before any record was ever acknowledged) — a
-        // fresh WAL loses nothing.
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            let wal = create_wal_file(path, snap_gen, snap_epoch)?;
-            return Ok((wal, 0, WAL_HEADER_LEN));
-        }
-        Err(e) => return Err(io_err("wal read")(e)),
-    };
-
-    if bytes.len() < WAL_HEADER_LEN as usize {
-        // Torn header: the file was being created when the process died,
-        // so no record in it was ever acknowledged. Start fresh.
-        let wal = create_wal_file(path, snap_gen, snap_epoch)?;
-        return Ok((wal, 0, WAL_HEADER_LEN));
-    }
-    if &bytes[0..8] != WAL_MAGIC {
-        return Err(corrupt("wal header", "bad magic"));
-    }
-    let version = u32::from_le_bytes(
-        bytes[8..12]
-            .try_into()
-            .expect("4-byte slice of a checked buffer"),
-    );
-    if version != FORMAT_VERSION {
-        return Err(corrupt(
-            "wal header",
-            format!("unsupported format version {version} (expected {FORMAT_VERSION})"),
-        ));
-    }
-    let word = |at: usize| {
-        u64::from_le_bytes(
-            bytes[at..at + 8]
-                .try_into()
-                .expect("8-byte slice of a checked buffer"),
+    let path = segment_path(dir, gen);
+    let section = || format!("wal segment {gen} header");
+    let bytes = fs::read(&path).map_err(io_err("wal read"))?;
+    // Segments are created whole (temp + rename), so a header that does
+    // not verify is damage, not a crash artifact.
+    let (header_gen, header_epoch) = parse_wal_header(&bytes).ok_or_else(|| {
+        corrupt(
+            section(),
+            "short file, bad magic or version, or bad checksum",
         )
-    };
-    let (wal_gen, wal_epoch) = (word(12), word(20));
-    if word(28) != fnv1a64(&bytes[8..28]) {
-        return Err(corrupt("wal header", "header checksum mismatch"));
-    }
-    if wal_gen > snap_gen {
+    })?;
+    if header_gen != gen {
         return Err(corrupt(
-            "wal header",
-            format!("WAL generation {wal_gen} is ahead of snapshot generation {snap_gen}"),
+            section(),
+            format!("header generation {header_gen} disagrees with the file name"),
         ));
     }
-    if wal_gen < snap_gen {
-        // Stale WAL: the crash hit between snapshot commit and WAL reset.
-        // Its records are already folded into the snapshot — discard it.
-        let wal = create_wal_file(path, snap_gen, snap_epoch)?;
-        return Ok((wal, 0, WAL_HEADER_LEN));
-    }
-    if wal_epoch != snap_epoch {
+    if header_epoch != epoch {
         return Err(corrupt(
-            "wal header",
-            format!("WAL epoch {wal_epoch} disagrees with snapshot epoch {snap_epoch}"),
+            section(),
+            format!("WAL epoch {header_epoch} disagrees with snapshot epoch {epoch}"),
         ));
     }
 
@@ -876,32 +1030,11 @@ fn recover_wal(
     // out-of-sequence one and truncate the tail there.
     let mut offset = WAL_HEADER_LEN as usize;
     let mut records = 0u64;
-    while bytes.len() - offset >= RECORD_LEN as usize {
-        let rec = &bytes[offset..offset + RECORD_LEN as usize];
-        let sum = u64::from_le_bytes(
-            rec[24..32]
-                .try_into()
-                .expect("8-byte slice of a checked buffer"),
-        );
-        if sum != fnv1a64(&rec[0..24]) {
-            break;
-        }
-        let user = u64::from_le_bytes(
-            rec[0..8]
-                .try_into()
-                .expect("8-byte slice of a checked buffer"),
-        );
-        let eps = f64::from_bits(u64::from_le_bytes(
-            rec[8..16]
-                .try_into()
-                .expect("8-byte slice of a checked buffer"),
-        ));
-        let seq = u64::from_le_bytes(
-            rec[16..24]
-                .try_into()
-                .expect("8-byte slice of a checked buffer"),
-        );
-        if seq != records + 1 || !eps.is_finite() || eps < 0.0 {
+    while let Some((user, eps, seq)) = bytes
+        .get(offset..offset + RECORD_LEN as usize)
+        .and_then(decode_record)
+    {
+        if seq != records + 1 {
             break;
         }
         *spent.entry(user).or_insert(0.0) += eps;
@@ -912,7 +1045,7 @@ fn recover_wal(
 
     let mut wal = OpenOptions::new()
         .write(true)
-        .open(path)
+        .open(&path)
         .map_err(io_err("wal reopen"))?;
     if (bytes.len() as u64) > committed_len {
         // Torn or corrupt tail from the crash: truncate it so new appends
@@ -933,13 +1066,13 @@ pub struct ScavengeReport {
     /// WAL records whose checksum verified and were folded in.
     pub wal_records: u64,
     /// Checksum-valid records applied despite an unverifiable context
-    /// (corrupt WAL header, out-of-sequence position, or a gap left by a
-    /// checksum-failed neighbour). Each may already be folded into the
-    /// snapshot — applying it anyway over-counts, which is the safe
+    /// (corrupt segment header, out-of-sequence position, or a gap left
+    /// by a checksum-failed neighbour). Each may already be folded into
+    /// the snapshot — applying it anyway over-counts, which is the safe
     /// direction: recovered spend ≥ served spend stays provable.
     pub ambiguous_records: u64,
-    /// True when a provably stale (already-folded) WAL was discarded —
-    /// the one case where *not* applying records is provably safe.
+    /// True when a provably stale (already-folded) segment was discarded
+    /// — the one case where *not* applying records is provably safe.
     pub stale_wal_discarded: bool,
 }
 
@@ -972,20 +1105,23 @@ fn parse_wal_header(bytes: &[u8]) -> Option<(u64, u64)> {
 /// resolving every ambiguity **upward** so the fail-closed invariant
 /// (recovered spend ≥ served spend, per user) stays provable:
 ///
-/// * the committed snapshot is the base — if it is missing-with-a-WAL or
-///   fails its checksums, the served base is unknowable and the scavenge
-///   **abandons** (typed error; the shard stays refused);
-/// * a WAL whose header verifies at a generation *behind* the snapshot
-///   is provably already folded in and is discarded (the only downward
-///   resolution, because it is proven);
-/// * otherwise every checksum-valid record is applied — even when the
-///   WAL header is corrupt or a record is out of sequence. An applied
-///   record can at worst double-count spend that the snapshot already
-///   folded; skipping it could forget an acknowledged serve;
+/// * the committed snapshot is the base — if it is missing-with-segments
+///   or fails its checksums, the served base is unknowable and the
+///   scavenge **abandons** (typed error; the shard stays refused);
+/// * every WAL segment on disk is read. One whose header verifies at its
+///   own generation, *below* the snapshot's, is provably already folded
+///   in and is discarded (the only downward resolution, because it is
+///   proven);
+/// * from every other segment each checksum-valid record is applied —
+///   even when the segment header is corrupt or a record is out of
+///   sequence. An applied record can at worst double-count spend that
+///   the snapshot already folded; skipping it could forget an
+///   acknowledged serve;
 /// * torn tails and checksum-failed records are skipped (they were never
 ///   acknowledged, or their content cannot be trusted at all);
 /// * the salvaged state is committed via the standard atomic temp+rename
-///   snapshot, with a fresh empty WAL — ready for a normal
+///   snapshot at a generation past every segment, the old segments are
+///   deleted, and a fresh empty segment is created — ready for a normal
 ///   [`Journal::open`] to verify.
 ///
 /// An epoch ahead of `epoch` abandons ([`JournalError::EpochRegression`]);
@@ -993,22 +1129,21 @@ fn parse_wal_header(bytes: &[u8]) -> Option<(u64, u64)> {
 ///
 /// # Errors
 /// Any [`JournalError`] that makes the salvage unprovable or the commit
-/// impossible; the directory is left no worse than it was found.
+/// impossible; until the new snapshot commits, the directory is left no
+/// worse than it was found.
 pub fn scavenge(dir: &Path, epoch: u64) -> Result<ScavengeReport, JournalError> {
-    let snap_path = dir.join("ledger.snap");
-    let wal_path = dir.join("ledger.wal");
-    // Leftover temp files are uncommitted by definition.
-    let _ = fs::remove_file(tmp_sibling(&snap_path));
-    let _ = fs::remove_file(tmp_sibling(&wal_path));
+    let snap_path = dir.join(SNAP_FILE);
+    remove_temp_files(dir);
+    let segments = list_segments(dir)?;
 
     let (snap_gen, snap_epoch, mut salvaged) = if snap_path.exists() {
         // Abandons on any committed-region corruption: without a trusted
         // base the salvage cannot bound what was served.
         read_snapshot_file(&snap_path)?
-    } else if wal_path.exists() {
+    } else if !segments.is_empty() {
         return Err(corrupt(
             "journal dir",
-            "WAL present without a snapshot; the committed base is unknowable",
+            "WAL segment present without a snapshot; the committed base is unknowable",
         ));
     } else {
         (0, epoch, BTreeMap::new())
@@ -1028,69 +1163,52 @@ pub fn scavenge(dir: &Path, epoch: u64) -> Result<ScavengeReport, JournalError> 
         // alike) are intentionally dropped.
         salvaged = BTreeMap::new();
     } else {
-        match fs::read(&wal_path) {
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(io_err("scavenge wal read")(e)),
-            Ok(bytes) => {
-                let header = parse_wal_header(&bytes);
-                if matches!(header, Some((gen, ep)) if gen < snap_gen && ep == snap_epoch) {
-                    // Provably stale: the snapshot at a later generation
-                    // already folded these records in.
-                    stale_wal_discarded = true;
-                } else {
-                    let trusted =
-                        matches!(header, Some((gen, ep)) if gen == snap_gen && ep == snap_epoch);
-                    // Acknowledged records always sit at fixed 32-byte
-                    // strides (the tail-repair discipline guarantees it),
-                    // so scan every slot and apply whatever verifies.
-                    let mut offset = WAL_HEADER_LEN as usize;
-                    let mut slot = 0u64;
-                    while bytes.len() >= offset + RECORD_LEN as usize {
-                        let rec = &bytes[offset..offset + RECORD_LEN as usize];
-                        offset += RECORD_LEN as usize;
-                        slot += 1;
-                        let sum = u64::from_le_bytes(
-                            rec[24..32]
-                                .try_into()
-                                .expect("8-byte slice of a checked buffer"),
-                        );
-                        if sum != fnv1a64(&rec[0..24]) {
-                            continue; // never acknowledged, or untrustable
-                        }
-                        let user = u64::from_le_bytes(
-                            rec[0..8]
-                                .try_into()
-                                .expect("8-byte slice of a checked buffer"),
-                        );
-                        let eps = f64::from_bits(u64::from_le_bytes(
-                            rec[8..16]
-                                .try_into()
-                                .expect("8-byte slice of a checked buffer"),
-                        ));
-                        let seq = u64::from_le_bytes(
-                            rec[16..24]
-                                .try_into()
-                                .expect("8-byte slice of a checked buffer"),
-                        );
-                        if !eps.is_finite() || eps < 0.0 {
-                            continue; // checksum collision artifact
-                        }
-                        if !trusted || seq != slot {
-                            ambiguous_records += 1;
-                        }
-                        *salvaged.entry(user).or_insert(0.0) += eps;
-                        wal_records += 1;
-                    }
+        for &gen in &segments {
+            let bytes = match fs::read(segment_path(dir, gen)) {
+                Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
+                Err(e) => return Err(io_err("scavenge wal read")(e)),
+                Ok(bytes) => bytes,
+            };
+            let header = parse_wal_header(&bytes)
+                .filter(|&(header_gen, ep)| header_gen == gen && ep == snap_epoch);
+            if header.is_some() && gen < snap_gen {
+                // Provably stale: the snapshot at a later generation
+                // already folded these records in.
+                stale_wal_discarded = true;
+                continue;
+            }
+            let trusted = header.is_some();
+            // Acknowledged records always sit at fixed 32-byte strides
+            // (the tail-repair discipline guarantees it), so scan every
+            // slot and apply whatever verifies.
+            for (slot, rec) in (1u64..).zip(
+                bytes[WAL_HEADER_LEN.min(bytes.len() as u64) as usize..]
+                    .chunks_exact(RECORD_LEN as usize),
+            ) {
+                // A failed checksum: never acknowledged, or untrustable.
+                let Some((user, eps, seq)) = decode_record(rec) else {
+                    continue;
+                };
+                if !trusted || seq != slot {
+                    ambiguous_records += 1;
                 }
+                *salvaged.entry(user).or_insert(0.0) += eps;
+                wal_records += 1;
             }
         }
     }
 
-    // Commit the salvage: fresh snapshot one generation past the base,
-    // fresh empty WAL — exactly the state a standard open verifies.
-    let next_gen = snap_gen.saturating_add(1);
-    write_snapshot_file(&snap_path, next_gen, epoch, &salvaged)?;
-    drop(create_wal_file(&wal_path, next_gen, epoch)?);
+    // Commit the salvage: a fresh snapshot past every segment on disk,
+    // then a fresh empty segment — exactly the state a standard open
+    // verifies.
+    let next_gen = segments
+        .last()
+        .map_or(snap_gen, |&g| g.max(snap_gen))
+        .saturating_add(1);
+    let mut image = snapshot_image(salvaged.iter().map(|(&user, &spent)| (user, spent)));
+    commit_snapshot(dir, next_gen, epoch, &mut image)?;
+    retire_segments(dir, next_gen)?;
+    drop(create_segment(dir, next_gen, epoch)?);
     Ok(ScavengeReport {
         salvaged,
         wal_records,
@@ -1102,7 +1220,7 @@ pub fn scavenge(dir: &Path, epoch: u64) -> Result<ScavengeReport, JournalError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use geoind_testkit::failpoint::{FailSpec, Session};
 
     fn temp_dir(tag: &str) -> PathBuf {
         static N: AtomicU64 = AtomicU64::new(0);
@@ -1119,6 +1237,31 @@ mod tests {
         for &(user, eps) in items {
             journal.append(user, eps).expect("append");
         }
+    }
+
+    /// Start segment `active + 1` on a spare made on the spot, without
+    /// folding: the segments before it stay live. Returns what
+    /// [`Journal::rotate`] does.
+    fn rotate_unfolded(journal: &mut Journal) -> (u64, File) {
+        let next = journal.active_segment() + 1;
+        let spare = create_segment(&journal.dir, next, journal.epoch).expect("spare");
+        journal.install_spare(spare);
+        journal.rotate().expect("spare installed")
+    }
+
+    /// Rotate and fold `state` (the spend before the new segment) the way
+    /// the ledger does, returning the fold's outcome.
+    fn rotate_and_fold(journal: &mut Journal, state: &[(u64, f64)]) -> Result<(), JournalError> {
+        let (target, sealed) = rotate_unfolded(journal);
+        let mut fold = Fold::first_spare(journal, Arc::default());
+        fold.start(target, sealed, state.iter().copied());
+        fold.rescope();
+        journal.install_spare(fold.run()?);
+        Ok(())
+    }
+
+    fn on_disk(dir: &Path) -> Vec<u64> {
+        list_segments(dir).expect("list segments")
     }
 
     #[test]
@@ -1139,14 +1282,17 @@ mod tests {
         let dir = temp_dir("fold");
         let (mut j, _) = Journal::open(&dir, 3).expect("open");
         spends(&mut j, &[(7, 0.3), (7, 0.3)]);
-        let state = BTreeMap::from([(7u64, 0.6f64)]);
-        j.snapshot(&state).expect("snapshot");
-        assert_eq!(j.records_since_snapshot(), 0);
+        rotate_and_fold(&mut j, &[(7, 0.6)]).expect("fold");
+        assert_eq!(j.segment_records(), 0);
+        // The fold retired segment 1 and left segment 3 as the spare.
+        assert_eq!(on_disk(&dir), [2, 3]);
         spends(&mut j, &[(7, 0.1)]);
         drop(j);
         let (j2, rec) = Journal::open(&dir, 3).expect("reopen");
         assert!((rec.spent[&7] - 0.7).abs() < 1e-12);
-        assert_eq!(j2.records_since_snapshot(), 1);
+        // The empty spare is the highest segment, so it becomes active.
+        assert_eq!(j2.active_segment(), 3);
+        assert_eq!(j2.segment_records(), 0);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1157,7 +1303,7 @@ mod tests {
         spends(&mut j, &[(4, 0.2), (5, 0.4)]);
         drop(j);
         // Simulate a crash mid-append: garbage partial record at the tail.
-        let wal_path = dir.join("ledger.wal");
+        let wal_path = segment_path(&dir, 1);
         let mut f = OpenOptions::new().append(true).open(&wal_path).unwrap();
         f.write_all(&[0xAB; 17]).unwrap();
         drop(f);
@@ -1198,7 +1344,7 @@ mod tests {
         spends(&mut j, &[(1, 0.5)]);
         drop(j);
         // Flip a bit inside the snapshot header (committed region).
-        let snap = dir.join("ledger.snap");
+        let snap = dir.join(SNAP_FILE);
         let mut bytes = fs::read(&snap).unwrap();
         bytes[9] ^= 0x40;
         fs::write(&snap, &bytes).unwrap();
@@ -1211,7 +1357,7 @@ mod tests {
     fn wal_without_snapshot_is_refused() {
         let dir = temp_dir("nosnap");
         fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join("ledger.wal"), encode_wal_header(1, 0)).unwrap();
+        fs::write(segment_path(&dir, 1), encode_wal_header(1, 0)).unwrap();
         let err = Journal::open(&dir, 0).expect_err("orphan WAL admitted");
         assert!(matches!(err, JournalError::Corrupt { .. }), "{err:?}");
         fs::remove_dir_all(&dir).ok();
@@ -1226,6 +1372,88 @@ mod tests {
         atomic_write(&path, b"second").unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"second");
         assert!(!tmp_sibling(&path).exists(), "temp file left behind");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn rotation_touches_no_file() {
+        let dir = temp_dir("rotate");
+        let (mut j, _) = Journal::open(&dir, 0).expect("open");
+        assert!(j.rotate().is_none(), "rotated without a spare");
+        spends(&mut j, &[(1, 0.5)]);
+        let spare = create_segment(&dir, 2, 0).expect("spare");
+        j.install_spare(spare);
+        let before = on_disk(&dir);
+        let (target, _sealed) = j.rotate().expect("rotate onto the spare");
+        assert_eq!((target, j.active_segment(), j.segment_records()), (2, 2, 0));
+        assert_eq!(on_disk(&dir), before, "rotation changed the directory");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn crash_with_a_sealed_and_an_active_segment_recovers_exactly() {
+        let dir = temp_dir("sealed");
+        let (mut j, _) = Journal::open(&dir, 0).expect("open");
+        spends(&mut j, &[(1, 0.5), (2, 0.25), (1, 0.5)]);
+        let mut fp = Session::new();
+        fp.arm("serve.snapshot.commit", FailSpec::always());
+        let err = rotate_and_fold(&mut j, &[(1, 1.0), (2, 0.25)]).expect_err("commit faults");
+        assert!(matches!(
+            err,
+            JournalError::Injected("serve.snapshot.commit")
+        ));
+        assert_eq!(fp.fired("serve.snapshot.commit"), 1);
+        drop(fp);
+        spends(&mut j, &[(2, 0.5)]);
+        drop(j); // crash: segment 1 sealed, segment 2 active, snapshot 1
+        assert_eq!(on_disk(&dir), [1, 2]);
+        let (j2, rec) = Journal::open(&dir, 0).expect("recover");
+        assert!((rec.spent[&1] - 1.0).abs() < 1e-12, "{rec:?}");
+        assert!((rec.spent[&2] - 0.75).abs() < 1e-12, "{rec:?}");
+        assert_eq!((j2.active_segment(), j2.segment_records()), (2, 1));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_missing_middle_segment_is_refused_as_corrupt() {
+        let dir = temp_dir("gap");
+        let (mut j, _) = Journal::open(&dir, 0).expect("open");
+        spends(&mut j, &[(1, 0.5)]);
+        rotate_unfolded(&mut j);
+        spends(&mut j, &[(1, 0.5)]);
+        rotate_unfolded(&mut j);
+        spends(&mut j, &[(1, 0.5)]);
+        drop(j);
+        fs::remove_file(segment_path(&dir, 2)).unwrap();
+        let err = Journal::open(&dir, 0).expect_err("a gap in the chain admitted");
+        assert!(
+            matches!(&err, JournalError::Corrupt { section, .. } if section == "wal segment 2"),
+            "{err:?}"
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_torn_sealed_segment_is_truncated_and_the_active_one_still_replays() {
+        let dir = temp_dir("tornsealed");
+        let (mut j, _) = Journal::open(&dir, 0).expect("open");
+        spends(&mut j, &[(4, 0.2), (5, 0.4)]);
+        rotate_unfolded(&mut j);
+        spends(&mut j, &[(4, 0.3)]);
+        drop(j);
+        let sealed = segment_path(&dir, 1);
+        let mut f = OpenOptions::new().append(true).open(&sealed).unwrap();
+        f.write_all(&[0xCD; 19]).unwrap();
+        drop(f);
+        let (j2, rec) = Journal::open(&dir, 0).expect("recover");
+        assert!((rec.spent[&4] - 0.5).abs() < 1e-12, "{rec:?}");
+        assert!((rec.spent[&5] - 0.4).abs() < 1e-12, "{rec:?}");
+        assert_eq!(
+            fs::metadata(&sealed).unwrap().len(),
+            WAL_HEADER_LEN + 2 * RECORD_LEN,
+            "torn tail of the sealed segment kept"
+        );
+        assert_eq!((j2.active_segment(), j2.segment_records()), (2, 1));
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -19,11 +19,24 @@
 //! * after a crash, recovery replays the journal; recovered spend is
 //!   always ≥ the spend of requests actually served (see the journal
 //!   module docs), so an exhausted user stays exhausted across restarts.
+//!
+//! Snapshot folds stay off the request path. Every `compact_after`
+//! records a group rotates the journal onto a spare WAL segment — no
+//! file-system call under the caller's lock — and hands a capture of the
+//! accounts to the folder thread, which commits the snapshot, retires
+//! the covered segments and creates the next spare. At most one fold per
+//! ledger is in flight; a rotation that finds one, or no spare yet, waits
+//! for a later group.
 
-use crate::journal::{Journal, JournalError};
+use crate::journal::{Fold, FoldCounts, Journal, JournalError};
 use geoind_core::{BudgetError, BudgetLedger};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::fs::File;
 use std::path::Path;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Configuration of a [`SpendLedger`].
 #[derive(Debug, Clone, Copy)]
@@ -33,8 +46,12 @@ pub struct LedgerConfig {
     /// The current epoch. Budgets renew when the epoch advances; opening
     /// a journal persisted at a newer epoch is refused.
     pub epoch: u64,
-    /// Fold the WAL into a snapshot after this many records (`0` disables
-    /// automatic compaction; [`SpendLedger::checkpoint`] stays available).
+    /// Start a snapshot fold once the active WAL segment holds this many
+    /// records (`0` disables automatic compaction;
+    /// [`SpendLedger::checkpoint`] stays available). The fold runs on the
+    /// folder thread; while one is in flight the segment keeps
+    /// growing past this count, and the next group after it finishes
+    /// starts the next fold.
     pub compact_after: u64,
 }
 
@@ -153,14 +170,171 @@ pub struct SpendLedger {
     config: LedgerConfig,
     journal: Journal,
     accounts: BTreeMap<u64, BudgetLedger>,
-    /// The most recent non-fatal journal fault (a failed automatic
-    /// compaction — the spend itself was already durable).
+    folder: Folder,
+    /// The most recent fold fault (the spends it covered were already
+    /// durable; the fold is retried).
     last_compaction_fault: Option<String>,
+}
+
+/// A fold and the outcome of running it.
+type FoldDone = (Box<Fold>, Result<File, JournalError>);
+
+/// Where a ledger's finished fold waits to be collected.
+type Reply = (Mutex<Option<FoldDone>>, Condvar);
+
+/// Folds queued for the folder thread, each with its ledger's reply slot.
+#[derive(Debug, Default)]
+struct Queue {
+    jobs: VecDeque<(Box<Fold>, Arc<Reply>)>,
+    closed: bool,
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The process's folder thread, shared by every open ledger: started by
+/// the first fold any ledger submits, joined when the last ledger holding
+/// it drops. One thread rather than one per ledger: glibc gives each
+/// thread its own malloc arena, and a thread per shard spread the
+/// server's allocations over that many more arenas (DESIGN.md §9).
+#[derive(Debug)]
+struct FolderThread {
+    queue: Arc<(Mutex<Queue>, Condvar)>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl FolderThread {
+    /// The running folder thread, started if no ledger holds it.
+    fn get() -> std::io::Result<Arc<Self>> {
+        static RUNNING: Mutex<Weak<FolderThread>> = Mutex::new(Weak::new());
+        let mut running = lock(&RUNNING);
+        if let Some(folder) = running.upgrade() {
+            return Ok(folder);
+        }
+        let queue: Arc<(Mutex<Queue>, Condvar)> = Arc::default();
+        let theirs = Arc::clone(&queue);
+        let thread = std::thread::Builder::new()
+            .name("ledger-fold".into())
+            .spawn(move || fold_loop(&theirs))?;
+        let folder = Arc::new(Self {
+            queue,
+            thread: Some(thread),
+        });
+        *running = Arc::downgrade(&folder);
+        Ok(folder)
+    }
+
+    fn submit(&self, fold: Box<Fold>, reply: Arc<Reply>) {
+        lock(&self.queue.0).jobs.push_back((fold, reply));
+        self.queue.1.notify_one();
+    }
+
+    fn alive(&self) -> bool {
+        self.thread.as_ref().is_some_and(|t| !t.is_finished())
+    }
+}
+
+/// The folder thread: run each queued fold under the failpoint arming
+/// of the thread that queued it, and put it back in its ledger's reply
+/// slot, until the last ledger lets go.
+fn fold_loop((queue, wake): &(Mutex<Queue>, Condvar)) {
+    let mut pending = lock(queue);
+    loop {
+        if let Some((mut fold, reply)) = pending.jobs.pop_front() {
+            drop(pending);
+            let result = fold.run();
+            *lock(&reply.0) = Some((fold, result));
+            reply.1.notify_all();
+            pending = lock(queue);
+        } else if pending.closed {
+            return;
+        } else {
+            pending = wake.wait(pending).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+impl Drop for FolderThread {
+    /// Finish the queued folds, then join the thread.
+    fn drop(&mut self) {
+        lock(&self.queue.0).closed = true;
+        self.queue.1.notify_all();
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// A ledger's side of folding. Its one [`Fold`] is either held here
+/// (`fold`), or queued, running or finished on the folder thread.
+#[derive(Debug)]
+struct Folder {
+    fold: Option<Box<Fold>>,
+    reply: Arc<Reply>,
+    thread: Option<Arc<FolderThread>>,
+    counts: Arc<FoldCounts>,
+}
+
+impl Folder {
+    /// The folder of a freshly opened journal. Its first fold creates the
+    /// spare segment; the first durable group submits it.
+    fn new(journal: &Journal) -> Self {
+        let counts = Arc::new(FoldCounts::default());
+        Self {
+            fold: Some(Box::new(Fold::first_spare(journal, Arc::clone(&counts)))),
+            reply: Arc::default(),
+            thread: None,
+            counts,
+        }
+    }
+
+    /// Queue the fold for the folder thread, under the caller's failpoint
+    /// arming. If the thread cannot start, the fold stays here and the
+    /// next group tries again.
+    fn submit(&mut self) {
+        if self.thread.is_none() {
+            self.thread = FolderThread::get().ok();
+        }
+        if let (Some(thread), Some(mut fold)) = (&self.thread, self.fold.take()) {
+            fold.rescope();
+            thread.submit(fold, Arc::clone(&self.reply));
+        }
+    }
+
+    /// The fold in flight once it has finished — waited for when `wait`.
+    /// `None` when no fold is in flight or (not waiting) it is still
+    /// queued or running.
+    fn finished(&self, wait: bool) -> Option<FoldDone> {
+        if self.fold.is_some() {
+            return None;
+        }
+        let (slot, wake) = &*self.reply;
+        let mut done = lock(slot);
+        let alive = || self.thread.as_ref().is_some_and(|t| t.alive());
+        while wait && done.is_none() && alive() {
+            done = wake
+                .wait_timeout(done, Duration::from_millis(50))
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+        done.take()
+    }
+}
+
+impl Drop for Folder {
+    /// Wait for the ledger's fold in flight, so a dropped ledger leaves a
+    /// directory no fold is writing; the last ledger joins the thread.
+    fn drop(&mut self) {
+        drop(self.finished(true));
+    }
 }
 
 impl SpendLedger {
     /// Open (or create) the ledger journaled in `dir`, recovering any
-    /// prior state for `config.epoch`.
+    /// prior state for `config.epoch`. The first durable group hands the
+    /// folder thread this ledger's first fold, which creates the first
+    /// spare segment.
     ///
     /// # Errors
     /// Any [`JournalError`] from recovery (I/O, corruption of a committed
@@ -182,6 +356,7 @@ impl SpendLedger {
             .collect();
         Ok(Self {
             config,
+            folder: Folder::new(&journal),
             journal,
             accounts,
             last_compaction_fault: None,
@@ -251,7 +426,7 @@ impl SpendLedger {
         }
         // The trial accounts proved the charges fit and already hold them.
         self.accounts.extend(trial);
-        self.compact_if_due();
+        self.fold_if_due();
         (probes, Ok(()))
     }
 
@@ -285,37 +460,104 @@ impl SpendLedger {
                 .or_insert_with(|| BudgetLedger::new(cap))
                 .force_spend(eps);
         }
-        self.compact_if_due();
+        self.fold_if_due();
         Ok(())
     }
 
-    /// Fold the WAL into a snapshot once `compact_after` records have
-    /// accumulated. The spends are already durable, so a failed fold is
-    /// recorded but fails no request.
-    fn compact_if_due(&mut self) {
-        if self.config.compact_after > 0
-            && self.journal.records_since_snapshot() >= self.config.compact_after
-        {
-            if let Err(e) = self.checkpoint() {
+    /// Keep folds moving after a durable group, making no file-system
+    /// call: collect a finished fold, resubmit a failed one, or — once
+    /// the active segment holds `compact_after` records, no fold is in
+    /// flight and a spare exists — rotate onto the spare and submit the
+    /// fold of the sealed segments. The spends are already durable, so a
+    /// fold fault is recorded but fails no request.
+    fn fold_if_due(&mut self) {
+        if let Some(done) = self.folder.finished(false) {
+            self.collect(done);
+        }
+        let Some(fold) = self.folder.fold.as_mut() else {
+            return; // one fold in flight
+        };
+        if !fold.pending() {
+            if self.config.compact_after == 0
+                || self.journal.segment_records() < self.config.compact_after
+            {
+                return;
+            }
+            let Some((target, sealed)) = self.journal.rotate() else {
+                return; // no spare yet
+            };
+            fold.start(target, sealed, spends(&self.accounts));
+        }
+        self.folder.submit();
+    }
+
+    /// Take back a fold from the folder thread and settle its outcome.
+    fn collect(&mut self, (fold, result): FoldDone) {
+        self.folder.fold = Some(fold);
+        let _ = self.settle(result);
+    }
+
+    /// Install the spare a successful fold created, or record its fault.
+    fn settle(&mut self, result: Result<File, JournalError>) -> Result<(), JournalError> {
+        match result {
+            Ok(spare) => {
+                self.journal.install_spare(spare);
+                Ok(())
+            }
+            Err(e) => {
                 self.last_compaction_fault = Some(e.to_string());
+                Err(e)
             }
         }
     }
 
-    /// Fold the current state into a committed snapshot and restart the
-    /// WAL. Called automatically every `compact_after` records and by
-    /// [`Self::close`].
+    /// Block until the in-flight fold, if any, finishes, and collect its
+    /// outcome. Folds otherwise complete in the background and are
+    /// collected by the next group; this makes a fold's effects (and its
+    /// injected faults) observable at a chosen point.
+    pub fn await_fold(&mut self) {
+        if let Some(done) = self.folder.finished(true) {
+            self.collect(done);
+        }
+    }
+
+    /// Fold the current state into a committed snapshot, synchronously on
+    /// the caller's thread, once any in-flight fold has finished: finish
+    /// a failed fold first (it leaves the spare), rotate onto the spare,
+    /// and run the fold of everything before it — the same code the
+    /// folder thread runs. Called by [`Self::close`], shutdown,
+    /// promotion and `ShardedLedger::checkpoint_all`; automatic folds
+    /// every `compact_after` records run in the background instead.
     ///
     /// # Errors
     /// Any [`JournalError`]; the ledger remains consistent and appendable
-    /// (appends self-heal) whether or not the fold succeeded.
+    /// whether or not the fold succeeded, and a failed fold is retried.
     pub fn checkpoint(&mut self) -> Result<(), JournalError> {
-        let state: BTreeMap<u64, f64> = self
-            .accounts
-            .iter()
-            .map(|(&user, acct)| (user, acct.spent()))
-            .collect();
-        self.journal.snapshot(&state)
+        self.await_fold();
+        let mut fold = self.folder.fold.take().ok_or_else(|| JournalError::Io {
+            step: "fold thread",
+            source: std::io::Error::other("the folder thread exited holding the fold"),
+        })?;
+        fold.rescope();
+        let result = self.fold_now(&mut fold);
+        self.folder.fold = Some(fold);
+        result
+    }
+
+    /// Finish a failed fold (which creates the spare), then rotate onto
+    /// the spare and fold everything before it.
+    fn fold_now(&mut self, fold: &mut Fold) -> Result<(), JournalError> {
+        if fold.pending() {
+            let finished = fold.run();
+            self.settle(finished)?;
+        }
+        let (target, sealed) = self
+            .journal
+            .rotate()
+            .expect("a finished fold leaves a spare segment");
+        fold.start(target, sealed, spends(&self.accounts));
+        let folded = fold.run();
+        self.settle(folded)
     }
 
     /// Checkpoint and close cleanly. (Dropping without `close` is always
@@ -359,11 +601,28 @@ impl SpendLedger {
         self.config.cap_per_user
     }
 
-    /// The most recent automatic-compaction fault, if any (the associated
-    /// spends were already durable; this is operational telemetry).
+    /// The most recent fold fault, if any (the associated spends were
+    /// already durable; this is operational telemetry).
     pub fn last_compaction_fault(&self) -> Option<&str> {
         self.last_compaction_fault.as_deref()
     }
+
+    /// Snapshots committed by this ledger's folds, counted as the folds
+    /// finish (background or [`Self::checkpoint`]).
+    pub fn folds(&self) -> u64 {
+        self.folder.counts.folds.load(Ordering::Relaxed)
+    }
+
+    /// Fold steps that failed and were left to retry. A failing fold
+    /// grows the WAL and slows recovery without refusing any request.
+    pub fn fold_faults(&self) -> u64 {
+        self.folder.counts.faults.load(Ordering::Relaxed)
+    }
+}
+
+/// Every account's `(user, spent)`, in user order.
+fn spends(accounts: &BTreeMap<u64, BudgetLedger>) -> impl Iterator<Item = (u64, f64)> + '_ {
+    accounts.iter().map(|(&user, acct)| (user, acct.spent()))
 }
 
 /// The ledger's typed refusal for an account's [`BudgetError`].

@@ -213,6 +213,10 @@ struct ShardSet {
     abandoned: AtomicU64,
     /// Repair tasks currently running.
     repairs_running: AtomicU64,
+    /// Folds and fold faults of the ledgers self-quarantine dropped, so
+    /// the fleet-wide counts never go backwards across a repair.
+    retired_folds: AtomicU64,
+    retired_fold_faults: AtomicU64,
     repair_handles: Mutex<Vec<JoinHandle<()>>>,
     /// Warm-standby replication, when this node is a primary with a
     /// lag bound (see [`crate::replica`]). Set once at startup.
@@ -285,6 +289,8 @@ impl ShardedLedger {
                 scavenged: AtomicU64::new(0),
                 abandoned: AtomicU64::new(0),
                 repairs_running: AtomicU64::new(0),
+                retired_folds: AtomicU64::new(0),
+                retired_fold_faults: AtomicU64::new(0),
                 repair_handles: Mutex::new(Vec::new()),
                 shipper: OnceLock::new(),
             }),
@@ -319,6 +325,8 @@ impl ShardedLedger {
                 scavenged: AtomicU64::new(0),
                 abandoned: AtomicU64::new(0),
                 repairs_running: AtomicU64::new(0),
+                retired_folds: AtomicU64::new(0),
+                retired_fold_faults: AtomicU64::new(0),
                 repair_handles: Mutex::new(Vec::new()),
                 shipper: OnceLock::new(),
             }),
@@ -517,7 +525,13 @@ impl ShardedLedger {
             results.push(result);
         }
         if let Some(error) = quarantine {
-            *guard = Slot::Quarantined { error };
+            if let Slot::Open { ledger, .. } =
+                std::mem::replace(&mut *guard, Slot::Quarantined { error })
+            {
+                // The ledger's fold finishes before it drops, under the
+                // slot lock: a repair's scavenge never races a fold.
+                self.inner.retire_ledger(ledger);
+            }
             drop(guard);
             if self.inner.repair_mode == RepairMode::Auto {
                 spawn_repair(&self.inner, shard);
@@ -778,6 +792,20 @@ impl ShardedLedger {
         self.inner.repairs_running.load(Ordering::Relaxed)
     }
 
+    /// Snapshot folds committed across shards, background and
+    /// checkpoint alike ([`SpendLedger::folds`]).
+    pub fn folds(&self) -> u64 {
+        self.inner.retired_folds.load(Ordering::Relaxed) + self.fold(0, |acc, l| acc + l.folds())
+    }
+
+    /// Fold steps that failed across shards ([`SpendLedger::fold_faults`]).
+    /// Spends are still served while folds fail, but each shard's WAL
+    /// grows and its recovery slows until a fold succeeds.
+    pub fn fold_faults(&self) -> u64 {
+        self.inner.retired_fold_faults.load(Ordering::Relaxed)
+            + self.fold(0, |acc, l| acc + l.fold_faults())
+    }
+
     fn fold<T>(&self, init: T, mut f: impl FnMut(T, &SpendLedger) -> T) -> T {
         let mut acc = init;
         for slot in &self.inner.slots {
@@ -794,6 +822,18 @@ impl ShardedLedger {
     #[cfg(test)]
     pub(crate) fn lock_shard(&self, user: u64) -> MutexGuard<'_, Slot> {
         self.slot_for(user)
+    }
+}
+
+impl ShardSet {
+    /// Keep the fold counts of a ledger leaving its slot, once its
+    /// in-flight fold has finished.
+    fn retire_ledger(&self, mut ledger: SpendLedger) {
+        ledger.await_fold();
+        self.retired_folds
+            .fetch_add(ledger.folds(), Ordering::Relaxed);
+        self.retired_fold_faults
+            .fetch_add(ledger.fold_faults(), Ordering::Relaxed);
     }
 }
 
@@ -916,6 +956,7 @@ fn repair_shard(set: &ShardSet, shard: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geoind_testkit::failpoint::{FailSpec, Session};
     use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -1065,7 +1106,8 @@ mod tests {
         // Corrupt shard 0's WAL *header* (a committed region): the
         // standard open refuses, but every record checksum still
         // verifies, so a scavenge salvages them (resolved upward).
-        let wal = dir.join("shard-0").join("ledger.wal");
+        // The checkpoint folded segment 1; the later spends are in 2.
+        let wal = dir.join("shard-0").join("ledger.wal.2");
         let mut bytes = std::fs::read(&wal).unwrap();
         bytes[9] ^= 0x20;
         std::fs::write(&wal, &bytes).unwrap();
@@ -1123,6 +1165,40 @@ mod tests {
     }
 
     #[test]
+    fn fold_faults_are_counted_and_spends_still_served() {
+        let dir = temp_dir("foldfault");
+        let cfg = LedgerConfig {
+            compact_after: 2,
+            ..config(100.0)
+        };
+        let ledger = ShardedLedger::open(&dir, cfg, 2);
+        let user = 5u64;
+        let settle = || match &mut *ledger.lock_shard(user) {
+            Slot::Open { ledger, .. } => ledger.await_fold(),
+            _ => panic!("shard not serving"),
+        };
+        let mut fp = Session::new();
+        fp.arm("serve.snapshot.write", FailSpec::always());
+        for _ in 0..6 {
+            ledger
+                .try_spend(user, 0.5)
+                .expect("served despite fold faults");
+            settle();
+        }
+        assert!(fp.fired("serve.snapshot.write") > 1);
+        let faults = ledger.fold_faults();
+        assert!(faults >= 2, "fold faults not counted: {faults}");
+        assert_eq!(ledger.folds(), 0);
+        drop(fp);
+        // Disarmed, the retried fold commits.
+        ledger.try_spend(user, 0.5).expect("spend");
+        settle();
+        assert_eq!(ledger.folds(), 1);
+        assert_eq!(ledger.fold_faults(), faults);
+        assert!((ledger.spent(user).expect("serving") - 3.5).abs() < 1e-12);
+    }
+
+    #[test]
     fn manual_mode_waits_for_repair_now() {
         let dir = temp_dir("manual");
         {
@@ -1132,7 +1208,8 @@ mod tests {
             }
             ledger.checkpoint_all().unwrap();
         }
-        let wal = dir.join("shard-1").join("ledger.wal");
+        // The active segment after the checkpoint's fold.
+        let wal = dir.join("shard-1").join("ledger.wal.2");
         let mut bytes = std::fs::read(&wal).unwrap();
         bytes[9] ^= 0x20;
         std::fs::write(&wal, &bytes).unwrap();

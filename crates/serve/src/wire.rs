@@ -1218,6 +1218,14 @@ fn report_body(shared: &Arc<WireShared>) -> String {
             "unaccounted_shards".into(),
             Json::Num(report.unaccounted_shards as f64),
         ),
+        (
+            "folds".into(),
+            Json::Num(shared.server.ledger().folds() as f64),
+        ),
+        (
+            "fold_faults".into(),
+            Json::Num(shared.server.ledger().fold_faults() as f64),
+        ),
         ("replica_lag".into(), Json::Num(report.replica_lag as f64)),
         ("fenced".into(), Json::Num(report.fenced as f64)),
         ("idem_evicted".into(), Json::Num(report.idem_evicted as f64)),

@@ -25,8 +25,9 @@ const USERS: u64 = 5;
 const REQUESTS: u64 = 40;
 
 /// The journal's failpoint sites, as swept by this suite. The drift guard
-/// in `tests/failpoint_drift.rs` keeps this aligned with the canonical
-/// [`geoind_testkit::failpoint::SITES`] list.
+/// in `tests/failpoint_drift.rs` checks that every `serve.journal.*`,
+/// `serve.snapshot.*` and `serve.wal.*` entry of the canonical
+/// [`geoind_testkit::failpoint::SITES`] list is here.
 const JOURNAL_SITES: &[&str] = &[
     "serve.journal.append",
     "serve.journal.torn",
@@ -59,8 +60,10 @@ fn config(cap: f64, compact_after: u64) -> LedgerConfig {
 }
 
 /// Drive `REQUESTS` spends round-robin over `USERS` users with `site`
-/// armed, then crash (drop without close). Returns per-user ε of the
-/// requests that were actually acknowledged (served).
+/// armed, then crash (drop without close). Each spend waits for the fold
+/// it may have started, so fold-site faults fire at deterministic
+/// positions. Returns per-user ε of the requests that were actually
+/// acknowledged (served).
 fn drive_and_crash(
     dir: &std::path::Path,
     site: &str,
@@ -79,7 +82,14 @@ fn drive_and_crash(
             Err(SpendError::Journal(_)) => refused += 1,
             Err(other) => panic!("unexpected refusal under {site}: {other:?}"),
         }
+        ledger.await_fold();
     }
+    // The armed site must actually have fired, on whichever thread ran
+    // it: snapshot and spare-segment sites fire in the folder.
+    assert!(
+        fp.fired(site) > 0,
+        "{site} {spec:?}: the armed fault never fired"
+    );
     // Append-path faults must refuse at least once. Snapshot faults are
     // absorbed (the spends were already durable) — except `serve.wal.reset`,
     // which the next append retries as its self-heal and so may surface.
@@ -164,26 +174,38 @@ fn exhausted_user_stays_refused_after_faulted_crash() {
 }
 
 #[test]
-fn crash_between_snapshot_commit_and_wal_reset_never_double_counts() {
-    let dir = temp_dir("stalewal");
-    let (mut journal, _) = Journal::open(&dir, 0).expect("open");
-    journal.append(3, EPS).expect("append");
-    journal.append(3, EPS).expect("append");
-    let state = BTreeMap::from([(3u64, 2.0 * EPS)]);
+fn crash_after_the_snapshot_commit_before_the_spare_exists_never_double_counts() {
+    let dir = temp_dir("nospare");
+    let mut ledger = SpendLedger::open(&dir, config(100.0, 2)).expect("open");
+    ledger.try_spend(3, EPS).expect("spend"); // its group creates the spare
+    ledger.await_fold();
     let mut fp = Session::new();
-    // The snapshot rename (commit point) succeeds; the fresh-WAL swap is
-    // where the "crash" lands, leaving a stale-generation WAL behind.
+    // The fold commits its snapshot and retires the sealed segment; the
+    // next spare's creation is where the "crash" lands.
     fp.arm("serve.wal.reset", FailSpec::always());
-    let err = journal.snapshot(&state).expect_err("reset must fault");
-    assert!(matches!(err, JournalError::Injected("serve.wal.reset")));
+    ledger.try_spend(3, EPS).expect("spend"); // rotates, starts the fold
+    ledger.await_fold();
+    assert_eq!(fp.fired("serve.wal.reset"), 1);
+    assert_eq!(ledger.folds(), 1, "the snapshot did not commit");
+    assert!(ledger.last_compaction_fault().is_some());
     drop(fp);
-    drop(journal); // crash
+    drop(ledger); // crash
+    let names: Vec<String> = fs::read_dir(&dir)
+        .expect("list dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .filter(|n| n.starts_with("ledger.wal"))
+        .collect();
+    assert_eq!(
+        names,
+        ["ledger.wal.2"],
+        "covered segment kept or spare made"
+    );
     let (_, recovered) = Journal::open(&dir, 0).expect("recover");
-    // The stale WAL's two records are already folded into the snapshot;
-    // replaying them too would double-charge the user.
+    // The covered segment's two records are already folded into the
+    // snapshot; replaying them too would double-charge the user.
     assert!(
         (recovered.spent[&3] - 2.0 * EPS).abs() < 1e-9,
-        "stale WAL replayed on top of its own fold: {recovered:?}"
+        "covered segment replayed on top of its own fold: {recovered:?}"
     );
     fs::remove_dir_all(&dir).ok();
 }
@@ -196,9 +218,10 @@ fn wal_reset_fault_self_heals_on_the_next_append() {
     let mut fp = Session::new();
     fp.arm("serve.wal.reset", FailSpec::after(0, 1));
     for _ in 0..9 {
-        // The 3rd spend triggers compaction whose WAL swap faults once;
-        // the spend itself is durable, later appends self-heal the swap.
+        // The first spare-segment creation faults once; the spends stay
+        // durable, and the next group retries the fold.
         ledger.try_spend(2, EPS).expect("spend");
+        ledger.await_fold();
     }
     assert!(ledger.last_compaction_fault().is_some());
     drop(fp);
@@ -388,7 +411,7 @@ mod scavenge_matrix {
             ledger.try_spend(9, EPS).expect("spend");
         }
         drop(ledger); // crash with 5 records in the WAL
-        let wal = dir.join("ledger.wal");
+        let wal = dir.join("ledger.wal.1");
         let len = fs::metadata(&wal).expect("stat wal").len();
         // Cut the 5th record mid-write: 13 of its 32 bytes survive.
         fs::OpenOptions::new()
@@ -411,24 +434,24 @@ mod scavenge_matrix {
         fs::remove_dir_all(&dir).ok();
     }
 
-    /// A stale-generation WAL (crash between snapshot rename and WAL
-    /// swap) is the one case where *discarding* records is provably safe:
-    /// the later-generation snapshot already folded them in. Applying
-    /// them anyway would double-charge.
+    /// A stale-generation segment (one a committed snapshot covers, left
+    /// behind by a crash before its deletion) is the one case where
+    /// *discarding* records is provably safe: the later-generation
+    /// snapshot already folded them in. Applying them anyway would
+    /// double-charge.
     #[test]
     fn stale_generation_wal_is_discarded_not_replayed() {
         let dir = temp_dir("sc-stalegen");
-        let (mut journal, _) = Journal::open(&dir, 0).expect("open");
-        journal.append(3, EPS).expect("append");
-        journal.append(3, EPS).expect("append");
-        let old_wal = fs::read(dir.join("ledger.wal")).expect("save old wal");
-        let state = BTreeMap::from([(3u64, 2.0 * EPS)]);
-        journal.snapshot(&state).expect("snapshot");
-        drop(journal);
-        // Re-plant the pre-snapshot WAL: its header generation now trails
-        // the snapshot's — exactly what a crash between the two atomic
-        // steps leaves behind.
-        fs::write(dir.join("ledger.wal"), &old_wal).expect("replant stale wal");
+        let mut ledger = SpendLedger::open(&dir, config(100.0, 0)).expect("open");
+        ledger.try_spend(3, EPS).expect("spend");
+        ledger.try_spend(3, EPS).expect("spend");
+        let old_wal = fs::read(dir.join("ledger.wal.1")).expect("save old segment");
+        ledger.checkpoint().expect("checkpoint");
+        drop(ledger);
+        // Re-plant the folded segment: its header generation now trails
+        // the snapshot's — exactly what a crash between the snapshot
+        // commit and the segment's deletion leaves behind.
+        fs::write(dir.join("ledger.wal.1"), &old_wal).expect("replant stale segment");
         let report = scavenge(&dir, 0).expect("salvage");
         assert!(report.stale_wal_discarded, "stale WAL must be recognized");
         assert_eq!(report.wal_records, 0, "stale records must not be applied");
@@ -439,6 +462,51 @@ mod scavenge_matrix {
         );
         let recovered = SpendLedger::open(&dir, config(100.0, 0)).expect("verify open");
         assert!((recovered.spent(3) - 2.0 * EPS).abs() < 1e-9);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Scavenge reads every segment: a stale one is discarded, a sealed
+    /// one behind a damaged header is applied as ambiguous (upward), and
+    /// the active one is applied as trusted — then everything is folded
+    /// into one snapshot and one fresh segment.
+    #[test]
+    fn scavenge_salvages_every_non_stale_segment() {
+        let dir = temp_dir("sc-segments");
+        let mut ledger = SpendLedger::open(&dir, config(100.0, 2)).expect("open");
+        ledger.try_spend(5, EPS).expect("spend"); // its group creates the spare
+        ledger.await_fold();
+        let stale = fs::read(dir.join("ledger.wal.1")).expect("save segment 1");
+        ledger.try_spend(5, EPS).expect("spend"); // fold 1: snapshot 2
+        ledger.await_fold();
+        let mut fp = Session::new();
+        fp.arm("serve.snapshot.commit", FailSpec::always());
+        ledger.try_spend(5, EPS).expect("spend");
+        ledger.try_spend(5, EPS).expect("spend"); // seals segment 2; fold faults
+        ledger.await_fold();
+        ledger.try_spend(5, EPS).expect("spend"); // into active segment 3
+        ledger.await_fold();
+        assert!(fp.fired("serve.snapshot.commit") > 0);
+        drop(fp);
+        drop(ledger); // crash: snapshot 2, segments 2 (sealed) and 3
+        fs::write(dir.join("ledger.wal.1"), &stale).expect("replant stale segment");
+        let sealed = dir.join("ledger.wal.2");
+        let mut bytes = fs::read(&sealed).expect("read sealed segment");
+        bytes[9] ^= 0x20; // header version byte: checksum no longer verifies
+        fs::write(&sealed, &bytes).expect("damage header");
+
+        let report = scavenge(&dir, 0).expect("salvage");
+        assert!(report.stale_wal_discarded);
+        assert_eq!(report.wal_records, 3, "sealed 2 + active 1");
+        assert_eq!(report.ambiguous_records, 2, "the sealed segment's records");
+        assert!((report.salvaged[&5] - 5.0 * EPS).abs() < 1e-9, "{report:?}");
+        let names: Vec<String> = fs::read_dir(&dir)
+            .expect("list dir")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .filter(|n| n.starts_with("ledger.wal"))
+            .collect();
+        assert_eq!(names, ["ledger.wal.4"], "one fresh segment past all");
+        let recovered = SpendLedger::open(&dir, config(100.0, 2)).expect("verify open");
+        assert!((recovered.spent(5) - 5.0 * EPS).abs() < 1e-9);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -455,7 +523,7 @@ mod scavenge_matrix {
             ledger.try_spend(6, EPS).expect("spend");
         }
         drop(ledger); // crash
-        let wal = dir.join("ledger.wal");
+        let wal = dir.join("ledger.wal.1");
         let mut bytes = fs::read(&wal).expect("read wal");
         bytes[9] ^= 0x20; // header version byte: checksum no longer verifies
         fs::write(&wal, &bytes).expect("damage header");
@@ -562,6 +630,70 @@ mod scavenge_matrix {
         ledger.try_spend(user_a, EPS).expect("probation spend");
         assert_eq!(ledger.shard_states()[0], ShardHealth::Ready);
         assert!((ledger.spent(user_a).expect("ready") - 5.0 * EPS).abs() < 1e-9);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A shard that strikes out while its fold is in flight hands the
+    /// repair a quiet directory: quarantine waits for the fold before the
+    /// slot changes hands, so the scavenge never races a snapshot commit
+    /// or a segment deletion, and the repaired shard recovers at least
+    /// what was served.
+    #[test]
+    fn quarantine_waits_for_the_fold_before_the_scavenge() {
+        let dir = temp_dir("sc-foldrepair");
+        // compact_after 1: after every durable spend a fold is in flight.
+        let ledger = ShardedLedger::open_with_repair(&dir, config(100.0, 1), 1, RepairMode::Manual);
+        let mut served = 0.0;
+        for _ in 0..10_000 {
+            ledger.try_spend(7, EPS).expect("spend");
+            served += EPS;
+            if ledger.folds() > 0 {
+                break;
+            }
+        }
+        assert!(ledger.folds() > 0, "no fold ever committed");
+        // The flush-faulted groups never reach the fold step, so the fold
+        // the last spend left in flight is still in flight at the strike.
+        let mut fp = Session::new();
+        fp.arm("serve.journal.flush", FailSpec::times(3));
+        for _ in 0..3 {
+            assert!(matches!(
+                ledger.try_spend(7, EPS),
+                Err(SpendError::Journal(JournalError::Injected(_)))
+            ));
+        }
+        drop(fp);
+        assert_eq!(ledger.shard_states()[0], ShardHealth::Quarantined);
+
+        // The in-flight fold finished before the quarantine took effect:
+        // its snapshot covers every segment but the active one and the
+        // spare, and no temp file is left half-written.
+        let shard = dir.join("shard-0");
+        let snap = fs::read(shard.join("ledger.snap")).expect("read snapshot");
+        let snap_gen = u64::from_le_bytes(snap[12..20].try_into().expect("gen word"));
+        let mut files: Vec<String> = fs::read_dir(&shard)
+            .expect("list shard")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        let mut want = vec![
+            "ledger.snap".to_string(),
+            format!("ledger.wal.{snap_gen}"),
+            format!("ledger.wal.{}", snap_gen + 1),
+        ];
+        want.sort();
+        assert_eq!(files, want, "the fold was still running at quarantine");
+        let folds = ledger.folds();
+
+        assert_eq!(ledger.repair_now(), 1);
+        ledger.await_repairs();
+        assert_eq!(ledger.repaired_shards(), 1);
+        let recovered = ledger.spent(7).expect("repaired shard serves");
+        assert!(
+            recovered >= served - 1e-9,
+            "recovered {recovered} < served {served}"
+        );
+        assert!(ledger.folds() >= folds, "fold count went backwards");
         fs::remove_dir_all(&dir).ok();
     }
 

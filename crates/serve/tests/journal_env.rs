@@ -7,9 +7,12 @@
 //! spend, and recovery after the faults clear restores exactly the
 //! acknowledged state. The workload runs twice under the same armed
 //! spec: one charge at a time, then as 8-record group commits, where a
-//! faulted group must acknowledge none of its records. Global arming is
-//! process-wide, so this lives in its own binary with a single test
-//! (mirroring `resilience_env.rs` in the core crate).
+//! faulted group must acknowledge none of its records. Each group waits
+//! for the snapshot fold it may have started, so the armed site — on the
+//! request path or in the folder thread — fires at a
+//! deterministic position, and the test checks that it did fire. Global
+//! arming is process-wide, so this lives in its own binary with a single
+//! test (mirroring `resilience_env.rs` in the core crate).
 
 use geoind_serve::ledger::{LedgerConfig, SpendError, SpendLedger};
 use geoind_testkit::failpoint;
@@ -28,17 +31,25 @@ fn env_armed_journal_faults_never_lose_acknowledged_spend() {
         // runs.
         failpoint::reset_global();
         let from_env = failpoint::arm_from_env().expect("GEOIND_FAILPOINTS must parse");
-        if from_env == 0 {
-            failpoint::arm_global("serve.journal.flush", failpoint::FailSpec::times(2));
-        }
-        crash_and_recover(group);
+        let sites: Vec<String> = match std::env::var("GEOIND_FAILPOINTS") {
+            Ok(list) if from_env > 0 => list
+                .split(',')
+                .filter_map(|pair| pair.split_once('='))
+                .map(|(site, _)| site.trim().to_string())
+                .collect(),
+            _ => {
+                failpoint::arm_global("serve.journal.flush", failpoint::FailSpec::times(2));
+                vec!["serve.journal.flush".to_string()]
+            }
+        };
+        crash_and_recover(group, &sites);
     }
 }
 
 /// Drive the workload in groups of `group` charges (`1` = one
-/// `try_spend` at a time) under the armed faults, crash, disarm, and
-/// recover.
-fn crash_and_recover(group: usize) {
+/// `try_spend` at a time) under the armed faults, check that every armed
+/// site fired, crash, disarm, and recover.
+fn crash_and_recover(group: usize, sites: &[String]) {
     let dir =
         std::env::temp_dir().join(format!("geoind-journal-env-{}-{group}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
@@ -97,6 +108,13 @@ fn crash_and_recover(group: usize) {
                 Err(other) => panic!("unexpected refusal: {other:?}"),
             }
         }
+        ledger.await_fold();
+    }
+    for site in sites {
+        assert!(
+            failpoint::fired(site) > 0,
+            "group of {group}: the armed site {site} never fired"
+        );
     }
     let served_total: f64 = served.values().sum();
     assert!(

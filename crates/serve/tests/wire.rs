@@ -478,7 +478,7 @@ fn repair_over_the_wire_heals_a_quarantined_shard() {
         // No checkpoint: the spend lives in the WAL the corruption hits.
         ledger.try_spend(unlucky, EPS).expect("seed spend");
     }
-    let wal = dir.join(format!("shard-{bad}")).join("ledger.wal");
+    let wal = dir.join(format!("shard-{bad}")).join("ledger.wal.1");
     let mut bytes = std::fs::read(&wal).expect("read wal");
     bytes[9] ^= 0x20; // header integrity word: open refuses, scavenge salvages
     std::fs::write(&wal, &bytes).expect("corrupt wal header");
@@ -959,5 +959,61 @@ fn single_spend_ledger_still_drives_the_wire() {
     let outcome = server.shutdown();
     assert_eq!(outcome.report.served(), 2);
     assert_eq!(outcome.report.refused_budget, 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The `"key":N` count in a `/report` body.
+fn report_count(report: &str, key: &str) -> u64 {
+    let needle = format!("\"{key}\":");
+    let at = report
+        .find(&needle)
+        .unwrap_or_else(|| panic!("{key} missing from {report}"))
+        + needle.len();
+    report[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect::<String>()
+        .parse()
+        .unwrap_or_else(|_| panic!("{key} is not a count in {report}"))
+}
+
+/// Background snapshot folds are visible to an operator: `/report`
+/// counts them as they commit, with no fault among them.
+#[test]
+fn report_counts_background_folds() {
+    let _guard = NET_FAULTS.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = temp_dir("folds");
+    let ledger = ShardedLedger::open(
+        &dir,
+        LedgerConfig {
+            cap_per_user: 100.0,
+            epoch: 0,
+            compact_after: 4,
+        },
+        4,
+    );
+    let server = WireServer::start(
+        mechanism(),
+        ledger,
+        Arc::new(SystemClock),
+        wire_config(),
+        "127.0.0.1:0",
+    )
+    .expect("bind");
+    let addr = server.local_addr();
+    // One user, one shard: every fourth spend starts a fold, which
+    // commits in the background while the exchanges go on.
+    let mut report = String::new();
+    for id in 0..40 {
+        let response = raw_exchange(addr, &protect_request(3, id));
+        assert!(response.contains(r#""status":"served""#), "{response}");
+        report = raw_exchange(addr, "GET /report HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
+        if report_count(&report, "folds") > 0 {
+            break;
+        }
+    }
+    assert!(report_count(&report, "folds") > 0, "{report}");
+    assert_eq!(report_count(&report, "fold_faults"), 0, "{report}");
+    server.shutdown().checkpoint.expect("checkpoint");
     std::fs::remove_dir_all(&dir).ok();
 }

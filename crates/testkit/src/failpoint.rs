@@ -34,6 +34,10 @@
 //!    [`Session`] therefore arms sites *for the current thread only* and
 //!    disarms them on drop. Global arming (used by CI via the
 //!    `GEOIND_FAILPOINTS` environment variable) affects every thread.
+//!    Work a thread hands to a helper thread carries the thread's arming
+//!    with it through a [`Scope`]: the helper enters the captured scope
+//!    and its hits count against the same sites (e.g. the ledger's
+//!    background snapshot fold).
 //!
 //! ## Environment grammar
 //!
@@ -74,7 +78,7 @@ pub const SITES: &[&str] = &[
     "serve.snapshot.write",      // ledger snapshot temp-file write fails
     "serve.snapshot.commit",     // ledger snapshot rename commit fails
     "serve.snapshot.enospc",     // ledger snapshot temp-file write refused by a full disk
-    "serve.wal.reset",           // post-snapshot fresh-WAL swap fails
+    "serve.wal.reset",           // creating the spare WAL segment after a fold fails
     "certify.channel.violation", // channel certification finds an ε·d constraint violation
     "certify.repair.fail",       // post-repair re-certification still fails (quarantine)
     "serve.net.accept",          // accepted connection is dropped before any byte is read
@@ -153,8 +157,35 @@ pub fn hit(_site: &str) -> bool {
 #[cfg(feature = "failpoints")]
 pub use enabled::{
     arm_from_env, arm_from_spec_list, arm_global, disarm_global, fired, hit, reset_all,
-    reset_global, Session,
+    reset_global, Scope, ScopeGuard, Session,
 };
+
+/// A thread's scoped arming, captured to be entered on another thread.
+/// Without the `failpoints` feature it is a zero-sized no-op.
+#[cfg(not(feature = "failpoints"))]
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Scope;
+
+/// Restores a thread's own arming when dropped (no-op without the
+/// `failpoints` feature).
+#[cfg(not(feature = "failpoints"))]
+#[derive(Debug)]
+pub struct ScopeGuard;
+
+#[cfg(not(feature = "failpoints"))]
+impl Scope {
+    /// Capture the current thread's scoped arming (nothing to capture).
+    #[inline(always)]
+    pub fn current() -> Self {
+        Scope
+    }
+
+    /// Enter the captured arming on this thread (nothing to enter).
+    #[inline(always)]
+    pub fn enter(&self) -> ScopeGuard {
+        ScopeGuard
+    }
+}
 
 #[cfg(feature = "failpoints")]
 mod enabled {
@@ -162,7 +193,7 @@ mod enabled {
     use std::cell::RefCell;
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::{Mutex, Once, OnceLock, PoisonError};
+    use std::sync::{Arc, Mutex, MutexGuard, Once, OnceLock, PoisonError};
 
     /// Mutable per-site state: the spec plus how many hits have occurred.
     #[derive(Debug, Clone, Copy)]
@@ -201,12 +232,25 @@ mod enabled {
     static SCOPED_SITES: AtomicUsize = AtomicUsize::new(0);
     static ENV_INIT: Once = Once::new();
 
+    /// One thread's scoped sites. Shared only with the threads that
+    /// entered a [`Scope`] captured from it.
+    type Sites = Arc<Mutex<HashMap<String, SiteState>>>;
+
     thread_local! {
         /// Sites armed for this thread only (test isolation via [`Session`]).
-        /// Thread-local, so scoped lookups never allocate and never touch
+        /// Per thread, so scoped lookups never allocate and never touch
         /// the global mutex — a session on one thread cannot serialize
         /// unrelated threads (e.g. concurrent LP solves in a test binary).
-        static SCOPED: RefCell<HashMap<String, SiteState>> = RefCell::new(HashMap::new());
+        static SCOPED: RefCell<Sites> = RefCell::new(Sites::default());
+    }
+
+    /// Run `f` on the current thread's scoped sites.
+    fn with_scoped<T>(f: impl FnOnce(&mut HashMap<String, SiteState>) -> T) -> T {
+        SCOPED.with(|sites| f(&mut lock(&sites.borrow())))
+    }
+
+    fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+        m.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Sites armed process-wide (environment / explicit [`arm_global`]).
@@ -215,10 +259,10 @@ mod enabled {
         GLOBAL.get_or_init(|| Mutex::new(HashMap::new()))
     }
 
-    fn lock_global() -> std::sync::MutexGuard<'static, HashMap<String, SiteState>> {
+    fn lock_global() -> MutexGuard<'static, HashMap<String, SiteState>> {
         // A panic while holding this lock (e.g. a test assertion) must not
         // wedge every later failpoint check.
-        global().lock().unwrap_or_else(PoisonError::into_inner)
+        lock(global())
     }
 
     /// Check an injection site. Returns `true` when the armed spec says
@@ -242,7 +286,7 @@ mod enabled {
         if scoped_somewhere {
             // Scoped arming shadows a global arming of the same site on
             // this thread. Borrows `site` directly — no allocation.
-            let scoped = SCOPED.with(|m| m.borrow_mut().get_mut(site).map(SiteState::on_hit));
+            let scoped = with_scoped(|m| m.get_mut(site).map(SiteState::on_hit));
             if let Some(fires) = scoped {
                 return fires;
             }
@@ -278,8 +322,7 @@ mod enabled {
     /// disarm themselves on drop).
     pub fn reset_all() {
         reset_global();
-        let removed = SCOPED.with(|m| {
-            let mut map = m.borrow_mut();
+        let removed = with_scoped(|map| {
             let n = map.len();
             map.clear();
             n
@@ -290,7 +333,7 @@ mod enabled {
     /// How many times `site` has fired (scoped state for this thread if
     /// present, else global). Unarmed sites report 0.
     pub fn fired(site: &str) -> u64 {
-        if let Some(n) = SCOPED.with(|m| m.borrow().get(site).map(|s| s.fired)) {
+        if let Some(n) = with_scoped(|m| m.get(site).map(|s| s.fired)) {
             return n;
         }
         lock_global().get(site).map_or(0, |s| s.fired)
@@ -353,11 +396,7 @@ mod enabled {
 
         /// Arm `site` for the current thread (re-arming resets its counters).
         pub fn arm(&mut self, site: &str, spec: FailSpec) -> &mut Self {
-            let fresh = SCOPED.with(|m| {
-                m.borrow_mut()
-                    .insert(site.to_string(), SiteState::new(spec))
-                    .is_none()
-            });
+            let fresh = with_scoped(|m| m.insert(site.to_string(), SiteState::new(spec)).is_none());
             if fresh {
                 SCOPED_SITES.fetch_add(1, Ordering::Relaxed);
             }
@@ -369,17 +408,73 @@ mod enabled {
 
         /// How many times a site armed in this session has fired.
         pub fn fired(&self, site: &str) -> u64 {
-            SCOPED.with(|m| m.borrow().get(site).map_or(0, |s| s.fired))
+            with_scoped(|m| m.get(site).map_or(0, |s| s.fired))
         }
     }
 
     impl Drop for Session {
         fn drop(&mut self) {
             for site in self.armed.drain(..) {
-                let removed = SCOPED.with(|m| m.borrow_mut().remove(&site).is_some());
+                let removed = with_scoped(|m| m.remove(&site).is_some());
                 if removed {
                     SCOPED_SITES.fetch_sub(1, Ordering::Relaxed);
                 }
+            }
+        }
+    }
+
+    /// A thread's scoped arming, captured so work handed to another
+    /// thread fires the same [`Session`] sites there: the other thread
+    /// [`Scope::enter`]s it, and its hits count against the capturing
+    /// thread's sites (visible through that thread's
+    /// [`Session::fired`]). A session dropped meanwhile disarms its
+    /// sites for every thread in the scope.
+    ///
+    /// ```
+    /// use geoind_testkit::failpoint::{self, FailSpec, Scope, Session};
+    ///
+    /// let mut fp = Session::new();
+    /// fp.arm("tests.doc.scope", FailSpec::times(1));
+    /// let scope = Scope::current();
+    /// let fired = std::thread::spawn(move || {
+    ///     let _entered = scope.enter();
+    ///     failpoint::hit("tests.doc.scope")
+    /// })
+    /// .join()
+    /// .unwrap();
+    /// assert!(fired);
+    /// assert_eq!(fp.fired("tests.doc.scope"), 1);
+    /// ```
+    #[derive(Debug, Clone, Default)]
+    pub struct Scope {
+        sites: Sites,
+    }
+
+    impl Scope {
+        /// Capture the current thread's scoped arming.
+        pub fn current() -> Self {
+            SCOPED.with(|sites| Self {
+                sites: Arc::clone(&sites.borrow()),
+            })
+        }
+
+        /// Make the captured arming this thread's until the guard drops.
+        pub fn enter(&self) -> ScopeGuard {
+            let own = SCOPED.with(|sites| sites.replace(Arc::clone(&self.sites)));
+            ScopeGuard { own: Some(own) }
+        }
+    }
+
+    /// Restores the thread's own scoped arming when dropped.
+    #[derive(Debug)]
+    pub struct ScopeGuard {
+        own: Option<Sites>,
+    }
+
+    impl Drop for ScopeGuard {
+        fn drop(&mut self) {
+            if let Some(own) = self.own.take() {
+                SCOPED.with(|sites| *sites.borrow_mut() = own);
             }
         }
     }
@@ -451,6 +546,26 @@ mod tests {
         disarm_global("tests.list.a");
         disarm_global("tests.list.b");
         assert!(arm_from_spec_list("nospec").is_err());
+    }
+
+    #[test]
+    fn an_entered_scope_fires_the_capturing_sessions_sites() {
+        let mut fp = Session::new();
+        fp.arm("tests.scope.site", FailSpec::after(1, 1));
+        let scope = Scope::current();
+        let pattern = std::thread::spawn(move || {
+            let outside = hit("tests.scope.site");
+            let entered = scope.enter();
+            let inside: Vec<bool> = (0..3).map(|_| hit("tests.scope.site")).collect();
+            drop(entered);
+            (outside, inside, hit("tests.scope.site"))
+        })
+        .join()
+        .unwrap();
+        assert_eq!(pattern, (false, vec![false, true, false], false));
+        // The helper's hits counted against this thread's session.
+        assert_eq!(fp.fired("tests.scope.site"), 1);
+        assert!(!hit("tests.scope.site"));
     }
 
     #[test]

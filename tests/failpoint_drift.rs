@@ -93,3 +93,56 @@ fn failpoint_sites_and_call_sites_agree_both_ways() {
          remove them or wire them in"
     );
 }
+
+/// The text between `start` and the next `end` after it in `text`.
+fn between<'a>(text: &'a str, start: &str, end: &str) -> &'a str {
+    let from = text
+        .find(start)
+        .unwrap_or_else(|| panic!("marker {start:?} not found"))
+        + start.len();
+    let len = text[from..]
+        .find(end)
+        .unwrap_or_else(|| panic!("no {end:?} after {start:?}"));
+    &text[from..from + len]
+}
+
+/// The crash sweeps cover every journal site: each `serve.journal.*`,
+/// `serve.snapshot.*` and `serve.wal.*` entry of [`failpoint::SITES`]
+/// appears in `crash_replay.rs`'s `JOURNAL_SITES` list and in the journal
+/// sweep loop of `scripts/ci.sh`. A site missing from either would be a
+/// journal step no crash sweep ever faults.
+#[test]
+fn journal_sites_are_in_both_crash_sweeps() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let replay = fs::read_to_string(root.join("crates/serve/tests/crash_replay.rs"))
+        .expect("crash_replay.rs is readable");
+    let listed = between(&replay, "const JOURNAL_SITES: &[&str] = &[", "];");
+    let ci = fs::read_to_string(root.join("scripts/ci.sh")).expect("ci.sh is readable");
+    let sweep = between(&ci, "== journal crash sweep", "; do");
+    let (_, looped) = sweep
+        .split_once("for fp in")
+        .expect("the journal sweep is a `for fp in` loop");
+    let looped: BTreeSet<&str> = looped
+        .split(|c: char| c.is_whitespace() || c == '\\')
+        .collect();
+    let journal_sites: Vec<&str> = failpoint::SITES
+        .iter()
+        .copied()
+        .filter(|s| {
+            ["serve.journal.", "serve.snapshot.", "serve.wal."]
+                .iter()
+                .any(|prefix| s.starts_with(prefix))
+        })
+        .collect();
+    assert!(!journal_sites.is_empty(), "no journal sites in SITES");
+    for site in journal_sites {
+        assert!(
+            listed.contains(&format!("\"{site}\"")),
+            "{site} is missing from JOURNAL_SITES in crates/serve/tests/crash_replay.rs"
+        );
+        assert!(
+            looped.contains(site),
+            "{site} is missing from the journal sweep loop in scripts/ci.sh"
+        );
+    }
+}
