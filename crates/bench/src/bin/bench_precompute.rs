@@ -14,7 +14,10 @@
 //! sequential cold implementation (jobs=1, cold) against the full new
 //! path (jobs=max, warm-started), so it reflects what a user upgrading
 //! actually gets; `pivot_reduction` isolates the warm-start effect at
-//! jobs=1, where scheduling cannot contribute.
+//! jobs=1, where scheduling cannot contribute. Each cell also records
+//! `warm_fallbacks` (sibling warm starts abandoned for a cold solve) and
+//! `discarded_pivots` (the pivots those abandoned starts executed, which
+//! `pivots` does not count); cold cells report both as 0.
 //!
 //! `cutgen` times single-node OPT solves across constraint strategies:
 //! eager (every row materialized) vs delayed constraint generation, at a
@@ -122,10 +125,20 @@ fn bench_precompute(g: u32, height: u32, eps: f64, jobs_max: usize, max_nodes: u
             .expect("benchmark precompute must succeed");
         let wall = start.elapsed().as_secs_f64();
         let pivots = msm.lp_pivot_count();
-        eprintln!("# jobs={jobs} warm={warm}: {nodes} nodes, {wall:.3}s, {pivots} pivots");
+        let (fallbacks, discarded) = msm
+            .level_solve_stats()
+            .iter()
+            .fold((0u64, 0u64), |(f, d), (_, s)| {
+                (f + s.warm_fallbacks, d + s.discarded_pivots)
+            });
+        eprintln!(
+            "# jobs={jobs} warm={warm}: {nodes} nodes, {wall:.3}s, {pivots} pivots, \
+             {fallbacks} warm fallbacks discarding {discarded} pivots"
+        );
         cells.push(format!(
             "    {{\"jobs\": {jobs}, \"warm\": {warm}, \"nodes\": {nodes}, \
-             \"wall_s\": {wall:.6}, \"pivots\": {pivots}}}"
+             \"wall_s\": {wall:.6}, \"pivots\": {pivots}, \
+             \"warm_fallbacks\": {fallbacks}, \"discarded_pivots\": {discarded}}}"
         ));
         (wall, pivots)
     };

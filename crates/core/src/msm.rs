@@ -345,7 +345,9 @@ pub struct FlatAudit {
 /// Aggregated LP solve effort for one tree level, keyed by the level of
 /// the solved channels (`parent.level + 1`). `geoind precompute` prints
 /// one line per level so the delayed-constraint-generation savings
-/// (`rows_active` vs `rows_total`) are visible where they happen.
+/// (`rows_active` vs `rows_total`) and the cost of abandoned sibling warm
+/// starts (`warm_fallbacks`, `discarded_pivots`) are visible where they
+/// happen.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LevelSolveStats {
     /// Per-node OPT solves that actually ran at this level (cache hits
@@ -354,6 +356,11 @@ pub struct LevelSolveStats {
     /// Cut-generation rounds summed over those solves (0 under an eager
     /// full materialization).
     pub cut_rounds: u64,
+    /// Warm starts abandoned for a cold solve, summed over those solves.
+    pub warm_fallbacks: u64,
+    /// Pivots the abandoned warm starts executed before they were thrown
+    /// away, summed (never part of [`MsmMechanism::lp_pivot_count`]).
+    pub discarded_pivots: u64,
     /// Rows materialized in the final working LPs, summed.
     pub rows_active: u64,
     /// Rows the full target programs would have, summed.
@@ -629,6 +636,8 @@ impl MsmMechanism {
             let entry = ls.entry(level).or_default();
             entry.solves += 1;
             entry.cut_rounds += stats.cut_rounds as u64;
+            entry.warm_fallbacks += stats.warm_fallbacks as u64;
+            entry.discarded_pivots += stats.discarded_pivots as u64;
             entry.rows_active += stats.rows_active as u64;
             entry.rows_total += stats.rows_total as u64;
         }
@@ -638,7 +647,9 @@ impl MsmMechanism {
     /// Total simplex pivots performed across all per-node LP solves so
     /// far. The benchmark harness compares this between cold and
     /// warm-started precompute runs; warm starts change this number,
-    /// never the admitted channels.
+    /// never the admitted channels. Only kept pivots count: an abandoned
+    /// warm start's pivots are reported per level as
+    /// [`LevelSolveStats::discarded_pivots`].
     pub fn lp_pivot_count(&self) -> u64 {
         self.pivot_count.load(Ordering::Relaxed)
     }

@@ -119,8 +119,16 @@ pub struct SolveStats {
     pub rows: usize,
     /// Variables in the primal formulation.
     pub cols: usize,
-    /// Simplex pivots performed, summed over all cut rounds.
+    /// Simplex pivots performed, summed over all cut rounds. Pivots of an
+    /// abandoned warm start are not included (see
+    /// [`SolveStats::discarded_pivots`]).
     pub iterations: usize,
+    /// Rounds whose warm start was abandoned for a cold solve, summed over
+    /// all cut rounds.
+    pub warm_fallbacks: usize,
+    /// Pivots those abandoned warm starts executed before they were thrown
+    /// away, summed over all cut rounds.
+    pub discarded_pivots: usize,
     /// Cut-generation rounds (LP solves) performed; 0 when cut generation
     /// was disabled and the target rows were materialized up front.
     pub cut_rounds: usize,
@@ -351,6 +359,8 @@ impl OptimalMechanism {
         let solver_slack = opts.simplex.opt_tol;
         let mut simplex = opts.simplex.clone();
         let mut total_iterations = 0usize;
+        let mut warm_fallbacks = 0usize;
+        let mut discarded_pivots = 0usize;
         let mut rounds = 0usize;
         let mut seed_basis: Option<Basis> = None;
         let sol = loop {
@@ -360,6 +370,8 @@ impl OptimalMechanism {
             rounds += 1;
             let sol = model.solve_with(SolveVia::Dual, simplex.clone())?;
             total_iterations += sol.iterations;
+            warm_fallbacks += usize::from(sol.warm_fallback);
+            discarded_pivots += sol.discarded_pivots;
             if seed_basis.is_none() {
                 // The seed-round exit basis lives in the seed LP's column
                 // space, which sibling solves share; later rounds' bases
@@ -432,6 +444,8 @@ impl OptimalMechanism {
                 rows: rows_total,
                 cols: stats_cols,
                 iterations: total_iterations,
+                warm_fallbacks,
+                discarded_pivots,
                 cut_rounds: if cutgen.enabled { rounds } else { 0 },
                 rows_active,
                 rows_total,

@@ -125,6 +125,8 @@ pub fn solve_via_dual(primal: &Model, opts: SimplexOptions) -> Result<Solution, 
             residual: sol.residual,
             dual_residual: sol.dual_residual,
             basis: sol.basis,
+            warm_fallback: sol.warm_fallback,
+            discarded_pivots: sol.discarded_pivots,
         });
     }
     let dualized = dualize_min(primal);
@@ -160,6 +162,8 @@ pub fn solve_via_dual(primal: &Model, opts: SimplexOptions) -> Result<Solution, 
         residual: dual_sol.dual_residual,
         dual_residual: dual_sol.residual,
         basis: dual_sol.basis,
+        warm_fallback: dual_sol.warm_fallback,
+        discarded_pivots: dual_sol.discarded_pivots,
     })
 }
 

@@ -90,6 +90,11 @@ pub struct Solution {
     /// warm-start a solve of a structurally identical model taken through
     /// the same path; on any mismatch the engine cold-starts.
     pub basis: Basis,
+    /// True when the supplied start basis was abandoned and the solve fell
+    /// back to a cold start (see [`crate::simplex::SimplexResult::warm_fallback`]).
+    pub warm_fallback: bool,
+    /// Pivots the abandoned warm start executed; not part of `iterations`.
+    pub discarded_pivots: usize,
 }
 
 impl Model {
@@ -213,6 +218,8 @@ impl Model {
             residual: res.residual,
             dual_residual: res.dual_residual,
             basis: res.basis,
+            warm_fallback: res.warm_fallback,
+            discarded_pivots: res.discarded_pivots,
         })
     }
 

@@ -14,9 +14,13 @@
 //!   shed drift) factors only the k×k block of non-singleton basic columns
 //!   — `O(k³ + k·m)` instead of `O(m³)`, a decisive saving on the
 //!   slack-heavy bases these LPs produce (see `Engine::refactorize`);
-//! * carries the row duals incrementally across pivots (`O(m)` per pivot
-//!   instead of a from-scratch `O(m²)` BTRAN), re-verifying any claimed
-//!   optimum against freshly computed duals before trusting it;
+//! * computes the row duals by a cost-sparse BTRAN that reads only the
+//!   basic positions S carrying a nonzero cost — `O(m·|S|)` instead of
+//!   `O(m²)`; in an optimal-mechanism dual only the split halves of the n
+//!   row-stochasticity duals carry cost, so |S| ≤ 2n ≪ m — and from
+//!   [`INCREMENTAL_DUALS_MIN_ROWS`] rows up carries them incrementally
+//!   across pivots (`O(m)` per pivot), re-verifying any claimed optimum
+//!   against freshly computed duals before trusting it;
 //! * prices with Dantzig's rule and falls back to Bland's rule after a long
 //!   degenerate stall (anti-cycling).
 //!
@@ -37,14 +41,23 @@ use geoind_testkit::failpoint;
 /// [`SimplexOptions::opt_tol`].
 pub const VALUE_CLIP: f64 = 1e-7;
 
+/// Smallest pivot magnitude `|w_r|` a dual-simplex warm restart accepts;
+/// a restart whose ratio test chooses a smaller pivot is abandoned for the
+/// cold solve on the spot (see `Engine::restore_primal_feasibility` for
+/// the measurements behind the value).
+const RESTART_PIVOT_FLOOR: f64 = 1e-7;
+
 /// Row count from which the engine carries duals incrementally across
 /// pivots instead of recomputing them by a BTRAN each iteration. Below
-/// this, the `O(m²)` recompute is cheap and its exact-to-the-basis duals
-/// make tied pricing decisions maximally reproducible across pivot paths
-/// (warm and cold solves of a degenerate LP tend to exit at the same
-/// vertex); above it, the recompute dominates the whole solve and the
-/// incremental update — exact in real arithmetic, drift-checked at every
-/// claimed optimum — is the only way large instances finish at all.
+/// this, the cost-sparse recompute (`O(m·|S|)`, S the basic positions with
+/// a nonzero cost) is cheap, and its exact-to-the-basis duals make tied
+/// pricing decisions maximally reproducible across pivot paths (warm and
+/// cold solves of a degenerate LP tend to exit at the same vertex). Above
+/// it, the incremental update — exact in real arithmetic, drift-checked at
+/// every claimed optimum — costs `O(m)` per pivot. It is what let large
+/// instances finish at all while the recompute was a dense `O(m²)`
+/// product, and moving those sizes to the exact recompute would change
+/// their pivot paths.
 const INCREMENTAL_DUALS_MIN_ROWS: usize = 1024;
 
 /// A linear program in computational standard form.
@@ -230,6 +243,14 @@ pub struct SimplexResult {
     /// warm-started solve of a structurally identical LP. Only meaningful
     /// when the run ended [`SimplexStatus::Optimal`].
     pub basis: Basis,
+    /// True when a [`SimplexOptions::start_basis`] was supplied but the
+    /// warm start was abandoned and this result comes from the cold
+    /// fallback.
+    pub warm_fallback: bool,
+    /// Pivots the abandoned warm start executed before it was thrown away
+    /// (0 without a fallback). `iterations` never includes them: it counts
+    /// the pivots of the solve that produced this result.
+    pub discarded_pivots: usize,
 }
 
 /// Identifier for a basic variable: a real column or an artificial for a row.
@@ -318,14 +339,28 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Row duals for the current basis and phase.
+    /// Row duals `y = B⁻ᵀc_B` for the current basis and phase (BTRAN).
+    ///
+    /// Each `y_k` sums only the basic positions whose cost is nonzero, in
+    /// ascending position order: the same nonzero terms, in the same order,
+    /// as the dense dot product of column k of `B⁻¹` with `c_B`. Every
+    /// `y_k` therefore equals the dense value — only the sign of an exact
+    /// zero can differ, and no comparison observes it — so no pricing or
+    /// ratio decision depends on which of the two computed it.
     fn duals(&self, phase1: bool) -> Vec<f64> {
-        let cb: Vec<f64> = self
+        let costed: Vec<(usize, f64)> = self
             .basis
             .iter()
-            .map(|&b| self.basic_cost(b, phase1))
+            .enumerate()
+            .map(|(p, &b)| (p, self.basic_cost(b, phase1)))
+            .filter(|&(_, c)| c != 0.0)
             .collect();
-        self.binv.mul_vec_transpose(&cb)
+        (0..self.m)
+            .map(|k| {
+                let col = self.binv.col(k);
+                costed.iter().map(|&(p, c)| col[p] * c).sum()
+            })
+            .collect()
     }
 
     /// Dantzig (or Bland) pricing: pick an entering column.
@@ -735,6 +770,20 @@ impl<'a> Engine<'a> {
     /// pivot sequence is independent of threads or timing. Returns `false`
     /// when the restart should be abandoned for a cold solve (numerical
     /// trouble, apparent infeasibility, or a blown pivot budget).
+    ///
+    /// A restart whose ratio test chooses a pivot with `|w_r|` below
+    /// [`RESTART_PIVOT_FLOOR`] (1e-7) is abandoned at that pivot. Such a
+    /// pivot passes `pivot_tol` but leaves the basis numerically singular,
+    /// which only the refactorization at the `max(600, m)` cadence used to
+    /// report — every pivot in between was thrown away with the engine.
+    /// Measured on the repository benchmark's g=4, h=3 precompute (270
+    /// sibling restarts): all 64 restarts that failed chose such a pivot
+    /// (|w_r| from 1.0e-9 to 3.3e-8, between pivots 193 and 593; in 61 of
+    /// them it entered the mirror half of an already-basic free column),
+    /// while the smallest pivot any of the 206 successful restarts chose
+    /// was 4.3e-3. The floor therefore only moves the fallback earlier:
+    /// discarded pivots fell from 38,400 to 19,395, and every kept pivot
+    /// and exported bit stayed the same.
     fn restore_primal_feasibility(&mut self) -> bool {
         // The restart only pays off while it is much cheaper than a cold
         // solve; past this budget, give up and let the cold path decide.
@@ -797,6 +846,9 @@ impl<'a> Engine<'a> {
             let w = self.ftran(q);
             if w[r] >= -self.opts.pivot_tol {
                 return false; // rho-gathered alpha disagrees with FTRAN
+            }
+            if w[r].abs() < RESTART_PIVOT_FLOOR {
+                return false; // near-singular pivot: the cold solve decides
             }
             let step = dq / w[r];
             self.pivot(r, q, &w);
@@ -1026,6 +1078,8 @@ impl<'a> Engine<'a> {
             residual,
             dual_residual,
             basis,
+            warm_fallback: false,
+            discarded_pivots: 0,
         }
     }
 }
@@ -1071,8 +1125,11 @@ fn finish_phase2(mut eng: Engine) -> SimplexResult {
 /// dual-simplex warm start from the donor basis; if the basis does not fit
 /// this LP, is not dual-feasible for its costs, or the restart stalls, the
 /// solve silently falls back to the ordinary cold start — warm starting can
-/// change the pivot count, never the correctness of the result.
+/// change the pivot count, never the correctness of the result. A fallback
+/// is reported through [`SimplexResult::warm_fallback`], and the pivots the
+/// abandoned restart executed through [`SimplexResult::discarded_pivots`].
 pub fn solve_standard(lp: &StandardLp, opts: SimplexOptions) -> SimplexResult {
+    let mut discarded = None;
     if let Some(warm) = opts.start_basis.clone() {
         let mut eng = Engine::new(lp, opts.clone());
         let usable = match opts.warm_mode {
@@ -1089,7 +1146,18 @@ pub fn solve_standard(lp: &StandardLp, opts: SimplexOptions) -> SimplexResult {
         if usable {
             return finish_phase2(eng);
         }
+        discarded = Some(eng.iterations);
     }
+    let mut r = solve_cold(lp, opts);
+    if let Some(pivots) = discarded {
+        r.warm_fallback = true;
+        r.discarded_pivots = pivots;
+    }
+    r
+}
+
+/// Phase 1 from the crash basis when artificials are needed, then phase 2.
+fn solve_cold(lp: &StandardLp, opts: SimplexOptions) -> SimplexResult {
     let mut eng = Engine::new(lp, opts);
     if eng.has_artificials() {
         if let Some(bad) = eng.run_phase(true) {
@@ -1482,5 +1550,84 @@ mod tests {
         let r = solve_standard(&lp, opts);
         assert_eq!(r.status, SimplexStatus::Optimal);
         assert!(r.residual < 1e-9, "residual {}", r.residual);
+    }
+
+    /// The standard form of a dualized optimal-mechanism LP over the 3×3
+    /// unit grid (skewed prior, ε 0.7, every GeoInd pair): the shape the
+    /// OPT solve pivots on, where only the split halves of the nine
+    /// row-stochasticity duals carry cost.
+    fn dualized_opt_g3() -> StandardLp {
+        use crate::model::{Model, Op, Sense};
+        let n = 9;
+        let dist = |a: usize, b: usize| {
+            let (dx, dy) = (
+                (a % 3) as f64 - (b % 3) as f64,
+                (a / 3) as f64 - (b / 3) as f64,
+            );
+            (dx * dx + dy * dy).sqrt()
+        };
+        let mut m = Model::new(Sense::Minimize);
+        for x in 0..n {
+            let px = (1 + (x * 5) % 7) as f64 / 37.0;
+            for z in 0..n {
+                m.add_var(px * dist(x, z));
+            }
+        }
+        for x in 0..n {
+            let row: Vec<(usize, f64)> = (0..n).map(|z| (x * n + z, 1.0)).collect();
+            m.add_row(&row, Op::Eq, 1.0);
+        }
+        for x in 0..n {
+            for xp in (0..n).filter(|&xp| xp != x) {
+                let scale = (-0.7 * dist(x, xp)).exp();
+                for z in 0..n {
+                    m.add_row(&[(x * n + z, scale), (xp * n + z, -1.0)], Op::Le, 0.0);
+                }
+            }
+        }
+        crate::dual::dualize_min(&m).model.to_standard().0
+    }
+
+    #[test]
+    fn cost_sparse_btran_equals_dense_reference_at_every_pivot() {
+        // Step a cold solve by hand (price → FTRAN → ratio test → pivot,
+        // refactorizing every 16 pivots) and compare the cost-sparse BTRAN
+        // with the dense product B⁻ᵀc_B before each pivot. `==` lets ±0
+        // compare equal: the sign of an exact zero is the one thing the
+        // sparse sum may change.
+        let lp = dualized_opt_g3();
+        let opts = SimplexOptions {
+            refactor_every: 16,
+            ..SimplexOptions::default()
+        };
+        let mut eng = Engine::new(&lp, opts);
+        assert!(!eng.has_artificials(), "an OPT dual starts from its slacks");
+        let (mut pivots, mut most_costed) = (0usize, 0usize);
+        loop {
+            let y = eng.duals(false);
+            let cb: Vec<f64> = eng
+                .basis
+                .iter()
+                .map(|&b| eng.basic_cost(b, false))
+                .collect();
+            assert_eq!(
+                y,
+                eng.binv.mul_vec_transpose(&cb),
+                "sparse and dense BTRAN differ after {pivots} pivots"
+            );
+            most_costed = most_costed.max(cb.iter().filter(|&&c| c != 0.0).count());
+            let Some(q) = eng.price(&y, false, false) else {
+                break;
+            };
+            let w = eng.ftran(q);
+            let r = eng.ratio_test(&w, false).expect("an OPT dual is bounded");
+            eng.pivot(r, q, &w);
+            pivots += 1;
+        }
+        assert!(pivots > 16, "too few pivots to cross a refactorization");
+        assert!(
+            most_costed >= 3,
+            "summation order is only exercised with three or more costed positions"
+        );
     }
 }

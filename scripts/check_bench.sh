@@ -82,6 +82,17 @@ else:
     for cell in cells:
         assert cell["wall_s"] > 0, f"non-positive wall clock: {cell}"
         assert cell["pivots"] >= 0, f"negative pivot count: {cell}"
+    # Abandoned sibling warm starts: every jobs-grid cell counts them and
+    # the pivots they threw away (never part of "pivots"); a cold cell
+    # tries no warm start, so it must report both as 0.
+    for cell in jobs_cells:
+        for key in ("warm_fallbacks", "discarded_pivots"):
+            assert isinstance(cell.get(key), int), f"missing integer {key}: {cell}"
+            assert cell[key] >= 0, f"negative {key}: {cell}"
+        if not cell["warm"]:
+            assert cell["warm_fallbacks"] == 0 and cell["discarded_pivots"] == 0, (
+                f"cold cell reports abandoned warm starts: {cell}"
+            )
     for cell in cut_cells:
         strategy = cell["constraints"].split(":")[0]
         assert strategy in ("full", "spanner"), f"unknown strategy: {cell}"

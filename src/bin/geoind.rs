@@ -396,12 +396,19 @@ fn cmd_precompute(flags: &Flags) -> Result<(), String> {
         "precomputed {nodes} channels ({} bytes) -> {out}",
         blob.len()
     );
-    // Per-level cut-generation telemetry: rows_active vs rows_total is
-    // what the delayed-constraint solve saved at each level.
+    // Per-level solve telemetry: rows_active vs rows_total is what the
+    // delayed-constraint solve saved at each level; warm_fallbacks and
+    // discarded_pivots are what abandoned sibling warm starts cost.
     for (level, s) in msm.level_solve_stats() {
         println!(
-            "# level {level}: solves {} cut_rounds {} rows_active {} rows_total {}",
-            s.solves, s.cut_rounds, s.rows_active, s.rows_total
+            "# level {level}: solves {} cut_rounds {} rows_active {} rows_total {} \
+             warm_fallbacks {} discarded_pivots {}",
+            s.solves,
+            s.cut_rounds,
+            s.rows_active,
+            s.rows_total,
+            s.warm_fallbacks,
+            s.discarded_pivots
         );
     }
     let (primal, dual) = msm.lp_residual_watermark();

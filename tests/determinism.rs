@@ -209,6 +209,50 @@ fn cutgen_spanner_bundle_bytes_are_independent_of_jobs() {
     );
 }
 
+/// FNV-1a-64, the checksum the bundle format itself uses.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The simplex engine's decisions, pinned across builds. The two jobs
+/// tests above compare bundles within one build, so a kernel change that
+/// moved a single pivot would still pass them; this test compares the kept
+/// pivots and the bundle bytes against values recorded before the
+/// cost-sparse BTRAN and the warm-restart pivot floor went in. It
+/// precomputes the first 26 nodes of the repository benchmark's hierarchy
+/// (synthetic Austin city, 80,000 check-ins, prior granularity 64, ε 0.5,
+/// g 4, `FixedHeight(3)`): the root, all 16 level-2 nodes and 9 level-3
+/// nodes, whose 256-row duals run on the per-pivot BTRAN path. The 8th
+/// level-3 sibling's warm restart is the full run's first fallback to a
+/// cold solve, so the prefix also pins how many pivots the abandoned
+/// restart throws away (227 under the pivot floor, 600 without it).
+#[test]
+fn benchmark_precompute_prefix_keeps_recorded_pivots_and_bytes() {
+    let city = SyntheticCity::austin_like().generate_with_size(80_000, 8_000);
+    let msm = MsmMechanism::builder(city.domain(), GridPrior::from_dataset(&city, 64))
+        .epsilon(0.5)
+        .granularity(4)
+        .strategy(AllocationStrategy::FixedHeight(3))
+        .build()
+        .expect("benchmark configuration");
+    assert_eq!(msm.precompute_jobs(26, 1).expect("precompute"), 26);
+    assert_eq!(msm.lp_pivot_count(), 11_031, "kept pivots moved");
+    let mut blob = Vec::new();
+    msm.export_cache(&mut blob).expect("export");
+    assert_eq!(blob.len(), 68_460, "bundle length moved");
+    assert_eq!(fnv1a64(&blob), 0xf28f_d00c_db3d_114c, "bundle bytes moved");
+    let (fallbacks, discarded) = msm
+        .level_solve_stats()
+        .iter()
+        .fold((0, 0), |(f, d), (_, s)| {
+            (f + s.warm_fallbacks, d + s.discarded_pivots)
+        });
+    assert!(fallbacks >= 1, "the prefix lost its warm-restart fallback");
+    assert_eq!(discarded, 227, "the abandoned restart's pivot count moved");
+}
+
 /// Cross-mechanism: interleaving two mechanisms on one RNG stream is still
 /// reproducible (the stream position, not the mechanism, owns determinism).
 #[test]
