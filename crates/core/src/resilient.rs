@@ -5,13 +5,12 @@
 //! optimal path can fail at runtime: an LP hits its iteration budget or a
 //! singular basis, the offline channel cache is corrupt, a cache lock is
 //! poisoned. [`ResilientMechanism`] wraps [`MsmMechanism`] with a
-//! three-tier ladder:
+//! two-rung ladder:
 //!
 //! | tier | mechanism | per-query guarantee |
 //! |------|-----------|---------------------|
 //! | 0 `Optimal` | MSM with per-node OPT channels | composition bound, `Σ ε_i = ε` |
 //! | 1 `PerLevelLaplace` | planar Laplace per level at the same `ε_i` | `ε_i`-GeoInd per level ⇒ `ε`-GeoInd composed |
-//! | 2 `FlatLaplace` | one planar Laplace at the *remaining* budget | `ε`-GeoInd |
 //!
 //! Planar Laplace is the GeoInd-safe floor because it satisfies ε-GeoInd
 //! for **any** prior (Andrés et al.) — unlike OPT, whose guarantee rests
@@ -20,8 +19,8 @@
 //! sampling a continuous planar Laplace with the level budget, clamping
 //! into the current cell, and descending into the enclosing child —
 //! clamping and discretization are post-processing of an `ε_i`-GeoInd
-//! mechanism, so the per-level guarantee is exact. Tier 2 drops structure
-//! entirely and reports a continuous planar Laplace point.
+//! mechanism, so the per-level guarantee is exact, and no raw
+//! floating-point sample is ever emitted.
 //!
 //! ## Budget accounting under mid-descent faults
 //!
@@ -33,26 +32,22 @@
 //! observable (output, serving tier) leak up to `ε_1..ε_k` *plus* `ε` —
 //! more than the configured budget. The ladder therefore never restarts:
 //! [`MsmMechanism::try_report_resumable`] reports the cell the completed
-//! levels selected, tier 1 **continues the descent from that cell** using
-//! only the remaining level budgets `ε_{k+1}..ε_h`, and tier 2 serves a
-//! flat planar Laplace at their sum. Whatever the fault pattern — even an
-//! adversarially path-correlated one — the total spend on any input is at
-//! most `Σ ε_i = ε`, so the per-request tier can be exposed safely.
+//! levels selected, and tier 1 **continues the descent from that cell**
+//! using only the remaining level budgets `ε_{k+1}..ε_h`. Whatever the
+//! fault pattern — even an adversarially path-correlated one — the total
+//! spend on any input is at most `Σ ε_i = ε`, so the per-request tier can
+//! be exposed safely.
 //! Root-level faults (`k = 0`) occur before any sampling and naturally
 //! get the whole budget.
 //!
 //! ## When each rung serves
 //!
 //! Degradation is *per report* and triggered only by typed
-//! [`MechanismError`]s — panics are bugs, not control flow. Tier 1 is the
-//! automatic fallback whenever its samplers exist; it is pure sampling
-//! plus grid geometry and cannot itself fail at report time. Tier 2
-//! serves automatically only when tier 1 was ruled out **before any
-//! request** — the hierarchy geometry or per-level budgets failed
-//! validation at construction, or the operator opted down with
-//! [`ResilientMechanism::without_per_level_fallback`] — a decision that
-//! is input-independent by construction. [`ResilientMechanism::report_flat`]
-//! remains as the explicit floor entry point.
+//! [`MechanismError`]s — panics are bugs, not control flow. Tier 1 serves
+//! every degraded report: it exists for every built [`MsmMechanism`] (the
+//! hierarchy and its per-level budgets were validated by the build), and
+//! it is pure sampling plus grid geometry, so it cannot itself fail at
+//! report time.
 //!
 //! Which tier served each request is counted in cheap atomic counters
 //! ([`ResilientMechanism::served_by_tier`]) and summarized by
@@ -76,20 +71,17 @@ pub enum Tier {
     /// Per-level planar Laplace at the same per-level budgets
     /// (hierarchical structure kept, OPT utility lost).
     PerLevelLaplace,
-    /// One flat planar Laplace at the remaining budget (structure lost too).
-    FlatLaplace,
 }
 
 impl Tier {
     /// All tiers, best first.
-    pub const ALL: [Tier; 3] = [Tier::Optimal, Tier::PerLevelLaplace, Tier::FlatLaplace];
+    pub const ALL: [Tier; 2] = [Tier::Optimal, Tier::PerLevelLaplace];
 
     /// Ladder position: 0 is the optimal tier.
     pub fn index(self) -> usize {
         match self {
             Tier::Optimal => 0,
             Tier::PerLevelLaplace => 1,
-            Tier::FlatLaplace => 2,
         }
     }
 }
@@ -99,7 +91,6 @@ impl std::fmt::Display for Tier {
         match self {
             Tier::Optimal => write!(f, "optimal"),
             Tier::PerLevelLaplace => write!(f, "per-level-laplace"),
-            Tier::FlatLaplace => write!(f, "flat-laplace"),
         }
     }
 }
@@ -123,18 +114,10 @@ struct PerLevelLaplace {
 }
 
 impl PerLevelLaplace {
-    /// Validate the geometry and budgets; `None` means tier 1 cannot be
-    /// offered and the ladder's automatic floor is the flat tier.
-    fn new(hier: HierGrid, budgets: &[f64]) -> Option<Self> {
-        let side = hier.domain().side();
-        let geometry_ok = side.is_finite() && side > 0.0 && hier.height() >= 1;
-        let budgets_ok = budgets.len() == hier.height() as usize
-            && budgets.iter().all(|b| b.is_finite() && *b > 0.0);
-        if !geometry_ok || !budgets_ok {
-            return None;
-        }
+    /// One sampler per level of `hier`, at the built MSM's budgets.
+    fn new(hier: HierGrid, budgets: &[f64]) -> Self {
         let levels = budgets.iter().map(|&e| PlanarLaplace::new(e)).collect();
-        Some(Self { hier, levels })
+        Self { hier, levels }
     }
 
     /// Continue the descent from `start` down to a leaf, spending only
@@ -165,7 +148,7 @@ fn clamp_into(domain: BBox, p: Point) -> Point {
 #[derive(Debug, Clone)]
 pub struct DegradationReport {
     /// Reports served by each tier, indexed by [`Tier::index`].
-    pub served_by_tier: [u64; 3],
+    pub served_by_tier: [u64; 2],
     /// Tier-0 reports whose descent sampled at least one channel that the
     /// admission gate had to repair before certifying (see [`crate::certify`]).
     /// A subset of `served_by_tier[0]` — these requests were still served
@@ -173,8 +156,8 @@ pub struct DegradationReport {
     pub served_repaired: u64,
     /// Reports whose optimal descent was refused because a channel failed
     /// post-repair re-certification ([`MechanismError::ChannelQuarantined`]).
-    /// Each such request was served by a closed-form lower tier instead —
-    /// a subset of `degraded()`.
+    /// Each such request was served by the closed-form tier 1 instead — a
+    /// subset of `degraded()`.
     pub quarantined: u64,
     /// Duplicate channel fills suppressed by the cache's single-flight
     /// discipline: concurrent misses of one node that were handed the
@@ -198,7 +181,7 @@ impl DegradationReport {
 
     /// Reports *not* served by the optimal tier.
     pub fn degraded(&self) -> u64 {
-        self.served_by_tier[1] + self.served_by_tier[2]
+        self.served_by_tier[1]
     }
 
     /// Stable single-line log form, `key=value` separated by single
@@ -206,11 +189,10 @@ impl DegradationReport {
     /// these lines, so changing it is a breaking change.
     pub fn log_line(&self) -> String {
         format!(
-            "degradation optimal={} per-level={} flat={} total={} degraded={} \
+            "degradation optimal={} per-level={} total={} degraded={} \
              repaired={} quarantined={} dedup={} sampled_flat={}",
             self.served_by_tier[0],
             self.served_by_tier[1],
-            self.served_by_tier[2],
             self.total(),
             self.degraded(),
             self.served_repaired,
@@ -254,18 +236,9 @@ impl std::fmt::Display for DegradationReport {
 #[derive(Debug)]
 pub struct ResilientMechanism {
     msm: MsmMechanism,
-    /// `None` when the hierarchy geometry or budgets failed validation
-    /// (or the operator opted down): degraded requests then go flat.
-    fallback: Option<PerLevelLaplace>,
-    /// Flat sampler at the full composed ε, for the explicit
-    /// [`Self::report_flat`] floor.
-    flat: PlanarLaplace,
-    /// Flat samplers for serving after a partial descent: index `k` holds
-    /// a planar Laplace at `Σ_{i>k} ε_i`, the budget still unspent after
-    /// `k` completed levels (index 0 = the full ε). Empty when the
-    /// budgets failed validation.
-    flat_by_resume: Vec<PlanarLaplace>,
-    served: [AtomicU64; 3],
+    /// Tier 1, serving every degraded report.
+    fallback: PerLevelLaplace,
+    served: [AtomicU64; 2],
     /// Tier-0 serves whose descent used at least one gate-repaired channel.
     served_repaired: AtomicU64,
     /// Tier-0 serves answered by the fused flattened-tree walk.
@@ -287,7 +260,7 @@ fn is_quarantine(e: &MechanismError) -> bool {
 }
 
 impl ResilientMechanism {
-    /// Wrap a configured [`MsmBuilder`]; the fallback tiers reuse the
+    /// Wrap a configured [`MsmBuilder`]; the fallback tier reuses the
     /// budgets the builder's allocator chose.
     ///
     /// # Errors
@@ -299,44 +272,20 @@ impl ResilientMechanism {
         Ok(Self::new(builder.build()?))
     }
 
-    /// Wrap an already-built [`MsmMechanism`]. If the hierarchy geometry
-    /// or per-level budgets fail validation here, tier 1 is unavailable
-    /// and every degraded request is served by the flat floor — the
-    /// decision is made once, before any request, so it is
-    /// input-independent.
+    /// Wrap an already-built [`MsmMechanism`]; tier 1 samples its
+    /// hierarchy at its per-level budgets.
     pub fn new(msm: MsmMechanism) -> Self {
         let hier = HierGrid::new(msm.leaf_grid().domain(), msm.granularity(), msm.height());
-        let budgets = msm.budgets().budgets();
-        let fallback = PerLevelLaplace::new(hier, budgets);
-        let flat = PlanarLaplace::new(msm.epsilon());
-        let flat_by_resume = if budgets.iter().all(|b| b.is_finite() && *b > 0.0) {
-            (0..budgets.len())
-                .map(|k| PlanarLaplace::new(budgets[k..].iter().sum()))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let fallback = PerLevelLaplace::new(hier, msm.budgets().budgets());
         Self {
             msm,
             fallback,
-            flat,
-            flat_by_resume,
-            served: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
+            served: Default::default(),
             served_repaired: AtomicU64::new(0),
             sampled_flat: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
             last_fault: Mutex::new(None),
         }
-    }
-
-    /// Drop tier 1 from the ladder: every degraded request is served by
-    /// the flat planar-Laplace floor. An operator opt-down (e.g. when the
-    /// hierarchical fallback itself is under suspicion); the same state
-    /// is entered automatically when [`Self::new`] finds the fallback
-    /// geometry or budgets invalid.
-    pub fn without_per_level_fallback(mut self) -> Self {
-        self.fallback = None;
-        self
     }
 
     /// The wrapped optimal-path mechanism.
@@ -345,12 +294,8 @@ impl ResilientMechanism {
     }
 
     /// Reports served by each tier so far, indexed by [`Tier::index`].
-    pub fn served_by_tier(&self) -> [u64; 3] {
-        [
-            self.served[0].load(Ordering::Relaxed),
-            self.served[1].load(Ordering::Relaxed),
-            self.served[2].load(Ordering::Relaxed),
-        ]
+    pub fn served_by_tier(&self) -> [u64; 2] {
+        self.served.each_ref().map(|n| n.load(Ordering::Relaxed))
     }
 
     /// Tier-0 reports served through at least one gate-repaired channel.
@@ -469,24 +414,11 @@ impl ResilientMechanism {
                 if is_quarantine(&error) {
                     self.quarantined.fetch_add(1, Ordering::Relaxed);
                 }
-                let (z, tier) = match &self.fallback {
-                    // Tier 1 cannot fail: it is pure sampling plus
-                    // geometry. It resumes at `resume`, so only the
-                    // budgets of the unfinished levels are spent.
-                    Some(fb) => (fb.report_from(resume, x, rng), Tier::PerLevelLaplace),
-                    // Tier 1 was ruled out before any request: serve flat
-                    // at the budget still unspent after the partial
-                    // descent (the full ε for root faults). The unindexed
-                    // arm is only reachable when the budgets themselves
-                    // failed validation, where no spend is accountable.
-                    None => {
-                        let pl = self
-                            .flat_by_resume
-                            .get(resume.level as usize)
-                            .unwrap_or(&self.flat);
-                        (pl.report_continuous(x, rng), Tier::FlatLaplace)
-                    }
-                };
+                // Tier 1 cannot fail: it is pure sampling plus geometry.
+                // It resumes at `resume`, so only the budgets of the
+                // unfinished levels are spent.
+                let z = self.fallback.report_from(resume, x, rng);
+                let tier = Tier::PerLevelLaplace;
                 self.record(
                     tier,
                     Some(&MechanismError::Degraded {
@@ -497,14 +429,6 @@ impl ResilientMechanism {
                 (z, tier)
             }
         }
-    }
-
-    /// Serve from the flat tier directly, at the full composed ε — the
-    /// explicit floor for operators and tests pinning tier-2 behaviour.
-    pub fn report_flat<R: Rng + ?Sized>(&self, x: Point, rng: &mut R) -> Point {
-        let z = self.flat.report_continuous(x, rng);
-        self.record(Tier::FlatLaplace, None);
-        z
     }
 }
 
@@ -547,7 +471,7 @@ mod tests {
             let (_, tier) = r.report_with_tier(Point::new((i % 8) as f64, 3.0), &mut rng);
             assert_eq!(tier, Tier::Optimal);
         }
-        assert_eq!(r.served_by_tier(), [40, 0, 0]);
+        assert_eq!(r.served_by_tier(), [40, 0]);
         assert!(r.degradation_report().last_fault.is_none());
         // Healthy LP solves certify outright: nothing repaired, nothing
         // quarantined.
@@ -556,14 +480,9 @@ mod tests {
     }
 
     #[test]
-    fn valid_configuration_offers_tier1() {
-        assert!(resilient().fallback.is_some());
-    }
-
-    #[test]
     fn per_level_fallback_lands_on_leaf_centers() {
         let r = resilient();
-        let fb = r.fallback.as_ref().unwrap();
+        let fb = &r.fallback;
         let centers = r.msm().leaf_grid().centers();
         let mut rng = SeededRng::from_seed(2);
         for i in 0..200 {
@@ -579,7 +498,7 @@ mod tests {
     #[test]
     fn resumed_fallback_stays_inside_the_resume_cell() {
         let r = resilient();
-        let fb = r.fallback.as_ref().unwrap();
+        let fb = &r.fallback;
         let mut rng = SeededRng::from_seed(3);
         // Resume from each level-1 cell: the continuation must never
         // leave it, whatever the input — that is what caps its spend at
@@ -599,21 +518,11 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_budgets_disable_tier1() {
-        let r = resilient();
-        let hier = HierGrid::new(r.msm().leaf_grid().domain(), 2, 2);
-        assert!(PerLevelLaplace::new(hier.clone(), &[0.4]).is_none()); // wrong count
-        assert!(PerLevelLaplace::new(hier.clone(), &[0.4, f64::NAN]).is_none());
-        assert!(PerLevelLaplace::new(hier.clone(), &[0.4, 0.0]).is_none());
-        assert!(PerLevelLaplace::new(hier, &[0.4, 0.4]).is_some());
-    }
-
-    #[test]
     fn degradation_log_line_format_is_pinned() {
         // Operators parse this line; the format is a contract. Update the
         // expected string ONLY together with every downstream consumer.
         let report = DegradationReport {
-            served_by_tier: [40, 2, 1],
+            served_by_tier: [40, 2],
             served_repaired: 5,
             quarantined: 1,
             dedup_suppressed: 2,
@@ -622,7 +531,7 @@ mod tests {
         };
         assert_eq!(
             report.log_line(),
-            "degradation optimal=40 per-level=2 flat=1 total=43 degraded=3 \
+            "degradation optimal=40 per-level=2 total=42 degraded=2 \
              repaired=5 quarantined=1 dedup=2 sampled_flat=9"
         );
         assert!(
@@ -638,8 +547,7 @@ mod tests {
         for _ in 0..25 {
             r.report(Point::new(4.0, 4.0), &mut rng);
         }
-        r.report_flat(Point::new(4.0, 4.0), &mut rng);
         let report = r.degradation_report();
-        assert_eq!(report.total(), 26);
+        assert_eq!(report.total(), 25);
     }
 }

@@ -121,7 +121,7 @@ fn every_site_keeps_report_total_and_counters_exact() {
                     );
                 }
                 let report = r.degradation_report();
-                assert_eq!(report.served_by_tier, [n, 0, 0], "site {site}");
+                assert_eq!(report.served_by_tier, [n, 0], "site {site}");
                 assert_eq!(
                     report.served_repaired, n,
                     "every serve used repaired channels"
@@ -164,7 +164,7 @@ fn every_site_keeps_report_total_and_counters_exact() {
                     );
                 }
                 let report = r.degradation_report();
-                assert_eq!(report.served_by_tier, [0, n, 0], "site {site}");
+                assert_eq!(report.served_by_tier, [0, n], "site {site}");
                 assert_eq!(report.total(), n, "site {site}");
                 assert_eq!(report.degraded(), n, "site {site}");
                 // Only a failed re-certification is a quarantine; LP and
@@ -198,7 +198,7 @@ fn flatten_succeeds_with_no_site_armed() {
         assert_eq!(tier, Tier::Optimal);
     }
     let report = r.degradation_report();
-    assert_eq!(report.served_by_tier, [n, 0, 0]);
+    assert_eq!(report.served_by_tier, [n, 0]);
     assert_eq!(report.sampled_flat, n, "every report took the fused walk");
 }
 
@@ -223,12 +223,12 @@ fn quarantined_channel_forces_descent_and_is_counted() {
         assert!(centers.iter().any(|c| c.dist(z) < 1e-12));
     }
     let report = r.degradation_report();
-    assert_eq!(report.served_by_tier, [0, n, 0]);
+    assert_eq!(report.served_by_tier, [0, n]);
     assert_eq!(report.quarantined, n, "each refusal must be counted");
     assert_eq!(report.served_repaired, 0, "nothing was served from tier 0");
     assert_eq!(
         report.log_line(),
-        format!("degradation optimal=0 per-level={n} flat=0 total={n} degraded={n} repaired=0 quarantined={n} dedup=0 sampled_flat=0")
+        format!("degradation optimal=0 per-level={n} total={n} degraded={n} repaired=0 quarantined={n} dedup=0 sampled_flat=0")
     );
     let fault = report.last_fault.expect("no fault recorded");
     assert!(fault.contains("quarantined"), "fault must name it: {fault}");
@@ -264,7 +264,7 @@ fn concurrent_hammering_keeps_counters_exact() {
                     fp
                 });
                 let mut rng = SeededRng::from_seed(500 + t);
-                let mut tally = [0u64; 3];
+                let mut tally = [0u64; 2];
                 for i in 0..per_thread {
                     let x = Point::new(((t + i) % 8) as f64, (i % 5) as f64 + 0.4);
                     let (_, tier) = r.report_with_tier(x, &mut rng);
@@ -274,7 +274,7 @@ fn concurrent_hammering_keeps_counters_exact() {
             })
         })
         .collect();
-    let mut expected = [0u64; 3];
+    let mut expected = [0u64; 2];
     for h in handles {
         let (faulty, tally) = h.join().expect("worker panicked");
         let want_tier = if faulty { 1 } else { 0 };
@@ -317,7 +317,7 @@ fn partial_fault_degrades_exactly_k_reports() {
     assert!(tiers[k as usize..].iter().all(|&t| t == Tier::Optimal));
     assert_eq!(fp.fired("lp.refactor.singular"), k);
     let report = r.degradation_report();
-    assert_eq!(report.served_by_tier, [n - k, k, 0]);
+    assert_eq!(report.served_by_tier, [n - k, k]);
     assert_eq!(report.total(), n);
 }
 
@@ -367,32 +367,7 @@ fn mid_descent_fault_resumes_from_the_reached_cell() {
              selected — it restarted instead of resuming"
         );
     }
-    assert_eq!(faulty.served_by_tier(), [0, 25, 0]);
-}
-
-#[test]
-fn ladder_without_tier1_serves_flat_automatically() {
-    // Tier 2 is a real automatic rung: with the per-level fallback ruled
-    // out (operator opt-down, or failed construction-time validation),
-    // report-path faults degrade straight to the flat floor — through
-    // report(), not the explicit report_flat() entry point.
-    let mut fp = Session::new();
-    fp.arm("lp.iterations.exhausted", FailSpec::always());
-    let r = resilient().without_per_level_fallback();
-    let mut rng = SeededRng::from_seed(71);
-    let n = 8u64;
-    for i in 0..n {
-        let x = Point::new((i % 8) as f64, 2.0);
-        let (z, tier) = r.report_with_tier(x, &mut rng);
-        assert_eq!(tier, Tier::FlatLaplace);
-        assert!(z.x.is_finite() && z.y.is_finite());
-    }
-    assert!(fp.fired("lp.iterations.exhausted") >= n);
-    let report = r.degradation_report();
-    assert_eq!(report.served_by_tier, [0, 0, n]);
-    assert_eq!(report.degraded(), n);
-    let fault = report.last_fault.expect("degradation recorded no fault");
-    assert!(fault.contains("flat-laplace"), "unhelpful fault: {fault}");
+    assert_eq!(faulty.served_by_tier(), [0, 25]);
 }
 
 #[test]
@@ -424,41 +399,8 @@ fn degraded_tier_passes_geoind_audit_at_full_budget() {
     );
     let served = r.served_by_tier();
     assert_eq!(served[0], 0, "optimal tier served despite armed fault");
-    assert_eq!(served[2], 0);
     assert_eq!(served[1], 2 * 15_000);
     assert!(fp.fired("lp.iterations.exhausted") >= served[1]);
-}
-
-#[test]
-fn flat_tier_passes_geoind_audit_at_full_budget() {
-    // Tier 2 through its *automatic* rung: tier 1 ruled out, every
-    // optimal descent faulted at the root (before any sampling), so the
-    // flat floor serves each request at the full composed ε. Audit it
-    // through the ladder's normal report() path.
-    let mut fp = Session::new();
-    fp.arm("cache.lock.poisoned", FailSpec::always());
-    let flat = resilient().without_per_level_fallback();
-    let domain = flat.msm().leaf_grid().domain();
-    let grid = Grid::new(domain, 4);
-    let mut rng = SeededRng::from_seed(41);
-    let report = audit_geoind(
-        &flat,
-        EPS,
-        &[(Point::new(2.0, 2.0), Point::new(6.0, 6.0))],
-        &grid,
-        AuditConfig {
-            samples: 15_000,
-            min_cell_count: 40,
-        },
-        &mut rng,
-    );
-    assert!(
-        report.passes(0.5),
-        "tier-2 channel flagged: excess {}",
-        report.worst_excess()
-    );
-    assert!(fp.fired("cache.lock.poisoned") >= 2 * 15_000);
-    assert_eq!(flat.served_by_tier(), [0, 0, 2 * 15_000]);
 }
 
 #[test]
@@ -488,5 +430,5 @@ fn healthy_ladder_passes_audit_at_composition_bound() {
         "healthy ladder flagged: excess {}",
         report.worst_excess()
     );
-    assert_eq!(r.served_by_tier(), [2 * 15_000, 0, 0]);
+    assert_eq!(r.served_by_tier(), [2 * 15_000, 0]);
 }

@@ -148,5 +148,5 @@ fn env_armed_faults_never_break_totality() {
         let (_, tier) = healthy.report_with_tier(Point::new(4.2, 4.2), &mut rng);
         assert_eq!(tier, Tier::Optimal);
     }
-    assert_eq!(healthy.served_by_tier(), [5, 0, 0]);
+    assert_eq!(healthy.served_by_tier(), [5, 0]);
 }

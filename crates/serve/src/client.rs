@@ -29,10 +29,10 @@
 //! [`ClientError::RetryBudgetExhausted`] instead of grinding through
 //! backoff forever.
 
+use crate::http::{self, Conn};
 use crate::json::Json;
 use geoind_rng::{Rng, SeededRng};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for [`run_load`].
@@ -334,19 +334,24 @@ impl SharedRun {
 
 /// Post `/promote` to the follower; true on an acknowledged promotion.
 fn promote_follower(addr: SocketAddr, config: &ClientConfig) -> bool {
-    let Ok(mut stream) = connect(addr, config.timeout_ms) else {
+    let Ok(mut conn) = Conn::open(addr, config.timeout_ms) else {
         return false;
     };
     matches!(
-        exchange(
-            &mut stream,
-            "POST",
-            "/promote",
-            "{}",
-            config.timeout_ms,
-            config.auth_token.as_deref(),
-        ),
+        conn.exchange(&render(config, "POST", "/promote", "{}")),
         Ok((200, _))
+    )
+}
+
+/// Render one request of this run: a JSON body, with the run's bearer
+/// token when one is configured.
+fn render(config: &ClientConfig, method: &str, path: &str, body: &str) -> Vec<u8> {
+    http::request(
+        method,
+        path,
+        "application/json",
+        config.auth_token.as_deref(),
+        body.as_bytes(),
     )
 }
 
@@ -476,7 +481,8 @@ pub fn run_load(config: &ClientConfig) -> Result<LoadReport, ClientError> {
 
 /// Control-plane exchange with its own retry loop: an armed
 /// `serve.net.*` failpoint may drop or tear the `/report` or
-/// `/shutdown` connection too, and the run must not fail on that.
+/// `/shutdown` connection too, and a server at its connection cap
+/// refuses it like any other; the run must not fail on either.
 fn control_exchange(
     addr: SocketAddr,
     config: &ClientConfig,
@@ -484,28 +490,19 @@ fn control_exchange(
     path: &str,
     body: &str,
 ) -> Result<(u16, String), ClientError> {
+    let request = render(config, method, path, body);
     let mut last = String::new();
     for attempt in 0..8u64 {
         if attempt > 0 {
             std::thread::sleep(Duration::from_millis(50 * attempt));
         }
-        let mut stream = match connect(addr, config.timeout_ms) {
-            Ok(s) => s,
-            Err(e) => {
-                last = e.to_string();
-                continue;
-            }
-        };
-        match exchange(
-            &mut stream,
-            method,
-            path,
-            body,
-            config.timeout_ms,
-            config.auth_token.as_deref(),
-        ) {
+        let answer = Conn::open(addr, config.timeout_ms)
+            .map_err(|e| format!("connect {addr}: {e}"))
+            .and_then(|mut conn| conn.exchange(&request).map_err(|e| e.to_string()));
+        match answer {
+            Ok((503, body)) if body.contains("too_many_connections") => last = body,
             Ok(answer) => return Ok(answer),
-            Err(e) => last = e.to_string(),
+            Err(e) => last = e,
         }
     }
     Err(ClientError::Io(format!("{method} {path} failed: {last}")))
@@ -657,7 +654,7 @@ fn connection_thread(
     let mut rng = SeededRng::from_seed(config.seed.wrapping_add(thread_index as u64));
     let mut tally = Tally::default();
     let mut latencies = Vec::new();
-    let mut stream: Option<TcpStream> = None;
+    let mut stream: Option<Conn> = None;
     let max_attempts = config.max_attempts.max(1);
     'requests: for id in (thread_index as u64..config.requests).step_by(connections) {
         let user = id % users;
@@ -665,6 +662,7 @@ fn connection_thread(
         let x = (id % 7) as f64 * 0.9 - 3.0;
         let y = (id % 5) as f64 * 1.1 - 2.0;
         let body = format!(r#"{{"user":{user},"id":{id},"x":{x},"y":{y}}}"#);
+        let request = render(config, "POST", "/protect", &body);
         let first_send = Instant::now();
         let mut attempt = 0u32;
         loop {
@@ -687,9 +685,9 @@ fn connection_thread(
             }
             attempt += 1;
             let addr = shared.active_addr();
-            let conn = match stream.take() {
+            let mut conn = match stream.take() {
                 Some(conn) => conn,
-                None => match connect(addr, config.timeout_ms) {
+                None => match Conn::open(addr, config.timeout_ms) {
                     Ok(conn) => conn,
                     Err(_) => {
                         // Server mid-restart, accept-dropped, or dead:
@@ -699,15 +697,7 @@ fn connection_thread(
                     }
                 },
             };
-            let mut conn = conn;
-            match exchange(
-                &mut conn,
-                "POST",
-                "/protect",
-                &body,
-                config.timeout_ms,
-                config.auth_token.as_deref(),
-            ) {
+            match conn.exchange(&request) {
                 Err(_) => {
                     // Timeout, reset, torn response: abandon the
                     // connection and retry the same id — the server's
@@ -778,8 +768,16 @@ fn connection_thread(
                             shared.note_primary_trouble(config, false);
                             continue;
                         }
-                        (503, "draining" | "in_flight" | "too_many_connections") => {
+                        (503, "draining" | "in_flight") => {
                             stream = Some(conn);
+                            continue;
+                        }
+                        (503, "too_many_connections") => {
+                            // The server closes a connection right after
+                            // refusing it at the accept cap: drop it and
+                            // reconnect on the retry. Reusing it would
+                            // tear the retry and fail over away from a
+                            // healthy primary.
                             continue;
                         }
                         (s, o) => {
@@ -814,114 +812,9 @@ fn resolve(addr: &str) -> Result<SocketAddr, ClientError> {
         .ok_or_else(|| ClientError::Io(format!("{addr} resolves to nothing")))
 }
 
-fn connect(addr: SocketAddr, timeout_ms: u64) -> Result<TcpStream, ClientError> {
-    let timeout = Duration::from_millis(timeout_ms.max(1));
-    let stream = TcpStream::connect_timeout(&addr, timeout)
-        .map_err(|e| ClientError::Io(format!("connect {addr}: {e}")))?;
-    let _ = stream.set_nodelay(true);
-    stream
-        .set_read_timeout(Some(timeout))
-        .map_err(|e| ClientError::Io(e.to_string()))?;
-    stream
-        .set_write_timeout(Some(timeout))
-        .map_err(|e| ClientError::Io(e.to_string()))?;
-    Ok(stream)
-}
-
-/// One HTTP exchange: write the request, read exactly one response
-/// frame. Any I/O failure or short/unparseable response is an `Err`.
-fn exchange(
-    stream: &mut TcpStream,
-    method: &str,
-    path: &str,
-    body: &str,
-    timeout_ms: u64,
-    auth_token: Option<&str>,
-) -> std::io::Result<(u16, String)> {
-    let auth = match auth_token {
-        Some(token) => format!("Authorization: Bearer {token}\r\n"),
-        None => String::new(),
-    };
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: geoind\r\nContent-Type: application/json\r\n{auth}Content-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes())?;
-    read_response(stream, timeout_ms)
-}
-
-fn read_response(stream: &mut TcpStream, timeout_ms: u64) -> std::io::Result<(u16, String)> {
-    use std::io::{Error, ErrorKind};
-    let deadline = Instant::now() + Duration::from_millis(timeout_ms.max(1));
-    let mut pending: Vec<u8> = Vec::new();
-    let mut buf = [0u8; 4096];
-    loop {
-        if let Some((status, body_text)) = try_parse_response(&pending)? {
-            return Ok((status, body_text));
-        }
-        if Instant::now() >= deadline {
-            return Err(Error::new(ErrorKind::TimedOut, "response deadline"));
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => return Err(Error::new(ErrorKind::UnexpectedEof, "torn response")),
-            Ok(n) => pending.extend_from_slice(&buf[..n]),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-fn try_parse_response(pending: &[u8]) -> std::io::Result<Option<(u16, String)>> {
-    use std::io::{Error, ErrorKind};
-    let Some(head_end) = pending.windows(4).position(|w| w == b"\r\n\r\n") else {
-        return Ok(None);
-    };
-    let head = std::str::from_utf8(&pending[..head_end])
-        .map_err(|_| Error::new(ErrorKind::InvalidData, "non-utf8 head"))?;
-    let mut lines = head.split("\r\n");
-    let status_line = lines
-        .next()
-        .ok_or_else(|| Error::new(ErrorKind::InvalidData, "empty head"))?;
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| Error::new(ErrorKind::InvalidData, "bad status line"))?;
-    let mut content_length = 0usize;
-    for line in lines {
-        if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| Error::new(ErrorKind::InvalidData, "bad content-length"))?;
-            }
-        }
-    }
-    let total = head_end + 4 + content_length;
-    if pending.len() < total {
-        return Ok(None);
-    }
-    let body = std::str::from_utf8(&pending[head_end + 4..total])
-        .map_err(|_| Error::new(ErrorKind::InvalidData, "non-utf8 body"))?;
-    Ok(Some((status, body.to_string())))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn response_parser_handles_split_and_exact_frames() {
-        let full = b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\nabcd";
-        // Incomplete prefixes parse to None, the full frame parses once.
-        for cut in 0..full.len() {
-            let parsed = try_parse_response(&full[..cut]).unwrap();
-            assert!(parsed.is_none(), "cut={cut}");
-        }
-        let (status, body) = try_parse_response(full).unwrap().unwrap();
-        assert_eq!((status, body.as_str()), (200, "abcd"));
-    }
 
     #[test]
     fn load_report_log_line_format_is_pinned() {

@@ -51,6 +51,7 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod client;
+pub(crate) mod http;
 pub mod journal;
 pub(crate) mod json;
 pub mod ledger;

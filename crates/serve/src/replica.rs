@@ -56,14 +56,13 @@
 //! keeps the records pending and retries, because no promotion has
 //! actually happened.
 
+use crate::http::{self, Conn};
 use crate::journal::{self, JournalError};
 use crate::json::Json;
 use crate::ledger::SpendError;
 use crate::shard::ShardedLedger;
 use geoind_testkit::failpoint;
 use std::collections::VecDeque;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -584,29 +583,26 @@ impl Shipper {
     /// full batch but drops the connection before reading the ack (the
     /// follower applies, the retransmit dedups by sequence).
     fn post_replicate(&self, peer: &str, body: &[u8]) -> Result<String, String> {
-        let mut stream = connect(peer, self.config.timeout_ms)?;
-        let auth = match self.config.auth_token.as_deref() {
-            Some(token) => format!("Authorization: Bearer {token}\r\n"),
-            None => String::new(),
-        };
-        let head = format!(
-            "POST /replicate HTTP/1.1\r\nHost: geoind\r\nContent-Type: application/octet-stream\r\n{auth}Content-Length: {}\r\n\r\n",
-            body.len()
+        let mut conn =
+            Conn::open(peer, self.config.timeout_ms).map_err(|e| format!("connect {peer}: {e}"))?;
+        let request = http::request(
+            "POST",
+            "/replicate",
+            "application/octet-stream",
+            self.config.auth_token.as_deref(),
+            body,
         );
-        let mut request = head.into_bytes();
-        request.extend_from_slice(body);
         if failpoint::hit("serve.repl.ship_torn") {
-            let torn = request.len() / 2;
-            let _ = stream.write_all(&request[..torn]);
+            let _ = conn.send(&request[..request.len() / 2]);
             return Err("ship torn (failpoint)".into());
         }
-        stream
-            .write_all(&request)
+        conn.send(&request)
             .map_err(|e| format!("ship {peer}: {e}"))?;
         if failpoint::hit("serve.repl.ack_lost") {
             return Err("ack lost (failpoint)".into());
         }
-        let (status, answer) = read_response(&mut stream, self.config.timeout_ms)
+        let (status, answer) = conn
+            .read_response()
             .map_err(|e| format!("ack from {peer}: {e}"))?;
         if status != 200 {
             return Err(format!("/replicate answered {status}"));
@@ -814,95 +810,22 @@ pub fn register_with_primary(
     timeout_ms: u64,
 ) -> Result<(), String> {
     let body = Json::Obj(vec![("addr".into(), Json::Str(self_addr.into()))]).render();
-    let auth = match auth_token {
-        Some(token) => format!("Authorization: Bearer {token}\r\n"),
-        None => String::new(),
-    };
-    let request = format!(
-        "POST /follow HTTP/1.1\r\nHost: geoind\r\nContent-Type: application/json\r\n{auth}Content-Length: {}\r\n\r\n{body}",
-        body.len()
+    let request = http::request(
+        "POST",
+        "/follow",
+        "application/json",
+        auth_token,
+        body.as_bytes(),
     );
-    let mut stream = connect(primary, timeout_ms)?;
-    stream
-        .write_all(request.as_bytes())
+    let mut conn =
+        Conn::open(primary, timeout_ms).map_err(|e| format!("connect {primary}: {e}"))?;
+    conn.send(&request)
         .map_err(|e| format!("follow {primary}: {e}"))?;
-    let (status, answer) = read_response(&mut stream, timeout_ms)?;
+    let (status, answer) = conn.read_response().map_err(|e| e.to_string())?;
     if status != 200 {
         return Err(format!("/follow answered {status}: {answer}"));
     }
     Ok(())
-}
-
-fn connect(addr: &str, timeout_ms: u64) -> Result<TcpStream, String> {
-    let timeout = Duration::from_millis(timeout_ms.max(1));
-    let sock: SocketAddr = addr
-        .to_socket_addrs()
-        .map_err(|e| format!("cannot resolve {addr}: {e}"))?
-        .next()
-        .ok_or_else(|| format!("{addr} resolves to nothing"))?;
-    let stream =
-        TcpStream::connect_timeout(&sock, timeout).map_err(|e| format!("connect {addr}: {e}"))?;
-    let _ = stream.set_nodelay(true);
-    stream
-        .set_read_timeout(Some(timeout))
-        .map_err(|e| e.to_string())?;
-    stream
-        .set_write_timeout(Some(timeout))
-        .map_err(|e| e.to_string())?;
-    Ok(stream)
-}
-
-/// Read exactly one HTTP response (status + body) within the timeout.
-fn read_response(stream: &mut TcpStream, timeout_ms: u64) -> Result<(u16, String), String> {
-    let deadline = Instant::now() + Duration::from_millis(timeout_ms.max(1));
-    let mut pending: Vec<u8> = Vec::new();
-    let mut buf = [0u8; 4096];
-    loop {
-        if let Some(parsed) = parse_response(&pending)? {
-            return Ok(parsed);
-        }
-        if Instant::now() >= deadline {
-            return Err("response deadline".into());
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => return Err("torn response".into()),
-            Ok(n) => pending.extend_from_slice(&buf[..n]),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.to_string()),
-        }
-    }
-}
-
-fn parse_response(pending: &[u8]) -> Result<Option<(u16, String)>, String> {
-    let Some(head_end) = pending.windows(4).position(|w| w == b"\r\n\r\n") else {
-        return Ok(None);
-    };
-    let head =
-        std::str::from_utf8(&pending[..head_end]).map_err(|_| "non-utf8 head".to_string())?;
-    let mut lines = head.split("\r\n");
-    let status: u16 = lines
-        .next()
-        .and_then(|l| l.split(' ').nth(1))
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| "bad status line".to_string())?;
-    let mut content_length = 0usize;
-    for line in lines {
-        if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| "bad content-length".to_string())?;
-            }
-        }
-    }
-    let total = head_end + 4 + content_length;
-    if pending.len() < total {
-        return Ok(None);
-    }
-    let body = std::str::from_utf8(&pending[head_end + 4..total])
-        .map_err(|_| "non-utf8 body".to_string())?;
-    Ok(Some((status, body.to_string())))
 }
 
 #[cfg(test)]

@@ -144,7 +144,7 @@ impl std::error::Error for SubmitError {}
 
 #[derive(Debug, Default)]
 struct ServeCounters {
-    served_by_tier: [AtomicU64; 3],
+    served_by_tier: [AtomicU64; 2],
     refused_budget: AtomicU64,
     expired: AtomicU64,
     shed: AtomicU64,
@@ -158,19 +158,18 @@ struct ServeCounters {
 
 impl ServeCounters {
     /// Snapshot, folding in the ladder's channel-certification counters
-    /// and the sharded ledger's repair accounting so one report line
-    /// carries the whole serving story.
+    /// and the sharded ledger's repair and fold accounting so one report
+    /// line carries the whole serving story.
     fn snapshot(
         &self,
         ladder: &geoind_core::DegradationReport,
         ledger: &ShardedLedger,
     ) -> ServeReport {
         ServeReport {
-            served_by_tier: [
-                self.served_by_tier[0].load(Ordering::Relaxed),
-                self.served_by_tier[1].load(Ordering::Relaxed),
-                self.served_by_tier[2].load(Ordering::Relaxed),
-            ],
+            served_by_tier: self
+                .served_by_tier
+                .each_ref()
+                .map(|n| n.load(Ordering::Relaxed)),
             refused_budget: self.refused_budget.load(Ordering::Relaxed),
             expired: self.expired.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
@@ -195,6 +194,8 @@ impl ServeCounters {
             scavenged: ledger.scavenged_records(),
             abandoned: ledger.abandoned_repairs(),
             unaccounted_shards: ledger.unaccounted_shards(),
+            folds: ledger.folds(),
+            fold_faults: ledger.fold_faults(),
         }
     }
 }
@@ -203,7 +204,7 @@ impl ServeCounters {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeReport {
     /// Requests served, indexed by [`Tier::index`].
-    pub served_by_tier: [u64; 3],
+    pub served_by_tier: [u64; 2],
     /// Requests refused because the user's budget was exhausted.
     pub refused_budget: u64,
     /// Requests whose deadline expired before sampling.
@@ -278,6 +279,13 @@ pub struct ServeReport {
     /// right now (quarantined/scavenging/failed — excluded from
     /// [`Self::total`]).
     pub unaccounted_shards: u64,
+    /// Snapshot folds committed across shards, background and checkpoint
+    /// alike (excluded from [`Self::total`]).
+    pub folds: u64,
+    /// Background folds that failed; spends are still served, but the
+    /// shard's WAL grows until a fold succeeds (excluded from
+    /// [`Self::total`]).
+    pub fold_faults: u64,
 }
 
 impl ServeReport {
@@ -305,16 +313,15 @@ impl ServeReport {
     }
 
     /// Stable single-line form for machine-scraped logs. The format is
-    /// pinned by tests; extend it only by appending new `key=value`
-    /// fields.
+    /// pinned by tests. New `key=value` fields are appended; a key is
+    /// removed only together with the thing it counts.
     pub fn log_line(&self) -> String {
         format!(
-            "serve total={} served={} optimal={} per-level={} flat={} refused={} expired={} shed={} journal-fault={} repaired={} quarantined={} dedup={} sampled_flat={} shed_net={} torn={} drained={} refused_shard={} disk_full={} repaired_shards={} scavenged={} abandoned={} unaccounted_shards={} replica_lag={} fenced={} idem_evicted={} unauthorized={}",
+            "serve total={} served={} optimal={} per-level={} refused={} expired={} shed={} journal-fault={} repaired={} quarantined={} dedup={} sampled_flat={} shed_net={} torn={} drained={} refused_shard={} disk_full={} repaired_shards={} scavenged={} abandoned={} unaccounted_shards={} replica_lag={} fenced={} idem_evicted={} unauthorized={} folds={} fold_faults={}",
             self.total(),
             self.served(),
             self.served_by_tier[0],
             self.served_by_tier[1],
-            self.served_by_tier[2],
             self.refused_budget,
             self.expired,
             self.shed,
@@ -336,6 +343,8 @@ impl ServeReport {
             self.fenced,
             self.idem_evicted,
             self.unauthorized,
+            self.folds,
+            self.fold_faults,
         )
     }
 }
@@ -350,8 +359,8 @@ impl std::fmt::Display for ServeReport {
         )?;
         writeln!(
             f,
-            "  tiers: optimal={} per-level-laplace={} flat-laplace={}",
-            self.served_by_tier[0], self.served_by_tier[1], self.served_by_tier[2]
+            "  tiers: optimal={} per-level-laplace={}",
+            self.served_by_tier[0], self.served_by_tier[1]
         )?;
         writeln!(
             f,
@@ -370,13 +379,15 @@ impl std::fmt::Display for ServeReport {
         )?;
         writeln!(
             f,
-            "  shards: refused_shard={} disk_full={} repaired_shards={} scavenged={} abandoned={} unaccounted={}",
+            "  shards: refused_shard={} disk_full={} repaired_shards={} scavenged={} abandoned={} unaccounted={} folds={} fold_faults={}",
             self.refused_shard,
             self.disk_full,
             self.repaired_shards,
             self.scavenged,
             self.abandoned,
-            self.unaccounted_shards
+            self.unaccounted_shards,
+            self.folds,
+            self.fold_faults
         )?;
         write!(
             f,
@@ -1076,7 +1087,7 @@ mod tests {
         let outcome = server.shutdown();
         outcome.checkpoint.expect("checkpoint");
         let report = outcome.report;
-        assert_eq!(report.served_by_tier, [3, 0, 0]);
+        assert_eq!(report.served_by_tier, [3, 0]);
         assert_eq!(report.refused_budget, 1);
         assert_eq!(report.expired, 1);
         assert_eq!(report.total(), 5);
@@ -1090,7 +1101,7 @@ mod tests {
     #[test]
     fn serve_report_log_line_format_is_pinned() {
         let report = ServeReport {
-            served_by_tier: [40, 2, 1],
+            served_by_tier: [40, 2],
             refused_budget: 5,
             expired: 3,
             shed: 2,
@@ -1112,19 +1123,26 @@ mod tests {
             scavenged: 9,
             abandoned: 1,
             unaccounted_shards: 1,
+            folds: 12,
+            fold_faults: 2,
         };
         assert_eq!(
             report.log_line(),
-            "serve total=72 served=43 optimal=40 per-level=2 flat=1 refused=5 expired=3 shed=2 journal-fault=1 repaired=4 quarantined=1 dedup=6 sampled_flat=40 shed_net=2 torn=1 drained=3 refused_shard=7 disk_full=2 repaired_shards=1 scavenged=9 abandoned=1 unaccounted_shards=1 replica_lag=2 fenced=1 idem_evicted=5 unauthorized=3"
+            "serve total=71 served=42 optimal=40 per-level=2 refused=5 expired=3 shed=2 journal-fault=1 repaired=4 quarantined=1 dedup=6 sampled_flat=40 shed_net=2 torn=1 drained=3 refused_shard=7 disk_full=2 repaired_shards=1 scavenged=9 abandoned=1 unaccounted_shards=1 replica_lag=2 fenced=1 idem_evicted=5 unauthorized=3 folds=12 fold_faults=2"
         );
         let display = report.to_string();
-        assert!(display.contains("72 total"), "{display}");
+        assert!(display.contains("71 total"), "{display}");
+        assert!(
+            display.contains("optimal=40 per-level-laplace=2\n"),
+            "{display}"
+        );
         assert!(display.contains("journal-fault=1"), "{display}");
         assert!(display.contains("shed_net=2 torn=1 drained=3"), "{display}");
         assert!(
             display.contains("refused_shard=7 disk_full=2 repaired_shards=1"),
             "{display}"
         );
+        assert!(display.contains("folds=12 fold_faults=2"), "{display}");
         assert!(
             display.contains("replica_lag=2 fenced=1 idem_evicted=5 unauthorized=3"),
             "{display}"

@@ -3,7 +3,8 @@
 //!
 //! ## Wire format
 //!
-//! Three endpoints, all JSON bodies:
+//! Eight endpoints. Every body is JSON except `/replicate`'s binary
+//! batch; the framing itself lives in [`crate::http`].
 //!
 //! * `POST /protect` — one request object
 //!   `{"user":7,"id":3,"x":1.0,"y":2.0}` or an array of them (an array
@@ -66,6 +67,7 @@
 //! and only then snapshots the final [`ServeReport`] — so the report
 //! reconciles exactly with what clients observed.
 
+use crate::http;
 use crate::json::Json;
 use crate::server::{Request, Response, ServeConfig, ServeReport, Server, SubmitError};
 use crate::shard::ShardedLedger;
@@ -547,7 +549,7 @@ fn accept_loop(shared: &Arc<WireShared>, listener: TcpListener) {
 fn refuse_connection(mut stream: TcpStream) {
     let body = r#"{"status":"too_many_connections"}"#;
     let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
-    let _ = stream.write_all(render_http(503, body).as_bytes());
+    let _ = stream.write_all(http::response(503, body).as_bytes());
 }
 
 /// One parsed HTTP frame.
@@ -578,105 +580,67 @@ enum ReadOutcome {
 fn read_frame(stream: &mut TcpStream, pending: &mut Vec<u8>, max_body: usize) -> ReadOutcome {
     let mut buf = [0u8; 4096];
     loop {
-        match try_extract_frame(pending, max_body) {
-            Extract::Frame(frame) => return ReadOutcome::Request(frame),
-            Extract::Bad => return ReadOutcome::BadHead,
-            Extract::TooLarge => return ReadOutcome::TooLarge,
-            Extract::Need => {}
+        if let Some(outcome) = try_extract_frame(pending, max_body) {
+            return outcome;
         }
-        match stream.read(&mut buf) {
-            Ok(0) => {
-                return if pending.is_empty() {
-                    ReadOutcome::Closed
-                } else {
-                    ReadOutcome::Torn
-                };
+        // With no frame in progress a deadline means idle and an EOF or
+        // error a close; mid-frame, either tears the request.
+        let stopped = match stream.read(&mut buf) {
+            Ok(0) => ReadOutcome::Closed,
+            Ok(n) => {
+                pending.extend_from_slice(&buf[..n]);
+                continue;
             }
-            Ok(n) => pending.extend_from_slice(&buf[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                return if pending.is_empty() {
-                    ReadOutcome::Idle
-                } else {
-                    ReadOutcome::Torn
-                };
+                ReadOutcome::Idle
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                return if pending.is_empty() {
-                    ReadOutcome::Closed
-                } else {
-                    ReadOutcome::Torn
-                };
-            }
-        }
+            Err(_) => ReadOutcome::Closed,
+        };
+        return if pending.is_empty() {
+            stopped
+        } else {
+            ReadOutcome::Torn
+        };
     }
 }
 
-enum Extract {
-    Frame(Frame),
-    Need,
-    Bad,
-    TooLarge,
-}
-
-fn try_extract_frame(pending: &mut Vec<u8>, max_body: usize) -> Extract {
-    let Some(head_end) = pending.windows(4).position(|w| w == b"\r\n\r\n") else {
+/// Cut the next complete frame off the front of `pending`; `None` while
+/// more bytes are needed.
+fn try_extract_frame(pending: &mut Vec<u8>, max_body: usize) -> Option<ReadOutcome> {
+    let head = match http::parse_head(pending) {
+        Ok(Some(head)) => head,
         // Bound the head: a peer streaming garbage without ever sending
         // CRLFCRLF must not grow the buffer unboundedly.
-        if pending.len() > max_body + 4096 {
-            return Extract::Bad;
-        }
-        return Extract::Need;
+        Ok(None) if pending.len() <= max_body + 4096 => return None,
+        Ok(None) | Err(_) => return Some(ReadOutcome::BadHead),
     };
-    let Ok(head) = std::str::from_utf8(&pending[..head_end]) else {
-        return Extract::Bad;
-    };
-    let mut lines = head.split("\r\n");
-    let Some(request_line) = lines.next() else {
-        return Extract::Bad;
-    };
-    let mut parts = request_line.split(' ');
+    let mut parts = head.start.split(' ');
     let (Some(method), Some(path)) = (parts.next(), parts.next()) else {
-        return Extract::Bad;
+        return Some(ReadOutcome::BadHead);
     };
     if method.is_empty() || path.is_empty() {
-        return Extract::Bad;
+        return Some(ReadOutcome::BadHead);
     }
-    let mut content_length = 0usize;
-    let mut auth = None;
-    for line in lines {
-        if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                match value.trim().parse::<usize>() {
-                    Ok(n) => content_length = n,
-                    Err(_) => return Extract::Bad,
-                }
-            } else if name.eq_ignore_ascii_case("authorization") {
-                auth = Some(value.trim().to_string());
-            }
-        }
+    if head.content_length > max_body {
+        return Some(ReadOutcome::TooLarge);
     }
-    if content_length > max_body {
-        return Extract::TooLarge;
-    }
-    let total = head_end + 4 + content_length;
+    let total = head.body_at + head.content_length;
     if pending.len() < total {
-        return Extract::Need;
+        return None;
     }
-    let method = method.to_string();
-    let path = path.to_string();
-    let body = pending[head_end + 4..total].to_vec();
+    let frame = Frame {
+        method: method.to_string(),
+        path: path.to_string(),
+        auth: head.auth.map(str::to_string),
+        body: pending[head.body_at..total].to_vec(),
+    };
     // Keep any pipelined follow-on bytes for the next frame.
     pending.drain(..total);
-    Extract::Frame(Frame {
-        method,
-        path,
-        auth,
-        body,
-    })
+    Some(ReadOutcome::Request(frame))
 }
 
 /// Constant-time bearer-token check: the comparison XOR-folds every
@@ -699,23 +663,6 @@ fn authorized(header: Option<&str>, token: &str) -> bool {
         diff |= x ^ y;
     }
     diff == 0
-}
-
-fn render_http(status: u16, body: &str) -> String {
-    let reason = match status {
-        200 => "OK",
-        400 => "Bad Request",
-        401 => "Unauthorized",
-        404 => "Not Found",
-        413 => "Payload Too Large",
-        500 => "Internal Server Error",
-        503 => "Service Unavailable",
-        _ => "Unknown",
-    };
-    format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n{body}",
-        body.len()
-    )
 }
 
 fn handle_connection(shared: &Arc<WireShared>, mut stream: TcpStream) {
@@ -754,13 +701,14 @@ fn handle_connection(shared: &Arc<WireShared>, mut stream: TcpStream) {
             }
             ReadOutcome::TooLarge => {
                 shared.shed_net.fetch_add(1, Ordering::Relaxed);
-                let _ = stream.write_all(render_http(413, r#"{"status":"too_large"}"#).as_bytes());
+                let _ =
+                    stream.write_all(http::response(413, r#"{"status":"too_large"}"#).as_bytes());
                 break;
             }
             ReadOutcome::BadHead => {
                 shared.shed_net.fetch_add(1, Ordering::Relaxed);
                 let _ =
-                    stream.write_all(render_http(400, r#"{"status":"bad_request"}"#).as_bytes());
+                    stream.write_all(http::response(400, r#"{"status":"bad_request"}"#).as_bytes());
                 break;
             }
             ReadOutcome::Request(frame) => {
@@ -784,7 +732,7 @@ fn handle_connection(shared: &Arc<WireShared>, mut stream: TcpStream) {
                     // must see readiness without holding the secret.
                     if frame.path != "/healthz" && !authorized(frame.auth.as_deref(), token) {
                         shared.unauthorized.fetch_add(1, Ordering::Relaxed);
-                        let rendered = render_http(401, r#"{"status":"unauthorized"}"#);
+                        let rendered = http::response(401, r#"{"status":"unauthorized"}"#);
                         if stream.write_all(rendered.as_bytes()).is_err() {
                             shared.torn.fetch_add(1, Ordering::Relaxed);
                             break;
@@ -794,7 +742,7 @@ fn handle_connection(shared: &Arc<WireShared>, mut stream: TcpStream) {
                 }
                 let is_protect = frame.method == "POST" && frame.path == "/protect";
                 let (status, body) = dispatch(shared, &frame);
-                let rendered = render_http(status, &body);
+                let rendered = http::response(status, &body);
                 if is_protect && failpoint::hit("serve.net.write_short") {
                     // The outcome (and any spend) is already journaled
                     // and parked in the idempotency table; cut the
@@ -1218,14 +1166,8 @@ fn report_body(shared: &Arc<WireShared>) -> String {
             "unaccounted_shards".into(),
             Json::Num(report.unaccounted_shards as f64),
         ),
-        (
-            "folds".into(),
-            Json::Num(shared.server.ledger().folds() as f64),
-        ),
-        (
-            "fold_faults".into(),
-            Json::Num(shared.server.ledger().fold_faults() as f64),
-        ),
+        ("folds".into(), Json::Num(report.folds as f64)),
+        ("fold_faults".into(), Json::Num(report.fold_faults as f64)),
         ("replica_lag".into(), Json::Num(report.replica_lag as f64)),
         ("fenced".into(), Json::Num(report.fenced as f64)),
         ("idem_evicted".into(), Json::Num(report.idem_evicted as f64)),

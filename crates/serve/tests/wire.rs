@@ -385,6 +385,45 @@ fn connections_beyond_the_cap_are_shed_with_an_explicit_503() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The server closes a connection right after refusing it at the accept
+/// cap. A loadgen that reused it would tear its retry, read the tear as
+/// primary loss, and promote the standby away from a healthy primary.
+#[test]
+fn connection_cap_refusals_never_fail_over_from_a_healthy_primary() {
+    let _guard = NET_FAULTS.lock().unwrap_or_else(|e| e.into_inner());
+    failpoint::reset_global();
+    let primary_dir = temp_dir("cap-primary");
+    let standby_dir = temp_dir("cap-standby");
+    let standby = start_follower(&standby_dir, 100.0);
+    let primary = WireServer::start(
+        mechanism(),
+        sharded(&primary_dir, 100.0, 4),
+        Arc::new(SystemClock),
+        WireConfig {
+            max_connections: 1,
+            ..wire_config()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("bind primary");
+    let report = run_load(&ClientConfig {
+        connections: 3,
+        failover: Some(standby.local_addr().to_string()),
+        ..client_config(primary.local_addr(), 30)
+    })
+    .expect("capped load reconciles");
+    assert_eq!(report.served, 30);
+    assert_eq!(report.torn_seen, 0, "a refused connection was reused");
+    assert!(!report.failed_over, "failed over from a healthy primary");
+    assert!(standby.standby(), "the standby was promoted");
+    let outcome = primary.shutdown();
+    assert_eq!(outcome.report.served(), 30);
+    assert!(outcome.report.shed_net >= 1, "the cap refused nothing");
+    standby.shutdown();
+    std::fs::remove_dir_all(&primary_dir).ok();
+    std::fs::remove_dir_all(&standby_dir).ok();
+}
+
 #[test]
 fn failed_shard_refuses_over_the_wire_while_healthy_shards_serve() {
     let _guard = NET_FAULTS.lock().unwrap_or_else(|e| e.into_inner());
@@ -978,7 +1017,8 @@ fn report_count(report: &str, key: &str) -> u64 {
 }
 
 /// Background snapshot folds are visible to an operator: `/report`
-/// counts them as they commit, with no fault among them.
+/// counts them as they commit, with no fault among them, and the final
+/// report and its log line carry the same counters.
 #[test]
 fn report_counts_background_folds() {
     let _guard = NET_FAULTS.lock().unwrap_or_else(|e| e.into_inner());
@@ -1012,8 +1052,24 @@ fn report_counts_background_folds() {
             break;
         }
     }
-    assert!(report_count(&report, "folds") > 0, "{report}");
+    let folded = report_count(&report, "folds");
+    assert!(folded > 0, "{report}");
     assert_eq!(report_count(&report, "fold_faults"), 0, "{report}");
-    server.shutdown().checkpoint.expect("checkpoint");
+    // `/report` renders its fields and its log line from one snapshot.
+    assert!(
+        report.contains(&format!(" folds={folded} fold_faults=0")),
+        "{report}"
+    );
+    let outcome = server.shutdown();
+    outcome.checkpoint.expect("checkpoint");
+    let last = outcome.report;
+    assert!(last.folds >= folded, "{last:?}");
+    assert_eq!(last.fold_faults, 0, "{last:?}");
+    assert!(
+        last.log_line()
+            .ends_with(&format!(" folds={} fold_faults=0", last.folds)),
+        "{}",
+        last.log_line()
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -24,6 +24,12 @@ echo "== cargo clippy (production configuration: failpoints compiled out)"
 # failpoint::hit() is a constant false and GEOIND_FAILPOINTS is inert.
 cargo clippy --workspace --offline -- -D warnings
 
+echo "== cargo check benchmark/ (the repository benchmark builds against this API)"
+# benchmark/ is a workspace of its own, so nothing above compiles it; a
+# public-API change that breaks it would otherwise surface only as a
+# failed benchmark run. Its build output stays under target/.
+cargo check --offline --manifest-path benchmark/Cargo.toml --target-dir target/benchmark
+
 echo "== cargo build --workspace --release --offline"
 cargo build --workspace --release --offline
 
