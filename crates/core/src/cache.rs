@@ -31,6 +31,7 @@
 //! schedules in the resilience suite depend on this accounting.
 
 use crate::MechanismError;
+use geoind_rng::fnv1a64;
 use geoind_spatial::hier::LevelCell;
 use geoind_testkit::failpoint;
 use std::collections::HashMap;
@@ -41,17 +42,6 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 /// worker fan-out (`--jobs`) off a single lock, small enough that a full
 /// snapshot stays cheap.
 const SHARDS: usize = 16;
-
-/// FNV-1a 64-bit over the key's canonical little-endian bytes — the same
-/// dependency-free hash the offline cache format uses for checksums.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// A cache key that knows its canonical byte representation (for shard
 /// selection; must be stable across runs so shard layout is deterministic).

@@ -56,6 +56,7 @@ use crate::channel::Channel;
 use crate::msm::MsmMechanism;
 use crate::MechanismError;
 use geoind_lp::simplex::Basis;
+use geoind_rng::fnv1a64;
 use geoind_spatial::geom::Point;
 use geoind_spatial::hier::LevelCell;
 use geoind_testkit::failpoint;
@@ -69,17 +70,6 @@ const MAGIC: &[u8; 8] = b"GEOINDCH";
 const MAGIC_V1: &[u8; 8] = b"GEOIND01";
 /// Current format version.
 const FORMAT_VERSION: u32 = 2;
-
-/// FNV-1a 64-bit — tiny, dependency-free, and plenty for corruption
-/// detection (this is an integrity check, not an authenticity check).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn corrupt(section: impl Into<String>, detail: impl Into<String>) -> MechanismError {
     MechanismError::CacheCorrupt {

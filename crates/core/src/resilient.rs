@@ -74,9 +74,6 @@ pub enum Tier {
 }
 
 impl Tier {
-    /// All tiers, best first.
-    pub const ALL: [Tier; 2] = [Tier::Optimal, Tier::PerLevelLaplace];
-
     /// Ladder position: 0 is the optimal tier.
     pub fn index(self) -> usize {
         match self {
@@ -184,45 +181,40 @@ impl DegradationReport {
         self.served_by_tier[1]
     }
 
-    /// Stable single-line log form, `key=value` separated by single
-    /// spaces. The format is pinned by a test — operators grep and parse
-    /// these lines, so changing it is a breaking change.
+    /// Every count, named as in the log line: the single list each
+    /// rendering of this report is generated from.
+    pub fn counters(&self) -> [(&'static str, u64); 8] {
+        [
+            ("optimal", self.served_by_tier[0]),
+            ("per_level", self.served_by_tier[1]),
+            ("total", self.total()),
+            ("degraded", self.degraded()),
+            ("repaired", self.served_repaired),
+            ("quarantined", self.quarantined),
+            ("dedup", self.dedup_suppressed),
+            ("sampled_flat", self.sampled_flat),
+        ]
+    }
+
+    /// Stable single-line log form: `degradation`, then `key=value` for
+    /// each entry of [`Self::counters`]. The format is pinned by a test —
+    /// operators grep and parse these lines, so changing it is a
+    /// breaking change.
     pub fn log_line(&self) -> String {
-        format!(
-            "degradation optimal={} per-level={} total={} degraded={} \
-             repaired={} quarantined={} dedup={} sampled_flat={}",
-            self.served_by_tier[0],
-            self.served_by_tier[1],
-            self.total(),
-            self.degraded(),
-            self.served_repaired,
-            self.quarantined,
-            self.dedup_suppressed,
-            self.sampled_flat,
-        )
+        let fields: String = self
+            .counters()
+            .iter()
+            .map(|(name, value)| format!(" {name}={value}"))
+            .collect();
+        format!("degradation{fields}")
     }
 }
 
 impl std::fmt::Display for DegradationReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "# degradation report")?;
-        for tier in Tier::ALL {
-            writeln!(
-                f,
-                "#   served by {tier:<17}: {}",
-                self.served_by_tier[tier.index()]
-            )?;
-        }
-        write!(f, "#   total: {}", self.total())?;
-        write!(
-            f,
-            "\n#   served via repaired channels: {}\n#   quarantined: {}\
-             \n#   duplicate fills suppressed: {}\
-             \n#   served by the fused flattened walk: {}",
-            self.served_repaired, self.quarantined, self.dedup_suppressed, self.sampled_flat
-        )?;
+        write!(f, "{}", self.log_line())?;
         if let Some(fault) = &self.last_fault {
-            write!(f, "\n#   last fault: {fault}")?;
+            write!(f, "\n# last fault: {fault}")?;
         }
         Ok(())
     }
@@ -527,16 +519,16 @@ mod tests {
             quarantined: 1,
             dedup_suppressed: 2,
             sampled_flat: 9,
-            last_fault: Some("irrelevant to the log line".into()),
+            last_fault: Some("lp budget exhausted".into()),
         };
         assert_eq!(
             report.log_line(),
-            "degradation optimal=40 per-level=2 total=42 degraded=2 \
+            "degradation optimal=40 per_level=2 total=42 degraded=2 \
              repaired=5 quarantined=1 dedup=2 sampled_flat=9"
         );
-        assert!(
-            !report.log_line().contains('\n'),
-            "log form must stay single-line"
+        assert_eq!(
+            report.to_string(),
+            format!("{}\n# last fault: lp budget exhausted", report.log_line())
         );
     }
 

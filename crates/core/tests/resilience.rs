@@ -228,7 +228,7 @@ fn quarantined_channel_forces_descent_and_is_counted() {
     assert_eq!(report.served_repaired, 0, "nothing was served from tier 0");
     assert_eq!(
         report.log_line(),
-        format!("degradation optimal=0 per-level={n} total={n} degraded={n} repaired=0 quarantined={n} dedup=0 sampled_flat=0")
+        format!("degradation optimal=0 per_level={n} total={n} degraded={n} repaired=0 quarantined={n} dedup=0 sampled_flat=0")
     );
     let fault = report.last_fault.expect("no fault recorded");
     assert!(fault.contains("quarantined"), "fault must name it: {fault}");

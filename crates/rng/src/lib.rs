@@ -40,6 +40,21 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// FNV-1a 64-bit: the workspace's one dependency-free byte hash. It
+/// checksums WAL records and snapshots (integrity, not authenticity),
+/// checksums the offline channel bundle, and routes users to ledger
+/// shards and channel-cache keys to cache shards — so its output is
+/// pinned: every one of those depends on it staying the same.
+#[inline]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// A source of uniform randomness.
 ///
 /// The trait is deliberately tiny: everything derives from [`next_u64`].
@@ -261,6 +276,14 @@ mod tests {
         for &e in &expected {
             assert_eq!(rng.next_u64(), e);
         }
+    }
+
+    /// The published FNV-1a 64-bit test vectors.
+    #[test]
+    fn fnv1a64_reference_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     /// Reference vector for SplitMix64 from state 0.

@@ -131,13 +131,14 @@ pub struct LoadReport {
     pub retry_budget_exhausted: u64,
     /// Whether the run re-pointed its load at the failover address.
     pub failed_over: bool,
-    /// Wall-clock for the whole run, seconds.
+    /// Wall-clock for the whole run, seconds, rounded to the ms.
     pub wall_s: f64,
-    /// Terminal outcomes per wall-clock second.
+    /// Terminal outcomes per wall-clock second, rounded to 0.1.
     pub req_per_s: f64,
-    /// Median latency (first send → terminal outcome), milliseconds.
+    /// Median latency (first send → terminal outcome), milliseconds,
+    /// rounded to the µs.
     pub p50_ms: f64,
-    /// 99th-percentile latency, milliseconds.
+    /// 99th-percentile latency, milliseconds, rounded to the µs.
     pub p99_ms: f64,
 }
 
@@ -147,33 +148,81 @@ impl LoadReport {
         self.served + self.refused_budget + self.expired + self.journal_faults
     }
 
-    /// Stable single-line form, mirroring the server's log-line
-    /// discipline (append-only `key=value`).
-    pub fn log_line(&self) -> String {
-        format!(
-            "loadgen total={} served={} refused={} expired={} journal-fault={} retries={} shed_seen={} torn_seen={} server_retried={} wall_s={:.3} req_per_s={:.1} p50_ms={:.2} p99_ms={:.2} shard_unavailable_seen={} disk_full_seen={} shards_ready={} shards_total={} repaired_shards={} retry_budget_exhausted={} failed_over={}",
-            self.total(),
-            self.served,
-            self.refused_budget,
-            self.expired,
-            self.journal_faults,
-            self.retries,
-            self.shed_seen,
-            self.torn_seen,
-            self.server_retried,
-            self.wall_s,
-            self.req_per_s,
-            self.p50_ms,
-            self.p99_ms,
-            self.shard_unavailable_seen,
-            self.disk_full_seen,
-            self.shards_ready,
-            self.shards_total,
-            self.repaired_shards,
-            self.retry_budget_exhausted,
-            self.failed_over,
-        )
+    /// Every field, in log-line order: the single list the log line and
+    /// the `--json-out` artifact are generated from.
+    pub fn counters(&self) -> [(&'static str, Json); 20] {
+        let n = |v: u64| Json::Num(v as f64);
+        [
+            ("total", n(self.total())),
+            ("served", n(self.served)),
+            ("refused", n(self.refused_budget)),
+            ("expired", n(self.expired)),
+            ("journal_faults", n(self.journal_faults)),
+            ("retries", n(self.retries)),
+            ("shed_seen", n(self.shed_seen)),
+            ("torn_seen", n(self.torn_seen)),
+            ("server_retried", n(self.server_retried)),
+            ("wall_s", Json::Num(self.wall_s)),
+            ("req_per_s", Json::Num(self.req_per_s)),
+            ("p50_ms", Json::Num(self.p50_ms)),
+            ("p99_ms", Json::Num(self.p99_ms)),
+            ("shard_unavailable_seen", n(self.shard_unavailable_seen)),
+            ("disk_full_seen", n(self.disk_full_seen)),
+            ("shards_ready", n(self.shards_ready)),
+            ("shards_total", n(self.shards_total)),
+            ("repaired_shards", n(self.repaired_shards)),
+            ("retry_budget_exhausted", n(self.retry_budget_exhausted)),
+            ("failed_over", Json::Bool(self.failed_over)),
+        ]
     }
+
+    /// Stable single-line form, mirroring the server's log-line
+    /// discipline: `loadgen`, then `key=value` for each entry of
+    /// [`Self::counters`].
+    pub fn log_line(&self) -> String {
+        let fields: String = self
+            .counters()
+            .iter()
+            .map(|(name, value)| format!(" {name}={}", value.render()))
+            .collect();
+        format!("loadgen{fields}")
+    }
+
+    /// The benchmark artifact `geoind loadgen --json-out` writes: one
+    /// JSON object line, `label` and `requests` first, then
+    /// [`Self::counters`].
+    pub fn json_artifact(&self, label: &str, requests: u64) -> String {
+        let head = [
+            ("label", Json::Str(label.into())),
+            ("requests", Json::Num(requests as f64)),
+        ];
+        let fields = head
+            .into_iter()
+            .chain(self.counters())
+            .map(|(name, value)| (name.to_string(), value))
+            .collect();
+        format!("{}\n", Json::Obj(fields).render())
+    }
+
+    /// Fold one connection thread's client-side tallies into the run's.
+    fn absorb(&mut self, other: &LoadReport) {
+        self.served += other.served;
+        self.refused_budget += other.refused_budget;
+        self.expired += other.expired;
+        self.journal_faults += other.journal_faults;
+        self.retries += other.retries;
+        self.shed_seen += other.shed_seen;
+        self.torn_seen += other.torn_seen;
+        self.shard_unavailable_seen += other.shard_unavailable_seen;
+        self.disk_full_seen += other.disk_full_seen;
+        self.retry_budget_exhausted += other.retry_budget_exhausted;
+    }
+}
+
+/// `v` rounded to the nearest `1/scale` (`scale` a power of ten), so
+/// every rendering prints the same short value.
+fn rounded(v: f64, scale: f64) -> f64 {
+    (v * scale).round() / scale
 }
 
 /// Why a load run failed. Any of these makes `geoind loadgen` exit
@@ -232,20 +281,6 @@ impl std::fmt::Display for ClientError {
 }
 
 impl std::error::Error for ClientError {}
-
-#[derive(Debug, Default, Clone)]
-struct Tally {
-    served: u64,
-    refused_budget: u64,
-    expired: u64,
-    journal_faults: u64,
-    retries: u64,
-    shed_seen: u64,
-    torn_seen: u64,
-    shard_unavailable_seen: u64,
-    disk_full_seen: u64,
-    retry_budget_exhausted: u64,
-}
 
 /// State every connection thread shares: which endpoint is live and
 /// the global retry-token pool.
@@ -372,7 +407,7 @@ pub fn run_load(config: &ClientConfig) -> Result<LoadReport, ClientError> {
     let connections = config.connections.max(1);
     let users = config.users.max(1);
     let started = Instant::now();
-    let results: Vec<Result<(Tally, Vec<f64>), ClientError>> = std::thread::scope(|s| {
+    let results: Vec<Result<(LoadReport, Vec<f64>), ClientError>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..connections)
             .map(|t| {
                 let config = config.clone();
@@ -390,20 +425,11 @@ pub fn run_load(config: &ClientConfig) -> Result<LoadReport, ClientError> {
     });
     let wall_s = started.elapsed().as_secs_f64();
 
-    let mut tally = Tally::default();
+    let mut report = LoadReport::default();
     let mut latencies = Vec::new();
     for result in results {
-        let (t, mut lat) = result?;
-        tally.served += t.served;
-        tally.refused_budget += t.refused_budget;
-        tally.expired += t.expired;
-        tally.journal_faults += t.journal_faults;
-        tally.retries += t.retries;
-        tally.shed_seen += t.shed_seen;
-        tally.torn_seen += t.torn_seen;
-        tally.shard_unavailable_seen += t.shard_unavailable_seen;
-        tally.disk_full_seen += t.disk_full_seen;
-        tally.retry_budget_exhausted += t.retry_budget_exhausted;
+        let (tally, mut lat) = result?;
+        report.absorb(&tally);
         latencies.append(&mut lat);
     }
     latencies.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
@@ -412,37 +438,16 @@ pub fn run_load(config: &ClientConfig) -> Result<LoadReport, ClientError> {
             return 0.0;
         }
         let idx = ((latencies.len() as f64 - 1.0) * q).round() as usize;
-        latencies[idx.min(latencies.len() - 1)]
+        rounded(latencies[idx.min(latencies.len() - 1)], 1_000.0)
     };
-    let mut report = LoadReport {
-        served: tally.served,
-        refused_budget: tally.refused_budget,
-        expired: tally.expired,
-        journal_faults: tally.journal_faults,
-        retries: tally.retries,
-        shed_seen: tally.shed_seen,
-        torn_seen: tally.torn_seen,
-        server_retried: 0,
-        shard_unavailable_seen: tally.shard_unavailable_seen,
-        disk_full_seen: tally.disk_full_seen,
-        shards_ready: 0,
-        shards_total: 0,
-        repaired_shards: 0,
-        retry_budget_exhausted: tally.retry_budget_exhausted,
-        failed_over: shared.failed_over(),
-        wall_s,
-        req_per_s: if wall_s > 0.0 {
-            tally.served as f64 / wall_s
-        } else {
-            0.0
-        },
-        p50_ms: percentile(0.50),
-        p99_ms: percentile(0.99),
-    };
+    report.failed_over = shared.failed_over();
+    report.wall_s = rounded(wall_s, 1_000.0);
     // req_per_s counts all terminal outcomes, not just serves.
     if wall_s > 0.0 {
-        report.req_per_s = report.total() as f64 / wall_s;
+        report.req_per_s = rounded(report.total() as f64 / wall_s, 10.0);
     }
+    report.p50_ms = percentile(0.50);
+    report.p99_ms = percentile(0.99);
 
     if report.retry_budget_exhausted > 0 {
         // Abandoned requests never reached a terminal outcome, so no
@@ -650,9 +655,9 @@ fn connection_thread(
     users: u64,
     shared: &SharedRun,
     config: &ClientConfig,
-) -> Result<(Tally, Vec<f64>), ClientError> {
+) -> Result<(LoadReport, Vec<f64>), ClientError> {
     let mut rng = SeededRng::from_seed(config.seed.wrapping_add(thread_index as u64));
-    let mut tally = Tally::default();
+    let mut tally = LoadReport::default();
     let mut latencies = Vec::new();
     let mut stream: Option<Conn> = None;
     let max_attempts = config.max_attempts.max(1);
@@ -841,7 +846,7 @@ mod tests {
         };
         assert_eq!(
             report.log_line(),
-            "loadgen total=14 served=10 refused=2 expired=1 journal-fault=1 retries=3 shed_seen=2 torn_seen=1 server_retried=1 wall_s=0.500 req_per_s=28.0 p50_ms=1.25 p99_ms=9.50 shard_unavailable_seen=4 disk_full_seen=2 shards_ready=3 shards_total=4 repaired_shards=1 retry_budget_exhausted=7 failed_over=true"
+            "loadgen total=14 served=10 refused=2 expired=1 journal_faults=1 retries=3 shed_seen=2 torn_seen=1 server_retried=1 wall_s=0.5 req_per_s=28 p50_ms=1.25 p99_ms=9.5 shard_unavailable_seen=4 disk_full_seen=2 shards_ready=3 shards_total=4 repaired_shards=1 retry_budget_exhausted=7 failed_over=true"
         );
     }
 

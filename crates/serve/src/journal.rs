@@ -72,6 +72,7 @@
 //! `tests/crash_replay.rs` proves the invariant holds with a crash forced
 //! at each of them.
 
+use geoind_rng::fnv1a64;
 use geoind_testkit::failpoint;
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -97,20 +98,6 @@ const SNAP_HEADER_LEN: u64 = 44;
 /// holds — bounds the replay allocation exactly like the offline cache
 /// bounds its entry count.
 const MAX_SNAP_ENTRIES: u64 = 50_000_000;
-
-/// FNV-1a 64-bit — the workspace's standard corruption check (integrity,
-/// not authenticity), matching the offline channel-cache format. Also the
-/// shard router's hash ([`crate::shard::shard_of`]): user-to-shard
-/// placement must be stable across restarts, so it reuses the journal's
-/// pinned hash rather than anything process-seeded.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Why a journal operation failed. Every variant is fail-closed: the
 /// caller must refuse the request (or refuse to open), never serve

@@ -67,6 +67,7 @@ pub use journal::{
     atomic_write, is_transient_io, read_fence_gen, scavenge, write_fence_gen, Journal,
     JournalError, RecoveredState, ScavengeReport,
 };
+pub use json::Json;
 pub use ledger::{LedgerConfig, SpendError, SpendLedger};
 pub use replica::{register_with_primary, Applier, Shipper, ShipperConfig};
 pub use server::{

@@ -142,9 +142,11 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
+/// The counts this server keeps itself: the gate outcomes, plus the
+/// wire layer's socket and retry-table counts (which stay 0 for an
+/// in-process [`Server`]). Served counts per tier live in the ladder.
 #[derive(Debug, Default)]
-struct ServeCounters {
-    served_by_tier: [AtomicU64; 2],
+pub(crate) struct ServeCounters {
     refused_budget: AtomicU64,
     expired: AtomicU64,
     shed: AtomicU64,
@@ -154,22 +156,27 @@ struct ServeCounters {
     replica_lag: AtomicU64,
     fenced: AtomicU64,
     drained: AtomicU64,
+    pub(crate) shed_net: AtomicU64,
+    pub(crate) torn: AtomicU64,
+    pub(crate) retried: AtomicU64,
+    pub(crate) idem_evicted: AtomicU64,
+    pub(crate) unauthorized: AtomicU64,
 }
 
 impl ServeCounters {
-    /// Snapshot, folding in the ladder's channel-certification counters
-    /// and the sharded ledger's repair and fold accounting so one report
-    /// line carries the whole serving story.
+    /// Snapshot, folding in the ladder's per-tier and
+    /// channel-certification counters and the sharded ledger's repair
+    /// and fold accounting so one report line carries the whole serving
+    /// story. [`Server::start`] takes the ladder by value, so nothing
+    /// else serves through it: its tier counts are exactly this server's
+    /// serves.
     fn snapshot(
         &self,
         ladder: &geoind_core::DegradationReport,
         ledger: &ShardedLedger,
     ) -> ServeReport {
         ServeReport {
-            served_by_tier: self
-                .served_by_tier
-                .each_ref()
-                .map(|n| n.load(Ordering::Relaxed)),
+            served_by_tier: ladder.served_by_tier,
             refused_budget: self.refused_budget.load(Ordering::Relaxed),
             expired: self.expired.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
@@ -178,13 +185,15 @@ impl ServeCounters {
             disk_full: self.disk_full.load(Ordering::Relaxed),
             replica_lag: self.replica_lag.load(Ordering::Relaxed),
             fenced: self.fenced.load(Ordering::Relaxed),
-            // Wire-layer telemetry: the in-process server never sees a
-            // socket, so these stay 0 until a WireServer folds in its own
-            // accept/read accounting.
-            shed_net: 0,
-            torn: 0,
-            idem_evicted: 0,
-            unauthorized: 0,
+            shed_net: self.shed_net.load(Ordering::Relaxed),
+            torn: self.torn.load(Ordering::Relaxed),
+            retried: self.retried.load(Ordering::Relaxed),
+            idem_evicted: self.idem_evicted.load(Ordering::Relaxed),
+            unauthorized: self.unauthorized.load(Ordering::Relaxed),
+            // The follower's applier owns these; the wire layer folds
+            // them in.
+            replica_applied: 0,
+            replica_deduped: 0,
             drained: self.drained.load(Ordering::Relaxed),
             repaired: ladder.served_repaired,
             quarantined: ladder.quarantined,
@@ -245,6 +254,16 @@ pub struct ServeReport {
     /// was journaled (retryable — the idempotency table replays the
     /// outcome). Always 0 for an in-process [`Server`].
     pub torn: u64,
+    /// Idempotent replays served from the wire layer's retry table
+    /// (telemetry, not an outcome — excluded from [`Self::total`];
+    /// always 0 for an in-process [`Server`]).
+    pub retried: u64,
+    /// On a follower: replicated spend records durably applied
+    /// (excluded from [`Self::total`]; 0 on a primary).
+    pub replica_applied: u64,
+    /// On a follower: retransmitted replication records skipped by
+    /// sequence dedup (excluded from [`Self::total`]; 0 on a primary).
+    pub replica_deduped: u64,
     /// Requests that were still queued when shutdown began and were
     /// gated/served during the graceful drain (a subset of the terminal
     /// outcomes above — excluded from [`Self::total`]).
@@ -312,88 +331,55 @@ impl ServeReport {
             + self.unauthorized
     }
 
-    /// Stable single-line form for machine-scraped logs. The format is
-    /// pinned by tests. New `key=value` fields are appended; a key is
-    /// removed only together with the thing it counts.
-    pub fn log_line(&self) -> String {
-        format!(
-            "serve total={} served={} optimal={} per-level={} refused={} expired={} shed={} journal-fault={} repaired={} quarantined={} dedup={} sampled_flat={} shed_net={} torn={} drained={} refused_shard={} disk_full={} repaired_shards={} scavenged={} abandoned={} unaccounted_shards={} replica_lag={} fenced={} idem_evicted={} unauthorized={} folds={} fold_faults={}",
-            self.total(),
-            self.served(),
-            self.served_by_tier[0],
-            self.served_by_tier[1],
-            self.refused_budget,
-            self.expired,
-            self.shed,
-            self.journal_faults,
-            self.repaired,
-            self.quarantined,
-            self.dedup,
-            self.sampled_flat,
-            self.shed_net,
-            self.torn,
-            self.drained,
-            self.refused_shard,
-            self.disk_full,
-            self.repaired_shards,
-            self.scavenged,
-            self.abandoned,
-            self.unaccounted_shards,
-            self.replica_lag,
-            self.fenced,
-            self.idem_evicted,
-            self.unauthorized,
-            self.folds,
-            self.fold_faults,
-        )
+    /// Every count, in log-line order: the single list each rendering
+    /// of this report (the log line, `GET /report`) is generated from.
+    /// Tests pin the order; a name is removed only together with the
+    /// thing it counts.
+    pub fn counters(&self) -> [(&'static str, u64); 30] {
+        [
+            ("total", self.total()),
+            ("served", self.served()),
+            ("optimal", self.served_by_tier[0]),
+            ("per_level", self.served_by_tier[1]),
+            ("refused_budget", self.refused_budget),
+            ("expired", self.expired),
+            ("shed", self.shed),
+            ("journal_faults", self.journal_faults),
+            ("repaired", self.repaired),
+            ("quarantined", self.quarantined),
+            ("dedup", self.dedup),
+            ("sampled_flat", self.sampled_flat),
+            ("shed_net", self.shed_net),
+            ("torn", self.torn),
+            ("drained", self.drained),
+            ("refused_shard", self.refused_shard),
+            ("disk_full", self.disk_full),
+            ("repaired_shards", self.repaired_shards),
+            ("scavenged", self.scavenged),
+            ("abandoned", self.abandoned),
+            ("unaccounted_shards", self.unaccounted_shards),
+            ("replica_lag", self.replica_lag),
+            ("fenced", self.fenced),
+            ("idem_evicted", self.idem_evicted),
+            ("unauthorized", self.unauthorized),
+            ("retried", self.retried),
+            ("replica_applied", self.replica_applied),
+            ("replica_deduped", self.replica_deduped),
+            ("folds", self.folds),
+            ("fold_faults", self.fold_faults),
+        ]
     }
-}
 
-impl std::fmt::Display for ServeReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "requests: {} total, {} served",
-            self.total(),
-            self.served()
-        )?;
-        writeln!(
-            f,
-            "  tiers: optimal={} per-level-laplace={}",
-            self.served_by_tier[0], self.served_by_tier[1]
-        )?;
-        writeln!(
-            f,
-            "  refused: budget={} expired={} shed={} journal-fault={}",
-            self.refused_budget, self.expired, self.shed, self.journal_faults
-        )?;
-        writeln!(
-            f,
-            "  certification: repaired={} quarantined={} dedup={} sampled_flat={}",
-            self.repaired, self.quarantined, self.dedup, self.sampled_flat
-        )?;
-        writeln!(
-            f,
-            "  wire: shed_net={} torn={} drained={}",
-            self.shed_net, self.torn, self.drained
-        )?;
-        writeln!(
-            f,
-            "  shards: refused_shard={} disk_full={} repaired_shards={} scavenged={} abandoned={} unaccounted={} folds={} fold_faults={}",
-            self.refused_shard,
-            self.disk_full,
-            self.repaired_shards,
-            self.scavenged,
-            self.abandoned,
-            self.unaccounted_shards,
-            self.folds,
-            self.fold_faults
-        )?;
-        write!(
-            f,
-            "  replica: replica_lag={} fenced={} idem_evicted={} unauthorized={}",
-            self.replica_lag, self.fenced, self.idem_evicted, self.unauthorized
-        )
+    /// Stable single-line form for machine-scraped logs: `serve`, then
+    /// `key=value` for each entry of [`Self::counters`]. The format is
+    /// pinned by tests.
+    pub fn log_line(&self) -> String {
+        let fields: String = self
+            .counters()
+            .iter()
+            .map(|(name, value)| format!(" {name}={value}"))
+            .collect();
+        format!("serve{fields}")
     }
 }
 
@@ -515,19 +501,15 @@ impl Server {
         )
     }
 
-    /// Degradation counters of the underlying ladder.
-    pub fn degradation_report(&self) -> geoind_core::DegradationReport {
-        self.shared.mechanism.degradation_report()
+    /// The counters the wire layer adds its socket and retry-table
+    /// counts to.
+    pub(crate) fn counters(&self) -> &ServeCounters {
+        &self.shared.counters
     }
 
     /// Total ε spent across all users this epoch (healthy shards).
     pub fn ledger_total_spent(&self) -> f64 {
         self.shared.ledger.total_spent()
-    }
-
-    /// Number of users with recorded spend this epoch (healthy shards).
-    pub fn ledger_users(&self) -> usize {
-        self.shared.ledger.users()
     }
 
     /// Ledger shards that failed recovery and are refusing their users
@@ -720,11 +702,10 @@ fn handle_batch(shared: &Shared, jobs: Vec<Job>, rng: &mut SeededRng) {
     for (job, outcome) in gated {
         let response = outcome.unwrap_or_else(|| {
             let (point, tier) = served.next().expect("one sample per admitted request");
-            shared.counters.served_by_tier[tier.index()].fetch_add(1, Ordering::Relaxed);
             Response::Served { point, tier }
         });
         // The submitter may have dropped the receiver; the outcome is
-        // still counted above.
+        // still counted (the ladder counts every serve).
         let _ = job.reply.send(response);
     }
 }
@@ -1114,6 +1095,9 @@ mod tests {
             unauthorized: 3,
             shed_net: 2,
             torn: 1,
+            retried: 4,
+            replica_applied: 8,
+            replica_deduped: 2,
             drained: 3,
             repaired: 4,
             quarantined: 1,
@@ -1128,24 +1112,7 @@ mod tests {
         };
         assert_eq!(
             report.log_line(),
-            "serve total=71 served=42 optimal=40 per-level=2 refused=5 expired=3 shed=2 journal-fault=1 repaired=4 quarantined=1 dedup=6 sampled_flat=40 shed_net=2 torn=1 drained=3 refused_shard=7 disk_full=2 repaired_shards=1 scavenged=9 abandoned=1 unaccounted_shards=1 replica_lag=2 fenced=1 idem_evicted=5 unauthorized=3 folds=12 fold_faults=2"
-        );
-        let display = report.to_string();
-        assert!(display.contains("71 total"), "{display}");
-        assert!(
-            display.contains("optimal=40 per-level-laplace=2\n"),
-            "{display}"
-        );
-        assert!(display.contains("journal-fault=1"), "{display}");
-        assert!(display.contains("shed_net=2 torn=1 drained=3"), "{display}");
-        assert!(
-            display.contains("refused_shard=7 disk_full=2 repaired_shards=1"),
-            "{display}"
-        );
-        assert!(display.contains("folds=12 fold_faults=2"), "{display}");
-        assert!(
-            display.contains("replica_lag=2 fenced=1 idem_evicted=5 unauthorized=3"),
-            "{display}"
+            "serve total=71 served=42 optimal=40 per_level=2 refused_budget=5 expired=3 shed=2 journal_faults=1 repaired=4 quarantined=1 dedup=6 sampled_flat=40 shed_net=2 torn=1 drained=3 refused_shard=7 disk_full=2 repaired_shards=1 scavenged=9 abandoned=1 unaccounted_shards=1 replica_lag=2 fenced=1 idem_evicted=5 unauthorized=3 retried=4 replica_applied=8 replica_deduped=2 folds=12 fold_faults=2"
         );
     }
 

@@ -45,10 +45,10 @@
 //! recovered spend is never less than the spend of requests actually
 //! served — and refusing an unhealthy shard's users is what keeps it.
 
-use crate::journal::{self, fnv1a64, JournalError};
+use crate::journal::{self, JournalError};
 use crate::ledger::{LedgerConfig, SpendError, SpendLedger};
 use crate::replica::Shipper;
-use geoind_rng::{Rng, SeededRng};
+use geoind_rng::{fnv1a64, Rng, SeededRng};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -169,13 +169,21 @@ pub enum RepairMode {
 }
 
 impl RepairMode {
-    /// Parse the CLI grammar `auto|manual|off`.
+    /// Parse the CLI grammar `auto|manual|off`: the mode whose
+    /// [`Self::name`] is `s`.
     pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "auto" => Ok(Self::Auto),
-            "manual" => Ok(Self::Manual),
-            "off" => Ok(Self::Off),
-            other => Err(format!("unknown repair mode {other:?} (auto|manual|off)")),
+        [Self::Auto, Self::Manual, Self::Off]
+            .into_iter()
+            .find(|mode| mode.name() == s)
+            .ok_or_else(|| format!("unknown repair mode {s:?} (auto|manual|off)"))
+    }
+
+    /// The mode's CLI name, as [`Self::parse`] reads it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::Auto => "auto",
+            Self::Manual => "manual",
+            Self::Off => "off",
         }
     }
 }
@@ -984,6 +992,14 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
         std::fs::write(&snap, &bytes).unwrap();
+    }
+
+    #[test]
+    fn repair_mode_names_parse_back() {
+        for mode in [RepairMode::Auto, RepairMode::Manual, RepairMode::Off] {
+            assert_eq!(RepairMode::parse(mode.name()), Ok(mode));
+        }
+        assert!(RepairMode::parse("sometimes").is_err());
     }
 
     #[test]

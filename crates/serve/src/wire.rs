@@ -19,8 +19,10 @@
 //!   instead of spending again. A `shard_unavailable`/`disk_full`
 //!   refusal releases the key — the retry re-attempts against the
 //!   (possibly repaired) shard rather than replaying the refusal.
-//! * `GET /report` — counters snapshot plus the pinned
-//!   [`ServeReport::log_line`]; control traffic, not counted.
+//! * `GET /report` — every entry of [`ServeReport::counters`], then
+//!   the state that is not a count (`standby`, `fence_gen`,
+//!   `failed_shards`), then the pinned [`ServeReport::log_line`];
+//!   control traffic, not counted.
 //! * `GET /healthz` — readiness: `200` while every ledger shard serves
 //!   (ready or probation), `503` with per-state counts and repair
 //!   progress while any shard is quarantined, scavenging, or failed.
@@ -69,6 +71,7 @@
 
 use crate::http;
 use crate::json::Json;
+use crate::replica::Applier;
 use crate::server::{Request, Response, ServeConfig, ServeReport, Server, SubmitError};
 use crate::shard::ShardedLedger;
 use geoind_core::ResilientMechanism;
@@ -271,15 +274,10 @@ impl IdemTable {
 
 struct WireShared {
     server: Server,
-    applier: crate::replica::Applier,
+    applier: Applier,
     clock: Arc<dyn Clock>,
     draining: AtomicBool,
     shutdown_requested: AtomicBool,
-    shed_net: AtomicU64,
-    torn: AtomicU64,
-    retried: AtomicU64,
-    idem_evicted: AtomicU64,
-    unauthorized: AtomicU64,
     active_connections: AtomicU64,
     idem: Mutex<IdemTable>,
     handlers: Mutex<Vec<JoinHandle<()>>>,
@@ -306,14 +304,14 @@ impl std::fmt::Debug for WireServer {
 /// What a graceful [`WireServer::shutdown`] left behind.
 #[derive(Debug)]
 pub struct WireShutdownOutcome {
-    /// Final counters with the wire-level `shed_net`/`torn` folded in —
+    /// Final counters, the follower-side replication counts folded in —
     /// this is the report clients reconcile against.
     pub report: ServeReport,
     /// The degradation ladder's per-tier accounting.
     pub degradation: geoind_core::DegradationReport,
     /// Outcome of the final per-shard ledger checkpoint.
     pub checkpoint: Result<(), crate::journal::JournalError>,
-    /// Idempotent replays served from the retry table.
+    /// Idempotent replays served from the retry table (`report.retried`).
     pub retried: u64,
 }
 
@@ -333,7 +331,7 @@ impl WireServer {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let applier = crate::replica::Applier::new(&ledger, config.standby);
+        let applier = Applier::new(&ledger, config.standby);
         let server = Server::start(mechanism, ledger, Arc::clone(&clock), config.serve);
         let shared = Arc::new(WireShared {
             server,
@@ -341,11 +339,6 @@ impl WireServer {
             clock,
             draining: AtomicBool::new(false),
             shutdown_requested: AtomicBool::new(false),
-            shed_net: AtomicU64::new(0),
-            torn: AtomicU64::new(0),
-            retried: AtomicU64::new(0),
-            idem_evicted: AtomicU64::new(0),
-            unauthorized: AtomicU64::new(0),
             active_connections: AtomicU64::new(0),
             idem: Mutex::new(IdemTable::new()),
             handlers: Mutex::new(Vec::new()),
@@ -372,14 +365,9 @@ impl WireServer {
         self.shared.shutdown_requested.load(Ordering::Relaxed)
     }
 
-    /// Counters so far, with wire-level `shed_net`/`torn` folded in.
+    /// Counters so far, the follower-side replication counts folded in.
     pub fn report(&self) -> ServeReport {
-        self.shared.report()
-    }
-
-    /// Idempotent replays served from the retry table so far.
-    pub fn retried(&self) -> u64 {
-        self.shared.retried.load(Ordering::Relaxed)
+        with_applier(self.shared.server.report(), &self.shared.applier)
     }
 
     /// Live idempotency-table entries (test/ops visibility for the
@@ -452,49 +440,37 @@ impl WireServer {
             // can exist.
             unreachable!("wire shared state still referenced after joining all threads");
         };
-        let shed_net = shared.shed_net.load(Ordering::Relaxed);
-        let torn = shared.torn.load(Ordering::Relaxed);
-        let retried = shared.retried.load(Ordering::Relaxed);
-        let idem_evicted = shared.idem_evicted.load(Ordering::Relaxed);
-        let unauthorized = shared.unauthorized.load(Ordering::Relaxed);
-        let fenced_nacks = shared.applier.fenced_total();
         // Ship any still-pending replication records before the journals
         // close: a graceful drain must leave the follower caught up.
         if let Some(shipper) = shared.server.ledger().shipper() {
             shipper.flush_all();
         }
         let inner = shared.server.shutdown();
-        let mut report = inner.report;
-        report.shed_net = shed_net;
-        report.torn = torn;
-        report.idem_evicted = idem_evicted;
-        report.unauthorized = unauthorized;
-        report.fenced += fenced_nacks;
+        let report = with_applier(inner.report, &shared.applier);
         WireShutdownOutcome {
             report,
             degradation: inner.degradation,
             checkpoint: inner.checkpoint,
-            retried,
+            retried: report.retried,
         }
     }
 }
 
-impl WireShared {
-    fn report(&self) -> ServeReport {
-        let mut report = self.server.report();
-        report.shed_net = self.shed_net.load(Ordering::Relaxed);
-        report.torn = self.torn.load(Ordering::Relaxed);
-        report.idem_evicted = self.idem_evicted.load(Ordering::Relaxed);
-        report.unauthorized = self.unauthorized.load(Ordering::Relaxed);
-        // `fenced` folds both sides of the fence: spends the gate
-        // refused because the local shipper is fenced, and stale-
-        // generation batches this applier nacked.
-        report.fenced += self.applier.fenced_total();
-        report
-    }
+/// The one place the applier's counts — owned by the follower side —
+/// join the server's: `GET /report`, [`WireServer::report`] and
+/// [`WireServer::shutdown`] all report through it.
+fn with_applier(mut report: ServeReport, applier: &Applier) -> ServeReport {
+    // `fenced` folds both sides of the fence: spends the gate refused
+    // because the local shipper is fenced, and stale-generation batches
+    // this applier nacked.
+    report.fenced += applier.fenced_total();
+    report.replica_applied = applier.applied_total();
+    report.replica_deduped = applier.deduped_total();
+    report
 }
 
 fn accept_loop(shared: &Arc<WireShared>, listener: TcpListener) {
+    let counters = shared.server.counters();
     loop {
         if shared.draining.load(Ordering::SeqCst) {
             return;
@@ -512,7 +488,7 @@ fn accept_loop(shared: &Arc<WireShared>, listener: TcpListener) {
                     // Injected accept fault: the connection vanishes
                     // before a byte is read — the client sees a reset
                     // and retries.
-                    shared.shed_net.fetch_add(1, Ordering::Relaxed);
+                    counters.shed_net.fetch_add(1, Ordering::Relaxed);
                     drop(stream);
                     continue;
                 }
@@ -521,7 +497,7 @@ fn accept_loop(shared: &Arc<WireShared>, listener: TcpListener) {
                     // Over the accept cap: explicit counted refusal,
                     // never a hang. Best-effort write; the shed is
                     // counted either way.
-                    shared.shed_net.fetch_add(1, Ordering::Relaxed);
+                    counters.shed_net.fetch_add(1, Ordering::Relaxed);
                     refuse_connection(stream);
                     continue;
                 }
@@ -666,6 +642,7 @@ fn authorized(header: Option<&str>, token: &str) -> bool {
 }
 
 fn handle_connection(shared: &Arc<WireShared>, mut stream: TcpStream) {
+    let counters = shared.server.counters();
     let _ = stream.set_nodelay(true);
     let read_timeout = Duration::from_millis(shared.config.read_timeout_ms.max(1));
     let _ = stream.set_read_timeout(Some(read_timeout));
@@ -696,17 +673,17 @@ fn handle_connection(shared: &Arc<WireShared>, mut stream: TcpStream) {
             ReadOutcome::Closed => break,
             ReadOutcome::Torn => {
                 // Cut mid-frame: nothing was parsed, no budget burned.
-                shared.torn.fetch_add(1, Ordering::Relaxed);
+                counters.torn.fetch_add(1, Ordering::Relaxed);
                 break;
             }
             ReadOutcome::TooLarge => {
-                shared.shed_net.fetch_add(1, Ordering::Relaxed);
+                counters.shed_net.fetch_add(1, Ordering::Relaxed);
                 let _ =
                     stream.write_all(http::response(413, r#"{"status":"too_large"}"#).as_bytes());
                 break;
             }
             ReadOutcome::BadHead => {
-                shared.shed_net.fetch_add(1, Ordering::Relaxed);
+                counters.shed_net.fetch_add(1, Ordering::Relaxed);
                 let _ =
                     stream.write_all(http::response(400, r#"{"status":"bad_request"}"#).as_bytes());
                 break;
@@ -716,7 +693,7 @@ fn handle_connection(shared: &Arc<WireShared>, mut stream: TcpStream) {
                 if failpoint::hit("serve.net.read_torn") {
                     // The frame arrived but is treated as torn before any
                     // parse or gate: a torn request burns no budget.
-                    shared.torn.fetch_add(1, Ordering::Relaxed);
+                    counters.torn.fetch_add(1, Ordering::Relaxed);
                     break;
                 }
                 if failpoint::hit("serve.net.stall") {
@@ -724,17 +701,17 @@ fn handle_connection(shared: &Arc<WireShared>, mut stream: TcpStream) {
                     // connection until the read deadline would have
                     // fired, then drop it without a response.
                     std::thread::sleep(read_timeout);
-                    shared.torn.fetch_add(1, Ordering::Relaxed);
+                    counters.torn.fetch_add(1, Ordering::Relaxed);
                     break;
                 }
                 if let Some(token) = shared.config.auth_token.as_deref() {
                     // `/healthz` stays open: probes and orchestrators
                     // must see readiness without holding the secret.
                     if frame.path != "/healthz" && !authorized(frame.auth.as_deref(), token) {
-                        shared.unauthorized.fetch_add(1, Ordering::Relaxed);
+                        counters.unauthorized.fetch_add(1, Ordering::Relaxed);
                         let rendered = http::response(401, r#"{"status":"unauthorized"}"#);
                         if stream.write_all(rendered.as_bytes()).is_err() {
-                            shared.torn.fetch_add(1, Ordering::Relaxed);
+                            counters.torn.fetch_add(1, Ordering::Relaxed);
                             break;
                         }
                         continue;
@@ -750,11 +727,11 @@ fn handle_connection(shared: &Arc<WireShared>, mut stream: TcpStream) {
                     // retry replays, it does not spend again.
                     let half = rendered.len() / 2;
                     let _ = stream.write_all(&rendered.as_bytes()[..half]);
-                    shared.torn.fetch_add(1, Ordering::Relaxed);
+                    counters.torn.fetch_add(1, Ordering::Relaxed);
                     break;
                 }
                 if stream.write_all(rendered.as_bytes()).is_err() {
-                    shared.torn.fetch_add(1, Ordering::Relaxed);
+                    counters.torn.fetch_add(1, Ordering::Relaxed);
                     break;
                 }
             }
@@ -765,6 +742,7 @@ fn handle_connection(shared: &Arc<WireShared>, mut stream: TcpStream) {
 
 /// Rate-limited TTL sweep of the retry table, driven from idle ticks.
 fn sweep_idem(shared: &Arc<WireShared>) {
+    let counters = shared.server.counters();
     if shared.config.idem_ttl_ms == 0 {
         return;
     }
@@ -777,18 +755,19 @@ fn sweep_idem(shared: &Arc<WireShared>) {
     let ttl_nanos = shared.config.idem_ttl_ms.saturating_mul(1_000_000);
     let evicted = idem.sweep(now, ttl_nanos);
     if evicted > 0 {
-        shared.idem_evicted.fetch_add(evicted, Ordering::Relaxed);
+        counters.idem_evicted.fetch_add(evicted, Ordering::Relaxed);
     }
 }
 
 fn dispatch(shared: &Arc<WireShared>, frame: &Frame) -> (u16, String) {
+    let counters = shared.server.counters();
     match (frame.method.as_str(), frame.path.as_str()) {
         ("POST", "/protect") => {
             if shared.applier.standby() {
                 // A warm standby never spends on its own: clients that
                 // find it before promotion get a counted, retryable
                 // refusal (their failover logic decides what next).
-                shared.shed_net.fetch_add(1, Ordering::Relaxed);
+                counters.shed_net.fetch_add(1, Ordering::Relaxed);
                 (503, r#"{"status":"standby"}"#.to_string())
             } else {
                 dispatch_protect(shared, &frame.body)
@@ -865,10 +844,11 @@ fn dispatch_follow(shared: &Arc<WireShared>, body: &[u8]) -> (u16, String) {
 }
 
 fn dispatch_protect(shared: &Arc<WireShared>, body: &[u8]) -> (u16, String) {
+    let counters = shared.server.counters();
     let text = match std::str::from_utf8(body) {
         Ok(t) => t,
         Err(_) => {
-            shared.shed_net.fetch_add(1, Ordering::Relaxed);
+            counters.shed_net.fetch_add(1, Ordering::Relaxed);
             return (
                 400,
                 r#"{"status":"bad_request","detail":"body is not utf-8"}"#.into(),
@@ -878,7 +858,7 @@ fn dispatch_protect(shared: &Arc<WireShared>, body: &[u8]) -> (u16, String) {
     let parsed = match Json::parse(text) {
         Ok(v) => v,
         Err(e) => {
-            shared.shed_net.fetch_add(1, Ordering::Relaxed);
+            counters.shed_net.fetch_add(1, Ordering::Relaxed);
             let detail = Json::Str(format!("bad json: {e}")).render();
             return (
                 400,
@@ -916,8 +896,9 @@ enum SubmitOutcome {
 }
 
 fn submit_one(shared: &Arc<WireShared>, item: &Json) -> SubmitOutcome {
+    let counters = shared.server.counters();
     let Some(user) = item.get("user").and_then(Json::as_u64) else {
-        shared.shed_net.fetch_add(1, Ordering::Relaxed);
+        counters.shed_net.fetch_add(1, Ordering::Relaxed);
         return SubmitOutcome::Terminal(
             400,
             r#"{"status":"bad_request","detail":"missing user"}"#.into(),
@@ -927,7 +908,7 @@ fn submit_one(shared: &Arc<WireShared>, item: &Json) -> SubmitOutcome {
         item.get("x").and_then(Json::as_f64),
         item.get("y").and_then(Json::as_f64),
     ) else {
-        shared.shed_net.fetch_add(1, Ordering::Relaxed);
+        counters.shed_net.fetch_add(1, Ordering::Relaxed);
         return SubmitOutcome::Terminal(
             400,
             r#"{"status":"bad_request","detail":"missing x/y"}"#.into(),
@@ -942,7 +923,7 @@ fn submit_one(shared: &Arc<WireShared>, item: &Json) -> SubmitOutcome {
                 // outcome verbatim; the gate is not consulted and no
                 // budget is spent — at-most-once server-side.
                 let body = body.clone();
-                shared.retried.fetch_add(1, Ordering::Relaxed);
+                counters.retried.fetch_add(1, Ordering::Relaxed);
                 return SubmitOutcome::Terminal(200, body);
             }
             Some(IdemState::Pending) => {
@@ -987,6 +968,7 @@ fn submit_one(shared: &Arc<WireShared>, item: &Json) -> SubmitOutcome {
 }
 
 fn settle_one(shared: &Arc<WireShared>, outcome: SubmitOutcome) -> (u16, String) {
+    let counters = shared.server.counters();
     match outcome {
         SubmitOutcome::Terminal(status, body) => (status, body),
         SubmitOutcome::InFlight(rx, key) => match rx.recv() {
@@ -1016,7 +998,7 @@ fn settle_one(shared: &Arc<WireShared>, outcome: SubmitOutcome) -> (u16, String)
                             shared.config.idem_max_per_user,
                         );
                         if evicted > 0 {
-                            shared.idem_evicted.fetch_add(evicted, Ordering::Relaxed);
+                            counters.idem_evicted.fetch_add(evicted, Ordering::Relaxed);
                         }
                     }
                 }
@@ -1116,7 +1098,7 @@ fn healthz_body(shared: &Arc<WireShared>) -> (u16, String) {
 }
 
 fn report_body(shared: &Arc<WireShared>) -> String {
-    let report = shared.report();
+    let report = with_applier(shared.server.report(), &shared.applier);
     let failed: Vec<Json> = shared
         .server
         .failed_shards()
@@ -1128,68 +1110,19 @@ fn report_body(shared: &Arc<WireShared>) -> String {
             ])
         })
         .collect();
-    Json::Obj(vec![
-        ("total".into(), Json::Num(report.total() as f64)),
-        ("served".into(), Json::Num(report.served() as f64)),
-        (
-            "served_by_tier".into(),
-            Json::Arr(
-                report
-                    .served_by_tier
-                    .iter()
-                    .map(|&n| Json::Num(n as f64))
-                    .collect(),
-            ),
-        ),
-        (
-            "refused_budget".into(),
-            Json::Num(report.refused_budget as f64),
-        ),
-        ("expired".into(), Json::Num(report.expired as f64)),
-        ("shed".into(), Json::Num(report.shed as f64)),
-        (
-            "journal_faults".into(),
-            Json::Num(report.journal_faults as f64),
-        ),
-        (
-            "refused_shard".into(),
-            Json::Num(report.refused_shard as f64),
-        ),
-        ("disk_full".into(), Json::Num(report.disk_full as f64)),
-        (
-            "repaired_shards".into(),
-            Json::Num(report.repaired_shards as f64),
-        ),
-        ("scavenged".into(), Json::Num(report.scavenged as f64)),
-        ("abandoned".into(), Json::Num(report.abandoned as f64)),
-        (
-            "unaccounted_shards".into(),
-            Json::Num(report.unaccounted_shards as f64),
-        ),
-        ("folds".into(), Json::Num(report.folds as f64)),
-        ("fold_faults".into(), Json::Num(report.fold_faults as f64)),
-        ("replica_lag".into(), Json::Num(report.replica_lag as f64)),
-        ("fenced".into(), Json::Num(report.fenced as f64)),
-        ("idem_evicted".into(), Json::Num(report.idem_evicted as f64)),
-        ("unauthorized".into(), Json::Num(report.unauthorized as f64)),
+    let mut fields: Vec<(String, Json)> = report
+        .counters()
+        .iter()
+        .map(|&(name, value)| (name.into(), Json::Num(value as f64)))
+        .collect();
+    fields.extend([
         ("standby".into(), Json::Bool(shared.applier.standby())),
         (
             "fence_gen".into(),
             Json::Num(shared.applier.fence_gen() as f64),
         ),
-        (
-            "replica_applied".into(),
-            Json::Num(shared.applier.applied_total() as f64),
-        ),
-        ("shed_net".into(), Json::Num(report.shed_net as f64)),
-        ("torn".into(), Json::Num(report.torn as f64)),
-        ("drained".into(), Json::Num(report.drained as f64)),
-        (
-            "retried".into(),
-            Json::Num(shared.retried.load(Ordering::Relaxed) as f64),
-        ),
         ("failed_shards".into(), Json::Arr(failed)),
         ("log_line".into(), Json::Str(report.log_line())),
-    ])
-    .render()
+    ]);
+    Json::Obj(fields).render()
 }

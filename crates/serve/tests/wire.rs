@@ -18,7 +18,7 @@ use geoind_serve::ledger::LedgerConfig;
 use geoind_serve::replica::{register_with_primary, Shipper, ShipperConfig};
 use geoind_serve::shard::{shard_of, ShardedLedger};
 use geoind_serve::wire::{WireConfig, WireServer};
-use geoind_serve::{ServeConfig, SpendLedger};
+use geoind_serve::{Json, ServeConfig, SpendLedger};
 use geoind_spatial::geom::BBox;
 use geoind_testkit::clock::SystemClock;
 use geoind_testkit::failpoint::{self, FailSpec};
@@ -1071,5 +1071,74 @@ fn report_counts_background_folds() {
         "{}",
         last.log_line()
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `GET /report` and its embedded log line are both rendered from
+/// `ServeReport::counters`: every `(name, value)` appears in each, the
+/// JSON's counts come first and in list order, and none is missing from
+/// either rendering.
+#[test]
+fn report_and_its_log_line_carry_every_counter() {
+    let _guard = NET_FAULTS.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = temp_dir("counters");
+    // The cap fits exactly two reports per user.
+    let server = start_server(&dir, 2.0 * EPS);
+    let addr = server.local_addr();
+    for id in 0..2 {
+        let response = raw_exchange(addr, &protect_request(4, id));
+        assert!(response.contains(r#""status":"served""#), "{response}");
+    }
+    let refused = raw_exchange(addr, &protect_request(4, 2));
+    assert!(refused.contains("budget_exhausted"), "{refused}");
+    let replay = raw_exchange(addr, &protect_request(4, 0));
+    assert!(replay.contains(r#""status":"served""#), "{replay}");
+
+    let response = raw_exchange(addr, "GET /report HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
+    let (_, body) = response.split_once("\r\n\r\n").expect("a framed response");
+    let parsed = Json::parse(body).expect("/report is JSON");
+    let Json::Obj(fields) = &parsed else {
+        panic!("/report is not an object: {body}");
+    };
+    let log_line = parsed
+        .get("log_line")
+        .and_then(Json::as_str)
+        .expect("/report carries its log line");
+    let tokens: Vec<&str> = log_line.split(' ').collect();
+    let report = server.report();
+    let counters = report.counters();
+    for (name, value) in counters {
+        assert_eq!(
+            parsed.get(name).and_then(Json::as_u64),
+            Some(value),
+            "/report {name}: {body}"
+        );
+        assert!(
+            tokens.contains(&format!("{name}={value}").as_str()),
+            "log line {name}={value}: {log_line}"
+        );
+    }
+    let names: Vec<&str> = fields.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(
+        names[..counters.len()],
+        counters.map(|(name, _)| name),
+        "/report lists the counts first, in list order"
+    );
+    assert_eq!(
+        tokens.len(),
+        counters.len() + 1,
+        "the log line is its prefix and the list: {log_line}"
+    );
+    assert_eq!(
+        (
+            report.served(),
+            report.refused_budget,
+            report.retried,
+            report.total()
+        ),
+        (2, 1, 1, 3)
+    );
+    assert_eq!(report.sampled_flat, 2, "{log_line}");
+    server.shutdown().checkpoint.expect("checkpoint");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -207,6 +207,11 @@ for fp in serve.repl.ship_torn serve.repl.ack_lost serve.repl.stale_gen; do
     grep -q "replica_lag=" "$REPL_P_LOG" || {
         echo "primary report missing replication counters"; cat "$REPL_P_LOG"; exit 1;
     }
+    # The primary serves a spend only after the follower acks it, so the
+    # follower's final line must count applied records.
+    grep "^serve " "$REPL_F_LOG" | grep -Eq "replica_applied=[1-9]" || {
+        echo "follower applied no replicated records"; cat "$REPL_F_LOG"; exit 1;
+    }
 done
 
 echo "== failover drill (kill -9 the primary mid-load; fenced revival proven)"

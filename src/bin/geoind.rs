@@ -585,11 +585,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     println!(
         "# ledger: {} ({shards} shards, epoch {epoch}, cap {cap} eps/user, {eps} eps/request, repair {})",
         dir.display(),
-        match repair {
-            RepairMode::Auto => "auto",
-            RepairMode::Manual => "manual",
-            RepairMode::Off => "off",
-        }
+        repair.name()
     );
 
     let clock: Arc<dyn Clock> = Arc::new(SystemClock);
@@ -723,11 +719,10 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     outcome
         .checkpoint
         .map_err(|e| format!("final ledger checkpoint: {e}"))?;
-    println!("{}", outcome.report);
     println!("{}", outcome.report.log_line());
-    println!("{}", outcome.degradation);
-    println!("{}", outcome.degradation.log_line());
-    println!("# idempotent replays served: {}", outcome.retried);
+    if let Some(fault) = &outcome.degradation.last_fault {
+        println!("# last fault: {fault}");
+    }
     if ephemeral {
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -782,38 +777,8 @@ fn cmd_loadgen(flags: &Flags) -> Result<(), String> {
     );
     if let Some(path) = flags.get("json-out") {
         let label = flags.get("label").map(String::as_str).unwrap_or("loadgen");
-        let json = format!(
-            concat!(
-                "{{\"label\":\"{}\",\"requests\":{},\"served\":{},\"refused\":{},",
-                "\"expired\":{},\"journal_faults\":{},\"retries\":{},\"shed_seen\":{},",
-                "\"torn_seen\":{},\"server_retried\":{},\"wall_s\":{},\"req_per_s\":{},",
-                "\"p50_ms\":{},\"p99_ms\":{},\"shard_unavailable_seen\":{},",
-                "\"disk_full_seen\":{},\"shards_ready\":{},\"shards_total\":{},",
-                "\"repaired_shards\":{},\"retry_budget_exhausted\":{},\"failed_over\":{}}}\n"
-            ),
-            label,
-            config.requests,
-            report.served,
-            report.refused_budget,
-            report.expired,
-            report.journal_faults,
-            report.retries,
-            report.shed_seen,
-            report.torn_seen,
-            report.server_retried,
-            report.wall_s,
-            report.req_per_s,
-            report.p50_ms,
-            report.p99_ms,
-            report.shard_unavailable_seen,
-            report.disk_full_seen,
-            report.shards_ready,
-            report.shards_total,
-            report.repaired_shards,
-            report.retry_budget_exhausted,
-            report.failed_over,
-        );
-        std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
+        std::fs::write(path, report.json_artifact(label, config.requests))
+            .map_err(|e| format!("writing {path}: {e}"))?;
     }
     Ok(())
 }
@@ -889,7 +854,7 @@ COMMON FLAGS
   --window W         austin (default) or vegas, for --gowalla and --lat/--lon
   --seed S           RNG seed (default 42)
   --resilience R     on|off (default off): serve through the degradation
-                     ladder (MSM/OPT -> per-level Laplace -> flat Laplace)
-                     and print a served_by_tier degradation report"
+                     ladder (MSM/OPT -> per-level Laplace) and print its
+                     degradation line"
     );
 }

@@ -267,12 +267,37 @@ fn networked_serve_reconciles_with_loadgen_over_loopback() {
     let dir = std::env::temp_dir().join(format!("geoind-cli-wire-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let (server, reader, addr) = spawn_server(&dir, &SERVER_ARGS);
-    let client_text = loadgen(&addr, &LOAD_ARGS_24);
+    let artifact_path = dir.with_extension("json");
+    let mut args = LOAD_ARGS_24.to_vec();
+    let artifact_arg = artifact_path.to_str().expect("utf-8 temp path");
+    args.extend(["--json-out", artifact_arg, "--label", "loopback \"g=2\""]);
+    let client_text = loadgen(&addr, &args);
     assert!(
         client_text.contains("loadgen total=24 served=24"),
         "every request must be served under a generous cap:\n{client_text}"
     );
     assert!(client_text.contains("# reconciled: 24"), "{client_text}");
+
+    // The --json-out artifact is the same list as the loadgen line,
+    // after the escaped label and the request count.
+    let artifact = std::fs::read_to_string(&artifact_path).expect("--json-out written");
+    assert!(
+        artifact.starts_with(r#"{"label":"loopback \"g=2\"","requests":24,"#),
+        "{artifact}"
+    );
+    let line = client_text
+        .lines()
+        .find(|line| line.starts_with("loadgen "))
+        .expect("loadgen line");
+    for field in line.split(' ').skip(1) {
+        let (key, value) = field.split_once('=').expect("key=value");
+        let entry = format!("\"{key}\":{value}");
+        assert!(
+            artifact.contains(&format!("{entry},")) || artifact.contains(&format!("{entry}}}")),
+            "{field} missing from {artifact}"
+        );
+    }
+    std::fs::remove_file(&artifact_path).ok();
 
     // --shutdown on posted /shutdown: the server drains and exits 0, and
     // its final report carries the wire counters.
