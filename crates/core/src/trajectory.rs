@@ -31,14 +31,6 @@ pub enum BudgetError {
     },
     /// The charge amount itself is invalid (non-positive or non-finite).
     BadCharge(f64),
-    /// The shard of the ledger holding this account is unavailable (it
-    /// failed recovery or cannot be reached). Fail-closed: without the
-    /// shard's durable spend record the composed-ε position of the user
-    /// is unknown, so the request must be refused, never served.
-    ShardUnavailable {
-        /// Index of the unavailable shard.
-        shard: u64,
-    },
 }
 
 impl std::fmt::Display for BudgetError {
@@ -52,9 +44,6 @@ impl std::fmt::Display for BudgetError {
                 "budget exhausted: requested {requested}, remaining {remaining}"
             ),
             BudgetError::BadCharge(eps) => write!(f, "invalid budget charge {eps}"),
-            BudgetError::ShardUnavailable { shard } => {
-                write!(f, "budget shard {shard} unavailable; refusing fail-closed")
-            }
         }
     }
 }

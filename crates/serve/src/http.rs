@@ -124,8 +124,8 @@ fn invalid(detail: &str) -> io::Error {
 
 /// A client connection with `TCP_NODELAY` and one timeout that bounds
 /// the connect, every socket read and write, and each whole response.
-/// [`Self::send`] and [`Self::read_response`] stay separate so a caller
-/// can fault the gap between them.
+/// [`Self::send`] stays usable alone so a caller can fault a write.
+#[derive(Debug)]
 pub(crate) struct Conn {
     stream: TcpStream,
     timeout: Duration,

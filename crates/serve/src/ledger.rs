@@ -637,12 +637,6 @@ fn budget_refusal(user: u64, err: BudgetError) -> SpendError {
             remaining,
         },
         BudgetError::BadCharge(v) => SpendError::BadCharge(v),
-        // An in-memory account never routes through a shard; the
-        // variant exists for the sharded ledger layered on top.
-        BudgetError::ShardUnavailable { shard } => SpendError::ShardUnavailable {
-            shard,
-            detail: "unexpected shard refusal from an in-memory account".into(),
-        },
     }
 }
 

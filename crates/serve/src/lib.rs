@@ -26,10 +26,13 @@
 //!   salvages the journal and re-admits the shard only after the
 //!   standard open verifies the salvage.
 //! * [`replica`] — warm-standby replication: each served spend ships
-//!   as a checksummed WAL record to a follower and is answered only
-//!   after the follower's durable ack; failover is fenced by a
-//!   persisted generation so a revived stale primary is refused and
-//!   split-brain cannot double-spend.
+//!   as a checksummed WAL record to a follower, over one kept-alive
+//!   connection per shard, and is answered only after the follower's
+//!   durable ack. The lag bound is checked under the shard's slot lock,
+//!   and whichever worker needs an ack ships while no other one is
+//!   shipping that shard (group commit over the network). Failover is
+//!   fenced by a persisted generation so a revived stale primary is
+//!   refused and split-brain cannot double-spend.
 //! * [`signal`] — a libc-crate-free `SIGTERM`/`SIGINT` flag so
 //!   `kill -TERM` runs the same graceful drain as `POST /shutdown`
 //!   (plus `SIGUSR1` for follower promotion).

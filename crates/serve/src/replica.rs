@@ -13,29 +13,38 @@
 //! follower before the client hears `served`.
 //!
 //! **Lag bound.** The pending queue holds records journaled locally
-//! but not yet acked. `--max-replica-lag` bounds it *strictly*:
-//! [`Shipper::admit`] reserves pending-queue slots under the shard's
-//! ship lock (so concurrent admits cannot collectively overshoot the
-//! bound). Slots held by other callers' reservations are waited for —
-//! those spends are journaling and will publish — and published records
-//! are flushed to make room; the spend is refused with `replica_lag`
-//! only when a flush frees nothing, or when no follower has registered
-//! at all. Fail-closed, because the follower is the source of truth for
-//! failover.
+//! but not yet acked. `--max-replica-lag` bounds it *strictly*: a
+//! shard's spends ask [`Shipper::room`] for room under the shard's slot
+//! lock, where they are journaled and published, so no other spend of
+//! the shard can take that room meanwhile and nothing is reserved. A
+//! bound full of unacked records is shipped from there (no other spend
+//! of the shard could proceed anyway), and the spend is refused with
+//! `replica_lag` only when shipping frees nothing, or when no follower
+//! has registered at all. Fail-closed, because the follower is the
+//! source of truth for failover.
+//!
+//! **Shipping.** Whichever thread needs an ack ships, while no other
+//! thread is shipping that shard: one step sends everything pending
+//! from `acked_seq + 1`, with the shard's ship-state lock dropped for
+//! the exchange, and folds the ack in under it. A thread that finds a
+//! shipment in flight waits for its outcome instead — group commit,
+//! applied to the network. Each shard keeps one HTTP/1.1 connection to
+//! the follower; one that the follower has closed meanwhile (it reaps
+//! idle connections) is replaced once within the same step, and the
+//! resent batch dedups by sequence.
 //!
 //! **Sequence handshake.** The shipper's per-shard sequence counters
 //! live in memory, but the registered peer persists in `replica.peer`
 //! — so a restarted primary must not re-number new spends from 1 while
 //! the follower's durable watermark sits at N (the follower would
 //! dedup-skip every new record yet still ack N, silently
-//! un-replicating served spends). Before the first publish of each
-//! shard, [`Shipper::admit`] probes the follower with an *empty* batch
-//! at `first_seq = 1` (which the follower applies nothing for and
-//! never adopts a watermark from) and seeds `last_seq = acked_seq`
-//! from the returned durable sequence; until the probe succeeds the
-//! shard's spends are refused `replica_lag` (and a probe refused
-//! `fenced` by a promoted follower hard-fences the primary before it
-//! can serve a single spend).
+//! un-replicating served spends). So each shard's first shipment
+//! precedes its first publish: an *empty* batch at `first_seq = 1`
+//! (which the follower applies nothing for and never adopts a
+//! watermark from), whose ack seeds `last_seq = acked_seq` with the
+//! follower's durable sequence. Until it succeeds the shard's spends
+//! are refused `replica_lag`, and one refused `fenced` by a promoted
+//! follower hard-fences the primary before it can serve a single spend.
 //!
 //! **Fencing.** Replication runs under a *fence generation*, persisted
 //! as `repl.gen` next to the shard directories (see
@@ -44,7 +53,7 @@
 //! past the highest generation it has ever seen and checkpoints, after
 //! which any batch from a revived stale primary carries
 //! `gen < fence_gen` and is refused (`fenced` nack). The refused
-//! primary hard-fences itself — [`Shipper::admit`] then refuses every
+//! primary hard-fences itself — [`Shipper::room`] then refuses every
 //! spend — so a split brain cannot double-spend: the old primary
 //! cannot serve (no acks), and the new one owns the budget. This is
 //! the same stale-generation-discard principle the journal already
@@ -63,6 +72,7 @@ use crate::ledger::SpendError;
 use crate::shard::ShardedLedger;
 use geoind_testkit::failpoint;
 use std::collections::VecDeque;
+use std::io::ErrorKind;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -79,8 +89,8 @@ const BATCH_HEADER_LEN: usize = 44;
 /// layout (`journal::encode_record`).
 const BATCH_RECORD_LEN: usize = 32;
 
-/// Flush attempts per [`Shipper::wait_acked`] call before the spend is
-/// refused with `replica_lag`.
+/// Failed exchanges a caller ships or waits out before it refuses with
+/// `replica_lag`.
 const SHIP_ATTEMPTS: u32 = 3;
 
 /// File (next to the shard directories) remembering the registered
@@ -205,31 +215,36 @@ pub struct ShipperConfig {
 
 #[derive(Debug, Default)]
 struct ShipShard {
-    /// Sequence state seeded from the follower's durable watermark (see
-    /// the module docs on the sequence handshake). Nothing may be
-    /// published before this is true.
+    /// Sequence state seeded from the follower's durable watermark by the
+    /// shard's first shipment (see the module docs on the sequence
+    /// handshake). Nothing may be published before this is true.
     synced: bool,
     /// Highest sequence number assigned so far (sequences start at the
     /// follower's watermark + 1).
     last_seq: u64,
     /// Highest sequence the follower has durably acked.
     acked_seq: u64,
-    /// Admitted spends not yet published: slots reserved against the
-    /// lag bound by [`Shipper::admit`], consumed by
-    /// [`Shipper::publish`] or given back by [`Shipper::release`].
-    reserved: u64,
     /// Encoded records `acked_seq+1 ..= last_seq`, oldest first.
     pending: VecDeque<[u8; BATCH_RECORD_LEN]>,
+    /// A thread is shipping this shard; every other one waits for it.
+    shipping: bool,
+    /// Shipments finished so far, and whether the latest one failed.
+    shipments: u64,
+    failed: bool,
+    /// The kept-alive connection and the follower it reaches: out while
+    /// a shipment uses it, dropped after a failed exchange.
+    conn: Option<(String, Conn)>,
 }
 
 /// Primary-side replication state: per-shard pending queues, the fence
 /// generation batches are stamped with, and the registered follower.
 ///
 /// Attached to a [`ShardedLedger`] via
-/// [`ShardedLedger::attach_shipper`]; `try_spend_many` then runs
-/// [`Shipper::admit`] before spending each chunk of a shard's charges
-/// and [`Shipper::wait_acked`] once per chunk after, on the calling
-/// thread.
+/// [`ShardedLedger::attach_shipper`]; `try_spend_many` then asks
+/// [`Shipper::room`] under a shard's slot lock before it journals each
+/// chunk of that shard's charges, [`Shipper::publish`]es the chunk under
+/// the same lock, and calls [`Shipper::wait_acked`] once per chunk after
+/// it, on the calling thread.
 #[derive(Debug)]
 pub struct Shipper {
     config: ShipperConfig,
@@ -240,9 +255,8 @@ pub struct Shipper {
     /// we have been superseded, and every further spend is refused.
     fenced: AtomicBool,
     shards: Vec<Mutex<ShipShard>>,
-    /// Per shard: signalled whenever lag-bound room may have changed
-    /// (a reservation published or released, acked records popped).
-    room: Vec<Condvar>,
+    /// Per shard: signalled whenever a shipment finishes.
+    shipped: Vec<Condvar>,
 }
 
 impl Shipper {
@@ -273,14 +287,14 @@ impl Shipper {
         let shards = (0..config.shards.max(1))
             .map(|_| Mutex::new(ShipShard::default()))
             .collect();
-        let room = (0..config.shards.max(1)).map(|_| Condvar::new()).collect();
+        let shipped = (0..config.shards.max(1)).map(|_| Condvar::new()).collect();
         Ok(Self {
             config,
             gen,
             peer: Mutex::new(peer),
             fenced: AtomicBool::new(false),
             shards,
-            room,
+            shipped,
         })
     }
 
@@ -325,174 +339,60 @@ impl Shipper {
         self.ship_shard(shard).pending.len() as u64
     }
 
-    /// Pre-spend gate for up to `want` (≥ 1) charges: refuse when
-    /// fenced, when no follower has registered, or when the shard's
-    /// sequence state cannot be seeded from the follower; otherwise
-    /// reserve as many free pending-queue slots as possible, up to
-    /// `want`, and return how many (at least one). [`Self::publish`]
-    /// consumes a reserved slot and [`Self::release`] must give back one
-    /// whose spend never publishes — so the bound is strict even under
-    /// concurrent admits.
-    ///
-    /// A bound filled by other callers' reservations is waited out (up to
-    /// the per-attempt timeout): those spends are journaling and will
-    /// publish. A bound filled by published records is flushed to make
-    /// room, and the charges are refused only when a flush frees nothing.
+    /// How many of `want` (≥ 1) charges the shard's lag bound has room
+    /// for: `max_lag − pending`, at most `want` and at least one. Asked
+    /// under the shard's slot lock, where the charges are then journaled
+    /// and [`Self::publish`]ed, so no other spend of the shard can take
+    /// the room meanwhile. A shard that has never shipped makes its
+    /// handshake shipment first, and a full bound is shipped from here.
     ///
     /// # Errors
-    /// [`SpendError::Fenced`] / [`SpendError::ReplicaLag`] as above.
-    pub(crate) fn admit(&self, shard: usize, want: usize) -> Result<usize, SpendError> {
-        if self.is_fenced() {
-            return Err(SpendError::Fenced);
-        }
-        if self.peer().is_none() {
-            // Fail-closed: with a lag bound configured, serving with
-            // no standby at all would be unbounded lag.
-            return Err(SpendError::ReplicaLag { lag: 0 });
-        }
-        self.ensure_synced(shard)?;
+    /// Those of [`Self::ship_until`].
+    pub(crate) fn room(&self, shard: usize, want: usize) -> Result<usize, SpendError> {
         let max_lag = self.config.max_lag.max(1);
-        let deadline = Instant::now() + Duration::from_millis(self.config.timeout_ms.max(1));
-        let mut stalled = false;
-        loop {
-            let mut s = self.ship_shard(shard);
-            while s.pending.len() as u64 + s.reserved >= max_lag && s.reserved > 0 {
-                let Some(left) = deadline.checked_duration_since(Instant::now()) else {
-                    break;
-                };
-                s = self.room[shard]
-                    .wait_timeout(s, left)
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0;
-            }
-            let inflight = s.pending.len() as u64 + s.reserved;
-            if inflight < max_lag {
-                let granted = (max_lag - inflight).min(want as u64);
-                s.reserved += granted;
-                return Ok(granted as usize);
-            }
-            if stalled {
-                return Err(SpendError::ReplicaLag { lag: inflight });
-            }
-            let acked = s.acked_seq;
-            drop(s);
-            // Full of published records: ship them. A flush that frees
-            // nothing (the follower is down or behind), or a spent wait
-            // budget, refuses on the next look.
-            let shipped = self.flush(shard);
-            stalled = !matches!(shipped, Ok(now) if now > acked) || Instant::now() >= deadline;
-            if self.is_fenced() {
-                return Err(SpendError::Fenced);
-            }
-        }
-    }
-
-    /// Seed the shard's sequence state from the follower's durable
-    /// watermark before this process's first publish: an empty probe
-    /// batch at `first_seq = 1` — which the follower applies nothing
-    /// for and never adopts a watermark from — answers with its highest
-    /// durably applied sequence. Without this, a restarted primary
-    /// (the peer file persists, the counters do not) would re-number
-    /// new spends from 1 and the follower's dedup would skip them while
-    /// still acking its old watermark: served spends silently
-    /// un-replicated until the counter caught up, re-granted as budget
-    /// by a later failover.
-    ///
-    /// The probe also means a revived stale primary is hard-fenced at
-    /// its first admit, before any spend is journaled locally.
-    fn ensure_synced(&self, shard: usize) -> Result<(), SpendError> {
-        let Some(peer) = self.peer() else {
-            return Err(SpendError::ReplicaLag { lag: 0 });
-        };
-        let mut s = self.ship_shard(shard);
-        if s.synced {
-            return Ok(());
-        }
-        let probe = encode_batch(
-            shard as u32,
-            self.config.shards as u32,
-            self.gen,
-            self.config.epoch,
-            1,
-            &[],
-        );
-        match self.exchange(&peer, &probe) {
-            Ok(acked) => {
-                s.last_seq = acked;
-                s.acked_seq = acked;
-                s.synced = true;
-                Ok(())
-            }
-            Err(_) if self.is_fenced() => Err(SpendError::Fenced),
-            // The follower could not confirm its watermark; shipping
-            // blind could silently un-replicate, so refuse fail-closed.
-            Err(_) => Err(SpendError::ReplicaLag { lag: 0 }),
-        }
-    }
-
-    fn ship_shard(&self, shard: usize) -> MutexGuard<'_, ShipShard> {
-        self.shards[shard]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Give back a slot reserved by a successful [`Self::admit`] whose
-    /// spend never reached [`Self::publish`] (the local journal refused
-    /// it, or the owning shard was unavailable).
-    pub(crate) fn release(&self, shard: usize) {
-        let mut s = self.ship_shard(shard);
-        s.reserved = s.reserved.saturating_sub(1);
-        self.room[shard].notify_all();
-    }
-
-    /// Queue a just-journaled spend for shipping and return its
-    /// sequence number, consuming the caller's reserved slot. Called
-    /// under the shard's slot lock, so queue order matches journal
-    /// order.
-    pub(crate) fn publish(&self, shard: usize, user: u64, eps: f64) -> u64 {
-        let mut s = self.ship_shard(shard);
-        s.reserved = s.reserved.saturating_sub(1);
-        s.last_seq += 1;
-        let seq = s.last_seq;
-        s.pending.push_back(journal::encode_record(user, eps, seq));
-        // A waiting admit may now flush this record to make room.
-        self.room[shard].notify_all();
-        seq
-    }
-
-    /// Ship until the follower has durably acked `seq`, retrying a
-    /// bounded number of times. Called *after* the slot lock is
-    /// released.
-    ///
-    /// # Errors
-    /// [`SpendError::Fenced`] when a newer-generation follower refused
-    /// us; [`SpendError::ReplicaLag`] when the ack did not arrive in
-    /// budget (the spend stays journaled locally and queued — refusing
-    /// the request over-counts at worst, which is the safe direction).
-    pub(crate) fn wait_acked(&self, shard: usize, seq: u64) -> Result<(), SpendError> {
-        for attempt in 0..SHIP_ATTEMPTS {
-            if self.is_fenced() {
-                return Err(SpendError::Fenced);
-            }
-            if attempt > 0 {
-                std::thread::sleep(Duration::from_millis(2u64 << attempt));
-            }
-            if let Ok(acked) = self.flush(shard) {
-                if acked >= seq {
-                    return Ok(());
-                }
-            }
-        }
-        if self.is_fenced() {
-            return Err(SpendError::Fenced);
-        }
-        Err(SpendError::ReplicaLag {
-            lag: self.lag(shard),
+        self.ship_until(shard, |s| {
+            let pending = s.pending.len() as u64;
+            (s.synced && pending < max_lag).then(|| (max_lag - pending).min(want as u64) as usize)
         })
     }
 
+    /// Queue a just-journaled spend for shipping and return its sequence
+    /// number. Called under the shard's slot lock, after
+    /// [`Self::room`], so queue order matches journal order and the
+    /// bound has room.
+    pub(crate) fn publish(&self, shard: usize, user: u64, eps: f64) -> u64 {
+        let mut s = self.ship_shard(shard);
+        debug_assert!(
+            (s.pending.len() as u64) < self.config.max_lag.max(1),
+            "publish past the lag bound of shard {shard}"
+        );
+        s.last_seq += 1;
+        let seq = s.last_seq;
+        s.pending.push_back(journal::encode_record(user, eps, seq));
+        seq
+    }
+
+    /// Ship until the follower has durably acked `seq`. Called *after*
+    /// the slot lock is released.
+    ///
+    /// # Errors
+    /// Those of [`Self::ship_until`]. A refusal leaves the spend
+    /// journaled locally and queued — refusing the request over-counts
+    /// at worst, which is the safe direction.
+    pub(crate) fn wait_acked(&self, shard: usize, seq: u64) -> Result<(), SpendError> {
+        self.ship_until(shard, |s| (s.acked_seq >= seq).then_some(()))
+    }
+
+    /// Best-effort shipment of every shard's pending queue (graceful
+    /// shutdown, and a newly registered follower catching up).
+    pub fn flush_all(&self) {
+        for shard in 0..self.shards.len() {
+            let _ = self.ship_until(shard, |s| s.pending.is_empty().then_some(()));
+        }
+    }
+
     /// Test-only: mark the shard synced at `watermark`, exactly as a
-    /// successful handshake probe would.
+    /// successful handshake shipment would.
     #[cfg(test)]
     fn force_synced(&self, shard: usize, watermark: u64) {
         let mut s = self.ship_shard(shard);
@@ -501,51 +401,120 @@ impl Shipper {
         s.acked_seq = watermark;
     }
 
-    /// Best-effort flush of every shard's pending queue (graceful
-    /// shutdown path).
-    pub fn flush_all(&self) {
-        for shard in 0..self.shards.len() {
-            let _ = self.flush(shard);
+    fn ship_shard(&self, shard: usize) -> MutexGuard<'_, ShipShard> {
+        self.shards[shard]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Take ship steps on `shard` until `done` answers from its state.
+    ///
+    /// # Errors
+    /// [`SpendError::Fenced`] once a newer-generation follower has
+    /// refused us; [`SpendError::ReplicaLag`] when no follower is
+    /// registered, after [`SHIP_ATTEMPTS`] failed exchanges, or once
+    /// `timeout_ms` has passed without `done` answering.
+    fn ship_until<T>(
+        &self,
+        shard: usize,
+        done: impl Fn(&ShipShard) -> Option<T>,
+    ) -> Result<T, SpendError> {
+        let deadline = Instant::now() + Duration::from_millis(self.config.timeout_ms.max(1));
+        let mut failures = 0;
+        loop {
+            if self.is_fenced() {
+                return Err(SpendError::Fenced);
+            }
+            let peer = self.peer();
+            let s = self.ship_shard(shard);
+            if let Some(answer) = done(&s) {
+                return Ok(answer);
+            }
+            let lag = s.pending.len() as u64;
+            let Some(peer) = peer else {
+                // Fail-closed: with a lag bound configured, serving with
+                // no standby at all would be unbounded lag.
+                return Err(SpendError::ReplicaLag { lag });
+            };
+            if failures >= SHIP_ATTEMPTS || Instant::now() >= deadline {
+                return Err(SpendError::ReplicaLag { lag });
+            }
+            if !self.step(shard, s, &peer, deadline) {
+                failures += 1;
+            }
         }
     }
 
-    /// Ship the shard's whole pending queue and fold in the ack.
-    /// Returns the follower's durable sequence. The shard's ship lock
-    /// is held across the exchange, serializing replication per shard.
-    fn flush(&self, shard: usize) -> Result<u64, String> {
-        let Some(peer) = self.peer() else {
-            return Err("no follower registered".into());
-        };
-        let mut s = self.ship_shard(shard);
-        if s.pending.is_empty() {
-            return Ok(s.acked_seq);
+    /// One ship step, entered holding the shard's ship state. With no
+    /// shipment in flight, ship everything pending from `acked_seq + 1`
+    /// (before the first publish, that is the empty handshake batch at
+    /// sequence 1): the connection is taken out of the state, the lock
+    /// dropped for the exchange, and the ack folded in under it.
+    /// Otherwise wait, until `deadline`, for the in-flight shipment.
+    /// Returns whether the shipment made or waited on succeeded.
+    fn step(
+        &self,
+        shard: usize,
+        mut s: MutexGuard<'_, ShipShard>,
+        peer: &str,
+        deadline: Instant,
+    ) -> bool {
+        if s.shipping {
+            let seen = s.shipments;
+            while s.shipments == seen {
+                let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+                    return false;
+                };
+                s = self.shipped[shard]
+                    .wait_timeout(s, left)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
+            }
+            return !s.failed;
         }
-        let records: Vec<[u8; BATCH_RECORD_LEN]> = s.pending.iter().copied().collect();
+        let first_seq = s.acked_seq + 1;
         let body = encode_batch(
             shard as u32,
             self.config.shards as u32,
             self.gen,
             self.config.epoch,
-            s.acked_seq + 1,
-            &records,
+            first_seq,
+            s.pending.make_contiguous(),
         );
-        let acked = self.exchange(&peer, &body)?;
-        if acked > s.acked_seq {
-            let newly = (acked - s.acked_seq).min(s.pending.len() as u64);
-            for _ in 0..newly {
-                s.pending.pop_front();
+        let kept = s
+            .conn
+            .take()
+            .filter(|(to, _)| to == peer)
+            .map(|(_, conn)| conn);
+        s.shipping = true;
+        drop(s);
+        let outcome = self.exchange(peer, kept, &body);
+        let mut s = self.ship_shard(shard);
+        s.shipping = false;
+        s.shipments += 1;
+        s.failed = outcome.is_err();
+        if let Ok((acked, conn)) = outcome {
+            let newly = acked
+                .saturating_sub(s.acked_seq)
+                .min(s.pending.len() as u64);
+            s.pending.drain(..newly as usize);
+            s.acked_seq = s.acked_seq.max(acked);
+            if !s.synced {
+                s.last_seq = s.acked_seq;
+                s.synced = true;
             }
-            s.acked_seq = acked;
-            self.room[shard].notify_all();
+            s.conn = Some((peer.to_string(), conn));
         }
-        Ok(s.acked_seq)
+        self.shipped[shard].notify_all();
+        !s.failed
     }
 
     /// One ship-and-parse exchange: `POST /replicate` the batch, decode
     /// the JSON verdict, and fold any authoritative `fenced` nack into
-    /// [`Self::is_fenced`]. Returns the follower's durable sequence.
-    fn exchange(&self, peer: &str, body: &[u8]) -> Result<u64, String> {
-        let answer = self.post_replicate(peer, body)?;
+    /// [`Self::is_fenced`]. Returns the follower's durable sequence and
+    /// the connection to keep.
+    fn exchange(&self, peer: &str, kept: Option<Conn>, body: &[u8]) -> Result<(u64, Conn), String> {
+        let (answer, conn) = self.post_replicate(peer, kept, body)?;
         let parsed = Json::parse(&answer).map_err(|e| format!("unparseable ack: {e}"))?;
         if parsed.get("ok") != Some(&Json::Bool(true)) {
             if parsed.get("fenced") == Some(&Json::Bool(true)) {
@@ -571,20 +540,30 @@ impl Shipper {
                 .unwrap_or("unspecified");
             return Err(format!("follower refused batch: {detail}"));
         }
-        parsed
+        let acked = parsed
             .get("acked_seq")
             .and_then(Json::as_u64)
-            .ok_or_else(|| "ack missing acked_seq".to_string())
+            .ok_or_else(|| "ack missing acked_seq".to_string())?;
+        Ok((acked, conn))
     }
 
-    /// One `POST /replicate` exchange. The `serve.repl.ship_torn`
-    /// failpoint cuts the write mid-body (the follower sees a torn
-    /// frame and applies nothing); `serve.repl.ack_lost` sends the
-    /// full batch but drops the connection before reading the ack (the
-    /// follower applies, the retransmit dedups by sequence).
-    fn post_replicate(&self, peer: &str, body: &[u8]) -> Result<String, String> {
-        let mut conn =
-            Conn::open(peer, self.config.timeout_ms).map_err(|e| format!("connect {peer}: {e}"))?;
+    /// One `POST /replicate` exchange on the `kept` connection, or on a
+    /// new one. A kept connection the follower has closed meanwhile fails
+    /// at once; the batch is then resent once on a new connection, and
+    /// dedups by sequence if it had landed. A timeout is not retried.
+    /// The `serve.repl.ship_torn` failpoint cuts the write mid-body (the
+    /// follower sees a torn frame and applies nothing);
+    /// `serve.repl.ack_lost` drops the connection with the follower's
+    /// answer unread (the follower applied, the retransmit dedups by
+    /// sequence).
+    fn post_replicate(
+        &self,
+        peer: &str,
+        kept: Option<Conn>,
+        body: &[u8],
+    ) -> Result<(String, Conn), String> {
+        let open =
+            || Conn::open(peer, self.config.timeout_ms).map_err(|e| format!("connect {peer}: {e}"));
         let request = http::request(
             "POST",
             "/replicate",
@@ -592,22 +571,32 @@ impl Shipper {
             self.config.auth_token.as_deref(),
             body,
         );
+        let mut reused = kept.is_some();
+        let mut conn = match kept {
+            Some(conn) => conn,
+            None => open()?,
+        };
         if failpoint::hit("serve.repl.ship_torn") {
             let _ = conn.send(&request[..request.len() / 2]);
             return Err("ship torn (failpoint)".into());
         }
-        conn.send(&request)
-            .map_err(|e| format!("ship {peer}: {e}"))?;
-        if failpoint::hit("serve.repl.ack_lost") {
-            return Err("ack lost (failpoint)".into());
+        loop {
+            match conn.exchange(&request) {
+                Ok(_) if failpoint::hit("serve.repl.ack_lost") => {
+                    return Err("ack lost (failpoint)".into())
+                }
+                Ok((200, answer)) => return Ok((answer, conn)),
+                Ok((status, _)) => return Err(format!("/replicate answered {status}")),
+                Err(e)
+                    if reused
+                        && !matches!(e.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock) =>
+                {
+                    reused = false;
+                    conn = open()?;
+                }
+                Err(e) => return Err(format!("ship {peer}: {e}")),
+            }
         }
-        let (status, answer) = conn
-            .read_response()
-            .map_err(|e| format!("ack from {peer}: {e}"))?;
-        if status != 200 {
-            return Err(format!("/replicate answered {status}"));
-        }
-        Ok(answer)
     }
 }
 
@@ -616,7 +605,7 @@ impl Shipper {
 /// standby flag gating `/protect`.
 #[derive(Debug)]
 pub struct Applier {
-    dir: Option<PathBuf>,
+    dir: PathBuf,
     fence_gen: AtomicU64,
     /// Highest generation any accepted batch carried; promotion bumps
     /// past `max(fence_gen, max_seen_gen)` so the promoted follower
@@ -635,10 +624,7 @@ impl Applier {
     /// generation; `standby` gates `/protect` until promotion.
     pub fn new(ledger: &ShardedLedger, standby: bool) -> Self {
         let dir = ledger.base_dir();
-        let fence_gen = dir
-            .as_deref()
-            .and_then(journal::read_fence_gen)
-            .unwrap_or(0);
+        let fence_gen = journal::read_fence_gen(&dir).unwrap_or(0);
         Self {
             dir,
             fence_gen: AtomicU64::new(fence_gen),
@@ -705,9 +691,7 @@ impl Applier {
             .load(Ordering::SeqCst)
             .max(self.max_seen_gen.load(Ordering::SeqCst))
             + 1;
-        if let Some(dir) = self.dir.as_deref() {
-            journal::write_fence_gen(dir, new_gen).map_err(SpendError::Journal)?;
-        }
+        journal::write_fence_gen(&self.dir, new_gen).map_err(SpendError::Journal)?;
         self.fence_gen.store(new_gen, Ordering::SeqCst);
         ledger.checkpoint_all().map_err(SpendError::Journal)?;
         self.standby.store(false, Ordering::SeqCst);
@@ -927,7 +911,7 @@ mod tests {
         })
         .unwrap();
         assert!(matches!(
-            shipper.admit(0, 1),
+            shipper.room(0, 1),
             Err(SpendError::ReplicaLag { lag: 0 })
         ));
         // Sequences are per-shard and monotonic from 1.
@@ -964,7 +948,7 @@ mod tests {
         // The handshake probe cannot reach the follower: shipping blind
         // could silently un-replicate, so the spend is refused.
         assert!(matches!(
-            shipper.admit(0, 1),
+            shipper.room(0, 1),
             Err(SpendError::ReplicaLag { lag: 0 })
         ));
     }
@@ -980,64 +964,186 @@ mod tests {
     }
 
     #[test]
-    fn admit_reservations_bound_concurrent_spends_strictly() {
+    fn room_bounds_unacked_spends_strictly() {
         let shipper = test_shipper(3);
         shipper.force_synced(0, 0);
-        // Three workers admit before any of them publishes: all pass.
-        for _ in 0..3 {
-            shipper.admit(0, 1).expect("reserve within the bound");
-        }
-        // A fourth concurrent admit is refused even though the pending
-        // queue is still empty — reservations make the bound strict.
-        assert!(matches!(
-            shipper.admit(0, 1),
-            Err(SpendError::ReplicaLag { lag: 3 })
-        ));
-        // A spend that failed after admission gives its slot back.
-        shipper.release(0);
-        shipper.admit(0, 1).expect("released slot reopens");
-        // Publishing converts reservations into pending records without
-        // changing the inflight total: still at the bound.
-        for _ in 0..3 {
+        // A group larger than the bound is granted the bound, not refused.
+        assert_eq!(shipper.room(0, 5).expect("room for three"), 3);
+        // Published records hold their room until the follower acks them.
+        for _ in 0..2 {
             shipper.publish(0, 5, 0.25);
         }
+        assert_eq!(shipper.room(0, 5).expect("one left"), 1);
+        shipper.publish(0, 5, 0.25);
         assert_eq!(shipper.lag(0), 3);
+        // A full bound is shipped before any room is granted; a follower
+        // that cannot be reached frees none, so the spend is refused.
         assert!(matches!(
-            shipper.admit(0, 1),
+            shipper.room(0, 1),
             Err(SpendError::ReplicaLag { lag: 3 })
         ));
     }
 
-    #[test]
-    fn admit_grants_what_fits_and_waits_out_sibling_reservations() {
-        let shipper = test_shipper_with_timeout(4, 100);
-        shipper.force_synced(0, 0);
-        // A group larger than the bound is granted the bound, not refused.
-        assert_eq!(shipper.admit(0, 6).expect("room for four"), 4);
-        // Reservations are spends still journaling: an admit that meets a
-        // bound full of them waits for room — here until its budget runs
-        // out, since nothing publishes — instead of refusing at once.
-        let started = Instant::now();
-        assert!(matches!(
-            shipper.admit(0, 1),
-            Err(SpendError::ReplicaLag { lag: 4 })
-        ));
-        assert!(started.elapsed() >= Duration::from_millis(100));
+    /// A follower that keeps connections alive, for the shipper's tests:
+    /// one connection at a time, each carrying any number of
+    /// `POST /replicate` exchanges answered by an [`Applier`]. It counts
+    /// the connections it accepts and the batches it answers, and closes
+    /// the connection after an answer once `close` is set.
+    struct KeptFollower {
+        listener: std::net::TcpListener,
+        ledger: ShardedLedger,
+        applier: Applier,
+        accepted: AtomicU64,
+        answered: AtomicU64,
+        close: AtomicBool,
+        stop: AtomicBool,
+    }
 
-        // Room given back while a sibling waits is granted to it.
-        let shipper = test_shipper_with_timeout(4, 10_000);
-        shipper.force_synced(0, 0);
-        assert_eq!(shipper.admit(0, 4).expect("room for four"), 4);
-        let shipper = &shipper;
+    impl KeptFollower {
+        fn start(dir: &std::path::Path) -> Self {
+            let config = crate::ledger::LedgerConfig {
+                cap_per_user: 100.0,
+                epoch: 0,
+                compact_after: 0,
+            };
+            let ledger = ShardedLedger::open(dir, config, 1);
+            let applier = Applier::new(&ledger, true);
+            Self {
+                listener: std::net::TcpListener::bind("127.0.0.1:0").expect("bind"),
+                ledger,
+                applier,
+                accepted: AtomicU64::new(0),
+                answered: AtomicU64::new(0),
+                close: AtomicBool::new(false),
+                stop: AtomicBool::new(false),
+            }
+        }
+
+        fn addr(&self) -> String {
+            self.listener.local_addr().expect("addr").to_string()
+        }
+
+        fn run(&self) {
+            use std::io::{Read, Write};
+            for stream in self.listener.incoming() {
+                if self.stop.load(Ordering::SeqCst) {
+                    return;
+                }
+                let Ok(mut stream) = stream else { continue };
+                let _ = stream.set_read_timeout(Some(Duration::from_millis(20)));
+                self.accepted.fetch_add(1, Ordering::SeqCst);
+                let mut pending = Vec::new();
+                let mut buf = [0u8; 4096];
+                'requests: loop {
+                    let frame = match http::parse_head(&pending) {
+                        Ok(Some(head)) => Some(head.body_at..head.body_at + head.content_length)
+                            .filter(|body| body.end <= pending.len()),
+                        _ => None,
+                    };
+                    let Some(body) = frame else {
+                        match stream.read(&mut buf) {
+                            Ok(n) if n > 0 => pending.extend_from_slice(&buf[..n]),
+                            Err(e)
+                                if matches!(
+                                    e.kind(),
+                                    ErrorKind::WouldBlock | ErrorKind::TimedOut
+                                ) && !self.stop.load(Ordering::SeqCst) => {}
+                            _ => break 'requests,
+                        }
+                        continue;
+                    };
+                    let verdict = self.applier.handle(&self.ledger, &pending[body.clone()]);
+                    pending.drain(..body.end);
+                    self.answered.fetch_add(1, Ordering::SeqCst);
+                    let _ = stream.write_all(http::response(200, &verdict).as_bytes());
+                    if self.close.swap(false, Ordering::SeqCst) {
+                        break;
+                    }
+                }
+            }
+        }
+
+        /// Close the connection in use and stop accepting.
+        fn stop(&self) {
+            self.stop.store(true, Ordering::SeqCst);
+            let _ = std::net::TcpStream::connect(self.addr());
+        }
+    }
+
+    fn shipper_to(follower: &KeptFollower, max_lag: u64) -> Shipper {
+        let shipper = Shipper::new(ShipperConfig {
+            dir: None,
+            shards: 1,
+            epoch: 0,
+            max_lag,
+            timeout_ms: 2_000,
+            auth_token: None,
+        })
+        .unwrap();
+        shipper.set_peer(&follower.addr()).unwrap();
+        shipper
+    }
+
+    #[test]
+    fn room_grants_what_fits_and_ships_a_full_bound() {
+        let dir = std::env::temp_dir().join(format!("geoind-replica-room-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let follower = KeptFollower::start(&dir);
+        let shipper = shipper_to(&follower, 4);
         std::thread::scope(|scope| {
-            let (started, admitting) = std::sync::mpsc::channel();
-            let sibling = scope.spawn(move || {
-                started.send(()).expect("main thread listens");
-                shipper.admit(0, 3)
-            });
-            admitting.recv().expect("sibling started");
-            shipper.release(0);
-            assert_eq!(sibling.join().expect("sibling admit").expect("room"), 1);
+            scope.spawn(|| follower.run());
+            // The first ask makes the handshake shipment, then grants a
+            // group larger than the bound the whole bound.
+            assert_eq!(shipper.room(0, 6).expect("room for four"), 4);
+            assert_eq!(follower.answered.load(Ordering::SeqCst), 1);
+            for user in 0..4 {
+                shipper.publish(0, user, 0.25);
+            }
+            // A full bound is shipped from `room` itself, and its ack frees
+            // the whole bound.
+            assert_eq!(shipper.room(0, 6).expect("room after the ack"), 4);
+            assert_eq!(shipper.lag(0), 0);
+            assert_eq!(follower.answered.load(Ordering::SeqCst), 2);
+            assert!((follower.ledger.total_spent() - 1.0).abs() < 1e-12);
+            drop(shipper);
+            follower.stop();
         });
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_shard_ships_over_one_kept_alive_connection_and_reconnects_once_closed() {
+        let dir = std::env::temp_dir().join(format!("geoind-replica-conn-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let follower = KeptFollower::start(&dir.join("follower"));
+        std::thread::scope(|scope| {
+            scope.spawn(|| follower.run());
+            let config = crate::ledger::LedgerConfig {
+                cap_per_user: 100.0,
+                epoch: 0,
+                compact_after: 0,
+            };
+            let primary = ShardedLedger::open(&dir.join("primary"), config, 1);
+            assert!(primary.attach_shipper(std::sync::Arc::new(shipper_to(&follower, 4))));
+            for _ in 0..20 {
+                primary.try_spend(7, 0.25).expect("served");
+            }
+            // The handshake and all twenty batches rode one connection.
+            assert_eq!(follower.accepted.load(Ordering::SeqCst), 1);
+            assert_eq!(follower.answered.load(Ordering::SeqCst), 21);
+            // The follower closes the connection after its next answer;
+            // the spend after that finds it closed, reconnects once, and
+            // is served.
+            follower.close.store(true, Ordering::SeqCst);
+            primary.try_spend(7, 0.25).expect("served before the close");
+            primary
+                .try_spend(7, 0.25)
+                .expect("served over a new connection");
+            assert_eq!(follower.accepted.load(Ordering::SeqCst), 2);
+            assert!((follower.ledger.total_spent() - 5.5).abs() < 1e-12);
+            drop(primary);
+            follower.stop();
+        });
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

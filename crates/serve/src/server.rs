@@ -424,7 +424,6 @@ impl std::fmt::Debug for Server {
 impl Server {
     /// Start the worker pool. Each request spends the mechanism's full ε
     /// (`mechanism.msm().epsilon()`) from the submitting user's budget.
-    /// Wrap a lone [`crate::SpendLedger`] with [`ShardedLedger::single`].
     pub fn start(
         mechanism: ResilientMechanism,
         ledger: ShardedLedger,
@@ -713,7 +712,7 @@ fn handle_batch(shared: &Shared, jobs: Vec<Job>, rng: &mut SeededRng) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ledger::{LedgerConfig, SpendLedger};
+    use crate::ledger::LedgerConfig;
     use geoind_core::alloc::AllocationStrategy;
     use geoind_core::msm::MsmMechanism;
     use geoind_data::prior::GridPrior;
@@ -750,16 +749,14 @@ mod tests {
     }
 
     fn ledger(dir: &std::path::Path, cap: f64) -> ShardedLedger {
-        ShardedLedger::single(
-            SpendLedger::open(
-                dir,
-                LedgerConfig {
-                    cap_per_user: cap,
-                    epoch: 0,
-                    compact_after: 0,
-                },
-            )
-            .expect("open ledger"),
+        ShardedLedger::open(
+            dir,
+            LedgerConfig {
+                cap_per_user: cap,
+                epoch: 0,
+                compact_after: 0,
+            },
+            1,
         )
     }
 

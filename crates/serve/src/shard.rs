@@ -203,14 +203,18 @@ pub fn shard_of(user: u64, shards: usize) -> usize {
     (fnv1a64(&user.to_le_bytes()) % shards as u64) as usize
 }
 
+/// Shard `k`'s journal directory under `dir`.
+fn shard_dir(dir: &Path, k: usize) -> PathBuf {
+    dir.join(format!("shard-{k}"))
+}
+
 /// Shared state behind the façade: the slots plus everything a
 /// background repair task needs to swap one back in.
 #[derive(Debug)]
 struct ShardSet {
     slots: Vec<Mutex<Slot>>,
-    /// `shard-<k>/` directory per slot (empty for [`ShardedLedger::single`],
-    /// which cannot be repaired).
-    dirs: Vec<PathBuf>,
+    /// The directory holding every `shard-<k>/`.
+    dir: PathBuf,
     config: LedgerConfig,
     repair_mode: RepairMode,
     /// Completed quarantine→repair→serving round trips.
@@ -268,13 +272,9 @@ impl ShardedLedger {
         repair_mode: RepairMode,
     ) -> Self {
         assert!(shards > 0, "shard count must be positive");
-        let dirs: Vec<PathBuf> = (0..shards)
-            .map(|k| dir.join(format!("shard-{k}")))
-            .collect();
-        let slots = dirs
-            .iter()
-            .map(|shard_dir| {
-                Mutex::new(match SpendLedger::open(shard_dir, config) {
+        let slots = (0..shards)
+            .map(|k| {
+                Mutex::new(match SpendLedger::open(&shard_dir(dir, k), config) {
                     Ok(ledger) => Slot::Open {
                         ledger,
                         probation: false,
@@ -290,7 +290,7 @@ impl ShardedLedger {
         let this = Self {
             inner: Arc::new(ShardSet {
                 slots,
-                dirs,
+                dir: dir.to_path_buf(),
                 config,
                 repair_mode,
                 repaired_shards: AtomicU64::new(0),
@@ -309,38 +309,6 @@ impl ShardedLedger {
         this
     }
 
-    /// Wrap one pre-opened ledger as a single-shard instance. Keeps
-    /// callers that don't need sharding (unit tests, small deployments)
-    /// on the same code path as the sharded server. Repair is disabled:
-    /// the wrapped ledger's directory is not known here.
-    pub fn single(ledger: SpendLedger) -> Self {
-        let config = LedgerConfig {
-            cap_per_user: ledger.cap_per_user(),
-            epoch: ledger.epoch(),
-            compact_after: 0,
-        };
-        Self {
-            inner: Arc::new(ShardSet {
-                slots: vec![Mutex::new(Slot::Open {
-                    ledger,
-                    probation: false,
-                    strikes: 0,
-                })],
-                dirs: vec![PathBuf::new()],
-                config,
-                repair_mode: RepairMode::Off,
-                repaired_shards: AtomicU64::new(0),
-                scavenged: AtomicU64::new(0),
-                abandoned: AtomicU64::new(0),
-                repairs_running: AtomicU64::new(0),
-                retired_folds: AtomicU64::new(0),
-                retired_fold_faults: AtomicU64::new(0),
-                repair_handles: Mutex::new(Vec::new()),
-                shipper: OnceLock::new(),
-            }),
-        }
-    }
-
     /// Attach warm-standby replication: every subsequent spend is
     /// admitted against the shipper's lag bound and served only after
     /// the follower acks it durably. Returns false (and changes
@@ -354,14 +322,9 @@ impl ShardedLedger {
         self.inner.shipper.get().map(Arc::clone)
     }
 
-    /// The directory the `shard-<k>/` subdirectories live under, or
-    /// `None` for a [`Self::single`] wrap (no directory known).
-    pub(crate) fn base_dir(&self) -> Option<PathBuf> {
-        let first = self.inner.dirs.first()?;
-        if first.as_os_str().is_empty() {
-            return None;
-        }
-        first.parent().map(Path::to_path_buf)
+    /// The directory the `shard-<k>/` subdirectories live under.
+    pub(crate) fn base_dir(&self) -> PathBuf {
+        self.inner.dir.clone()
     }
 
     fn lock_slot(&self, shard: usize) -> MutexGuard<'_, Slot> {
@@ -401,15 +364,16 @@ impl ShardedLedger {
     /// spends and enters the repair loop.
     ///
     /// With a shipper attached, a shard's part runs in chunks of as many
-    /// charges as [`Shipper::admit`] grants lag-bound slots for at once
-    /// (the whole part when the bound has room). Each chunk is one group:
-    /// journaled and published under the shard lock, then answered once
-    /// the follower has acked its last record (one wait per chunk, after
-    /// the lock is dropped). A chunk the follower did not ack is refused
-    /// whole. So a part larger than the bound, or one that meets another
-    /// thread's reservations, waits for room instead of being refused on
-    /// capacity its own or a sibling's unpublished charges hold — as
-    /// one-at-a-time charges would not be.
+    /// charges as the lag bound has room for, asked of [`Shipper::room`]
+    /// under the shard lock (the whole part when the bound has room).
+    /// Each chunk is one group: journaled and published under that same
+    /// lock, then answered once the follower has acked its last record
+    /// (one wait per chunk, after the lock is dropped). A chunk the
+    /// follower did not ack is refused whole. A bound full of unacked
+    /// records is shipped from under the lock, so a part larger than the
+    /// bound, or one that meets another thread's unacked charges, waits
+    /// for room instead of being refused on capacity — as one-at-a-time
+    /// charges would not be.
     ///
     /// Per-charge errors: the probe refusals of
     /// [`SpendLedger::try_spend_many`] and its failed append as
@@ -444,91 +408,82 @@ impl ShardedLedger {
     /// One shard's part of [`Self::try_spend_many`], chunk by chunk.
     fn try_spend_shard(&self, shard: usize, charges: &[(u64, f64)]) -> Vec<Result<(), SpendError>> {
         let shipper = self.shipper();
-        let shipper = shipper.as_deref();
         let mut results = Vec::with_capacity(charges.len());
         while results.len() < charges.len() {
             let rest = &charges[results.len()..];
-            match shipper.map_or(Ok(rest.len()), |s| s.admit(shard, rest.len())) {
-                Ok(granted) => results.extend(self.spend_chunk(shard, &rest[..granted], shipper)),
-                Err(refusal) => {
-                    // Refused before anything was reserved or spent; the
-                    // gate would refuse each remaining charge the same way.
-                    results.extend(rest.iter().map(|_| Err(refusal.clone())));
-                }
-            }
+            results.extend(self.spend_chunk(shard, rest, shipper.as_deref()));
         }
         results
     }
 
-    /// Journal one chunk as one group under the slot lock and, with a
-    /// shipper attached (each charge then holds a reserved lag-bound
-    /// slot), publish it and wait for the follower's ack.
+    /// Answer the longest prefix of `charges` the lag bound has room for:
+    /// journaled as one group under the slot lock and, with a shipper
+    /// attached, published under it and acked by the follower after it.
+    /// A refusal before anything is spent answers every charge.
     fn spend_chunk(
         &self,
         shard: usize,
-        chunk: &[(u64, f64)],
+        charges: &[(u64, f64)],
         shipper: Option<&Shipper>,
     ) -> Vec<Result<(), SpendError>> {
         let mut guard = self.lock_slot(shard);
-        // `outcome` answers every charge the cap probe admitted.
-        let (probes, outcome, quarantine) = match &mut *guard {
-            Slot::Open {
-                ledger,
-                probation,
-                strikes,
-            } => {
-                let mut rng = SeededRng::from_seed(0x5eed ^ chunk[0].0 ^ ((shard as u64) << 32));
-                let mut attempt = 0u32;
-                let (probes, append) = loop {
-                    let (probes, append) = ledger.try_spend_many(chunk);
-                    match &append {
-                        Err(e) if journal::is_transient_io(e) && attempt < EIO_RETRY_LIMIT => {
-                            attempt += 1;
-                            backoff_sleep(&mut rng, attempt);
-                        }
-                        _ => break (probes, append),
-                    }
-                };
-                let mut quarantine = None;
-                match &append {
-                    Err(error) => {
-                        *strikes += 1;
-                        if self.inner.repair_mode != RepairMode::Off
-                            && *strikes >= QUARANTINE_STRIKES
-                        {
-                            // Persistent write fault: stop fielding (and
-                            // refusing) requests one by one and hand the
-                            // shard to the repair loop.
-                            quarantine = Some(error.clone());
-                        }
-                    }
-                    Ok(()) if probes.iter().any(Result::is_ok) => {
-                        *strikes = 0;
-                        // First durable append after a repair: probation
-                        // is over, the device provably writes again.
-                        *probation = false;
-                    }
-                    Ok(()) => {}
-                }
-                (probes, append.map_err(SpendError::Journal), quarantine)
-            }
-            slot => (
-                chunk.iter().map(|_| Ok(())).collect(),
-                slot.serving(shard),
-                None,
-            ),
+        let Slot::Open {
+            ledger,
+            probation,
+            strikes,
+        } = &mut *guard
+        else {
+            let refusal = guard.serving(shard);
+            return charges.iter().map(|_| refusal.clone()).collect();
         };
-        // Publish under the slot lock so the pending queue's order matches
-        // journal order; a reserved slot whose charge was not journaled is
-        // given back so the lag bound does not leak capacity.
+        // Room is asked for under the slot lock, where the chunk is
+        // journaled and published: no other spend of this shard can take
+        // it meanwhile.
+        let chunk = match shipper.map_or(Ok(charges.len()), |s| s.room(shard, charges.len())) {
+            Ok(granted) => &charges[..granted],
+            Err(refusal) => return charges.iter().map(|_| Err(refusal.clone())).collect(),
+        };
+        let mut rng = SeededRng::from_seed(0x5eed ^ chunk[0].0 ^ ((shard as u64) << 32));
+        let mut attempt = 0u32;
+        let (probes, append) = loop {
+            let (probes, append) = ledger.try_spend_many(chunk);
+            match &append {
+                Err(e) if journal::is_transient_io(e) && attempt < EIO_RETRY_LIMIT => {
+                    attempt += 1;
+                    backoff_sleep(&mut rng, attempt);
+                }
+                _ => break (probes, append),
+            }
+        };
+        let mut quarantine = None;
+        match &append {
+            Err(error) => {
+                *strikes += 1;
+                if self.inner.repair_mode != RepairMode::Off && *strikes >= QUARANTINE_STRIKES {
+                    // Persistent write fault: stop fielding (and refusing)
+                    // requests one by one and hand the shard to the repair
+                    // loop.
+                    quarantine = Some(error.clone());
+                }
+            }
+            Ok(()) if probes.iter().any(Result::is_ok) => {
+                *strikes = 0;
+                // First durable append after a repair: probation is over,
+                // the device provably writes again.
+                *probation = false;
+            }
+            Ok(()) => {}
+        }
+        // `outcome` answers every charge the cap probe admitted. They are
+        // published under the slot lock so the pending queue's order
+        // matches journal order.
+        let outcome = append.map_err(SpendError::Journal);
         let mut last_seq = None;
         let mut results = Vec::with_capacity(chunk.len());
         for (&(user, eps), probe) in chunk.iter().zip(probes) {
             let result = probe.and_then(|()| outcome.clone());
-            match shipper {
-                Some(s) if result.is_ok() => last_seq = Some(s.publish(shard, user, eps)),
-                Some(s) => s.release(shard),
-                None => {}
+            if let (Some(s), Ok(())) = (shipper, &result) {
+                last_seq = Some(s.publish(shard, user, eps));
             }
             results.push(result);
         }
@@ -855,12 +810,8 @@ fn backoff_sleep(rng: &mut SeededRng, attempt: u32) {
 
 /// Claim `shard` for repair (Quarantined/Failed → Scavenging) and spawn
 /// the background task. Returns false when the slot is not claimable
-/// (already serving, already being scavenged, or a single-ledger wrap
-/// with no directory).
+/// (already serving, or already being scavenged).
 fn spawn_repair(inner: &Arc<ShardSet>, shard: usize) -> bool {
-    if inner.dirs[shard].as_os_str().is_empty() {
-        return false;
-    }
     {
         let mut guard = inner.slots[shard]
             .lock()
@@ -904,7 +855,7 @@ fn spawn_repair(inner: &Arc<ShardSet>, shard: usize) -> bool {
 /// so no other thread touches the files; the lock is only held for the
 /// final swap.
 fn repair_shard(set: &ShardSet, shard: usize) {
-    let dir = &set.dirs[shard];
+    let dir = &shard_dir(&set.dir, shard);
     let mut rng = SeededRng::from_seed(0x4efa_15ed ^ shard as u64);
     let mut outcome: Result<(journal::ScavengeReport, SpendLedger), JournalError> =
         Err(JournalError::Injected("repair never attempted"));
@@ -1079,23 +1030,6 @@ mod tests {
             // The accounting read is typed, not silently zero.
             assert_eq!(reopened.spent(user).is_none(), on_bad, "user {user}");
         }
-    }
-
-    #[test]
-    fn single_wraps_one_ledger_unchanged() {
-        let dir = temp_dir("single");
-        let inner = SpendLedger::open(&dir, config(0.5)).unwrap();
-        let ledger = ShardedLedger::single(inner);
-        assert_eq!(ledger.shards(), 1);
-        assert!((ledger.cap_per_user() - 0.5).abs() < 1e-12);
-        ledger.try_spend(7, 0.5).unwrap();
-        assert!(matches!(
-            ledger.try_spend(7, 0.5),
-            Err(SpendError::Exhausted { user: 7, .. })
-        ));
-        assert!(ledger.remaining(7).expect("serving").abs() < 1e-12);
-        // A single-ledger wrap has no directory to repair.
-        assert_eq!(ledger.repair_now(), 0);
     }
 
     #[test]

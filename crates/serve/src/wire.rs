@@ -504,11 +504,16 @@ fn accept_loop(shared: &Arc<WireShared>, listener: TcpListener) {
                 shared.active_connections.fetch_add(1, Ordering::Relaxed);
                 let conn_shared = Arc::clone(shared);
                 let handle = std::thread::spawn(move || handle_connection(&conn_shared, stream));
-                shared
+                let mut handlers = shared
                     .handlers
                     .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(handle);
+                    .unwrap_or_else(PoisonError::into_inner);
+                // Join the handlers whose connection has closed: a
+                // finished thread keeps its stack mapped until joined.
+                for done in handlers.extract_if(.., |handler| handler.is_finished()) {
+                    let _ = done.join();
+                }
+                handlers.push(handle);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(2));
@@ -1125,4 +1130,71 @@ fn report_body(shared: &Arc<WireShared>) -> String {
         ("log_line".into(), Json::Str(report.log_line())),
     ]);
     Json::Obj(fields).render()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ledger::LedgerConfig;
+    use geoind_core::alloc::AllocationStrategy;
+    use geoind_core::msm::MsmMechanism;
+    use geoind_data::prior::GridPrior;
+    use geoind_spatial::geom::BBox;
+    use geoind_testkit::clock::SystemClock;
+    use std::time::Instant;
+
+    /// A closed connection's handler is joined by the accept loop, not
+    /// kept until shutdown: a finished thread keeps its stack mapped until
+    /// it is joined, so a long-lived server would grow by one stack per
+    /// connection it ever served.
+    #[test]
+    fn the_accept_loop_joins_the_handlers_of_closed_connections() {
+        let dir = std::env::temp_dir().join(format!("geoind-wire-reap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let domain = BBox::square(8.0);
+        let mechanism = ResilientMechanism::from_builder(
+            MsmMechanism::builder(domain, GridPrior::uniform(domain, 8))
+                .epsilon(0.8)
+                .granularity(2)
+                .strategy(AllocationStrategy::FixedHeight(2)),
+        )
+        .expect("build mechanism");
+        let config = LedgerConfig {
+            cap_per_user: 1.0,
+            epoch: 0,
+            compact_after: 0,
+        };
+        let server = WireServer::start(
+            mechanism,
+            ShardedLedger::open(&dir, config, 1),
+            Arc::new(SystemClock),
+            WireConfig::default(),
+            "127.0.0.1:0",
+        )
+        .expect("bind");
+        let healthz = || {
+            let mut conn = http::Conn::open(server.local_addr(), 2_000).expect("connect");
+            let request = http::request("GET", "/healthz", "application/json", None, b"");
+            assert_eq!(conn.exchange(&request).expect("healthz").0, 200);
+        };
+        let kept = || server.shared.handlers.lock().unwrap().len();
+        for _ in 0..50 {
+            healthz();
+        }
+        // Each accept joins the handlers that finished before it, so once
+        // the last clients' handlers have exited, one more connection
+        // leaves only its own.
+        let started = Instant::now();
+        while kept() > 2 {
+            assert!(
+                started.elapsed() < Duration::from_secs(5),
+                "{} connection handlers kept after 50 closed connections",
+                kept()
+            );
+            std::thread::sleep(Duration::from_millis(10));
+            healthz();
+        }
+        server.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -18,7 +18,7 @@ use geoind_serve::ledger::LedgerConfig;
 use geoind_serve::replica::{register_with_primary, Shipper, ShipperConfig};
 use geoind_serve::shard::{shard_of, ShardedLedger};
 use geoind_serve::wire::{WireConfig, WireServer};
-use geoind_serve::{Json, ServeConfig, SpendLedger};
+use geoind_serve::{Json, ServeConfig};
 use geoind_spatial::geom::BBox;
 use geoind_testkit::clock::SystemClock;
 use geoind_testkit::failpoint::{self, FailSpec};
@@ -964,41 +964,6 @@ fn every_replication_failpoint_preserves_exact_books_on_both_nodes() {
         std::fs::remove_dir_all(&follower_dir).ok();
     }
     failpoint::reset_global();
-}
-
-#[test]
-fn single_spend_ledger_still_drives_the_wire() {
-    let _guard = NET_FAULTS.lock().unwrap_or_else(|e| e.into_inner());
-    // The pre-shard construction keeps working through the façade.
-    let dir = temp_dir("single-ledger");
-    let inner = SpendLedger::open(
-        &dir,
-        LedgerConfig {
-            cap_per_user: 2.0 * EPS,
-            epoch: 0,
-            compact_after: 0,
-        },
-    )
-    .expect("open ledger");
-    let server = WireServer::start(
-        mechanism(),
-        ShardedLedger::single(inner),
-        Arc::new(SystemClock),
-        wire_config(),
-        "127.0.0.1:0",
-    )
-    .expect("bind");
-    let addr = server.local_addr();
-    for id in 0..2 {
-        let response = raw_exchange(addr, &protect_request(9, id));
-        assert!(response.contains("served"), "{response}");
-    }
-    let refused = raw_exchange(addr, &protect_request(9, 2));
-    assert!(refused.contains("budget_exhausted"), "{refused}");
-    let outcome = server.shutdown();
-    assert_eq!(outcome.report.served(), 2);
-    assert_eq!(outcome.report.refused_budget, 1);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The `"key":N` count in a `/report` body.

@@ -154,24 +154,29 @@ echo "== replication smoke (primary+follower pair, serve.repl.* faults armed in 
 # retrying client reconciles exactly no matter which replication step
 # faults. Each serve.repl.* site fires mid-run (skip 2 hits, then fire
 # twice): ship_torn and ack_lost on the primary's shipper, stale_gen in the
-# follower's applier.
+# follower's applier. The last pass repeats ack_lost at --max-replica-lag 1,
+# so every spend meets a full bound and ships from under its shard's slot
+# lock while acks are lost.
 REPL_P_LOG="$(mktemp /tmp/geoind-ci-repl-p.XXXXXX)"
 REPL_F_LOG="$(mktemp /tmp/geoind-ci-repl-f.XXXXXX)"
 REPL_P_DIR="/tmp/geoind-ci-repl-primary.$$"
 REPL_F_DIR="/tmp/geoind-ci-repl-follower.$$"
 trap 'rm -f "$DOCTOR_CACHE" "$JOBS4_CACHE" "$CUTGEN_CACHE" "$WIRE_LOG" "$REPL_P_LOG" "$REPL_F_LOG"; rm -rf "$WIRE_DIR" "$REPL_P_DIR" "$REPL_F_DIR"' EXIT
-for fp in serve.repl.ship_torn serve.repl.ack_lost serve.repl.stale_gen; do
+for pass in serve.repl.ship_torn:8 serve.repl.ack_lost:8 serve.repl.stale_gen:8 \
+            serve.repl.ack_lost:1; do
+    fp="${pass%:*}"
+    LAG="${pass##*:}"
     if [ "$fp" = "serve.repl.stale_gen" ]; then
         P_FP=""; F_FP="$fp=2:2"
     else
         P_FP="$fp=2:2"; F_FP=""
     fi
-    echo "   -- primary GEOIND_FAILPOINTS='$P_FP' follower GEOIND_FAILPOINTS='$F_FP'"
+    echo "   -- primary GEOIND_FAILPOINTS='$P_FP' --max-replica-lag $LAG follower GEOIND_FAILPOINTS='$F_FP'"
     rm -rf "$REPL_P_DIR" "$REPL_F_DIR"
     : > "$REPL_P_LOG"
     : > "$REPL_F_LOG"
     GEOIND_FAILPOINTS="$P_FP" target/release/geoind serve \
-        --listen 127.0.0.1:0 --shards 4 --cap 100.0 --max-replica-lag 8 \
+        --listen 127.0.0.1:0 --shards 4 --cap 100.0 --max-replica-lag "$LAG" \
         --eps 0.4 --g 2 --synthetic-size 3000 \
         --workers 2 --queue 16 --read-timeout-ms 300 --seed 7 \
         --ledger-dir "$REPL_P_DIR" > "$REPL_P_LOG" &
@@ -222,14 +227,16 @@ echo "== failover drill (kill -9 the primary mid-load; fenced revival proven)"
 # against live endpoints, provable bounds for the counters the dead
 # primary took with it. Then the stale primary is revived on its old
 # ledger: its first spend must be refused fenced, proven by fenced= in its
-# own final report line.
+# own final report line. The load is sized (16000 requests, within the
+# 8 users' caps) to outlast the 1 s before the kill at a few thousand
+# replicated reports per second.
 DRILL_P_LOG="$(mktemp /tmp/geoind-ci-drill-p.XXXXXX)"
 DRILL_F_LOG="$(mktemp /tmp/geoind-ci-drill-f.XXXXXX)"
 DRILL_P_DIR="/tmp/geoind-ci-drill-primary.$$"
 DRILL_F_DIR="/tmp/geoind-ci-drill-follower.$$"
 trap 'rm -f "$DOCTOR_CACHE" "$JOBS4_CACHE" "$CUTGEN_CACHE" "$WIRE_LOG" "$REPL_P_LOG" "$REPL_F_LOG" "$DRILL_P_LOG" "$DRILL_F_LOG"; rm -rf "$WIRE_DIR" "$REPL_P_DIR" "$REPL_F_DIR" "$DRILL_P_DIR" "$DRILL_F_DIR"' EXIT
 target/release/geoind serve \
-    --listen 127.0.0.1:0 --shards 4 --cap 400.0 --max-replica-lag 16 \
+    --listen 127.0.0.1:0 --shards 4 --cap 1600.0 --max-replica-lag 16 \
     --eps 0.4 --g 2 --synthetic-size 3000 \
     --workers 2 --queue 16 --read-timeout-ms 300 --seed 7 \
     --ledger-dir "$DRILL_P_DIR" > "$DRILL_P_LOG" &
@@ -244,7 +251,7 @@ while [ "$i" -lt 100 ]; do
 done
 [ -n "$DRILL_P_ADDR" ] || { echo "drill primary never announced its port"; cat "$DRILL_P_LOG"; exit 1; }
 target/release/geoind serve \
-    --listen 127.0.0.1:0 --shards 4 --cap 400.0 --follow "$DRILL_P_ADDR" \
+    --listen 127.0.0.1:0 --shards 4 --cap 1600.0 --follow "$DRILL_P_ADDR" \
     --eps 0.4 --g 2 --synthetic-size 3000 \
     --workers 2 --queue 16 --read-timeout-ms 300 --seed 7 \
     --ledger-dir "$DRILL_F_DIR" > "$DRILL_F_LOG" &
@@ -259,7 +266,7 @@ while [ "$i" -lt 100 ]; do
 done
 grep -q "registered: true" "$DRILL_F_LOG" || { echo "drill follower never registered"; cat "$DRILL_F_LOG"; exit 1; }
 target/release/geoind loadgen --connect "$DRILL_P_ADDR" --failover "$DRILL_F_ADDR" \
-    --requests 4000 --connections 4 --users 8 --seed 11 \
+    --requests 16000 --connections 4 --users 8 --seed 11 \
     --max-attempts 40 --backoff-ms 5 --retry-budget 8000 &
 DRILL_LOAD_PID=$!
 sleep 1
@@ -272,7 +279,7 @@ wait "$DRILL_P_PID" 2>/dev/null || true
 # generation must refuse it before a single stale record lands.
 : > "$DRILL_P_LOG"
 target/release/geoind serve \
-    --listen 127.0.0.1:0 --shards 4 --cap 400.0 --max-replica-lag 16 \
+    --listen 127.0.0.1:0 --shards 4 --cap 1600.0 --max-replica-lag 16 \
     --eps 0.4 --g 2 --synthetic-size 3000 \
     --workers 2 --queue 16 --read-timeout-ms 300 --seed 7 \
     --ledger-dir "$DRILL_P_DIR" > "$DRILL_P_LOG" &
