@@ -34,7 +34,6 @@ pub struct PartitionMsm<P: SpacePartition> {
     partition: P,
     budgets: Vec<f64>,
     metric: QualityMetric,
-    opt_options: OptOptions,
     /// Per-node channel memo, sharded with single-flight fills (shared
     /// discipline with [`crate::msm::MsmMechanism`]'s cache).
     cache: ShardedCache<usize, Channel>,
@@ -76,26 +75,8 @@ impl<P: SpacePartition> PartitionMsm<P> {
             partition,
             budgets,
             metric,
-            opt_options: OptOptions::default(),
             cache: ShardedCache::new("partition channel cache"),
         })
-    }
-
-    /// Replace the options forwarded to every per-node OPT solve
-    /// (constraint set, cut generation, simplex tuning). Unlike the grid
-    /// MSM, no level-shared spanner is threaded through the precompute:
-    /// partition cells are irregular, so sibling child geometries are not
-    /// translates of each other and each node builds its own spanner (the
-    /// [`crate::opt`] solve does this whenever `shared_spanner` is absent
-    /// or mismatched).
-    pub fn with_opt_options(mut self, opts: OptOptions) -> Self {
-        self.opt_options = opts;
-        self
-    }
-
-    /// The options forwarded to every per-node OPT solve.
-    pub fn opt_options(&self) -> &OptOptions {
-        &self.opt_options
     }
 
     /// Total privacy budget `Σ ε_i` (an upper bound on what any single walk
@@ -153,7 +134,7 @@ impl<P: SpacePartition> PartitionMsm<P> {
             masses = vec![1.0; masses.len()];
         }
         let eps_i = self.budgets[part.level(node) as usize];
-        let mut opts = self.opt_options.clone();
+        let mut opts = OptOptions::default();
         opts.simplex.start_basis = warm.cloned();
         let opt = OptimalMechanism::solve_with(eps_i, &centers, &masses, self.metric, opts)?;
         Ok((opt.channel().clone(), opt.basis().clone()))

@@ -153,16 +153,6 @@ impl Model {
         self.sense
     }
 
-    /// Objective coefficient of a variable.
-    pub fn objective_of(&self, var: usize) -> f64 {
-        self.obj[var]
-    }
-
-    /// Domain of a variable.
-    pub fn domain_of(&self, var: usize) -> VarDomain {
-        self.domains[var]
-    }
-
     /// Solve with default simplex options.
     pub fn solve(&self, via: SolveVia) -> Result<Solution, LpError> {
         self.solve_with(via, SimplexOptions::default())

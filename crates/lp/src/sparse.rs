@@ -150,17 +150,6 @@ impl CscMatrix {
         assert_eq!(x.len(), self.nrows);
         (0..self.ncols()).map(|j| self.col_dot(j, x)).collect()
     }
-
-    /// Materialize as a dense row-major `Vec<Vec<f64>>` (tests only).
-    pub fn to_dense(&self) -> Vec<Vec<f64>> {
-        let mut d = vec![vec![0.0; self.ncols()]; self.nrows];
-        for j in 0..self.ncols() {
-            for (r, v) in self.col(j) {
-                d[r][j] = v;
-            }
-        }
-        d
-    }
 }
 
 #[cfg(test)]

@@ -38,12 +38,17 @@
 //! — so a restarted primary must not re-number new spends from 1 while
 //! the follower's durable watermark sits at N (the follower would
 //! dedup-skip every new record yet still ack N, silently
-//! un-replicating served spends). So each shard's first shipment
-//! precedes its first publish: an *empty* batch at `first_seq = 1`
-//! (which the follower applies nothing for and never adopts a
-//! watermark from), whose ack seeds `last_seq = acked_seq` with the
-//! follower's durable sequence. Until it succeeds the shard's spends
-//! are refused `replica_lag`, and one refused `fenced` by a promoted
+//! un-replicating served spends). So the first thing a shard ships to
+//! a follower is an *empty* batch at `first_seq = 1` (which the
+//! follower applies nothing for and never adopts a watermark from);
+//! before the shard's first publish, its ack seeds `last_seq =
+//! acked_seq` with the follower's durable sequence. A follower
+//! registered at another address gets the same handshake before any
+//! record, so it cannot adopt records it never received; its ack below
+//! the shard's `acked_seq` fails the exchange, since it lacks records
+//! already counted as replicated, and pending records are never
+//! renumbered. Until a handshake succeeds the shard's spends are
+//! refused `replica_lag`, and one refused `fenced` by a promoted
 //! follower hard-fences the primary before it can serve a single spend.
 //!
 //! **Fencing.** Replication runs under a *fence generation*, persisted
@@ -215,10 +220,10 @@ pub struct ShipperConfig {
 
 #[derive(Debug, Default)]
 struct ShipShard {
-    /// Sequence state seeded from the follower's durable watermark by the
-    /// shard's first shipment (see the module docs on the sequence
-    /// handshake). Nothing may be published before this is true.
-    synced: bool,
+    /// The follower this shard has handshaken with (see the module docs
+    /// on the sequence handshake). Only the handshake is shipped to any
+    /// other, and nothing is published until it is the registered one.
+    synced_with: Option<String>,
     /// Highest sequence number assigned so far (sequences start at the
     /// follower's watermark + 1).
     last_seq: u64,
@@ -316,7 +321,9 @@ impl Shipper {
             .clone()
     }
 
-    /// Register (and persist) the follower to ship to.
+    /// Register (and persist) the follower to ship to. Each shard
+    /// handshakes with a follower at another address before shipping it
+    /// any record (see the module docs on the sequence handshake).
     ///
     /// # Errors
     /// Propagates the `replica.peer` persistence failure; the
@@ -343,16 +350,17 @@ impl Shipper {
     /// for: `max_lag − pending`, at most `want` and at least one. Asked
     /// under the shard's slot lock, where the charges are then journaled
     /// and [`Self::publish`]ed, so no other spend of the shard can take
-    /// the room meanwhile. A shard that has never shipped makes its
-    /// handshake shipment first, and a full bound is shipped from here.
+    /// the room meanwhile. A shard not yet handshaken with the
+    /// registered follower makes its handshake shipment first, and a
+    /// full bound is shipped from here.
     ///
     /// # Errors
     /// Those of [`Self::ship_until`].
     pub(crate) fn room(&self, shard: usize, want: usize) -> Result<usize, SpendError> {
         let max_lag = self.config.max_lag.max(1);
-        self.ship_until(shard, |s| {
+        self.ship_until(shard, |s, synced| {
             let pending = s.pending.len() as u64;
-            (s.synced && pending < max_lag).then(|| (max_lag - pending).min(want as u64) as usize)
+            (synced && pending < max_lag).then(|| (max_lag - pending).min(want as u64) as usize)
         })
     }
 
@@ -380,23 +388,24 @@ impl Shipper {
     /// journaled locally and queued — refusing the request over-counts
     /// at worst, which is the safe direction.
     pub(crate) fn wait_acked(&self, shard: usize, seq: u64) -> Result<(), SpendError> {
-        self.ship_until(shard, |s| (s.acked_seq >= seq).then_some(()))
+        self.ship_until(shard, |s, _| (s.acked_seq >= seq).then_some(()))
     }
 
     /// Best-effort shipment of every shard's pending queue (graceful
     /// shutdown, and a newly registered follower catching up).
     pub fn flush_all(&self) {
         for shard in 0..self.shards.len() {
-            let _ = self.ship_until(shard, |s| s.pending.is_empty().then_some(()));
+            let _ = self.ship_until(shard, |s, _| s.pending.is_empty().then_some(()));
         }
     }
 
-    /// Test-only: mark the shard synced at `watermark`, exactly as a
-    /// successful handshake shipment would.
+    /// Test-only: mark the shard synced with the registered follower at
+    /// `watermark`, exactly as a successful handshake shipment would.
     #[cfg(test)]
     fn force_synced(&self, shard: usize, watermark: u64) {
+        let peer = self.peer();
         let mut s = self.ship_shard(shard);
-        s.synced = true;
+        s.synced_with = peer;
         s.last_seq = watermark;
         s.acked_seq = watermark;
     }
@@ -407,7 +416,8 @@ impl Shipper {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Take ship steps on `shard` until `done` answers from its state.
+    /// Take ship steps on `shard` until `done` answers from its state
+    /// and whether it has handshaken with the registered follower.
     ///
     /// # Errors
     /// [`SpendError::Fenced`] once a newer-generation follower has
@@ -417,7 +427,7 @@ impl Shipper {
     fn ship_until<T>(
         &self,
         shard: usize,
-        done: impl Fn(&ShipShard) -> Option<T>,
+        done: impl Fn(&ShipShard, bool) -> Option<T>,
     ) -> Result<T, SpendError> {
         let deadline = Instant::now() + Duration::from_millis(self.config.timeout_ms.max(1));
         let mut failures = 0;
@@ -427,7 +437,8 @@ impl Shipper {
             }
             let peer = self.peer();
             let s = self.ship_shard(shard);
-            if let Some(answer) = done(&s) {
+            let synced = peer.is_some() && s.synced_with == peer;
+            if let Some(answer) = done(&s, synced) {
                 return Ok(answer);
             }
             let lag = s.pending.len() as u64;
@@ -439,7 +450,7 @@ impl Shipper {
             if failures >= SHIP_ATTEMPTS || Instant::now() >= deadline {
                 return Err(SpendError::ReplicaLag { lag });
             }
-            if !self.step(shard, s, &peer, deadline) {
+            if !self.step(shard, s, &peer, synced, deadline) {
                 failures += 1;
             }
         }
@@ -447,16 +458,18 @@ impl Shipper {
 
     /// One ship step, entered holding the shard's ship state. With no
     /// shipment in flight, ship everything pending from `acked_seq + 1`
-    /// (before the first publish, that is the empty handshake batch at
-    /// sequence 1): the connection is taken out of the state, the lock
-    /// dropped for the exchange, and the ack folded in under it.
-    /// Otherwise wait, until `deadline`, for the in-flight shipment.
-    /// Returns whether the shipment made or waited on succeeded.
+    /// to a `synced` follower, and the empty handshake batch at
+    /// sequence 1 to any other: the connection is taken out of the
+    /// state, the lock dropped for the exchange, and the ack folded in
+    /// under it. Otherwise wait, until `deadline`, for the in-flight
+    /// shipment. Returns whether the shipment made or waited on
+    /// succeeded.
     fn step(
         &self,
         shard: usize,
         mut s: MutexGuard<'_, ShipShard>,
         peer: &str,
+        synced: bool,
         deadline: Instant,
     ) -> bool {
         if s.shipping {
@@ -472,14 +485,18 @@ impl Shipper {
             }
             return !s.failed;
         }
-        let first_seq = s.acked_seq + 1;
+        let (first_seq, records) = if synced {
+            (s.acked_seq + 1, &*s.pending.make_contiguous())
+        } else {
+            (1, &[][..])
+        };
         let body = encode_batch(
             shard as u32,
             self.config.shards as u32,
             self.gen,
             self.config.epoch,
             first_seq,
-            s.pending.make_contiguous(),
+            records,
         );
         let kept = s
             .conn
@@ -492,16 +509,19 @@ impl Shipper {
         let mut s = self.ship_shard(shard);
         s.shipping = false;
         s.shipments += 1;
-        s.failed = outcome.is_err();
-        if let Ok((acked, conn)) = outcome {
-            let newly = acked
-                .saturating_sub(s.acked_seq)
-                .min(s.pending.len() as u64);
+        // A follower acking less than was acked before lacks records
+        // already counted as replicated: it must not be shipped to.
+        let acked = outcome.ok().filter(|&(acked, _)| acked >= s.acked_seq);
+        s.failed = acked.is_none();
+        if let Some((acked, conn)) = acked {
+            let newly = (acked - s.acked_seq).min(s.pending.len() as u64);
             s.pending.drain(..newly as usize);
-            s.acked_seq = s.acked_seq.max(acked);
-            if !s.synced {
-                s.last_seq = s.acked_seq;
-                s.synced = true;
+            s.acked_seq = acked;
+            if !synced {
+                // Seeds the numbering before the first publish; pending
+                // records keep their sequence numbers.
+                s.last_seq = s.last_seq.max(acked);
+                s.synced_with = Some(peer.to_string());
             }
             s.conn = Some((peer.to_string(), conn));
         }
@@ -1144,6 +1164,52 @@ mod tests {
             drop(primary);
             follower.stop();
         });
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A follower registered in another's place is handshaken with
+    /// before it gets any record, so it never adopts spends it was not
+    /// shipped: one that lacks acked records is refused, and the
+    /// follower that holds them serves again once re-registered.
+    #[test]
+    fn a_newly_registered_follower_is_never_credited_with_unshipped_spends() {
+        let dir = std::env::temp_dir().join(format!("geoind-replica-swap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let a = KeptFollower::start(&dir.join("a"));
+        let b = KeptFollower::start(&dir.join("b"));
+        // Outcomes are checked once the followers have stopped, so that a
+        // failed check cannot leave the scope waiting on them.
+        let (first, to_b, back_to_a) = std::thread::scope(|scope| {
+            scope.spawn(|| a.run());
+            scope.spawn(|| b.run());
+            let config = crate::ledger::LedgerConfig {
+                cap_per_user: 100.0,
+                epoch: 0,
+                compact_after: 0,
+            };
+            let primary = ShardedLedger::open(&dir.join("primary"), config, 1);
+            let shipper = std::sync::Arc::new(shipper_to(&a, 4));
+            assert!(primary.attach_shipper(std::sync::Arc::clone(&shipper)));
+            let first: Result<Vec<()>, _> = (0..5).map(|_| primary.try_spend(7, 0.25)).collect();
+            let _ = shipper.set_peer(&b.addr());
+            let to_b = primary.try_spend(7, 0.25);
+            let _ = shipper.set_peer(&a.addr());
+            let back_to_a = primary.try_spend(7, 0.25);
+            drop(primary);
+            a.stop();
+            b.stop();
+            (first, to_b, back_to_a)
+        });
+        first.expect("five spends served through A");
+        assert!(
+            matches!(to_b, Err(SpendError::ReplicaLag { .. })),
+            "{to_b:?}"
+        );
+        assert_eq!(b.applier.applied_total(), 0);
+        assert_eq!(b.ledger.total_spent(), 0.0);
+        back_to_a.expect("served once A is registered again");
+        assert_eq!(a.applier.applied_total(), 6);
+        assert!((a.ledger.total_spent() - 1.5).abs() < 1e-12);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

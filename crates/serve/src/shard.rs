@@ -223,12 +223,12 @@ struct ShardSet {
     scavenged: AtomicU64,
     /// Repair tasks that ended with the shard still refused (`Failed`).
     abandoned: AtomicU64,
-    /// Repair tasks currently running.
-    repairs_running: AtomicU64,
     /// Folds and fold faults of the ledgers self-quarantine dropped, so
     /// the fleet-wide counts never go backwards across a repair.
     retired_folds: AtomicU64,
     retired_fold_faults: AtomicU64,
+    /// Repair tasks running or finished since the last spawn joined the
+    /// finished ones.
     repair_handles: Mutex<Vec<JoinHandle<()>>>,
     /// Warm-standby replication, when this node is a primary with a
     /// lag bound (see [`crate::replica`]). Set once at startup.
@@ -296,7 +296,6 @@ impl ShardedLedger {
                 repaired_shards: AtomicU64::new(0),
                 scavenged: AtomicU64::new(0),
                 abandoned: AtomicU64::new(0),
-                repairs_running: AtomicU64::new(0),
                 retired_folds: AtomicU64::new(0),
                 retired_fold_faults: AtomicU64::new(0),
                 repair_handles: Mutex::new(Vec::new()),
@@ -752,7 +751,13 @@ impl ShardedLedger {
 
     /// Repair tasks running right now.
     pub fn repairs_running(&self) -> u64 {
-        self.inner.repairs_running.load(Ordering::Relaxed)
+        self.inner
+            .repair_handles
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .filter(|handle| !handle.is_finished())
+            .count() as u64
     }
 
     /// Snapshot folds committed across shards, background and
@@ -834,17 +839,17 @@ fn spawn_repair(inner: &Arc<ShardSet>, shard: usize) -> bool {
             }
         }
     }
-    inner.repairs_running.fetch_add(1, Ordering::SeqCst);
     let set = Arc::clone(inner);
-    let handle = std::thread::spawn(move || {
-        repair_shard(&set, shard);
-        set.repairs_running.fetch_sub(1, Ordering::SeqCst);
-    });
-    inner
+    let handle = std::thread::spawn(move || repair_shard(&set, shard));
+    let mut handles = inner
         .repair_handles
         .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .push(handle);
+        .unwrap_or_else(PoisonError::into_inner);
+    // A finished thread keeps its stack mapped until it is joined.
+    for done in handles.extract_if(.., |handle| handle.is_finished()) {
+        let _ = done.join();
+    }
+    handles.push(handle);
     true
 }
 
@@ -1174,8 +1179,15 @@ mod tests {
             ledger.try_spend(user, 0.5),
             Err(SpendError::ShardUnavailable { shard: 1, .. })
         ));
+        assert_eq!(ledger.repairs_running(), 0);
         assert_eq!(ledger.repair_now(), 1);
-        ledger.await_repairs();
+        // `repairs_running` counts the repair threads still running, so
+        // it falls to zero when the repair ends, with nothing joined.
+        let started = std::time::Instant::now();
+        while ledger.repairs_running() > 0 {
+            assert!(started.elapsed() < Duration::from_secs(10), "repair hung");
+            std::thread::sleep(Duration::from_millis(5));
+        }
         assert_eq!(ledger.repaired_shards(), 1);
         assert_eq!(ledger.shard_states()[1], ShardHealth::Probation);
         ledger.try_spend(user, 0.5).expect("repaired shard serves");

@@ -3,14 +3,15 @@
 //!
 //! An async-signal-safe handler may not lock, allocate, or touch the
 //! server — so the handler here only stores into a `static AtomicBool`.
-//! The serving loops poll the flag at their own pace: the wire accept
-//! loop stops accepting ([`crate::wire`]), and the process owner (the
-//! `geoind serve --listen` command) observes it and runs the same
-//! graceful drain ordering `POST /shutdown` triggers — accept-stop →
-//! handler-join → queue-drain → shard flush → final report. A
-//! `kill -TERM` therefore loses nothing a client was promised: every
-//! acknowledged spend is journaled and every in-flight exchange
-//! finishes before the process exits.
+//! One loop polls the flag: the process owner's (the `geoind serve
+//! --listen` command), which then runs the same graceful drain
+//! `POST /shutdown` triggers, [`crate::wire::WireServer::shutdown`] —
+//! accept-stop → handler-join → queue-drain → shard flush → final
+//! report. The server's own threads wait on their events, not on this
+//! flag: the drain wakes the blocked accept and ends every
+//! connection's read itself. A `kill -TERM` therefore loses nothing a
+//! client was promised: every acknowledged spend is journaled and
+//! every in-flight exchange finishes before the process exits.
 //!
 //! The registration goes through the C runtime's `signal(2)` directly
 //! (an `extern "C"` declaration against the libc every Rust binary

@@ -40,8 +40,8 @@
 //!   owns the [`WireServer`] observes
 //!   [`WireServer::shutdown_requested`] and calls
 //!   [`WireServer::shutdown`]. The same drain runs when the process
-//!   catches `SIGTERM`/`SIGINT` (see [`crate::signal`]): the accept
-//!   loop observes the flag and stops accepting on its own.
+//!   catches `SIGTERM`/`SIGINT`: the owner polls that flag too (see
+//!   [`crate::signal`]).
 //!
 //! ## Overload and abuse
 //!
@@ -63,11 +63,15 @@
 //!
 //! ## Drain ordering
 //!
-//! [`WireServer::shutdown`] stops accepting, joins the connection
-//! handlers (finishing their in-flight exchanges), then drains the
-//! admission queue and flushes the journals via [`Server::shutdown`],
-//! and only then snapshots the final [`ServeReport`] — so the report
-//! reconciles exactly with what clients observed.
+//! Every wait here ends on its own event, not on a timer. The listener
+//! blocks in `accept`; [`WireServer::shutdown`] stops accepting by
+//! waking it with one connection to the listener's own address, which
+//! the loop drops before counting anything. It then shuts the read half
+//! of every open connection, so an idle handler ends at once while one
+//! mid-exchange still writes its response, and joins the handlers. Only
+//! then does it drain the admission queue and flush the journals via
+//! [`Server::shutdown`], and snapshot the final [`ServeReport`] — so
+//! the report reconciles exactly with what clients observed.
 
 use crate::http;
 use crate::json::Json;
@@ -79,9 +83,11 @@ use geoind_testkit::clock::Clock;
 use geoind_testkit::failpoint;
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -93,9 +99,10 @@ pub struct WireConfig {
     /// Concurrent connections beyond this are refused with a counted
     /// `503` at accept time (clamped to at least 1).
     pub max_connections: usize,
-    /// Per-connection socket read deadline. A connection idle longer
-    /// than this is closed; a frame stalled mid-read longer than this
-    /// counts `torn`.
+    /// Per-connection socket read deadline. A frame stalled mid-read
+    /// longer than this counts `torn`, and an idle connection is checked
+    /// against [`Self::idle_timeout_ms`] this often. Shutdown does not
+    /// wait it out: it shuts the read half of every connection.
     pub read_timeout_ms: u64,
     /// Per-connection socket write deadline.
     pub write_timeout_ms: u64,
@@ -127,9 +134,10 @@ pub struct WireConfig {
     /// outcome would exceed the cap. In-flight entries are never
     /// evicted. Clamped to at least 1.
     pub idem_max_per_user: usize,
-    /// Settled idempotency outcomes older than this are reaped by the
-    /// idle-connection sweep (counted `idem_evicted`). `0` disables
-    /// the TTL (the per-user cap still bounds the table).
+    /// Settled idempotency outcomes older than this are evicted
+    /// (counted `idem_evicted`) by the next settle, whichever user and
+    /// connection it comes from. `0` disables the TTL (the per-user cap
+    /// still bounds the table).
     pub idem_ttl_ms: u64,
 }
 
@@ -157,119 +165,103 @@ enum IdemState {
     /// gets `503 in_flight` rather than a double submit.
     Pending,
     /// Terminal outcome already produced (and any spend journaled); a
-    /// retry replays this body verbatim without touching the gate. The
-    /// second field is the [`Clock`] time the outcome settled, for the
-    /// TTL sweep.
-    Done(String, u64),
+    /// retry replays this body verbatim without touching the gate.
+    Done(String),
 }
 
 /// The retry table, bounded two ways so keep-alive clients minting
 /// unique ids cannot grow memory without limit: a per-user cap on
 /// *settled* outcomes (oldest evicted first; in-flight entries are
 /// never evicted — they are bounded by the admission queue) and a TTL
-/// sweep driven from the idle-connection reaper. Evictions trade the
+/// that every settle enforces on the whole table. Evictions trade the
 /// replay guarantee for that key: a retry after eviction re-attempts
 /// instead of replaying, which at worst double-*refuses* — a spend is
 /// only re-attempted if the client violated the retry contract by
 /// waiting past the TTL.
 struct IdemTable {
     entries: HashMap<(u64, u64), IdemState>,
-    /// Per-user settled ids, oldest first. May hold stale ids (keys
-    /// released on retryable refusals or reaped by TTL); those are
-    /// skipped on pop and purged by the sweep.
-    done_order: HashMap<u64, VecDeque<u64>>,
-    /// Live settled entries per user (stale queue ids excluded).
-    done_counts: HashMap<u64, usize>,
-    /// Last TTL sweep ([`Clock`] nanos); sweeps are rate-limited so
-    /// every idle tick does not rescan the table.
-    last_sweep_nanos: u64,
+    /// Per user, the settled ids oldest first, each with its settle
+    /// number. Its length is what the cap bounds.
+    settled: HashMap<u64, VecDeque<(u64, u64)>>,
+    /// With a TTL, every settle as `(settle time, user)`, oldest first;
+    /// the front is settle number `settles - expiry.len()`. A settle the
+    /// cap has already evicted is no longer its user's oldest when it
+    /// expires, so it expires as a no-op.
+    expiry: VecDeque<(u64, u64)>,
+    /// Settles so far: the next settle's number.
+    settles: u64,
+    cap: usize,
+    ttl_nanos: u64,
 }
 
 impl IdemTable {
-    fn new() -> Self {
+    fn new(config: &WireConfig) -> Self {
         Self {
             entries: HashMap::new(),
-            done_order: HashMap::new(),
-            done_counts: HashMap::new(),
-            last_sweep_nanos: 0,
+            settled: HashMap::new(),
+            expiry: VecDeque::new(),
+            settles: 0,
+            cap: config.idem_max_per_user.max(1),
+            ttl_nanos: config.idem_ttl_ms.saturating_mul(1_000_000),
         }
     }
 
-    /// Remove `key` without settling (retryable refusal / worker loss).
+    /// Drop the in-flight marker of `key` without settling it
+    /// (retryable refusal / worker loss).
     fn release(&mut self, key: (u64, u64)) {
-        if let Some(IdemState::Done(..)) = self.entries.remove(&key) {
-            self.drop_done_count(key.0);
-        }
+        self.entries.remove(&key);
     }
 
-    /// Record the terminal outcome for `key`, evicting the user's
-    /// oldest settled entries beyond `cap`. Returns how many were
-    /// evicted.
-    fn settle(&mut self, key: (u64, u64), body: String, now: u64, cap: usize) -> u64 {
+    /// Record the terminal outcome for `key` at [`Clock`] time `now`,
+    /// then evict the user's oldest settled outcomes beyond the cap and
+    /// every outcome in the table older than the TTL. Returns how many
+    /// were evicted.
+    fn settle(&mut self, key: (u64, u64), body: String, now: u64) -> u64 {
         let (user, id) = key;
-        if !matches!(
-            self.entries.insert(key, IdemState::Done(body, now)),
-            Some(IdemState::Done(..))
-        ) {
-            *self.done_counts.entry(user).or_insert(0) += 1;
+        self.entries.insert(key, IdemState::Done(body));
+        let queue = self.settled.entry(user).or_default();
+        queue.push_back((id, self.settles));
+        self.settles += 1;
+        let excess = queue.len().saturating_sub(self.cap);
+        for (old, _) in queue.drain(..excess) {
+            self.entries.remove(&(user, old));
         }
-        self.done_order.entry(user).or_default().push_back(id);
-        let mut evicted = 0u64;
-        while self.done_counts.get(&user).copied().unwrap_or(0) > cap.max(1) {
-            let Some(queue) = self.done_order.get_mut(&user) else {
+        let mut evicted = excess as u64;
+        if self.ttl_nanos == 0 {
+            return evicted;
+        }
+        self.expiry.push_back((now, user));
+        while let Some(&(at, user)) = self.expiry.front() {
+            if now.saturating_sub(at) < self.ttl_nanos {
                 break;
-            };
-            let Some(old_id) = queue.pop_front() else {
-                break;
-            };
-            if matches!(self.entries.get(&(user, old_id)), Some(IdemState::Done(..))) {
-                self.entries.remove(&(user, old_id));
-                self.drop_done_count(user);
-                evicted += 1;
             }
-            // A stale id (already released) is simply discarded.
-        }
-        evicted
-    }
-
-    /// Reap settled outcomes older than `ttl_nanos` and purge stale
-    /// queue ids. Returns how many settled entries were evicted.
-    fn sweep(&mut self, now: u64, ttl_nanos: u64) -> u64 {
-        let mut evicted = 0u64;
-        if ttl_nanos > 0 {
-            let expired: Vec<(u64, u64)> = self
-                .entries
-                .iter()
-                .filter_map(|(key, state)| match state {
-                    IdemState::Done(_, at) if now.saturating_sub(*at) >= ttl_nanos => Some(*key),
-                    _ => None,
-                })
-                .collect();
-            for key in expired {
-                self.entries.remove(&key);
-                self.drop_done_count(key.0);
+            let number = self.settles - self.expiry.len() as u64;
+            self.expiry.pop_front();
+            let Some(queue) = self.settled.get_mut(&user) else {
+                continue;
+            };
+            if let Some(&(id, _)) = queue.front().filter(|&&(_, n)| n == number) {
+                queue.pop_front();
+                if queue.is_empty() {
+                    self.settled.remove(&user);
+                }
+                self.entries.remove(&(user, id));
                 evicted += 1;
             }
         }
-        // Purge stale ids so the order queues stay proportional to the
-        // live table even when TTL (not the cap) does the evicting.
-        self.done_order.retain(|user, queue| {
-            queue.retain(|id| matches!(self.entries.get(&(*user, *id)), Some(IdemState::Done(..))));
-            !queue.is_empty()
-        });
-        self.done_counts.retain(|_, count| *count > 0);
         evicted
-    }
-
-    fn drop_done_count(&mut self, user: u64) {
-        if let Some(count) = self.done_counts.get_mut(&user) {
-            *count = count.saturating_sub(1);
-        }
     }
 
     fn len(&self) -> usize {
         self.entries.len()
     }
+}
+
+/// A connection's handler thread, and its stream while the handler
+/// holds it, so that shutdown can end the handler's read.
+struct Handler {
+    thread: JoinHandle<()>,
+    stream: Weak<TcpStream>,
 }
 
 struct WireShared {
@@ -278,9 +270,9 @@ struct WireShared {
     clock: Arc<dyn Clock>,
     draining: AtomicBool,
     shutdown_requested: AtomicBool,
-    active_connections: AtomicU64,
     idem: Mutex<IdemTable>,
-    handlers: Mutex<Vec<JoinHandle<()>>>,
+    /// One per open connection: the accept loop joins finished ones.
+    handlers: Mutex<Vec<Handler>>,
     config: WireConfig,
 }
 
@@ -329,7 +321,6 @@ impl WireServer {
         addr: impl ToSocketAddrs,
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let applier = Applier::new(&ledger, config.standby);
         let server = Server::start(mechanism, ledger, Arc::clone(&clock), config.serve);
@@ -339,8 +330,7 @@ impl WireServer {
             clock,
             draining: AtomicBool::new(false),
             shutdown_requested: AtomicBool::new(false),
-            active_connections: AtomicU64::new(0),
-            idem: Mutex::new(IdemTable::new()),
+            idem: Mutex::new(IdemTable::new(&config)),
             handlers: Mutex::new(Vec::new()),
             config,
         });
@@ -371,7 +361,7 @@ impl WireServer {
     }
 
     /// Live idempotency-table entries (test/ops visibility for the
-    /// per-user cap and TTL sweep).
+    /// per-user cap and the TTL).
     pub fn idem_entries(&self) -> usize {
         self.shared
             .idem
@@ -416,24 +406,35 @@ impl WireServer {
         self.shared.server.failed_shards()
     }
 
-    /// Graceful drain: stop accepting → join connection handlers (their
-    /// in-flight exchanges finish) → drain the admission queue → flush
-    /// the journals → snapshot the final report. See the module docs.
+    /// Graceful drain: stop accepting → end every connection's reads
+    /// and join its handler (in-flight exchanges finish) → drain the
+    /// admission queue → flush the journals → snapshot the final report.
+    /// See the module docs.
     pub fn shutdown(mut self) -> WireShutdownOutcome {
         self.shared.draining.store(true, Ordering::SeqCst);
+        // Wake the accept loop blocked in `accept`: it sees `draining`
+        // and drops this connection before counting it.
+        let _ = TcpStream::connect(wake_addr(self.local_addr));
         if let Some(handle) = self.accept_handle.take() {
             let _ = handle.join();
         }
-        let handles: Vec<_> = self
+        let handlers: Vec<Handler> = self
             .shared
             .handlers
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .drain(..)
             .collect();
-        for handle in handles {
+        // An idle handler's read returns end-of-stream at once; one
+        // mid-exchange writes its response, then sees `draining`.
+        for handler in &handlers {
+            if let Some(stream) = handler.stream.upgrade() {
+                let _ = stream.shutdown(Shutdown::Read);
+            }
+        }
+        for handler in handlers {
             // A panicked handler must not hide the remaining drain.
-            let _ = handle.join();
+            let _ = handler.thread.join();
         }
         let Ok(shared) = Arc::try_unwrap(self.shared) else {
             // Accept loop and every handler are joined; no other clone
@@ -469,61 +470,65 @@ fn with_applier(mut report: ServeReport, applier: &Applier) -> ServeReport {
     report
 }
 
+/// The address [`WireServer::shutdown`] connects to in order to wake
+/// the accept loop: the listener's own, on loopback when it is bound to
+/// a wildcard address.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => addr.set_ip(Ipv4Addr::LOCALHOST.into()),
+        IpAddr::V6(ip) if ip.is_unspecified() => addr.set_ip(Ipv6Addr::LOCALHOST.into()),
+        _ => {}
+    }
+    addr
+}
+
 fn accept_loop(shared: &Arc<WireShared>, listener: TcpListener) {
     let counters = shared.server.counters();
-    loop {
+    for stream in listener.incoming() {
         if shared.draining.load(Ordering::SeqCst) {
+            // The wake-up connection of `WireServer::shutdown`, or a
+            // client racing it: dropped uncounted.
             return;
         }
-        if crate::signal::termination_requested() {
-            // SIGTERM/SIGINT landed: stop accepting immediately and let
-            // the owner (which polls the same flag) run the graceful
-            // drain — accept-stop is the first step of the ordering.
-            shared.shutdown_requested.store(true, Ordering::SeqCst);
-            return;
+        let Ok(stream) = stream else {
+            // Transient accept error (e.g. EMFILE): back off and keep
+            // listening rather than killing the server.
+            std::thread::sleep(Duration::from_millis(2));
+            continue;
+        };
+        if failpoint::hit("serve.net.accept") {
+            // Injected accept fault: the connection vanishes before a
+            // byte is read — the client sees a reset and retries.
+            counters.shed_net.fetch_add(1, Ordering::Relaxed);
+            drop(stream);
+            continue;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if failpoint::hit("serve.net.accept") {
-                    // Injected accept fault: the connection vanishes
-                    // before a byte is read — the client sees a reset
-                    // and retries.
-                    counters.shed_net.fetch_add(1, Ordering::Relaxed);
-                    drop(stream);
-                    continue;
-                }
-                let active = shared.active_connections.load(Ordering::Relaxed);
-                if active >= shared.config.max_connections.max(1) as u64 {
-                    // Over the accept cap: explicit counted refusal,
-                    // never a hang. Best-effort write; the shed is
-                    // counted either way.
-                    counters.shed_net.fetch_add(1, Ordering::Relaxed);
-                    refuse_connection(stream);
-                    continue;
-                }
-                shared.active_connections.fetch_add(1, Ordering::Relaxed);
-                let conn_shared = Arc::clone(shared);
-                let handle = std::thread::spawn(move || handle_connection(&conn_shared, stream));
-                let mut handlers = shared
-                    .handlers
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                // Join the handlers whose connection has closed: a
-                // finished thread keeps its stack mapped until joined.
-                for done in handlers.extract_if(.., |handler| handler.is_finished()) {
-                    let _ = done.join();
-                }
-                handlers.push(handle);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => {
-                // Transient accept error (e.g. EMFILE): back off and keep
-                // listening rather than killing the server.
-                std::thread::sleep(Duration::from_millis(2));
-            }
+        let mut handlers = shared
+            .handlers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        // Join the handlers whose connection has closed: a finished
+        // thread keeps its stack mapped until joined, and the handlers
+        // left are the open connections the cap counts.
+        for done in handlers.extract_if(.., |handler| handler.thread.is_finished()) {
+            let _ = done.thread.join();
         }
+        if handlers.len() >= shared.config.max_connections.max(1) {
+            drop(handlers);
+            // Over the accept cap: explicit counted refusal, never a
+            // hang. Best-effort write; the shed is counted either way.
+            counters.shed_net.fetch_add(1, Ordering::Relaxed);
+            refuse_connection(stream);
+            continue;
+        }
+        let stream = Arc::new(stream);
+        let weak = Arc::downgrade(&stream);
+        let conn_shared = Arc::clone(shared);
+        let thread = std::thread::spawn(move || handle_connection(&conn_shared, &stream));
+        handlers.push(Handler {
+            thread,
+            stream: weak,
+        });
     }
 }
 
@@ -558,7 +563,7 @@ enum ReadOutcome {
     BadHead,
 }
 
-fn read_frame(stream: &mut TcpStream, pending: &mut Vec<u8>, max_body: usize) -> ReadOutcome {
+fn read_frame(mut stream: &TcpStream, pending: &mut Vec<u8>, max_body: usize) -> ReadOutcome {
     let mut buf = [0u8; 4096];
     loop {
         if let Some(outcome) = try_extract_frame(pending, max_body) {
@@ -646,7 +651,7 @@ fn authorized(header: Option<&str>, token: &str) -> bool {
     diff == 0
 }
 
-fn handle_connection(shared: &Arc<WireShared>, mut stream: TcpStream) {
+fn handle_connection(shared: &Arc<WireShared>, mut stream: &TcpStream) {
     let counters = shared.server.counters();
     let _ = stream.set_nodelay(true);
     let read_timeout = Duration::from_millis(shared.config.read_timeout_ms.max(1));
@@ -661,15 +666,11 @@ fn handle_connection(shared: &Arc<WireShared>, mut stream: TcpStream) {
         if shared.draining.load(Ordering::SeqCst) {
             break;
         }
-        match read_frame(&mut stream, &mut pending, shared.config.max_body_bytes) {
+        match read_frame(stream, &mut pending, shared.config.max_body_bytes) {
             ReadOutcome::Idle => {
                 // No frame in progress and nothing in flight (responses
                 // are written before the next read begins): reap the
-                // connection once it has idled past the cap. The same
-                // tick drives the idempotency-table TTL sweep — idle
-                // read deadlines are the one periodic pulse every
-                // serving process already has.
-                sweep_idem(shared);
+                // connection once it has idled past the cap.
                 if last_activity.elapsed() >= idle_cap {
                     break;
                 }
@@ -741,26 +742,6 @@ fn handle_connection(shared: &Arc<WireShared>, mut stream: TcpStream) {
                 }
             }
         }
-    }
-    shared.active_connections.fetch_sub(1, Ordering::Relaxed);
-}
-
-/// Rate-limited TTL sweep of the retry table, driven from idle ticks.
-fn sweep_idem(shared: &Arc<WireShared>) {
-    let counters = shared.server.counters();
-    if shared.config.idem_ttl_ms == 0 {
-        return;
-    }
-    let now = shared.clock.now_nanos();
-    let mut idem = shared.idem.lock().unwrap_or_else(PoisonError::into_inner);
-    if now.saturating_sub(idem.last_sweep_nanos) < 1_000_000_000 {
-        return;
-    }
-    idem.last_sweep_nanos = now;
-    let ttl_nanos = shared.config.idem_ttl_ms.saturating_mul(1_000_000);
-    let evicted = idem.sweep(now, ttl_nanos);
-    if evicted > 0 {
-        counters.idem_evicted.fetch_add(evicted, Ordering::Relaxed);
     }
 }
 
@@ -923,7 +904,7 @@ fn submit_one(shared: &Arc<WireShared>, item: &Json) -> SubmitOutcome {
     if let Some(key) = key {
         let mut idem = shared.idem.lock().unwrap_or_else(PoisonError::into_inner);
         match idem.entries.get(&key) {
-            Some(IdemState::Done(body, _)) => {
+            Some(IdemState::Done(body)) => {
                 // Retry of a settled request: replay the journaled
                 // outcome verbatim; the gate is not consulted and no
                 // budget is spent — at-most-once server-side.
@@ -996,12 +977,7 @@ fn settle_one(shared: &Arc<WireShared>, outcome: SubmitOutcome) -> (u16, String)
                         // the refusal forever.
                         idem.release(key);
                     } else {
-                        let evicted = idem.settle(
-                            key,
-                            body.clone(),
-                            shared.clock.now_nanos(),
-                            shared.config.idem_max_per_user,
-                        );
+                        let evicted = idem.settle(key, body.clone(), shared.clock.now_nanos());
                         if evicted > 0 {
                             counters.idem_evicted.fetch_add(evicted, Ordering::Relaxed);
                         }
@@ -1142,6 +1118,26 @@ mod tests {
     use geoind_spatial::geom::BBox;
     use geoind_testkit::clock::SystemClock;
     use std::time::Instant;
+
+    /// An id the cap evicted and the client then settled again expires a
+    /// TTL after its second settle, not after its first.
+    #[test]
+    fn a_resettled_id_expires_from_its_last_settle() {
+        let mut table = IdemTable::new(&WireConfig {
+            idem_max_per_user: 1,
+            idem_ttl_ms: 1,
+            ..WireConfig::default()
+        });
+        let ms = 1_000_000;
+        assert_eq!(table.settle((1, 5), "a".into(), 0), 0);
+        assert_eq!(table.settle((1, 6), "b".into(), ms / 10), 1);
+        assert_eq!(table.settle((1, 5), "c".into(), ms / 5), 1);
+        // The first settle of (1, 5) expires here; the second must not.
+        assert_eq!(table.settle((2, 9), "d".into(), ms), 0);
+        assert!(matches!(table.entries.get(&(1, 5)), Some(IdemState::Done(body)) if body == "c"));
+        assert_eq!(table.settle((2, 10), "e".into(), ms + ms / 5), 2);
+        assert_eq!(table.len(), 1);
+    }
 
     /// A closed connection's handler is joined by the accept loop, not
     /// kept until shutdown: a finished thread keeps its stack mapped until

@@ -20,14 +20,14 @@ use geoind_serve::shard::{shard_of, ShardedLedger};
 use geoind_serve::wire::{WireConfig, WireServer};
 use geoind_serve::{Json, ServeConfig};
 use geoind_spatial::geom::BBox;
-use geoind_testkit::clock::SystemClock;
+use geoind_testkit::clock::{ManualClock, SystemClock};
 use geoind_testkit::failpoint::{self, FailSpec};
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{Ipv4Addr, SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const EPS: f64 = 0.8;
 
@@ -644,6 +644,98 @@ fn idle_connections_are_reaped_after_the_timeout() {
     assert!(fresh.contains(r#""status":"served""#), "{fresh}");
     let outcome = server.shutdown();
     assert_eq!(outcome.report.served(), 2);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Shutdown ends idle keep-alive connections at once rather than
+/// waiting out their read deadline, and wakes the accept loop of a
+/// server bound to a wildcard address over loopback.
+#[test]
+fn shutdown_ends_idle_keep_alive_connections_at_once() {
+    let _guard = NET_FAULTS.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = temp_dir("idle-drain");
+    let server = WireServer::start(
+        mechanism(),
+        sharded(&dir, 100.0, 2),
+        Arc::new(SystemClock),
+        WireConfig {
+            read_timeout_ms: 5_000,
+            ..wire_config()
+        },
+        "0.0.0.0:0",
+    )
+    .expect("bind");
+    let addr = SocketAddr::from((Ipv4Addr::LOCALHOST, server.local_addr().port()));
+    let mut idle: Vec<TcpStream> = (0..3)
+        .map(|_| {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("timeout");
+            stream
+                .write_all(b"GET /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n")
+                .expect("write");
+            let response = read_one_frame(&mut stream);
+            assert!(response.contains("200 OK"), "{response}");
+            stream
+        })
+        .collect();
+    let started = Instant::now();
+    let outcome = server.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "shutdown took {:?} with three idle connections",
+        started.elapsed()
+    );
+    outcome.checkpoint.expect("checkpoint");
+    for stream in &mut idle {
+        assert_eq!(
+            stream.read(&mut [0u8; 64]).expect("closed, not timed out"),
+            0
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Settled outcomes expire as later ones settle, whichever connection
+/// they come from: a connection that never idles still enforces the TTL.
+#[test]
+fn idempotency_ttl_expires_outcomes_on_a_busy_connection() {
+    let _guard = NET_FAULTS.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = temp_dir("idem-ttl");
+    let clock = Arc::new(ManualClock::new(0));
+    let server = WireServer::start(
+        mechanism(),
+        sharded(&dir, 100.0, 4),
+        clock.clone(),
+        WireConfig {
+            idem_ttl_ms: 100,
+            read_timeout_ms: 60_000,
+            ..wire_config()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("bind");
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_millis(2_000)))
+        .expect("timeout");
+    let mut settle = |users: std::ops::Range<u64>| {
+        for user in users {
+            stream
+                .write_all(protect_request(user, 1).as_bytes())
+                .expect("write");
+            let response = read_one_frame(&mut stream);
+            assert!(response.contains(r#""status":"served""#), "{response}");
+        }
+    };
+    settle(0..10);
+    clock.advance(5_000_000_000);
+    settle(10..20);
+    assert_eq!(server.idem_entries(), 10, "the first ten outlived the TTL");
+    assert_eq!(server.report().idem_evicted, 10);
+    let outcome = server.shutdown();
+    assert_eq!(outcome.report.served(), 20);
     std::fs::remove_dir_all(&dir).ok();
 }
 

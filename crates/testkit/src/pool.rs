@@ -26,18 +26,6 @@ impl Pool {
         Self { jobs: jobs.max(1) }
     }
 
-    /// A pool sized to [`Pool::available`] workers.
-    pub fn with_available_parallelism() -> Self {
-        Self::new(Self::available())
-    }
-
-    /// The machine's available parallelism (1 when it cannot be queried).
-    pub fn available() -> usize {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    }
-
     /// Worker count per batch.
     pub fn jobs(&self) -> usize {
         self.jobs
@@ -116,7 +104,6 @@ mod tests {
     #[test]
     fn jobs_clamped_to_one() {
         assert_eq!(Pool::new(0).jobs(), 1);
-        assert!(Pool::available() >= 1);
     }
 
     #[test]

@@ -9,6 +9,22 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Temporary files and directories the gates below create; each is added
+# to this list as it is made, and the list is removed on exit.
+CLEANUP=""
+trap 'rm -rf $CLEANUP' EXIT
+
+# wait_for LOG PATTERN WHAT: poll LOG every 0.1 s, for up to 10 s, until
+# a line matches PATTERN; if none does, print WHAT and the log and fail.
+wait_for() {
+    i=0
+    until grep -q "$2" "$1"; do
+        i=$((i + 1))
+        [ "$i" -le 100 ] || { echo "$3"; cat "$1"; exit 1; }
+        sleep 0.1
+    done
+}
+
 echo "== cargo fmt --check"
 cargo fmt --check
 
@@ -72,7 +88,7 @@ echo "== doctor run (precompute a bundle, then re-certify every channel)"
 DOCTOR_CACHE="$(mktemp /tmp/geoind-ci-cache.XXXXXX)"
 JOBS4_CACHE="$(mktemp /tmp/geoind-ci-cache4.XXXXXX)"
 CUTGEN_CACHE="$(mktemp /tmp/geoind-ci-cutgen.XXXXXX)"
-trap 'rm -f "$DOCTOR_CACHE" "$JOBS4_CACHE" "$CUTGEN_CACHE"' EXIT
+CLEANUP="$CLEANUP $DOCTOR_CACHE $JOBS4_CACHE $CUTGEN_CACHE"
 target/release/geoind precompute --out "$DOCTOR_CACHE" \
     --eps 0.4 --g 2 --synthetic-size 5000 --jobs 1
 target/release/geoind doctor --cache "$DOCTOR_CACHE" \
@@ -119,7 +135,7 @@ echo "== socket smoke (serve --listen + loadgen over loopback, wire faults armed
 cargo build --release --offline --features failpoints
 WIRE_LOG="$(mktemp /tmp/geoind-ci-wire.XXXXXX)"
 WIRE_DIR="/tmp/geoind-ci-wire-ledger.$$"
-trap 'rm -f "$DOCTOR_CACHE" "$JOBS4_CACHE" "$CUTGEN_CACHE" "$WIRE_LOG"; rm -rf "$WIRE_DIR"' EXIT
+CLEANUP="$CLEANUP $WIRE_LOG $WIRE_DIR"
 for fp in serve.net.accept serve.net.read_torn serve.net.write_short serve.net.stall; do
     echo "   -- GEOIND_FAILPOINTS=$fp=2:2 (server side only)"
     rm -rf "$WIRE_DIR"
@@ -130,15 +146,8 @@ for fp in serve.net.accept serve.net.read_torn serve.net.write_short serve.net.s
         --workers 2 --queue 16 --read-timeout-ms 300 --seed 7 \
         --ledger-dir "$WIRE_DIR" > "$WIRE_LOG" &
     WIRE_PID=$!
-    ADDR=""
-    i=0
-    while [ "$i" -lt 100 ]; do
-        ADDR="$(sed -n 's/^# listening on //p' "$WIRE_LOG")"
-        [ -n "$ADDR" ] && break
-        sleep 0.1
-        i=$((i + 1))
-    done
-    [ -n "$ADDR" ] || { echo "server never announced its port"; cat "$WIRE_LOG"; exit 1; }
+    wait_for "$WIRE_LOG" "^# listening on " "server never announced its port"
+    ADDR="$(sed -n 's/^# listening on //p' "$WIRE_LOG")"
     target/release/geoind loadgen --connect "$ADDR" \
         --requests 60 --connections 3 --users 6 --seed 9 \
         --max-attempts 20 --backoff-ms 5 --shutdown on
@@ -161,7 +170,7 @@ REPL_P_LOG="$(mktemp /tmp/geoind-ci-repl-p.XXXXXX)"
 REPL_F_LOG="$(mktemp /tmp/geoind-ci-repl-f.XXXXXX)"
 REPL_P_DIR="/tmp/geoind-ci-repl-primary.$$"
 REPL_F_DIR="/tmp/geoind-ci-repl-follower.$$"
-trap 'rm -f "$DOCTOR_CACHE" "$JOBS4_CACHE" "$CUTGEN_CACHE" "$WIRE_LOG" "$REPL_P_LOG" "$REPL_F_LOG"; rm -rf "$WIRE_DIR" "$REPL_P_DIR" "$REPL_F_DIR"' EXIT
+CLEANUP="$CLEANUP $REPL_P_LOG $REPL_F_LOG $REPL_P_DIR $REPL_F_DIR"
 for pass in serve.repl.ship_torn:8 serve.repl.ack_lost:8 serve.repl.stale_gen:8 \
             serve.repl.ack_lost:1; do
     fp="${pass%:*}"
@@ -181,28 +190,15 @@ for pass in serve.repl.ship_torn:8 serve.repl.ack_lost:8 serve.repl.stale_gen:8 
         --workers 2 --queue 16 --read-timeout-ms 300 --seed 7 \
         --ledger-dir "$REPL_P_DIR" > "$REPL_P_LOG" &
     REPL_P_PID=$!
-    P_ADDR=""
-    i=0
-    while [ "$i" -lt 100 ]; do
-        P_ADDR="$(sed -n 's/^# listening on //p' "$REPL_P_LOG")"
-        [ -n "$P_ADDR" ] && break
-        sleep 0.1
-        i=$((i + 1))
-    done
-    [ -n "$P_ADDR" ] || { echo "replication primary never announced its port"; cat "$REPL_P_LOG"; exit 1; }
+    wait_for "$REPL_P_LOG" "^# listening on " "replication primary never announced its port"
+    P_ADDR="$(sed -n 's/^# listening on //p' "$REPL_P_LOG")"
     GEOIND_FAILPOINTS="$F_FP" target/release/geoind serve \
         --listen 127.0.0.1:0 --shards 4 --cap 100.0 --follow "$P_ADDR" \
         --eps 0.4 --g 2 --synthetic-size 3000 \
         --workers 2 --queue 16 --read-timeout-ms 300 --seed 7 \
         --ledger-dir "$REPL_F_DIR" > "$REPL_F_LOG" &
     REPL_F_PID=$!
-    i=0
-    while [ "$i" -lt 100 ]; do
-        grep -q "registered: true" "$REPL_F_LOG" && break
-        sleep 0.1
-        i=$((i + 1))
-    done
-    grep -q "registered: true" "$REPL_F_LOG" || { echo "follower never registered"; cat "$REPL_F_LOG"; exit 1; }
+    wait_for "$REPL_F_LOG" "registered: true" "follower never registered"
     target/release/geoind loadgen --connect "$P_ADDR" \
         --requests 60 --connections 3 --users 6 --seed 9 \
         --max-attempts 20 --backoff-ms 5 --shutdown on
@@ -234,37 +230,24 @@ DRILL_P_LOG="$(mktemp /tmp/geoind-ci-drill-p.XXXXXX)"
 DRILL_F_LOG="$(mktemp /tmp/geoind-ci-drill-f.XXXXXX)"
 DRILL_P_DIR="/tmp/geoind-ci-drill-primary.$$"
 DRILL_F_DIR="/tmp/geoind-ci-drill-follower.$$"
-trap 'rm -f "$DOCTOR_CACHE" "$JOBS4_CACHE" "$CUTGEN_CACHE" "$WIRE_LOG" "$REPL_P_LOG" "$REPL_F_LOG" "$DRILL_P_LOG" "$DRILL_F_LOG"; rm -rf "$WIRE_DIR" "$REPL_P_DIR" "$REPL_F_DIR" "$DRILL_P_DIR" "$DRILL_F_DIR"' EXIT
+CLEANUP="$CLEANUP $DRILL_P_LOG $DRILL_F_LOG $DRILL_P_DIR $DRILL_F_DIR"
 target/release/geoind serve \
     --listen 127.0.0.1:0 --shards 4 --cap 1600.0 --max-replica-lag 16 \
     --eps 0.4 --g 2 --synthetic-size 3000 \
     --workers 2 --queue 16 --read-timeout-ms 300 --seed 7 \
     --ledger-dir "$DRILL_P_DIR" > "$DRILL_P_LOG" &
 DRILL_P_PID=$!
-DRILL_P_ADDR=""
-i=0
-while [ "$i" -lt 100 ]; do
-    DRILL_P_ADDR="$(sed -n 's/^# listening on //p' "$DRILL_P_LOG")"
-    [ -n "$DRILL_P_ADDR" ] && break
-    sleep 0.1
-    i=$((i + 1))
-done
-[ -n "$DRILL_P_ADDR" ] || { echo "drill primary never announced its port"; cat "$DRILL_P_LOG"; exit 1; }
+wait_for "$DRILL_P_LOG" "^# listening on " "drill primary never announced its port"
+DRILL_P_ADDR="$(sed -n 's/^# listening on //p' "$DRILL_P_LOG")"
 target/release/geoind serve \
     --listen 127.0.0.1:0 --shards 4 --cap 1600.0 --follow "$DRILL_P_ADDR" \
     --eps 0.4 --g 2 --synthetic-size 3000 \
     --workers 2 --queue 16 --read-timeout-ms 300 --seed 7 \
     --ledger-dir "$DRILL_F_DIR" > "$DRILL_F_LOG" &
 DRILL_F_PID=$!
-DRILL_F_ADDR=""
-i=0
-while [ "$i" -lt 100 ]; do
-    DRILL_F_ADDR="$(sed -n 's/^# listening on //p' "$DRILL_F_LOG")"
-    [ -n "$DRILL_F_ADDR" ] && grep -q "registered: true" "$DRILL_F_LOG" && break
-    sleep 0.1
-    i=$((i + 1))
-done
-grep -q "registered: true" "$DRILL_F_LOG" || { echo "drill follower never registered"; cat "$DRILL_F_LOG"; exit 1; }
+# The follower announces its port before it registers.
+wait_for "$DRILL_F_LOG" "registered: true" "drill follower never registered"
+DRILL_F_ADDR="$(sed -n 's/^# listening on //p' "$DRILL_F_LOG")"
 target/release/geoind loadgen --connect "$DRILL_P_ADDR" --failover "$DRILL_F_ADDR" \
     --requests 16000 --connections 4 --users 8 --seed 11 \
     --max-attempts 40 --backoff-ms 5 --retry-budget 8000 &
@@ -284,15 +267,8 @@ target/release/geoind serve \
     --workers 2 --queue 16 --read-timeout-ms 300 --seed 7 \
     --ledger-dir "$DRILL_P_DIR" > "$DRILL_P_LOG" &
 DRILL_P_PID=$!
-STALE_ADDR=""
-i=0
-while [ "$i" -lt 100 ]; do
-    STALE_ADDR="$(sed -n 's/^# listening on //p' "$DRILL_P_LOG")"
-    [ -n "$STALE_ADDR" ] && break
-    sleep 0.1
-    i=$((i + 1))
-done
-[ -n "$STALE_ADDR" ] || { echo "revived primary never announced its port"; cat "$DRILL_P_LOG"; exit 1; }
+wait_for "$DRILL_P_LOG" "^# listening on " "revived primary never announced its port"
+STALE_ADDR="$(sed -n 's/^# listening on //p' "$DRILL_P_LOG")"
 if target/release/geoind loadgen --connect "$STALE_ADDR" \
     --requests 6 --connections 1 --users 2 --seed 3 \
     --max-attempts 3 --backoff-ms 5; then
@@ -321,7 +297,7 @@ SOAK_SEED="${SOAK_SEED:-$(date +%s)}"
 echo "   -- SOAK_SEED=$SOAK_SEED (export SOAK_SEED to reproduce)"
 SOAK_LOG="$(mktemp /tmp/geoind-ci-soak.XXXXXX)"
 SOAK_DIR="/tmp/geoind-ci-soak-ledger.$$"
-trap 'rm -f "$DOCTOR_CACHE" "$JOBS4_CACHE" "$CUTGEN_CACHE" "$WIRE_LOG" "$REPL_P_LOG" "$REPL_F_LOG" "$DRILL_P_LOG" "$DRILL_F_LOG" "$SOAK_LOG"; rm -rf "$WIRE_DIR" "$REPL_P_DIR" "$REPL_F_DIR" "$DRILL_P_DIR" "$DRILL_F_DIR" "$SOAK_DIR"' EXIT
+CLEANUP="$CLEANUP $SOAK_LOG $SOAK_DIR"
 SOAK_END=$(( $(date +%s) + 60 ))
 SOAK_STATE=$SOAK_SEED
 SOAK_ROUNDS=0
@@ -350,15 +326,8 @@ while [ "$(date +%s)" -lt "$SOAK_END" ]; do
         --workers 2 --queue 16 --read-timeout-ms 300 --seed 7 \
         --ledger-dir "$SOAK_DIR" > "$SOAK_LOG" &
     SOAK_PID=$!
-    ADDR=""
-    i=0
-    while [ "$i" -lt 100 ]; do
-        ADDR="$(sed -n 's/^# listening on //p' "$SOAK_LOG")"
-        [ -n "$ADDR" ] && break
-        sleep 0.1
-        i=$((i + 1))
-    done
-    [ -n "$ADDR" ] || { echo "soak server never announced its port"; cat "$SOAK_LOG"; exit 1; }
+    wait_for "$SOAK_LOG" "^# listening on " "soak server never announced its port"
+    ADDR="$(sed -n 's/^# listening on //p' "$SOAK_LOG")"
     target/release/geoind loadgen --connect "$ADDR" \
         --requests 80 --connections 4 --users 8 --seed "$((SOAK_STATE % 1000))" \
         --max-attempts 40 --backoff-ms 5 --shutdown on
