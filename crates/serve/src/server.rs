@@ -4,13 +4,17 @@
 //! The request path is strictly ordered to keep every outcome
 //! privacy-safe:
 //!
-//! 1. **Admission** — a full queue sheds the request immediately
-//!    (`SubmitError::QueueFull`); nothing downstream runs.
+//! 1. **Admission** — requests arrive in groups ([`Server::submit_group`];
+//!    [`Server::submit`] is a group of one). A group takes the longest
+//!    prefix that fits in the queue's free room and each request after
+//!    it is shed (`SubmitError::QueueFull`); nothing downstream runs for
+//!    a shed request.
 //! 2. **Deadline** — a worker checks the request's deadline *before any
 //!    sampling*. An expired request is counted and answered
 //!    [`Response::Expired`] with the user's budget untouched.
-//! 3. **Budget** — the spend is journaled durably. A worker charges its
-//!    drained batch's live requests as one
+//! 3. **Budget** — the spend is journaled durably. A worker drains whole
+//!    groups, never splitting one, and charges its drained batch's live
+//!    requests as one
 //!    [`ShardedLedger::try_spend_many`] group: one WAL write and one
 //!    fsync per shard the batch touches, acknowledged whole or not at
 //!    all. A refusal ([`Response::BudgetExhausted`] or
@@ -46,9 +50,12 @@ pub struct ServeConfig {
     /// Base seed for the per-worker RNGs (worker `i` uses `seed + i`).
     pub seed: u64,
     /// How many queued requests a worker drains per queue-lock
-    /// acquisition (clamped to at least 1). The batch is gated first
-    /// (deadline, budget — neither consumes randomness) and the admitted
-    /// points are sampled through one
+    /// acquisition (clamped to at least 1). A worker drains whole
+    /// admission groups: it takes the first whole, however long (a
+    /// protect array arrives as one group), and adds each next group
+    /// only while it then holds at most `batch` requests. The batch is
+    /// gated first (deadline, budget — neither consumes randomness) and
+    /// the admitted points are sampled through one
     /// [`ResilientMechanism::report_many`] call, so any batch size
     /// produces the same bits as serving the jobs one at a time. The
     /// batch is also the fsync group: its live spends are journaled with
@@ -79,7 +86,7 @@ pub struct Request {
 }
 
 /// Terminal outcome of a request, delivered on the channel returned by
-/// [`Server::submit`].
+/// [`Server::submit`] or [`Server::submit_group`].
 #[derive(Debug, Clone)]
 pub enum Response {
     /// The sanitized location and the ladder tier that produced it.
@@ -205,6 +212,7 @@ impl ServeCounters {
             unaccounted_shards: ledger.unaccounted_shards(),
             folds: ledger.folds(),
             fold_faults: ledger.fold_faults(),
+            group_commits: ledger.group_commits(),
         }
     }
 }
@@ -305,6 +313,11 @@ pub struct ServeReport {
     /// shard's WAL grows until a fold succeeds (excluded from
     /// [`Self::total`]).
     pub fold_faults: u64,
+    /// Durable group appends on the request path: one WAL write and one
+    /// `fdatasync` each ([`ShardedLedger::group_commits`]). `served()`
+    /// over this is the mean group size per `fdatasync` (excluded from
+    /// [`Self::total`]).
+    pub group_commits: u64,
 }
 
 impl ServeReport {
@@ -335,7 +348,7 @@ impl ServeReport {
     /// of this report (the log line, `GET /report`) is generated from.
     /// Tests pin the order; a name is removed only together with the
     /// thing it counts.
-    pub fn counters(&self) -> [(&'static str, u64); 30] {
+    pub fn counters(&self) -> [(&'static str, u64); 31] {
         [
             ("total", self.total()),
             ("served", self.served()),
@@ -367,6 +380,7 @@ impl ServeReport {
             ("replica_deduped", self.replica_deduped),
             ("folds", self.folds),
             ("fold_faults", self.fold_faults),
+            ("group_commits", self.group_commits),
         ]
     }
 
@@ -389,7 +403,10 @@ struct Job {
 }
 
 struct QueueState {
-    jobs: VecDeque<Job>,
+    /// Admitted groups, oldest first; a worker never splits one.
+    groups: VecDeque<Vec<Job>>,
+    /// Requests across `groups`: what `queue_capacity` bounds.
+    queued: usize,
     accepting: bool,
 }
 
@@ -442,7 +459,8 @@ impl Server {
         }
         let shared = Arc::new(Shared {
             queue: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
+                groups: VecDeque::new(),
+                queued: 0,
                 accepting: true,
             }),
             queue_capacity: config.queue_capacity.max(1),
@@ -464,32 +482,66 @@ impl Server {
         Self { shared, workers }
     }
 
-    /// Submit a request. On `Ok` the outcome arrives on the returned
-    /// channel; on [`SubmitError::QueueFull`] the request was shed (and
-    /// counted).
+    /// Submit a request: the one-request case of [`Self::submit_group`].
+    /// On `Ok` the outcome arrives on the returned channel; on
+    /// [`SubmitError::QueueFull`] the request was shed (and counted).
     ///
     /// # Errors
     /// [`SubmitError::QueueFull`] when the bounded queue is at capacity,
     /// [`SubmitError::Closed`] once shutdown has begun.
     pub fn submit(&self, request: Request) -> Result<mpsc::Receiver<Response>, SubmitError> {
+        self.submit_group(&[request])
+            .pop()
+            .expect("one submit result per request")
+    }
+
+    /// Submit `requests` as one admission group, returning one result
+    /// per request in order. The group takes the longest prefix that
+    /// fits in the queue's free room (`queue_capacity` counts requests);
+    /// each request after it is shed [`SubmitError::QueueFull`] and
+    /// counted. One worker drains the admitted prefix whole, so its live
+    /// spends are charged by one [`ShardedLedger::try_spend_many`] — one
+    /// WAL write and one `fdatasync` per shard it touches — and its
+    /// points sampled by one [`ResilientMechanism::report_many`], in
+    /// order. Once shutdown has begun every request is refused
+    /// [`SubmitError::Closed`].
+    pub fn submit_group(
+        &self,
+        requests: &[Request],
+    ) -> Vec<Result<mpsc::Receiver<Response>, SubmitError>> {
         let mut queue = self
             .shared
             .queue
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         if !queue.accepting {
-            return Err(SubmitError::Closed);
+            return requests.iter().map(|_| Err(SubmitError::Closed)).collect();
         }
-        if queue.jobs.len() >= self.shared.queue_capacity {
+        let room = self.shared.queue_capacity.saturating_sub(queue.queued);
+        let (admitted, shed) = requests.split_at(requests.len().min(room));
+        let (jobs, mut results): (Vec<Job>, Vec<_>) = admitted
+            .iter()
+            .map(|&request| {
+                let (tx, rx) = mpsc::channel();
+                (Job { request, reply: tx }, Ok(rx))
+            })
+            .unzip();
+        if !jobs.is_empty() {
+            queue.queued += jobs.len();
+            queue.groups.push_back(jobs);
             drop(queue);
-            self.shared.counters.shed.fetch_add(1, Ordering::Relaxed);
-            return Err(SubmitError::QueueFull);
+            self.shared.not_empty.notify_one();
+        } else {
+            drop(queue);
         }
-        let (tx, rx) = mpsc::channel();
-        queue.jobs.push_back(Job { request, reply: tx });
-        drop(queue);
-        self.shared.not_empty.notify_one();
-        Ok(rx)
+        if !shed.is_empty() {
+            self.shared
+                .counters
+                .shed
+                .fetch_add(shed.len() as u64, Ordering::Relaxed);
+            results.extend(shed.iter().map(|_| Err(SubmitError::QueueFull)));
+        }
+        results
     }
 
     /// Counters so far.
@@ -573,8 +625,16 @@ fn worker_loop(shared: &Shared, seed: u64, batch: usize) {
         let jobs: Vec<Job> = {
             let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
-                if !queue.jobs.is_empty() {
-                    let take = batch.min(queue.jobs.len());
+                if let Some(mut jobs) = queue.groups.pop_front() {
+                    // Whole groups only: the first however long, then
+                    // more while the batch stays within `batch`.
+                    while let Some(next) = queue
+                        .groups
+                        .pop_front_if(|next| jobs.len() + next.len() <= batch)
+                    {
+                        jobs.extend(next);
+                    }
+                    queue.queued -= jobs.len();
                     if !queue.accepting {
                         // Popped after shutdown began: these are the
                         // graceful drain, counted so the final report can
@@ -582,9 +642,9 @@ fn worker_loop(shared: &Shared, seed: u64, batch: usize) {
                         shared
                             .counters
                             .drained
-                            .fetch_add(take as u64, Ordering::Relaxed);
+                            .fetch_add(jobs.len() as u64, Ordering::Relaxed);
                     }
-                    break queue.jobs.drain(..take).collect();
+                    break jobs;
                 }
                 if !queue.accepting {
                     return;
@@ -875,7 +935,7 @@ mod tests {
                 .queue
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
-                .jobs
+                .groups
                 .is_empty()
             {
                 break;
@@ -893,6 +953,64 @@ mod tests {
         let report = outcome.report;
         assert_eq!(report.shed, 1);
         assert_eq!(report.served(), 2);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_group_longer_than_the_free_room_admits_its_prefix() {
+        let dir = temp_dir("group-prefix");
+        let server = Server::start(
+            mechanism(),
+            ledger(&dir, 100.0),
+            Arc::new(ManualClock::new(0)),
+            ServeConfig {
+                workers: 1,
+                queue_capacity: 4,
+                seed: 3,
+                batch: 1,
+            },
+        );
+        // Stall the single worker on the ledger with A in hand, so the
+        // queue's free room is exactly what the submits below leave.
+        let guard = server.shared.ledger.lock_shard(1);
+        let rx_a = server.submit(request(1)).expect("admit A");
+        while server
+            .shared
+            .queue
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .queued
+            > 0
+        {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let rx_b = server.submit(request(2)).expect("admit B");
+        // Three of four slots are free: the group's first three are
+        // admitted, its last two shed in order.
+        let group: Vec<Request> = (10..15).map(request).collect();
+        let mut results = server.submit_group(&group);
+        let shed = results.split_off(3);
+        assert!(shed
+            .iter()
+            .all(|r| matches!(r, Err(SubmitError::QueueFull))));
+        // A full queue admits nothing of the next group.
+        let refused = server.submit_group(&[request(20), request(21)]);
+        assert!(refused
+            .iter()
+            .all(|r| matches!(r, Err(SubmitError::QueueFull))));
+        drop(guard);
+        let admitted = results.into_iter().map(|r| r.expect("admitted prefix"));
+        for rx in [rx_a, rx_b].into_iter().chain(admitted) {
+            assert!(matches!(
+                rx.recv().expect("response"),
+                Response::Served { .. }
+            ));
+        }
+        let outcome = server.shutdown();
+        outcome.checkpoint.expect("checkpoint");
+        assert_eq!(outcome.report.shed, 4);
+        assert_eq!(outcome.report.served(), 5);
+        assert_eq!(outcome.report.total(), 9);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -944,9 +1062,12 @@ mod tests {
         // Every third request is user 9, whose cap binds at its fifth
         // request (index 14). The worker drains request 0 alone, then
         // the rest in full batches, so index 14 sits inside a group
-        // charge for every batch size above 1.
-        let serve = |batch: usize| -> (Vec<Option<Point>>, u64) {
-            let dir = temp_dir(&format!("batch-bits-{batch}"));
+        // charge for every batch size above 1. The same holds when the
+        // rest arrive through `submit_group`: as one group longer than
+        // the batch (drained whole) or in groups of 3 (combined while
+        // they fit the batch).
+        let serve = |batch: usize, group: usize| -> (Vec<Option<Point>>, u64) {
+            let dir = temp_dir(&format!("batch-bits-{batch}-{group}"));
             let server = Server::start(
                 mechanism(),
                 ledger(&dir, 4.5 * EPS),
@@ -958,15 +1079,12 @@ mod tests {
                     batch,
                 },
             );
-            let submit = |i: u64| {
-                server
-                    .submit(Request {
-                        user: if i % 3 == 2 { 9 } else { i % 5 },
-                        point: Point::new((i % 8) as f64 + 0.3, (i % 7) as f64 + 0.6),
-                        deadline_nanos: None,
-                    })
-                    .expect("submit")
+            let request = |i: u64| Request {
+                user: if i % 3 == 2 { 9 } else { i % 5 },
+                point: Point::new((i % 8) as f64 + 0.3, (i % 7) as f64 + 0.6),
+                deadline_nanos: None,
             };
+            let submit = |i: u64| server.submit(request(i)).expect("submit");
             // Stall the worker on the ledger with request 0 in hand, queue
             // the rest behind it, then let it drain.
             let guard = server.shared.ledger.lock_shard(9);
@@ -976,12 +1094,20 @@ mod tests {
                 .queue
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
-                .jobs
+                .groups
                 .is_empty()
             {
                 std::thread::sleep(Duration::from_millis(1));
             }
-            receivers.extend((1..30).map(submit));
+            if group == 1 {
+                receivers.extend((1..30).map(submit));
+            } else {
+                let rest: Vec<Request> = (1..30).map(request).collect();
+                for chunk in rest.chunks(group) {
+                    let admitted = server.submit_group(chunk).into_iter();
+                    receivers.extend(admitted.map(|rx| rx.expect("submit")));
+                }
+            }
             drop(guard);
             let outcomes = receivers
                 .into_iter()
@@ -999,22 +1125,22 @@ mod tests {
             fs::remove_dir_all(&dir).ok();
             (outcomes, spent)
         };
-        let (single, single_spent) = serve(1);
+        let (single, single_spent) = serve(1, 1);
         assert_eq!(single.iter().filter(|o| o.is_none()).count(), 6);
-        for batch in [2, 8, 64] {
-            let (batched, batched_spent) = serve(batch);
+        for (batch, group) in [(2, 1), (8, 1), (64, 1), (4, 29), (8, 3)] {
+            let (batched, batched_spent) = serve(batch, group);
             assert_eq!(single.len(), batched.len());
             for (a, b) in single.iter().zip(&batched) {
                 match (a, b) {
                     (Some(a), Some(b)) => {
-                        assert_eq!(a.x.to_bits(), b.x.to_bits(), "batch={batch}");
-                        assert_eq!(a.y.to_bits(), b.y.to_bits(), "batch={batch}");
+                        assert_eq!(a.x.to_bits(), b.x.to_bits(), "batch={batch} group={group}");
+                        assert_eq!(a.y.to_bits(), b.y.to_bits(), "batch={batch} group={group}");
                     }
                     (None, None) => {}
-                    _ => panic!("batch={batch}: served/refused pattern differs"),
+                    _ => panic!("batch={batch} group={group}: served/refused pattern differs"),
                 }
             }
-            assert_eq!(single_spent, batched_spent, "batch={batch}");
+            assert_eq!(single_spent, batched_spent, "batch={batch} group={group}");
         }
     }
 
@@ -1106,10 +1232,11 @@ mod tests {
             unaccounted_shards: 1,
             folds: 12,
             fold_faults: 2,
+            group_commits: 11,
         };
         assert_eq!(
             report.log_line(),
-            "serve total=71 served=42 optimal=40 per_level=2 refused_budget=5 expired=3 shed=2 journal_faults=1 repaired=4 quarantined=1 dedup=6 sampled_flat=40 shed_net=2 torn=1 drained=3 refused_shard=7 disk_full=2 repaired_shards=1 scavenged=9 abandoned=1 unaccounted_shards=1 replica_lag=2 fenced=1 idem_evicted=5 unauthorized=3 retried=4 replica_applied=8 replica_deduped=2 folds=12 fold_faults=2"
+            "serve total=71 served=42 optimal=40 per_level=2 refused_budget=5 expired=3 shed=2 journal_faults=1 repaired=4 quarantined=1 dedup=6 sampled_flat=40 shed_net=2 torn=1 drained=3 refused_shard=7 disk_full=2 repaired_shards=1 scavenged=9 abandoned=1 unaccounted_shards=1 replica_lag=2 fenced=1 idem_evicted=5 unauthorized=3 retried=4 replica_applied=8 replica_deduped=2 folds=12 fold_faults=2 group_commits=11"
         );
     }
 

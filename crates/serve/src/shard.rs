@@ -227,6 +227,9 @@ struct ShardSet {
     /// the fleet-wide counts never go backwards across a repair.
     retired_folds: AtomicU64,
     retired_fold_faults: AtomicU64,
+    /// Durable group appends on the request path that admitted at least
+    /// one charge: one `fdatasync` each (follower applies not counted).
+    group_commits: AtomicU64,
     /// Repair tasks running or finished since the last spawn joined the
     /// finished ones.
     repair_handles: Mutex<Vec<JoinHandle<()>>>,
@@ -298,6 +301,7 @@ impl ShardedLedger {
                 abandoned: AtomicU64::new(0),
                 retired_folds: AtomicU64::new(0),
                 retired_fold_faults: AtomicU64::new(0),
+                group_commits: AtomicU64::new(0),
                 repair_handles: Mutex::new(Vec::new()),
                 shipper: OnceLock::new(),
             }),
@@ -466,6 +470,7 @@ impl ShardedLedger {
                 }
             }
             Ok(()) if probes.iter().any(Result::is_ok) => {
+                self.inner.group_commits.fetch_add(1, Ordering::Relaxed);
                 *strikes = 0;
                 // First durable append after a repair: probation is over,
                 // the device provably writes again.
@@ -772,6 +777,14 @@ impl ShardedLedger {
     pub fn fold_faults(&self) -> u64 {
         self.inner.retired_fold_faults.load(Ordering::Relaxed)
             + self.fold(0, |acc, l| acc + l.fold_faults())
+    }
+
+    /// Durable group appends the request path has made: one WAL write
+    /// and one `fdatasync` each, counted only when the group admitted a
+    /// charge. Served reports divided by this is the mean group size per
+    /// `fdatasync`. A follower's applies are not counted.
+    pub fn group_commits(&self) -> u64 {
+        self.inner.group_commits.load(Ordering::Relaxed)
     }
 
     fn fold<T>(&self, init: T, mut f: impl FnMut(T, &SpendLedger) -> T) -> T {

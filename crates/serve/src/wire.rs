@@ -7,10 +7,14 @@
 //! batch; the framing itself lives in [`crate::http`].
 //!
 //! * `POST /protect` — one request object
-//!   `{"user":7,"id":3,"x":1.0,"y":2.0}` or an array of them (an array
-//!   is submitted as one pipelined burst, so it drains into the worker
-//!   pool's batched [`geoind_core::ResilientMechanism::report_many`]
-//!   path). Terminal outcomes answer `200` with a `status` field
+//!   `{"user":7,"id":3,"x":1.0,"y":2.0}` or an array of them. An array
+//!   is one admission group ([`Server::submit_group`]): its elements are
+//!   checked first, and the live ones are admitted by prefix (those
+//!   beyond the queue's free room answer `overloaded`) and never split,
+//!   so one worker charges them with one group commit — one `fdatasync`
+//!   per ledger shard — and samples them with one
+//!   [`geoind_core::ResilientMechanism::report_many`], answered in order.
+//!   Terminal outcomes answer `200` with a `status` field
 //!   (`served`, `budget_exhausted`, `expired`, `journal_fault`);
 //!   retryable refusals answer `503` (`overloaded`, `draining`,
 //!   `in_flight`, `shard_unavailable`, `disk_full`). `id` is the
@@ -87,6 +91,7 @@ use std::net::{
     IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -854,38 +859,62 @@ fn dispatch_protect(shared: &Arc<WireShared>, body: &[u8]) -> (u16, String) {
     };
     match parsed {
         Json::Arr(items) => {
-            // Pipelined burst: submit everything before receiving
-            // anything, so the jobs land in the queue together and the
-            // workers drain them through the batched sampling path.
-            let submitted: Vec<SubmitOutcome> =
-                items.iter().map(|item| submit_one(shared, item)).collect();
-            let bodies: Vec<String> = submitted
+            let bodies: Vec<String> = protect_group(shared, &items)
                 .into_iter()
-                .map(|outcome| settle_one(shared, outcome).1)
+                .map(|(_, body)| body)
                 .collect();
             (200, format!("[{}]", bodies.join(",")))
         }
-        item => {
-            let outcome = submit_one(shared, &item);
-            settle_one(shared, outcome)
-        }
+        item => protect_group(shared, std::slice::from_ref(&item))
+            .pop()
+            .expect("one outcome per element"),
     }
 }
 
-/// A protect element after the submit half: either already terminal
-/// (replay, refusal, parse error) or waiting on the worker pool.
-enum SubmitOutcome {
-    Terminal(u16, String),
-    /// Waiting on the worker; the idempotency key (if any) must be
-    /// settled when the response arrives.
-    InFlight(std::sync::mpsc::Receiver<Response>, Option<(u64, u64)>),
+/// Answer protect elements in order: check every element first, submit
+/// the live ones as one admission group, then settle them in order. The
+/// group is never split (one worker charges its spends with one group
+/// commit and samples them with one `report_many`), and it is admitted
+/// by prefix: elements beyond the queue's free room answer `overloaded`.
+fn protect_group(shared: &Arc<WireShared>, items: &[Json]) -> Vec<(u16, String)> {
+    let checked: Vec<Checked> = items.iter().map(|item| check_one(shared, item)).collect();
+    let live: Vec<Request> = checked
+        .iter()
+        .filter_map(|checked| match checked {
+            Checked::Live(request, _) => Some(*request),
+            Checked::Terminal(..) => None,
+        })
+        .collect();
+    let mut submitted = shared.server.submit_group(&live).into_iter();
+    checked
+        .into_iter()
+        .map(|checked| match checked {
+            Checked::Terminal(status, body) => (status, body),
+            Checked::Live(_, key) => settle_one(
+                shared,
+                submitted
+                    .next()
+                    .expect("one submit result per live element"),
+                key,
+            ),
+        })
+        .collect()
 }
 
-fn submit_one(shared: &Arc<WireShared>, item: &Json) -> SubmitOutcome {
+/// A protect element after its checks: either already terminal (replay,
+/// in-flight or malformed) or a request to submit.
+enum Checked {
+    Terminal(u16, String),
+    /// To submit; the idempotency key (if any) holds an in-flight marker
+    /// and must be settled or released once the request is answered.
+    Live(Request, Option<(u64, u64)>),
+}
+
+fn check_one(shared: &Arc<WireShared>, item: &Json) -> Checked {
     let counters = shared.server.counters();
     let Some(user) = item.get("user").and_then(Json::as_u64) else {
         counters.shed_net.fetch_add(1, Ordering::Relaxed);
-        return SubmitOutcome::Terminal(
+        return Checked::Terminal(
             400,
             r#"{"status":"bad_request","detail":"missing user"}"#.into(),
         );
@@ -895,7 +924,7 @@ fn submit_one(shared: &Arc<WireShared>, item: &Json) -> SubmitOutcome {
         item.get("y").and_then(Json::as_f64),
     ) else {
         counters.shed_net.fetch_add(1, Ordering::Relaxed);
-        return SubmitOutcome::Terminal(
+        return Checked::Terminal(
             400,
             r#"{"status":"bad_request","detail":"missing x/y"}"#.into(),
         );
@@ -910,10 +939,10 @@ fn submit_one(shared: &Arc<WireShared>, item: &Json) -> SubmitOutcome {
                 // budget is spent — at-most-once server-side.
                 let body = body.clone();
                 counters.retried.fetch_add(1, Ordering::Relaxed);
-                return SubmitOutcome::Terminal(200, body);
+                return Checked::Terminal(200, body);
             }
             Some(IdemState::Pending) => {
-                return SubmitOutcome::Terminal(503, r#"{"status":"in_flight"}"#.into());
+                return Checked::Terminal(503, r#"{"status":"in_flight"}"#.into());
             }
             None => {
                 idem.entries.insert(key, IdemState::Pending);
@@ -931,74 +960,48 @@ fn submit_one(shared: &Arc<WireShared>, item: &Json) -> SubmitOutcome {
         point: geoind_spatial::geom::Point::new(x, y),
         deadline_nanos,
     };
-    match shared.server.submit(request) {
-        Ok(rx) => SubmitOutcome::InFlight(rx, key),
-        Err(err) => {
-            // The submit was refused before the gate: drop the Pending
-            // marker so a retry re-attempts instead of seeing in_flight
-            // forever.
-            if let Some(key) = key {
-                shared
-                    .idem
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .release(key);
-            }
-            let body = match err {
-                SubmitError::QueueFull => r#"{"status":"overloaded"}"#,
-                SubmitError::Closed => r#"{"status":"draining"}"#,
-            };
-            SubmitOutcome::Terminal(503, body.into())
-        }
-    }
+    Checked::Live(request, key)
 }
 
-fn settle_one(shared: &Arc<WireShared>, outcome: SubmitOutcome) -> (u16, String) {
-    let counters = shared.server.counters();
-    match outcome {
-        SubmitOutcome::Terminal(status, body) => (status, body),
-        SubmitOutcome::InFlight(rx, key) => match rx.recv() {
-            Ok(response) => {
-                let body = render_outcome(&response);
-                let retryable = matches!(
-                    response,
-                    Response::ShardUnavailable { .. }
-                        | Response::DiskFull
-                        | Response::ReplicaLag { .. }
-                        | Response::Fenced
-                );
-                if let Some(key) = key {
-                    let mut idem = shared.idem.lock().unwrap_or_else(PoisonError::into_inner);
-                    if retryable {
-                        // Nothing was journaled and the condition may
-                        // clear (repair, freed space, follower caught
-                        // up, client failing over): release the key so
-                        // the retry re-attempts instead of replaying
-                        // the refusal forever.
-                        idem.release(key);
-                    } else {
-                        let evicted = idem.settle(key, body.clone(), shared.clock.now_nanos());
-                        if evicted > 0 {
-                            counters.idem_evicted.fetch_add(evicted, Ordering::Relaxed);
-                        }
-                    }
-                }
-                (if retryable { 503 } else { 200 }, body)
+/// Answer one submitted element, and settle or release its idempotency
+/// key: only a terminal (`200`) outcome is kept for replay. A refusal
+/// before the gate (shed, draining), a retryable refusal or a lost worker
+/// releases the key, so a retry re-attempts instead of replaying it or
+/// seeing `in_flight` forever.
+fn settle_one(
+    shared: &Arc<WireShared>,
+    submitted: Result<Receiver<Response>, SubmitError>,
+    key: Option<(u64, u64)>,
+) -> (u16, String) {
+    let (status, body) = match submitted.map(|rx| rx.recv()) {
+        Err(SubmitError::QueueFull) => (503, r#"{"status":"overloaded"}"#.to_string()),
+        Err(SubmitError::Closed) => (503, r#"{"status":"draining"}"#.to_string()),
+        // The worker dropped the reply without answering (it panicked):
+        // fail closed.
+        Ok(Err(_)) => (500, r#"{"status":"internal"}"#.to_string()),
+        // Retryable: the condition may clear (repair, freed space,
+        // follower caught up, client failing over).
+        Ok(Ok(
+            response @ (Response::ShardUnavailable { .. }
+            | Response::DiskFull
+            | Response::ReplicaLag { .. }
+            | Response::Fenced),
+        )) => (503, render_outcome(&response)),
+        Ok(Ok(response)) => (200, render_outcome(&response)),
+    };
+    if let Some(key) = key {
+        let mut idem = shared.idem.lock().unwrap_or_else(PoisonError::into_inner);
+        if status == 200 {
+            let evicted = idem.settle(key, body.clone(), shared.clock.now_nanos());
+            if evicted > 0 {
+                let counters = shared.server.counters();
+                counters.idem_evicted.fetch_add(evicted, Ordering::Relaxed);
             }
-            Err(_) => {
-                // The worker dropped the reply without answering (it
-                // panicked). Fail closed and let a retry re-attempt.
-                if let Some(key) = key {
-                    shared
-                        .idem
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .release(key);
-                }
-                (500, r#"{"status":"internal"}"#.into())
-            }
-        },
+        } else {
+            idem.release(key);
+        }
     }
+    (status, body)
 }
 
 fn render_outcome(response: &Response) -> String {

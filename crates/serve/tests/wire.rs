@@ -342,6 +342,39 @@ fn pipelined_array_is_answered_in_order() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A protect array is one admission group: a 32-point trajectory from
+/// one user (one shard) is served whole, in order, by one group commit,
+/// though it is eight times the batch and as long as the queue.
+#[test]
+fn a_single_user_array_is_served_by_one_group_commit() {
+    let _guard = NET_FAULTS.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = temp_dir("group");
+    let server = start_server(&dir, 100.0);
+    let addr = server.local_addr();
+    let items: Vec<String> = (0..32)
+        .map(|i| format!(r#"{{"user":6,"id":{i},"x":{}.5,"y":{}.25}}"#, i % 8, i % 7))
+        .collect();
+    let body = format!("[{}]", items.join(","));
+    let request = format!(
+        "POST /protect HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let response = raw_exchange(addr, &request);
+    assert_eq!(
+        response.matches(r#""status":"served""#).count(),
+        32,
+        "{response}"
+    );
+    let report = raw_exchange(addr, "GET /report HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
+    assert_eq!(report_count(&report, "served"), 32, "{report}");
+    assert_eq!(report_count(&report, "group_commits"), 1, "{report}");
+    let outcome = server.shutdown();
+    outcome.checkpoint.expect("checkpoint");
+    assert_eq!(outcome.report.group_commits, 1);
+    assert!((server_spent(&dir) - 32.0 * EPS).abs() < 1e-9);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn connections_beyond_the_cap_are_shed_with_an_explicit_503() {
     let _guard = NET_FAULTS.lock().unwrap_or_else(|e| e.into_inner());
@@ -1124,7 +1157,7 @@ fn report_counts_background_folds() {
     assert_eq!(last.fold_faults, 0, "{last:?}");
     assert!(
         last.log_line()
-            .ends_with(&format!(" folds={} fold_faults=0", last.folds)),
+            .contains(&format!(" folds={} fold_faults=0 ", last.folds)),
         "{}",
         last.log_line()
     );

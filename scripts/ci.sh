@@ -223,16 +223,20 @@ echo "== failover drill (kill -9 the primary mid-load; fenced revival proven)"
 # against live endpoints, provable bounds for the counters the dead
 # primary took with it. Then the stale primary is revived on its old
 # ledger: its first spend must be refused fenced, proven by fenced= in its
-# own final report line. The load is sized (16000 requests, within the
-# 8 users' caps) to outlast the 1 s before the kill at a few thousand
-# replicated reports per second.
+# own final report line. The load is sized (64000 requests, 8000 per
+# user at ε 0.4 against a cap of 6400) to outlast the 1 s before the
+# kill several times over at the ~10k replicated requests per second
+# measured on a shared 2-core VM, and the drill fails unless the
+# loadgen line reads failed_over=true: a load that finished before the
+# kill would pass through the SIGUSR1 fallback without failing over.
 DRILL_P_LOG="$(mktemp /tmp/geoind-ci-drill-p.XXXXXX)"
 DRILL_F_LOG="$(mktemp /tmp/geoind-ci-drill-f.XXXXXX)"
+DRILL_L_LOG="$(mktemp /tmp/geoind-ci-drill-load.XXXXXX)"
 DRILL_P_DIR="/tmp/geoind-ci-drill-primary.$$"
 DRILL_F_DIR="/tmp/geoind-ci-drill-follower.$$"
-CLEANUP="$CLEANUP $DRILL_P_LOG $DRILL_F_LOG $DRILL_P_DIR $DRILL_F_DIR"
+CLEANUP="$CLEANUP $DRILL_P_LOG $DRILL_F_LOG $DRILL_L_LOG $DRILL_P_DIR $DRILL_F_DIR"
 target/release/geoind serve \
-    --listen 127.0.0.1:0 --shards 4 --cap 1600.0 --max-replica-lag 16 \
+    --listen 127.0.0.1:0 --shards 4 --cap 6400.0 --max-replica-lag 16 \
     --eps 0.4 --g 2 --synthetic-size 3000 \
     --workers 2 --queue 16 --read-timeout-ms 300 --seed 7 \
     --ledger-dir "$DRILL_P_DIR" > "$DRILL_P_LOG" &
@@ -240,7 +244,7 @@ DRILL_P_PID=$!
 wait_for "$DRILL_P_LOG" "^# listening on " "drill primary never announced its port"
 DRILL_P_ADDR="$(sed -n 's/^# listening on //p' "$DRILL_P_LOG")"
 target/release/geoind serve \
-    --listen 127.0.0.1:0 --shards 4 --cap 1600.0 --follow "$DRILL_P_ADDR" \
+    --listen 127.0.0.1:0 --shards 4 --cap 6400.0 --follow "$DRILL_P_ADDR" \
     --eps 0.4 --g 2 --synthetic-size 3000 \
     --workers 2 --queue 16 --read-timeout-ms 300 --seed 7 \
     --ledger-dir "$DRILL_F_DIR" > "$DRILL_F_LOG" &
@@ -249,20 +253,26 @@ DRILL_F_PID=$!
 wait_for "$DRILL_F_LOG" "registered: true" "drill follower never registered"
 DRILL_F_ADDR="$(sed -n 's/^# listening on //p' "$DRILL_F_LOG")"
 target/release/geoind loadgen --connect "$DRILL_P_ADDR" --failover "$DRILL_F_ADDR" \
-    --requests 16000 --connections 4 --users 8 --seed 11 \
-    --max-attempts 40 --backoff-ms 5 --retry-budget 8000 &
+    --requests 64000 --connections 4 --users 8 --seed 11 \
+    --max-attempts 40 --backoff-ms 5 --retry-budget 8000 > "$DRILL_L_LOG" 2>&1 &
 DRILL_LOAD_PID=$!
 sleep 1
 kill -9 "$DRILL_P_PID" 2>/dev/null || true
 kill -USR1 "$DRILL_F_PID" 2>/dev/null || true
-wait "$DRILL_LOAD_PID" || { echo "failover load did not reconcile"; cat "$DRILL_F_LOG"; exit 1; }
+wait "$DRILL_LOAD_PID" || {
+    echo "failover load did not reconcile"; cat "$DRILL_L_LOG" "$DRILL_F_LOG"; exit 1;
+}
+cat "$DRILL_L_LOG"
+grep "^loadgen " "$DRILL_L_LOG" | grep -q "failed_over=true" || {
+    echo "the load never failed over: it finished before the kill"; exit 1;
+}
 wait "$DRILL_P_PID" 2>/dev/null || true
 # Revive the stale primary on its crashed ledger: it recovers, resumes
 # shipping to its persisted peer, and the promoted follower's newer fence
 # generation must refuse it before a single stale record lands.
 : > "$DRILL_P_LOG"
 target/release/geoind serve \
-    --listen 127.0.0.1:0 --shards 4 --cap 1600.0 --max-replica-lag 16 \
+    --listen 127.0.0.1:0 --shards 4 --cap 6400.0 --max-replica-lag 16 \
     --eps 0.4 --g 2 --synthetic-size 3000 \
     --workers 2 --queue 16 --read-timeout-ms 300 --seed 7 \
     --ledger-dir "$DRILL_P_DIR" > "$DRILL_P_LOG" &

@@ -798,8 +798,10 @@ COMMANDS
               output bytes are identical at any --jobs)
   serve       crash-safe serving front-end: --listen ADDR serves JSON
               protect queries over HTTP/1.1 (--cap EPS_PER_USER, --workers W,
-               --queue DEPTH, --batch B requests drained per worker pass,
-               --epoch E, --ledger-dir DIR to persist budgets,
+               --queue DEPTH requests, --batch B requests drained per
+               worker pass (a protect array is one group: admitted by
+               prefix, drained whole), --epoch E, --ledger-dir DIR to
+               persist budgets,
                --shards K user-hash ledger shards, --max-conns C,
                --read-timeout-ms/--write-timeout-ms, --deadline-ms D,
                --max-body BYTES, --idle-timeout-ms I to reap idle
