@@ -36,7 +36,7 @@
 use geoind_core::alloc::AllocationStrategy;
 use geoind_core::metrics::QualityMetric;
 use geoind_core::msm::MsmMechanism;
-use geoind_core::opt::{ConstraintSet, CutGenOptions, OptOptions, OptimalMechanism};
+use geoind_core::opt::{ConstraintSet, OptOptions, OptimalMechanism};
 use geoind_data::prior::GridPrior;
 use geoind_spatial::geom::BBox;
 use geoind_spatial::grid::Grid;
@@ -169,21 +169,16 @@ fn cutgen_cell(g: u32, eps: f64, constraints: ConstraintSet, cutgen: bool) -> (f
     let domain = BBox::square(16.0);
     let grid = Grid::new(domain, g);
     let prior = skewed_prior(domain, g);
-    let opts = OptOptions {
-        constraints,
-        cutgen: CutGenOptions {
-            enabled: cutgen,
-            ..CutGenOptions::default()
-        },
-        ..OptOptions::default()
-    };
     let start = Instant::now();
     let opt = OptimalMechanism::solve_with(
         eps,
         &grid.centers(),
         prior.probs(),
         QualityMetric::Euclidean,
-        opts,
+        OptOptions {
+            constraints,
+            cutgen,
+        },
     )
     .expect("cutgen benchmark solve must admit");
     let wall = start.elapsed().as_secs_f64();

@@ -111,7 +111,7 @@ pub fn spanner(cfg: &Config) -> Vec<Table> {
             .measure(&opt, QualityMetric::Euclidean, cfg.seed + 137);
         table.push(vec![
             label,
-            opt.stats().rows.to_string(),
+            opt.stats().rows_total.to_string(),
             ftime(solve),
             fnum(r.mean_loss),
         ]);

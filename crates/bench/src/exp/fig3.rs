@@ -59,7 +59,7 @@ pub fn run_to(cfg: &Config, max_g: u32) -> Vec<Table> {
         table.push(vec![
             g.to_string(),
             (g * g).to_string(),
-            opt.stats().rows.to_string(),
+            opt.stats().rows_total.to_string(),
             fnum(report.mean_loss),
             ftime(solve),
             opt.stats().iterations.to_string(),

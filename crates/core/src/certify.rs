@@ -27,8 +27,9 @@
 //!    and the full pair set. A channel that still fails is refused with
 //!    [`MechanismError::ChannelQuarantined`] — it is never sampled.
 //!
-//! The offline cache import gate ([`MsmMechanism::import_cache`]) uses
-//! [`certify`] *without* the repair step: a cached entry was already
+//! The offline cache import gate
+//! ([`crate::msm::MsmMechanism::import_cache`]) uses [`certify`]
+//! *without* the repair step: a cached entry was already
 //! repaired at provisioning time, so a violation there is evidence of
 //! tampering or corruption, and repairing it would launder a forged
 //! channel into service. The entry is quarantined instead (the node is
@@ -48,7 +49,8 @@
 //!   optimality tolerance, but near-zero variables are additionally
 //!   truncated by up to the solver's value-clipping threshold
 //!   ([`geoind_lp::simplex::VALUE_CLIP`]). Admission therefore allows
-//!   `4·(VALUE_CLIP + opt_tol)` plus a problem-size term
+//!   `4·(VALUE_CLIP + OPT_TOL)` ([`geoind_lp::simplex::OPT_TOL`], the
+//!   solver's optimality tolerance) plus a problem-size term
 //!   `64·(n+m)·ε_machine` for accumulated rounding in the `m`-term row
 //!   normalizations.
 //! * **Spanner alignment**: a spanner solve enforces constraints only on
@@ -70,6 +72,7 @@
 use crate::channel::Channel;
 use crate::opt::ConstraintSet;
 use crate::MechanismError;
+use geoind_lp::simplex::{OPT_TOL, VALUE_CLIP};
 use geoind_testkit::failpoint;
 
 /// Outcome of certifying one channel.
@@ -123,8 +126,6 @@ pub struct CertifySpec {
     pub eps: f64,
     /// The solve-time constraint generation strategy.
     pub constraints: ConstraintSet,
-    /// The LP solver's optimality tolerance (admission slack).
-    pub solver_slack: f64,
 }
 
 /// Compensated (Neumaier) summation: the returned sum's error is one ulp
@@ -217,7 +218,7 @@ fn size_term(n: usize, m: usize) -> f64 {
 /// the module docs for the derivation, including the `δ·(n−1)` spanner
 /// chaining factor).
 pub fn admission_tolerance(n: usize, m: usize, spec: &CertifySpec) -> f64 {
-    let base = 4.0 * (geoind_lp::simplex::VALUE_CLIP + spec.solver_slack.abs()) + size_term(n, m);
+    let base = 4.0 * (VALUE_CLIP + OPT_TOL) + size_term(n, m);
     match spec.constraints {
         ConstraintSet::Full => base,
         ConstraintSet::Spanner { dilation } => {
@@ -343,7 +344,6 @@ pub fn admit(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geoind_lp::simplex::SimplexOptions;
     use geoind_spatial::geom::Point;
     use geoind_testkit::failpoint::{FailSpec, Session};
 
@@ -351,7 +351,6 @@ mod tests {
         CertifySpec {
             eps,
             constraints: ConstraintSet::Full,
-            solver_slack: SimplexOptions::default().opt_tol,
         }
     }
 

@@ -509,9 +509,7 @@ impl MsmMechanism {
     pub(crate) fn level_shared_spanner(&self, donor: LevelCell) -> Option<Arc<Spanner>> {
         let dilation = match self.opt_options.constraints {
             ConstraintSet::Spanner { dilation } => dilation,
-            ConstraintSet::Full if self.opt_options.cutgen.enabled => {
-                self.opt_options.cutgen.seed_dilation
-            }
+            ConstraintSet::Full if self.opt_options.cutgen => crate::opt::SEED_DILATION,
             ConstraintSet::Full => return None,
         };
         if !(dilation.is_finite() && dilation >= 1.0) {
@@ -613,10 +611,15 @@ impl MsmMechanism {
         }
         let level = parent.level + 1;
         let eps_i = self.budgets.level(level);
-        let mut opts = self.opt_options.clone();
-        opts.simplex.start_basis = warm.cloned();
-        opts.shared_spanner = shared.cloned();
-        let opt = OptimalMechanism::solve_with(eps_i, &centers, &masses, self.metric, opts)?;
+        let opt = OptimalMechanism::solve_node(
+            eps_i,
+            &centers,
+            &masses,
+            self.metric,
+            self.opt_options,
+            warm,
+            shared,
+        )?;
         let stats = opt.stats();
         self.pivot_count
             .fetch_add(stats.iterations as u64, Ordering::Relaxed);
@@ -676,7 +679,7 @@ impl MsmMechanism {
     }
 
     /// The per-solve options this mechanism forwards to every per-node
-    /// OPT solve (constraint set, cut-generation tuning, simplex knobs).
+    /// OPT solve (constraint set and cut-generation switch).
     pub fn opt_options(&self) -> &OptOptions {
         &self.opt_options
     }
@@ -838,7 +841,7 @@ impl MsmMechanism {
     }
 
     /// Flatten every internal node's admission-built alias table into one
-    /// fused [`FlatTree`] and switch serving onto it. Solves (through the
+    /// fused `FlatTree` and switch serving onto it. Solves (through the
     /// regular gated, cached path) any node not yet memoized, so this
     /// doubles as a full precompute; tables are only ever copied from
     /// channels carrying a certificate. Returns the number of internal
@@ -1038,8 +1041,9 @@ impl MsmMechanism {
     }
 }
 
-fn clamp_into(domain: BBox, p: Point) -> Point {
-    // Clamp into the half-open domain so `EnclosingCell` is total.
+/// Clamp into the half-open box so the enclosing-cell lookup of every
+/// level is total.
+pub(crate) fn clamp_into(domain: BBox, p: Point) -> Point {
     let q = domain.clamp(p);
     Point::new(q.x.min(domain.max.x - 1e-12), q.y.min(domain.max.y - 1e-12))
 }

@@ -17,7 +17,7 @@ use crate::{Mechanism, MechanismError};
 use geoind_data::prior::GridPrior;
 use geoind_lp::dual::remap_dual_basis_after_le_append;
 use geoind_lp::model::{Model, Op, Sense, SolveVia};
-use geoind_lp::simplex::{Basis, SimplexOptions, WarmMode, VALUE_CLIP};
+use geoind_lp::simplex::{Basis, Warm, VALUE_CLIP};
 use geoind_lp::LpError;
 use geoind_rng::Rng;
 use geoind_spatial::geom::Point;
@@ -39,73 +39,50 @@ pub enum ConstraintSet {
     },
 }
 
-/// Options for the delayed-constraint-generation (cutting-plane) solve
-/// strategy: materialize only a seed subset of the GeoInd rows, solve,
-/// scan the optimum for violated pairs with the same per-pair check
-/// `certify` runs, append just those rows, warm-restart the simplex from
-/// the previous exit basis, and iterate to a fixed point. The fixed point
-/// satisfies *every* target constraint within the separation tolerance,
-/// so this is an exact method, not an approximation — the admission gate
-/// certifies it against the full target spec regardless.
+/// Dilation of the greedy spanner whose edges seed the cut loop's working
+/// set when the target set is [`ConstraintSet::Full`]: the spanner edges
+/// are exactly the near-pair constraints that tend to be active at the
+/// optimum.
+pub(crate) const SEED_DILATION: f64 = 1.2;
+
+/// Scaled-violation threshold above which the cut loop appends a pair's
+/// rows. It sits at the solver's value-clipping noise
+/// ([`geoind_lp::simplex::VALUE_CLIP`]), so the loop never chases pairs
+/// whose rows the LP already satisfies up to truncation; the admission
+/// gate allows `4·(VALUE_CLIP + OPT_TOL) + …`, which certifies the fixed
+/// point with a 4× margin.
+const SEPARATION_TOL: f64 = VALUE_CLIP;
+
+/// Safety cap on cut-loop rounds. Each round strictly grows the working
+/// set, so termination is guaranteed regardless; this bounds pathological
+/// float behavior.
+const MAX_CUT_ROUNDS: usize = 200;
+
+/// The whole configuration of an OPT solve ([`OptimalMechanism::solve_with`]
+/// and every per-node solve of an MSM). The LP always runs through its
+/// dual ([`SolveVia::Dual`]); the simplex and cut-loop tolerances are
+/// constants.
 #[derive(Debug, Clone, Copy)]
-pub struct CutGenOptions {
-    /// Use delayed constraint generation (the default). When disabled,
-    /// every target row is materialized up front as before.
-    pub enabled: bool,
-    /// Dilation of the greedy spanner whose edges seed the working set
-    /// when the target set is [`ConstraintSet::Full`] — the spanner edges
-    /// are exactly the near-pair constraints that tend to be active at the
-    /// optimum. Must be ≥ 1.
-    pub seed_dilation: f64,
-    /// Scaled-violation threshold above which a pair's rows are appended.
-    /// Must sit above the solver's value-clipping noise
-    /// ([`geoind_lp::simplex::VALUE_CLIP`]), or the loop would chase pairs
-    /// whose rows the LP already satisfies up to truncation; the admission
-    /// gate allows `4·(VALUE_CLIP + opt_tol) + …`, so the default
-    /// (`VALUE_CLIP`) certifies the fixed point with a 4× margin.
-    pub separation_tol: f64,
-    /// Safety cap on solve rounds. Each round strictly grows the working
-    /// set, so termination is guaranteed regardless; this bounds
-    /// pathological float behavior.
-    pub max_rounds: usize,
-}
-
-impl Default for CutGenOptions {
-    fn default() -> Self {
-        Self {
-            enabled: true,
-            seed_dilation: 1.2,
-            separation_tol: VALUE_CLIP,
-            max_rounds: 200,
-        }
-    }
-}
-
-/// Options for [`OptimalMechanism::solve_with`]. The LP always runs
-/// through its dual ([`SolveVia::Dual`]).
-#[derive(Debug, Clone)]
 pub struct OptOptions {
     /// Constraint generation strategy.
     pub constraints: ConstraintSet,
-    /// Delayed-constraint-generation tuning.
-    pub cutgen: CutGenOptions,
-    /// A prebuilt greedy spanner shared across sibling solves (all nodes
-    /// at one tree level share their local grid geometry, and
-    /// `Spanner::greedy` is an O(n³) candidate scan — build it once per
-    /// level, not once per node). Used when its vertex count and dilation
-    /// match what this solve needs; otherwise a fresh spanner is built.
-    pub shared_spanner: Option<Arc<Spanner>>,
-    /// Simplex tuning.
-    pub simplex: SimplexOptions,
+    /// Delayed constraint generation (cutting planes; the default):
+    /// materialize only a seed subset of the GeoInd rows, solve, scan the
+    /// optimum for violated pairs with the same per-pair check `certify`
+    /// runs, append just those rows, continue the simplex from the previous
+    /// exit basis, and iterate to a fixed point. The fixed point satisfies
+    /// *every* target constraint within the separation tolerance, so this
+    /// is an exact method, not an approximation — the admission gate
+    /// certifies it against the full target spec regardless. When `false`,
+    /// every target row is materialized up front (eager).
+    pub cutgen: bool,
 }
 
 impl Default for OptOptions {
     fn default() -> Self {
         Self {
             constraints: ConstraintSet::Full,
-            cutgen: CutGenOptions::default(),
-            shared_spanner: None,
-            simplex: SimplexOptions::default(),
+            cutgen: true,
         }
     }
 }
@@ -113,10 +90,6 @@ impl Default for OptOptions {
 /// Size/effort statistics from the LP solve.
 #[derive(Debug, Clone, Copy)]
 pub struct SolveStats {
-    /// Constraint rows in the primal formulation of the *target* program
-    /// (equal to [`SolveStats::rows_total`]; kept under its historical
-    /// name).
-    pub rows: usize,
     /// Variables in the primal formulation.
     pub cols: usize,
     /// Simplex pivots performed, summed over all cut rounds. Pivots of an
@@ -135,8 +108,9 @@ pub struct SolveStats {
     /// Rows actually materialized in the final working LP — the seed rows
     /// plus every violated row the separation oracle appended.
     pub rows_active: usize,
-    /// Rows the full target program would have (`n` stochasticity rows
-    /// plus `n` GeoInd rows per target pair).
+    /// Constraint rows in the primal formulation of the full target
+    /// program (`n` stochasticity rows plus `n` GeoInd rows per target
+    /// pair).
     pub rows_total: usize,
     /// `‖Ax − b‖∞` of the solution after one iterative-refinement pass on
     /// the final basis (primal feasibility).
@@ -227,6 +201,25 @@ impl OptimalMechanism {
         metric: QualityMetric,
         opts: OptOptions,
     ) -> Result<Self, MechanismError> {
+        Self::solve_node(eps, locations, prior, metric, opts, None, None)
+    }
+
+    /// [`Self::solve_with`] for one node of a precompute schedule. `donor`
+    /// is the seed-round exit basis of a sibling node ([`Self::basis`]):
+    /// siblings share the constraint matrix and costs, so it warm-starts
+    /// the first LP round as a [`Warm::Restart`]. `spanner` is the greedy
+    /// spanner built once per tree level; it replaces this solve's own
+    /// build when its vertex count and dilation match what the solve needs.
+    /// Neither changes the admitted channel, only the work to reach it.
+    pub(crate) fn solve_node(
+        eps: f64,
+        locations: &[Point],
+        prior: &[f64],
+        metric: QualityMetric,
+        opts: OptOptions,
+        donor: Option<&Basis>,
+        spanner: Option<&Arc<Spanner>>,
+    ) -> Result<Self, MechanismError> {
         if eps <= 0.0 {
             return Err(MechanismError::BadParameter(format!(
                 "eps must be positive, got {eps}"
@@ -274,7 +267,7 @@ impl OptimalMechanism {
                         "spanner dilation must be >= 1, got {dilation}"
                     )));
                 }
-                let spanner = reuse_or_build(opts.shared_spanner.as_ref(), locations, dilation);
+                let spanner = reuse_or_build(spanner, locations, dilation);
                 let mut pairs = Vec::with_capacity(2 * spanner.edges().len());
                 for &(i, j) in spanner.edges() {
                     pairs.push((i, j));
@@ -290,23 +283,12 @@ impl OptimalMechanism {
         // behavior); with it on, a sparse subset likely to contain the
         // active set: the δ-spanner edges for a full target (near pairs
         // bind at the optimum), the shortest edges for a spanner target.
-        let cutgen = opts.cutgen;
-        let seed_pairs: Vec<(usize, usize)> = if !cutgen.enabled {
+        let seed_pairs: Vec<(usize, usize)> = if !opts.cutgen {
             target_pairs.clone()
         } else {
             match opts.constraints {
                 ConstraintSet::Full => {
-                    if cutgen.seed_dilation < 1.0 {
-                        return Err(MechanismError::BadParameter(format!(
-                            "cut-gen seed dilation must be >= 1, got {}",
-                            cutgen.seed_dilation
-                        )));
-                    }
-                    let spanner = reuse_or_build(
-                        opts.shared_spanner.as_ref(),
-                        locations,
-                        cutgen.seed_dilation,
-                    );
+                    let spanner = reuse_or_build(spanner, locations, SEED_DILATION);
                     let mut pairs = Vec::with_capacity(2 * spanner.edges().len());
                     for &(i, j) in spanner.edges() {
                         pairs.push((i, j));
@@ -356,19 +338,18 @@ impl OptimalMechanism {
         }
 
         let stats_cols = model.num_vars();
-        let solver_slack = opts.simplex.opt_tol;
-        let mut simplex = opts.simplex.clone();
         let mut total_iterations = 0usize;
         let mut warm_fallbacks = 0usize;
         let mut discarded_pivots = 0usize;
         let mut rounds = 0usize;
         let mut seed_basis: Option<Basis> = None;
+        let mut warm = donor.cloned().map(Warm::Restart);
         let sol = loop {
-            if rounds >= cutgen.max_rounds.max(1) {
+            if rounds >= MAX_CUT_ROUNDS {
                 return Err(MechanismError::Lp(LpError::IterationLimit));
             }
             rounds += 1;
-            let sol = model.solve_with(SolveVia::Dual, simplex.clone())?;
+            let sol = model.solve_with(SolveVia::Dual, warm.take())?;
             total_iterations += sol.iterations;
             warm_fallbacks += usize::from(sol.warm_fallback);
             discarded_pivots += sol.discarded_pivots;
@@ -378,7 +359,7 @@ impl OptimalMechanism {
                 // live in this solve's private cut-extended space.
                 seed_basis = Some(sol.basis.clone());
             }
-            if !cutgen.enabled {
+            if !opts.cutgen {
                 break sol;
             }
             // Separation oracle: scan the candidate optimum for violated
@@ -390,8 +371,7 @@ impl OptimalMechanism {
                 .copied()
                 .filter(|&(x, xp)| {
                     !included[x * n + xp]
-                        && crate::certify::pair_violation(&cand, eps_row, x, xp)
-                            > cutgen.separation_tol
+                        && crate::certify::pair_violation(&cand, eps_row, x, xp) > SEPARATION_TOL
                 })
                 .collect();
             if fresh.is_empty() {
@@ -402,12 +382,11 @@ impl OptimalMechanism {
             // column references are shifted past the insertion block —
             // resume primal phase 2 instead of re-solving from scratch.
             // (Computed against the model *before* the rows go in.)
-            simplex.start_basis = Some(remap_dual_basis_after_le_append(
+            warm = Some(Warm::Continue(remap_dual_basis_after_le_append(
                 &model,
                 &sol.basis,
                 n * fresh.len(),
-            ));
-            simplex.warm_mode = WarmMode::PrimalContinue;
+            )));
             for (x, xp) in fresh {
                 included[x * n + xp] = true;
                 active_pairs += 1;
@@ -427,7 +406,6 @@ impl OptimalMechanism {
         let spec = crate::certify::CertifySpec {
             eps,
             constraints: opts.constraints,
-            solver_slack,
         };
         let channel = crate::certify::admit(
             Channel::new(locations.to_vec(), locations.to_vec(), sol.values),
@@ -441,12 +419,11 @@ impl OptimalMechanism {
             channel,
             snapper,
             stats: SolveStats {
-                rows: rows_total,
                 cols: stats_cols,
                 iterations: total_iterations,
                 warm_fallbacks,
                 discarded_pivots,
-                cut_rounds: if cutgen.enabled { rounds } else { 0 },
+                cut_rounds: if opts.cutgen { rounds } else { 0 },
                 rows_active,
                 rows_total,
                 primal_residual: sol.residual,
@@ -476,12 +453,13 @@ impl OptimalMechanism {
         self.stats
     }
 
-    /// The optimal basis the solve exited with, in the standard-form
-    /// column space of the dual formulation the solve runs on. Feed it to
-    /// a later solve via [`SimplexOptions::start_basis`] to warm-start a
-    /// structurally identical LP — e.g. the sibling node of a hierarchical
-    /// index, whose constraint matrix is the same and only the
-    /// prior-dependent right-hand side differs.
+    /// The optimal basis the first LP round exited with, in the
+    /// standard-form column space of the dual formulation the solve runs
+    /// on (later cut rounds pivot in a cut-extended space no other solve
+    /// shares). The precompute schedule passes a level donor's basis to
+    /// every sibling node's solve as a [`Warm::Restart`]: siblings share
+    /// the constraint matrix and only the prior-dependent right-hand side
+    /// differs.
     pub fn basis(&self) -> &Basis {
         &self.basis
     }
@@ -644,7 +622,7 @@ mod tests {
         assert!(tight.channel().satisfies_geoind(eps, 1e-6));
         assert!(loose.channel().satisfies_geoind(eps, 1e-6));
         // ...with fewer constraints...
-        assert!(loose.stats().rows < exact.stats().rows);
+        assert!(loose.stats().rows_total < exact.stats().rows_total);
         // ...at a utility premium that shrinks as δ → 1 (the ε/δ budget
         // tightening is the price of the smaller program).
         let le = exact.expected_loss(prior.probs());
@@ -696,7 +674,7 @@ mod tests {
         pts: &[Point],
         prior: &[f64],
         constraints: ConstraintSet,
-        enabled: bool,
+        cutgen: bool,
     ) -> OptimalMechanism {
         OptimalMechanism::solve_with(
             eps,
@@ -705,11 +683,7 @@ mod tests {
             QualityMetric::Euclidean,
             OptOptions {
                 constraints,
-                cutgen: CutGenOptions {
-                    enabled,
-                    ..CutGenOptions::default()
-                },
-                ..OptOptions::default()
+                cutgen,
             },
         )
         .unwrap()
@@ -850,16 +824,17 @@ mod tests {
         let eps = 0.5;
         let pts = grid.centers();
         let shared = Arc::new(Spanner::greedy(&pts, 1.2));
-        let with_shared = OptimalMechanism::solve_with(
+        let with_shared = OptimalMechanism::solve_node(
             eps,
             &pts,
             prior.probs(),
             QualityMetric::Euclidean,
             OptOptions {
                 constraints: ConstraintSet::Spanner { dilation: 1.2 },
-                shared_spanner: Some(Arc::clone(&shared)),
                 ..OptOptions::default()
             },
+            None,
+            Some(&shared),
         )
         .unwrap();
         let fresh = solve_cutgen(
@@ -878,16 +853,17 @@ mod tests {
             }
         }
         // Mismatched dilation: falls back to a fresh build, still private.
-        let mismatched = OptimalMechanism::solve_with(
+        let mismatched = OptimalMechanism::solve_node(
             eps,
             &pts,
             prior.probs(),
             QualityMetric::Euclidean,
             OptOptions {
                 constraints: ConstraintSet::Spanner { dilation: 1.5 },
-                shared_spanner: Some(shared),
                 ..OptOptions::default()
             },
+            None,
+            Some(&shared),
         )
         .unwrap();
         assert!(mismatched.channel().satisfies_geoind(eps, 1e-6));

@@ -17,15 +17,13 @@
 use crate::cache::ShardedCache;
 use crate::channel::Channel;
 use crate::metrics::QualityMetric;
-use crate::opt::{OptOptions, OptimalMechanism};
+use crate::opt::OptimalMechanism;
 use crate::{Mechanism, MechanismError};
-use geoind_lp::simplex::Basis;
 use geoind_rng::Rng;
 use geoind_spatial::geom::Point;
 use geoind_spatial::kdpart::KdPartition;
 use geoind_spatial::partition::SpacePartition;
 use geoind_spatial::quadtree::AdaptiveQuadtree;
-use geoind_testkit::pool::Pool;
 use std::sync::Arc;
 
 /// Multi-step mechanism over any [`SpacePartition`].
@@ -112,20 +110,11 @@ impl<P: SpacePartition> PartitionMsm<P> {
     /// [`MechanismError::LockPoisoned`] on a poisoned cache lock; any
     /// [`MechanismError`] from the per-node OPT solve.
     fn try_channel_for(&self, node: usize) -> Result<Arc<Channel>, MechanismError> {
-        self.cache
-            .get_or_fill(node, || self.build_channel(node, None).map(|(ch, _)| ch))
+        self.cache.get_or_fill(node, || self.build_channel(node))
     }
 
-    /// One per-node OPT solve, optionally warm-started from a sibling's
-    /// exit basis (precompute path); returns the channel and its own exit
-    /// basis. Partition cells are irregular, so a sibling basis may fail
-    /// the engine's dual-feasibility screen — it then cold-starts, which
-    /// only costs pivots, never correctness.
-    fn build_channel(
-        &self,
-        node: usize,
-        warm: Option<&Basis>,
-    ) -> Result<(Channel, Basis), MechanismError> {
+    /// One per-node OPT solve over the children's box centers.
+    fn build_channel(&self, node: usize) -> Result<Channel, MechanismError> {
         let part = &self.partition;
         let children = part.children(node);
         let centers: Vec<Point> = children.iter().map(|&c| part.bbox(c).center()).collect();
@@ -134,70 +123,8 @@ impl<P: SpacePartition> PartitionMsm<P> {
             masses = vec![1.0; masses.len()];
         }
         let eps_i = self.budgets[part.level(node) as usize];
-        let mut opts = OptOptions::default();
-        opts.simplex.start_basis = warm.cloned();
-        let opt = OptimalMechanism::solve_with(eps_i, &centers, &masses, self.metric, opts)?;
-        Ok((opt.channel().clone(), opt.basis().clone()))
-    }
-
-    /// Eagerly solve every internal node's channel, level by level from
-    /// the root, fanning each level's solves over `jobs` workers with the
-    /// same deterministic donor-first warm-start schedule as
-    /// [`crate::msm::MsmMechanism::precompute_jobs`]: the lowest-index
-    /// missing node of each level is solved first and its basis seeds its
-    /// siblings. Returns how many channels the cache holds.
-    ///
-    /// # Errors
-    /// Any [`MechanismError`] from a per-node solve (the first in
-    /// canonical node order); channels built before it stay cached.
-    pub fn precompute_jobs(&self, max_nodes: usize, jobs: usize) -> Result<usize, MechanismError>
-    where
-        P: Sync,
-    {
-        let pool = Pool::new(jobs);
-        let part = &self.partition;
-        let mut budget = max_nodes;
-        let mut level: Vec<usize> = vec![part.root()];
-        level.retain(|&n| !part.is_leaf(n));
-        while !level.is_empty() && budget > 0 {
-            let take: Vec<usize> = level.iter().copied().take(budget).collect();
-            budget -= take.len();
-            let missing: Vec<usize> = take
-                .iter()
-                .copied()
-                .filter(|n| self.cache.get(n).is_none())
-                .collect();
-            if let Some(&donor) = missing.first() {
-                let mut donor_basis: Option<Basis> = None;
-                let _ = self.cache.get_or_fill(donor, || {
-                    let (ch, basis) = self.build_channel(donor, None)?;
-                    donor_basis = Some(basis);
-                    Ok(ch)
-                })?;
-                let results = pool.map(missing[1..].to_vec(), |node| {
-                    self.cache
-                        .get_or_fill(node, || {
-                            self.build_channel(node, donor_basis.as_ref())
-                                .map(|(c, _)| c)
-                        })
-                        .map(|_| ())
-                });
-                if let Some(err) = results.into_iter().find_map(Result::err) {
-                    return Err(err);
-                }
-            }
-            let mut next = Vec::new();
-            for &n in &take {
-                for &c in part.children(n) {
-                    if !part.is_leaf(c) {
-                        next.push(c);
-                    }
-                }
-            }
-            next.sort_unstable();
-            level = next;
-        }
-        Ok(self.cached_channels())
+        let opt = OptimalMechanism::solve(eps_i, &centers, &masses, self.metric)?;
+        Ok(opt.channel().clone())
     }
 
     /// Fallible form of [`Mechanism::report`]: surfaces per-node
@@ -363,39 +290,6 @@ mod tests {
             loss /= 300.0;
             assert!(loss < prev, "loss {loss} not below {prev} at eps={eps}");
             prev = loss;
-        }
-    }
-
-    #[test]
-    fn precompute_jobs_is_bit_identical_at_any_worker_count() {
-        // Same donor-first schedule at jobs=1 and jobs=4, so every cached
-        // per-node channel must be bit-identical — the partition analogue
-        // of the grid-MSM export determinism pinned in tests/determinism.rs.
-        let build = || {
-            let part = KdPartition::build(BBox::square(20.0), &skewed_points(500), 4, 2);
-            KdMsmMechanism::new(part, vec![0.3, 0.3], QualityMetric::Euclidean).unwrap()
-        };
-        let (a, b) = (build(), build());
-        let na = a.precompute_jobs(usize::MAX, 1).unwrap();
-        let nb = b.precompute_jobs(usize::MAX, 4).unwrap();
-        assert_eq!(na, nb, "node counts diverged across worker counts");
-        assert!(na >= 1, "precompute solved nothing");
-        let mut stack = vec![a.partition.root()];
-        while let Some(n) = stack.pop() {
-            if a.partition.is_leaf(n) {
-                continue;
-            }
-            let (ca, cb) = (a.try_channel_for(n).unwrap(), b.try_channel_for(n).unwrap());
-            for x in 0..ca.num_inputs() {
-                for z in 0..ca.num_outputs() {
-                    assert_eq!(
-                        ca.prob(x, z).to_bits(),
-                        cb.prob(x, z).to_bits(),
-                        "node {n} channel diverged at ({x},{z})"
-                    );
-                }
-            }
-            stack.extend(a.partition.children(n));
         }
     }
 

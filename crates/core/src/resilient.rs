@@ -54,11 +54,13 @@
 //! [`DegradationReport`], so operators can see when and why the optimal
 //! path was bypassed.
 
-use crate::msm::{DescentInterrupted, DescentOutcome, FlatTree, MsmBuilder, MsmMechanism};
+use crate::msm::{
+    clamp_into, DescentInterrupted, DescentOutcome, FlatTree, MsmBuilder, MsmMechanism,
+};
 use crate::planar_laplace::PlanarLaplace;
 use crate::{Mechanism, MechanismError};
 use geoind_rng::Rng;
-use geoind_spatial::geom::{BBox, Point};
+use geoind_spatial::geom::Point;
 use geoind_spatial::hier::{HierGrid, LevelCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -133,12 +135,6 @@ impl PerLevelLaplace {
         }
         self.hier.center(current)
     }
-}
-
-fn clamp_into(domain: BBox, p: Point) -> Point {
-    // Clamp into the half-open box so `enclosing_cell` is total.
-    let q = domain.clamp(p);
-    Point::new(q.x.min(domain.max.x - 1e-12), q.y.min(domain.max.y - 1e-12))
 }
 
 /// Per-tier service counts plus the most recent degradation cause.
@@ -442,6 +438,7 @@ mod tests {
     use crate::alloc::AllocationStrategy;
     use geoind_data::prior::GridPrior;
     use geoind_rng::SeededRng;
+    use geoind_spatial::geom::BBox;
 
     fn resilient() -> ResilientMechanism {
         let domain = BBox::square(8.0);

@@ -119,7 +119,6 @@ fn admission_gate_repairs_within_reported_loss_bound() {
             let spec = CertifySpec {
                 eps,
                 constraints: ConstraintSet::Full,
-                solver_slack: 1e-9,
             };
             let admitted =
                 certify::admit(channel.clone(), &spec, "prop.admit").map_err(|e| e.to_string())?;

@@ -122,7 +122,7 @@ const PANEL: usize = 48;
 impl LuFactors {
     /// Factorize a square [`DenseMatrix`].
     ///
-    /// Right-looking LU with partial pivoting, blocked by [`PANEL`]: the
+    /// Right-looking LU with partial pivoting, blocked by `PANEL`: the
     /// panel is factorized unblocked, then the trailing columns absorb the
     /// whole panel in one pass each. The arithmetic (and therefore the
     /// bit-exact result) is identical to the textbook unblocked loop — the

@@ -11,7 +11,7 @@
 //! simplex never needs a phase 1.
 
 use crate::model::{Model, Op, Sense, Solution, SolveVia, VarDomain};
-use crate::simplex::{Basis, SimplexOptions};
+use crate::simplex::{Basis, Warm};
 use crate::LpError;
 
 /// The dual model plus the bookkeeping needed to map solutions back.
@@ -90,7 +90,7 @@ pub fn dualize_min(primal: &Model) -> Dualized {
 /// The dual's rows (one per primal variable) and right-hand side (the
 /// primal objective) are untouched, which is why the old basis remains
 /// primal-feasible for the grown dual LP and a
-/// [`crate::simplex::WarmMode::PrimalContinue`] restart is sound: only the
+/// [`Warm::Continue`] restart is sound: only the
 /// column indices at or past the insertion point need shifting.
 ///
 /// `before` must be the model *before* the rows were appended; free dual
@@ -107,8 +107,9 @@ pub fn remap_dual_basis_after_le_append(before: &Model, basis: &Basis, added: us
 
 /// Solve `primal` by dualizing, running the simplex on the dual, and mapping
 /// back: primal values ← dual row-duals, primal duals ← dual variable
-/// values.
-pub fn solve_via_dual(primal: &Model, opts: SimplexOptions) -> Result<Solution, LpError> {
+/// values. A `warm` basis lives in the dual's standard-form space (the
+/// [`Solution::basis`] of an earlier dual-path solve).
+pub fn solve_via_dual(primal: &Model, warm: Option<Warm>) -> Result<Solution, LpError> {
     // Normalize to minimization.
     if primal.sense() == Sense::Maximize {
         let mut min_model = primal.clone();
@@ -116,7 +117,7 @@ pub fn solve_via_dual(primal: &Model, opts: SimplexOptions) -> Result<Solution, 
         for c in &mut min_model.obj {
             *c = -*c;
         }
-        let sol = solve_via_dual(&min_model, opts)?;
+        let sol = solve_via_dual(&min_model, warm)?;
         return Ok(Solution {
             objective: -sol.objective,
             values: sol.values,
@@ -130,7 +131,7 @@ pub fn solve_via_dual(primal: &Model, opts: SimplexOptions) -> Result<Solution, 
         });
     }
     let dualized = dualize_min(primal);
-    let dual_sol = match dualized.model.solve_with(SolveVia::Primal, opts) {
+    let dual_sol = match dualized.model.solve_with(SolveVia::Primal, warm) {
         Ok(s) => s,
         // An unbounded dual certifies primal infeasibility; an infeasible
         // dual means the primal is unbounded or infeasible — for the LPs in
@@ -246,7 +247,6 @@ mod tests {
 
     #[test]
     fn dual_basis_survives_le_row_append() {
-        use crate::simplex::{SimplexOptions, WarmMode};
         // min 2x + y s.t. x + y = 2  =>  (0, 2), objective 2.
         let mut m = Model::new(Sense::Minimize);
         let x = m.add_var(2.0);
@@ -261,14 +261,7 @@ mod tests {
         m.add_row(&[(y, 1.0)], Op::Le, 1.5);
         let warm_basis = remap_dual_basis_after_le_append(&before, &first.basis, 1);
         let warm = m
-            .solve_with(
-                SolveVia::Dual,
-                SimplexOptions {
-                    start_basis: Some(warm_basis),
-                    warm_mode: WarmMode::PrimalContinue,
-                    ..SimplexOptions::default()
-                },
-            )
+            .solve_with(SolveVia::Dual, Some(Warm::Continue(warm_basis)))
             .unwrap();
         let cold = m.solve(SolveVia::Dual).unwrap();
         assert_close(warm.objective, 2.5, 1e-9, "objective after cut");

@@ -13,6 +13,12 @@
 //!   with an explicitly maintained (periodically refactorized) basis
 //!   inverse, crash slack basis, two phases, Dantzig pricing with Bland
 //!   anti-cycling fallback, and warm starts from an exported [`Basis`].
+//!   The engine has no tuning options: its tolerances and limits are
+//!   constants ([`simplex::OPT_TOL`], [`simplex::VALUE_CLIP`] and private
+//!   ones for the pivot tolerance, the iteration and stall limits, the
+//!   exit residual gate and the `max(600, m)` refactorization cadence),
+//!   and the one per-solve choice, a warm start, is an argument
+//!   ([`Warm`]) of [`Model::solve_with`].
 //! * [`dual`] — mechanical dualization. The OPT LP is *row-heavy*
 //!   (`O(n³)` rows, `O(n²)` columns); its dual is column-heavy, which is the
 //!   shape the revised simplex wants (basis size = row count). Solving the
@@ -58,7 +64,7 @@ pub mod tableau;
 
 pub use dual::remap_dual_basis_after_le_append;
 pub use model::{Model, Op, Sense, Solution, SolveVia, VarDomain};
-pub use simplex::{Basis, SimplexOptions, SimplexStatus, WarmMode};
+pub use simplex::{Basis, SimplexStatus, Warm};
 pub use sparse::CscMatrix;
 
 /// Errors surfaced by the solvers.

@@ -6,7 +6,7 @@
 //! [`SolveVia`]), and maps the answer back.
 
 use crate::dual::solve_via_dual;
-use crate::simplex::{solve_standard, Basis, SimplexOptions, SimplexStatus, StandardLp};
+use crate::simplex::{solve_standard, Basis, SimplexStatus, StandardLp, Warm};
 use crate::sparse::CscBuilder;
 use crate::LpError;
 
@@ -86,9 +86,9 @@ pub struct Solution {
     pub dual_residual: f64,
     /// The engine's final basis, in the standard-form space of whatever
     /// formulation actually ran (the dual's on the [`SolveVia::Dual`]
-    /// path). Feed it back through [`SimplexOptions::start_basis`] to
-    /// warm-start a solve of a structurally identical model taken through
-    /// the same path; on any mismatch the engine cold-starts.
+    /// path). Passed back as a [`Warm`] start, it warm-starts a solve of a
+    /// structurally identical model taken through the same path; on any
+    /// mismatch the engine cold-starts.
     pub basis: Basis,
     /// True when the supplied start basis was abandoned and the solve fell
     /// back to a cold start (see [`crate::simplex::SimplexResult::warm_fallback`]).
@@ -153,26 +153,27 @@ impl Model {
         self.sense
     }
 
-    /// Solve with default simplex options.
+    /// Solve from a cold start.
     pub fn solve(&self, via: SolveVia) -> Result<Solution, LpError> {
-        self.solve_with(via, SimplexOptions::default())
+        self.solve_with(via, None)
     }
 
-    /// Solve with explicit simplex options.
-    pub fn solve_with(&self, via: SolveVia, opts: SimplexOptions) -> Result<Solution, LpError> {
+    /// Solve, optionally warm-started from the basis of an earlier solve
+    /// taken through the same `via` path (see [`Warm`]).
+    pub fn solve_with(&self, via: SolveVia, warm: Option<Warm>) -> Result<Solution, LpError> {
         if self.obj.is_empty() {
             return Err(LpError::BadModel("model has no variables".into()));
         }
         match via {
-            SolveVia::Primal => self.solve_primal(opts),
-            SolveVia::Dual => solve_via_dual(self, opts),
+            SolveVia::Primal => self.solve_primal(warm),
+            SolveVia::Dual => solve_via_dual(self, warm),
         }
     }
 
     /// Direct path: standard form + revised simplex.
-    fn solve_primal(&self, opts: SimplexOptions) -> Result<Solution, LpError> {
+    fn solve_primal(&self, warm: Option<Warm>) -> Result<Solution, LpError> {
         let (lp, map) = self.to_standard();
-        let res = solve_standard(&lp, opts);
+        let res = solve_standard(&lp, warm);
         match res.status {
             SimplexStatus::Optimal => {}
             SimplexStatus::Infeasible => return Err(LpError::Infeasible),

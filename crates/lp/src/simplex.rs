@@ -10,7 +10,7 @@
 //!   pivots surviving zero-level artificials out (redundant rows keep theirs,
 //!   harmlessly);
 //! * maintains an explicit basis inverse with exact-zero block structure:
-//!   refactorization (every [`SimplexOptions::refactor_every`] pivots, to
+//!   refactorization (every `max(600, m)` pivots for an `m`-row LP, to
 //!   shed drift) factors only the k×k block of non-singleton basic columns
 //!   — `O(k³ + k·m)` instead of `O(m³)`, a decisive saving on the
 //!   slack-heavy bases these LPs produce (see `Engine::refactorize`);
@@ -18,7 +18,7 @@
 //!   basic positions S carrying a nonzero cost — `O(m·|S|)` instead of
 //!   `O(m²)`; in an optimal-mechanism dual only the split halves of the n
 //!   row-stochasticity duals carry cost, so |S| ≤ 2n ≪ m — and from
-//!   [`INCREMENTAL_DUALS_MIN_ROWS`] rows up carries them incrementally
+//!   `INCREMENTAL_DUALS_MIN_ROWS` rows up carries them incrementally
 //!   across pivots (`O(m)` per pivot), re-verifying any claimed optimum
 //!   against freshly computed duals before trusting it;
 //! * prices with Dantzig's rule and falls back to Bland's rule after a long
@@ -37,9 +37,40 @@ use geoind_testkit::failpoint;
 /// Magnitude below which drift-induced negative variable values are
 /// clipped to exact zero when a solution is extracted. Consumers deriving
 /// feasibility tolerances from solver output (e.g. channel certification)
-/// must budget for truncation of this size on top of
-/// [`SimplexOptions::opt_tol`].
+/// must budget for truncation of this size on top of [`OPT_TOL`].
 pub const VALUE_CLIP: f64 = 1e-7;
+
+/// Dual-feasibility tolerance on reduced costs: a column prices in only
+/// below `−OPT_TOL`. On the dual solve path the recovered primal values
+/// are the row duals, so an optimal exit satisfies every primal row to
+/// within this slack.
+pub const OPT_TOL: f64 = 1e-9;
+
+/// Hard cap on pivots across both phases of one solve.
+const MAX_ITERATIONS: usize = 2_000_000;
+
+/// Minimum pivot magnitude accepted by the ratio tests.
+const PIVOT_TOL: f64 = 1e-9;
+
+/// Consecutive non-improving pivots before pricing switches to Bland's
+/// rule.
+const STALL_LIMIT: usize = 2_000;
+
+/// Largest `‖Ax − b‖∞` accepted at an optimal exit; a nominally optimal
+/// basis with a larger residual is demoted to
+/// [`SimplexStatus::SingularBasis`] instead of being reported as a
+/// trustworthy optimum.
+const RESIDUAL_TOL: f64 = 1e-6;
+
+/// The engine rebuilds the basis inverse from an LU every
+/// `max(REFACTOR_MIN_PIVOTS, m)` pivots of an `m`-row LP: small problems
+/// keep the tight drift window while large ones — where a refactorization
+/// is an `O(m³)` event that can dwarf the pivots it covers — refactorize a
+/// bounded number of times per solve. Accuracy does not ride on the
+/// cadence alone: every claimed optimum is re-verified against freshly
+/// computed duals, and the exit path refactorizes, refines, and
+/// residual-gates the result regardless.
+const REFACTOR_MIN_PIVOTS: usize = 600;
 
 /// Smallest pivot magnitude `|w_r|` a dual-simplex warm restart accepts;
 /// a restart whose ratio test chooses a smaller pivot is abandoned for the
@@ -134,73 +165,24 @@ impl Basis {
     }
 }
 
-/// Tuning knobs for the simplex engine.
+/// A warm start for [`solve_standard`]: a basis exported from an earlier
+/// solve, and how to use it. The engine validates the basis against this
+/// LP and falls back to a cold start on any mismatch, so the result is
+/// identical in status and always a true optimum — a warm start changes
+/// the pivot count, never the answer.
 #[derive(Debug, Clone)]
-pub struct SimplexOptions {
-    /// Hard cap on pivots across both phases.
-    pub max_iterations: usize,
-    /// Dual-feasibility tolerance on reduced costs.
-    pub opt_tol: f64,
-    /// Minimum pivot magnitude accepted by the ratio test.
-    pub pivot_tol: f64,
-    /// Rebuild the basis inverse from an LU every this many pivots.
-    /// `0` (the default) means automatic: `max(600, m)` for an `m`-row LP,
-    /// so small problems keep the tight drift window while large ones —
-    /// where a refactorization is an `O(m³)` event that can dwarf the
-    /// pivots it covers — refactorize a bounded number of times per solve.
-    /// Accuracy does not ride on the cadence alone: every claimed optimum
-    /// is re-verified against freshly computed duals, and the exit path
-    /// refactorizes, refines, and residual-gates the result regardless.
-    pub refactor_every: usize,
-    /// Consecutive non-improving pivots before switching to Bland's rule.
-    pub stall_limit: usize,
-    /// Largest `‖Ax − b‖∞` accepted at an optimal exit; a nominally
-    /// optimal basis with a larger residual is demoted to
-    /// [`SimplexStatus::SingularBasis`] instead of being reported as a
-    /// trustworthy optimum.
-    pub residual_tol: f64,
-    /// Optional warm-start basis from a previous solve of a structurally
-    /// identical LP. When it is shape-compatible, factorizable, and
-    /// dual-feasible for this LP's costs, the engine restores primal
-    /// feasibility with dual-simplex pivots instead of solving from
-    /// scratch; on any mismatch it falls back to a cold start, so the
-    /// result is identical in status and always a true optimum.
-    pub start_basis: Option<Basis>,
-    /// How [`SimplexOptions::start_basis`] is used — the classic
-    /// dual-simplex restart, or primal continuation after a column append.
-    pub warm_mode: WarmMode,
-}
-
-/// Strategy applied to [`SimplexOptions::start_basis`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WarmMode {
+pub enum Warm {
     /// Same matrix and costs, different rhs (the MSM sibling pattern): the
     /// donor basis is dual-feasible, so restore primal feasibility with
     /// dual-simplex pivots.
-    #[default]
-    DualRestart,
+    Restart(Basis),
     /// The LP gained columns since the basis was exported (delayed
     /// constraint generation: appended cuts become new dual columns) and
     /// the basis was remapped with [`Basis::with_columns_inserted`]. Rows
     /// and rhs are unchanged, so the basis is still primal-feasible but the
     /// new columns price favorably by construction — skip the
     /// dual-feasibility screen and resume primal phase 2 directly.
-    PrimalContinue,
-}
-
-impl Default for SimplexOptions {
-    fn default() -> Self {
-        Self {
-            max_iterations: 2_000_000,
-            opt_tol: 1e-9,
-            pivot_tol: 1e-9,
-            refactor_every: 0,
-            stall_limit: 2_000,
-            residual_tol: 1e-6,
-            start_basis: None,
-            warm_mode: WarmMode::default(),
-        }
-    }
+    Continue(Basis),
 }
 
 /// Termination status of a simplex run.
@@ -212,7 +194,7 @@ pub enum SimplexStatus {
     Infeasible,
     /// The objective decreases without bound.
     Unbounded,
-    /// `max_iterations` exhausted.
+    /// `MAX_ITERATIONS` pivots exhausted.
     IterationLimit,
     /// The basis became numerically singular (LU refactorization failed,
     /// or a nominally optimal exit violated the residual tolerance). The
@@ -239,13 +221,12 @@ pub struct SimplexResult {
     /// cost over nonbasic columns, reported as a non-negative magnitude
     /// (0 when the exit basis prices out cleanly).
     pub dual_residual: f64,
-    /// The final basis, exportable as [`SimplexOptions::start_basis`] for a
-    /// warm-started solve of a structurally identical LP. Only meaningful
-    /// when the run ended [`SimplexStatus::Optimal`].
+    /// The final basis, reusable as a [`Warm`] start for a later solve of
+    /// a structurally identical LP. Only meaningful when the run ended
+    /// [`SimplexStatus::Optimal`].
     pub basis: Basis,
-    /// True when a [`SimplexOptions::start_basis`] was supplied but the
-    /// warm start was abandoned and this result comes from the cold
-    /// fallback.
+    /// True when a [`Warm`] start was supplied but abandoned, and this
+    /// result comes from the cold fallback.
     pub warm_fallback: bool,
     /// Pivots the abandoned warm start executed before it was thrown away
     /// (0 without a fallback). `iterations` never includes them: it counts
@@ -262,7 +243,6 @@ enum Basic {
 
 struct Engine<'a> {
     lp: &'a StandardLp,
-    opts: SimplexOptions,
     m: usize,
     basis: Vec<Basic>,
     /// Which columns are currently basic.
@@ -273,13 +253,15 @@ struct Engine<'a> {
     xb: Vec<f64>,
     iterations: usize,
     pivots_since_refactor: usize,
+    /// Pivots between refactorizations: `max(REFACTOR_MIN_PIVOTS, m)`.
+    refactor_every: usize,
     /// Set when an LU refactorization fails: the explicit inverse can no
     /// longer be trusted, so the run must stop at the next loop head.
     singular: bool,
 }
 
 impl<'a> Engine<'a> {
-    fn new(lp: &'a StandardLp, opts: SimplexOptions) -> Self {
+    fn new(lp: &'a StandardLp) -> Self {
         let m = lp.rhs.len();
         assert_eq!(lp.cols.nrows(), m, "matrix/rhs row mismatch");
         assert_eq!(lp.costs.len(), lp.cols.ncols(), "cost/column mismatch");
@@ -313,7 +295,6 @@ impl<'a> Engine<'a> {
             .collect();
         Self {
             lp,
-            opts,
             m,
             basis,
             in_basis,
@@ -321,6 +302,7 @@ impl<'a> Engine<'a> {
             xb: lp.rhs.clone(),
             iterations: 0,
             pivots_since_refactor: 0,
+            refactor_every: m.max(REFACTOR_MIN_PIVOTS),
             singular: false,
         }
     }
@@ -373,7 +355,7 @@ impl<'a> Engine<'a> {
             }
             let cj = if phase1 { 0.0 } else { self.lp.costs[j] };
             let d = cj - self.lp.cols.col_dot(j, y);
-            if d < -self.opts.opt_tol {
+            if d < -OPT_TOL {
                 if bland {
                     return Some(j);
                 }
@@ -401,7 +383,7 @@ impl<'a> Engine<'a> {
     fn ratio_test(&self, w: &[f64], bland: bool) -> Option<usize> {
         let mut best: Option<(usize, f64, f64)> = None; // (row, theta, |w|)
         for i in 0..self.m {
-            if w[i] > self.opts.pivot_tol {
+            if w[i] > PIVOT_TOL {
                 let theta = self.xb[i] / w[i];
                 match best {
                     None => best = Some((i, theta, w[i])),
@@ -461,12 +443,7 @@ impl<'a> Engine<'a> {
         }
         self.iterations += 1;
         self.pivots_since_refactor += 1;
-        let cadence = if self.opts.refactor_every == 0 {
-            self.m.max(600)
-        } else {
-            self.opts.refactor_every
-        };
-        if self.pivots_since_refactor >= cadence {
+        if self.pivots_since_refactor >= self.refactor_every {
             self.refactorize();
         }
     }
@@ -646,9 +623,7 @@ impl<'a> Engine<'a> {
                 self.singular = true;
                 return Some(SimplexStatus::SingularBasis);
             }
-            if self.iterations >= self.opts.max_iterations
-                || failpoint::hit("lp.iterations.exhausted")
-            {
+            if self.iterations >= MAX_ITERATIONS || failpoint::hit("lp.iterations.exhausted") {
                 return Some(SimplexStatus::IterationLimit);
             }
             if !incremental {
@@ -703,7 +678,7 @@ impl<'a> Engine<'a> {
                 bland = false;
             } else {
                 stall += 1;
-                if stall > self.opts.stall_limit {
+                if stall > STALL_LIMIT {
                     bland = true;
                 }
             }
@@ -744,7 +719,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Phase-2 dual feasibility of the current basis: every nonbasic
-    /// reduced cost within `-opt_tol`. A donor basis from a sibling LP with
+    /// reduced cost within `-OPT_TOL`. A donor basis from a sibling LP with
     /// identical matrix and costs passes exactly; anything else (e.g. a
     /// basis reused across genuinely different LPs) fails here and triggers
     /// the cold fallback.
@@ -755,7 +730,7 @@ impl<'a> Engine<'a> {
                 continue;
             }
             let d = self.lp.costs[j] - self.lp.cols.col_dot(j, &y);
-            if d < -self.opts.opt_tol {
+            if d < -OPT_TOL {
                 return false;
             }
         }
@@ -773,7 +748,7 @@ impl<'a> Engine<'a> {
     ///
     /// A restart whose ratio test chooses a pivot with `|w_r|` below
     /// [`RESTART_PIVOT_FLOOR`] (1e-7) is abandoned at that pivot. Such a
-    /// pivot passes `pivot_tol` but leaves the basis numerically singular,
+    /// pivot passes `PIVOT_TOL` but leaves the basis numerically singular,
     /// which only the refactorization at the `max(600, m)` cadence used to
     /// report — every pivot in between was thrown away with the engine.
     /// Measured on the repository benchmark's g=4, h=3 precompute (270
@@ -787,7 +762,7 @@ impl<'a> Engine<'a> {
     fn restore_primal_feasibility(&mut self) -> bool {
         // The restart only pays off while it is much cheaper than a cold
         // solve; past this budget, give up and let the cold path decide.
-        let cap = self.opts.max_iterations.min(4 * self.m + 128);
+        let cap = MAX_ITERATIONS.min(4 * self.m + 128);
         // Duals carried incrementally across pivots on large LPs, exactly
         // as in `run_phase` — the dual-simplex basis change is the same
         // basis change, so the same `y' = y + (d_q/w_r)·ρ_r` update
@@ -825,7 +800,7 @@ impl<'a> Engine<'a> {
                     continue;
                 }
                 let alpha = self.lp.cols.col_dot(j, &rho);
-                if alpha < -self.opts.pivot_tol {
+                if alpha < -PIVOT_TOL {
                     let d = self.lp.costs[j] - self.lp.cols.col_dot(j, &y);
                     let ratio = d.max(0.0) / -alpha;
                     let better = match best {
@@ -844,7 +819,7 @@ impl<'a> Engine<'a> {
             };
             let dq = self.lp.costs[q] - self.lp.cols.col_dot(q, &y);
             let w = self.ftran(q);
-            if w[r] >= -self.opts.pivot_tol {
+            if w[r] >= -PIVOT_TOL {
                 return false; // rho-gathered alpha disagrees with FTRAN
             }
             if w[r].abs() < RESTART_PIVOT_FLOOR {
@@ -1106,12 +1081,11 @@ fn finish_phase2(mut eng: Engine) -> SimplexResult {
                 }
             }
             eng.refine();
-            let residual_tol = eng.opts.residual_tol;
             let mut r = eng.result(SimplexStatus::Optimal);
             // Quality gate: a basis that claims optimality but cannot
             // reproduce the right-hand side is numerically suspect —
             // demote it so callers never consume an uncertified optimum.
-            if r.residual > residual_tol {
+            if r.residual > RESIDUAL_TOL {
                 r.status = SimplexStatus::SingularBasis;
             }
             r
@@ -1121,26 +1095,29 @@ fn finish_phase2(mut eng: Engine) -> SimplexResult {
 
 /// Solve a [`StandardLp`] (minimization) with the revised simplex.
 ///
-/// With [`SimplexOptions::start_basis`] set, the engine first attempts a
-/// dual-simplex warm start from the donor basis; if the basis does not fit
-/// this LP, is not dual-feasible for its costs, or the restart stalls, the
-/// solve silently falls back to the ordinary cold start — warm starting can
-/// change the pivot count, never the correctness of the result. A fallback
-/// is reported through [`SimplexResult::warm_fallback`], and the pivots the
-/// abandoned restart executed through [`SimplexResult::discarded_pivots`].
-pub fn solve_standard(lp: &StandardLp, opts: SimplexOptions) -> SimplexResult {
+/// With a [`Warm`] start, the engine first installs the donor basis and
+/// either restores primal feasibility with dual-simplex pivots
+/// ([`Warm::Restart`]) or resumes primal phase 2 ([`Warm::Continue`]); if
+/// the basis does not fit this LP, is not dual-feasible for its costs
+/// (restart), is not primal-feasible for its rhs (continue), or the
+/// restart stalls, the solve silently falls back to the ordinary cold
+/// start — warm starting can change the pivot count, never the correctness
+/// of the result. A fallback is reported through
+/// [`SimplexResult::warm_fallback`], and the pivots the abandoned start
+/// executed through [`SimplexResult::discarded_pivots`].
+pub fn solve_standard(lp: &StandardLp, warm: Option<Warm>) -> SimplexResult {
     let mut discarded = None;
-    if let Some(warm) = opts.start_basis.clone() {
-        let mut eng = Engine::new(lp, opts.clone());
-        let usable = match opts.warm_mode {
-            WarmMode::DualRestart => {
-                eng.install_basis(&warm)
+    if let Some(warm) = warm {
+        let mut eng = Engine::new(lp);
+        let usable = match warm {
+            Warm::Restart(basis) => {
+                eng.install_basis(&basis)
                     && eng.dual_feasible()
                     && eng.restore_primal_feasibility()
                     && eng.artificial_mass() <= 1e-7
             }
-            WarmMode::PrimalContinue => {
-                eng.install_basis(&warm) && eng.primal_feasible() && eng.artificial_mass() <= 1e-7
+            Warm::Continue(basis) => {
+                eng.install_basis(&basis) && eng.primal_feasible() && eng.artificial_mass() <= 1e-7
             }
         };
         if usable {
@@ -1148,7 +1125,7 @@ pub fn solve_standard(lp: &StandardLp, opts: SimplexOptions) -> SimplexResult {
         }
         discarded = Some(eng.iterations);
     }
-    let mut r = solve_cold(lp, opts);
+    let mut r = solve_cold(Engine::new(lp));
     if let Some(pivots) = discarded {
         r.warm_fallback = true;
         r.discarded_pivots = pivots;
@@ -1157,8 +1134,7 @@ pub fn solve_standard(lp: &StandardLp, opts: SimplexOptions) -> SimplexResult {
 }
 
 /// Phase 1 from the crash basis when artificials are needed, then phase 2.
-fn solve_cold(lp: &StandardLp, opts: SimplexOptions) -> SimplexResult {
-    let mut eng = Engine::new(lp, opts);
+fn solve_cold(mut eng: Engine) -> SimplexResult {
     if eng.has_artificials() {
         if let Some(bad) = eng.run_phase(true) {
             return eng.result(bad);
@@ -1202,7 +1178,7 @@ mod tests {
             &[-3.0, -2.0, 0.0, 0.0],
             &[4.0, 6.0],
         );
-        let r = solve_standard(&lp, SimplexOptions::default());
+        let r = solve_standard(&lp, None);
         assert_eq!(r.status, SimplexStatus::Optimal);
         assert!((r.objective + 12.0).abs() < 1e-9);
         assert!((r.x[0] - 4.0).abs() < 1e-9);
@@ -1214,7 +1190,7 @@ mod tests {
     fn phase1_needed_for_equalities() {
         // min x + y s.t. x + y = 2, x - y = 0  ->  x = y = 1, obj 2.
         let lp = lp_from_dense(&[&[1.0, 1.0], &[1.0, -1.0]], &[1.0, 1.0], &[2.0, 0.0]);
-        let r = solve_standard(&lp, SimplexOptions::default());
+        let r = solve_standard(&lp, None);
         assert_eq!(r.status, SimplexStatus::Optimal);
         assert!((r.objective - 2.0).abs() < 1e-9);
         assert!((r.x[0] - 1.0).abs() < 1e-9);
@@ -1225,7 +1201,7 @@ mod tests {
     fn infeasible_detected() {
         // x = 1 and x = 2 simultaneously.
         let lp = lp_from_dense(&[&[1.0], &[1.0]], &[0.0], &[1.0, 2.0]);
-        let r = solve_standard(&lp, SimplexOptions::default());
+        let r = solve_standard(&lp, None);
         assert_eq!(r.status, SimplexStatus::Infeasible);
     }
 
@@ -1233,7 +1209,7 @@ mod tests {
     fn unbounded_detected() {
         // min -x s.t. x - s = 0 (x can grow forever).
         let lp = lp_from_dense(&[&[1.0, -1.0]], &[-1.0, 0.0], &[0.0]);
-        let r = solve_standard(&lp, SimplexOptions::default());
+        let r = solve_standard(&lp, None);
         assert_eq!(r.status, SimplexStatus::Unbounded);
     }
 
@@ -1249,7 +1225,7 @@ mod tests {
             &[-1.0, -1.0, 0.0, 0.0, 0.0],
             &[1.0, 1.0, 1.0],
         );
-        let r = solve_standard(&lp, SimplexOptions::default());
+        let r = solve_standard(&lp, None);
         assert_eq!(r.status, SimplexStatus::Optimal);
         assert!((r.objective + 1.0).abs() < 1e-9);
     }
@@ -1259,7 +1235,7 @@ mod tests {
         // Row 2 = 2 x row 1: artificial stays basic at zero on the
         // redundant row; solution still optimal.
         let lp = lp_from_dense(&[&[1.0, 1.0], &[2.0, 2.0]], &[1.0, 2.0], &[3.0, 6.0]);
-        let r = solve_standard(&lp, SimplexOptions::default());
+        let r = solve_standard(&lp, None);
         assert_eq!(r.status, SimplexStatus::Optimal);
         assert!((r.objective - 3.0).abs() < 1e-9, "obj={}", r.objective);
         assert!(r.residual < 1e-8);
@@ -1273,7 +1249,7 @@ mod tests {
             &[-5.0, -4.0, 0.0, 0.0],
             &[8.0, 9.0],
         );
-        let r = solve_standard(&lp, SimplexOptions::default());
+        let r = solve_standard(&lp, None);
         assert_eq!(r.status, SimplexStatus::Optimal);
         let yb: f64 = r.duals.iter().zip(&lp.rhs).map(|(y, b)| y * b).sum();
         assert!((yb - r.objective).abs() < 1e-8);
@@ -1313,16 +1289,10 @@ mod tests {
     fn warm_start_on_identical_rhs_needs_no_pivots() {
         let rhs: Vec<f64> = (0..24).map(|i| 1.0 + (i % 4) as f64).collect();
         let lp = banded_lp(&rhs);
-        let donor = solve_standard(&lp, SimplexOptions::default());
+        let donor = solve_standard(&lp, None);
         assert_eq!(donor.status, SimplexStatus::Optimal);
         assert!(donor.iterations > 0, "donor solved without pivoting");
-        let warm = solve_standard(
-            &lp,
-            SimplexOptions {
-                start_basis: Some(donor.basis.clone()),
-                ..SimplexOptions::default()
-            },
-        );
+        let warm = solve_standard(&lp, Some(Warm::Restart(donor.basis.clone())));
         assert_eq!(warm.status, SimplexStatus::Optimal);
         assert_eq!(warm.iterations, 0, "optimal basis re-priced from scratch");
         assert!((warm.objective - donor.objective).abs() < 1e-9);
@@ -1332,17 +1302,11 @@ mod tests {
     fn warm_start_matches_cold_optimum_on_sibling_rhs() {
         let rhs_a: Vec<f64> = (0..24).map(|i| 1.0 + (i % 4) as f64).collect();
         let rhs_b: Vec<f64> = (0..24).map(|i| 1.3 + (i % 3) as f64).collect();
-        let donor = solve_standard(&banded_lp(&rhs_a), SimplexOptions::default());
+        let donor = solve_standard(&banded_lp(&rhs_a), None);
         assert_eq!(donor.status, SimplexStatus::Optimal);
         let sibling = banded_lp(&rhs_b);
-        let cold = solve_standard(&sibling, SimplexOptions::default());
-        let warm = solve_standard(
-            &sibling,
-            SimplexOptions {
-                start_basis: Some(donor.basis.clone()),
-                ..SimplexOptions::default()
-            },
-        );
+        let cold = solve_standard(&sibling, None);
+        let warm = solve_standard(&sibling, Some(Warm::Restart(donor.basis.clone())));
         assert_eq!(cold.status, SimplexStatus::Optimal);
         assert_eq!(warm.status, SimplexStatus::Optimal);
         assert!(
@@ -1369,17 +1333,11 @@ mod tests {
         let rhs: Vec<f64> = (0..12).map(|i| 1.0 + (i % 4) as f64).collect();
         let foreign = solve_standard(
             &banded_lp(&(0..30).map(|i| 1.0 + (i % 2) as f64).collect::<Vec<_>>()),
-            SimplexOptions::default(),
+            None,
         );
         let lp = banded_lp(&rhs);
-        let cold = solve_standard(&lp, SimplexOptions::default());
-        let warm = solve_standard(
-            &lp,
-            SimplexOptions {
-                start_basis: Some(foreign.basis.clone()),
-                ..SimplexOptions::default()
-            },
-        );
+        let cold = solve_standard(&lp, None);
+        let warm = solve_standard(&lp, Some(Warm::Restart(foreign.basis.clone())));
         assert_eq!(warm.status, cold.status);
         assert_eq!(warm.iterations, cold.iterations);
         for (a, b) in warm.x.iter().zip(&cold.x) {
@@ -1421,7 +1379,7 @@ mod tests {
         let rhs: Vec<f64> = (0..24).map(|i| 1.0 + (i % 4) as f64).collect();
         let n = rhs.len();
         let base = banded_lp_with_inserted(&rhs, &[]);
-        let donor = solve_standard(&base, SimplexOptions::default());
+        let donor = solve_standard(&base, None);
         assert_eq!(donor.status, SimplexStatus::Optimal);
 
         // Insert two attractive columns before the slack block; the old
@@ -1432,15 +1390,13 @@ mod tests {
             (vec![(11, 1.0), (12, 0.25)], -8.0),
         ];
         let grown = banded_lp_with_inserted(&rhs, &extra);
-        let cold = solve_standard(&grown, SimplexOptions::default());
+        let cold = solve_standard(&grown, None);
         assert_eq!(cold.status, SimplexStatus::Optimal);
         let warm = solve_standard(
             &grown,
-            SimplexOptions {
-                start_basis: Some(donor.basis.with_columns_inserted(n, extra.len())),
-                warm_mode: WarmMode::PrimalContinue,
-                ..SimplexOptions::default()
-            },
+            Some(Warm::Continue(
+                donor.basis.with_columns_inserted(n, extra.len()),
+            )),
         );
         assert_eq!(warm.status, SimplexStatus::Optimal);
         assert!(
@@ -1459,10 +1415,9 @@ mod tests {
         // (not dual-feasible) and the solve falls back to cold bits.
         let fallback = solve_standard(
             &grown,
-            SimplexOptions {
-                start_basis: Some(donor.basis.with_columns_inserted(n, extra.len())),
-                ..SimplexOptions::default()
-            },
+            Some(Warm::Restart(
+                donor.basis.with_columns_inserted(n, extra.len()),
+            )),
         );
         assert_eq!(fallback.iterations, cold.iterations);
         for (a, b) in fallback.x.iter().zip(&cold.x) {
@@ -1489,7 +1444,7 @@ mod tests {
             &[-3.0, -2.0, 0.0, 0.0],
             &[4.0, 6.0],
         );
-        let donor = solve_standard(&base, SimplexOptions::default());
+        let donor = solve_standard(&base, None);
         assert_eq!(donor.status, SimplexStatus::Optimal);
         // Append a non-binding cut x + s3 = 5 (old optimum satisfies it
         // slackly): the extended basis — old columns remapped past nothing,
@@ -1505,11 +1460,7 @@ mod tests {
         );
         let warm = solve_standard(
             &grown,
-            SimplexOptions {
-                start_basis: Some(donor.basis.with_rows_appended(&[4])),
-                warm_mode: WarmMode::PrimalContinue,
-                ..SimplexOptions::default()
-            },
+            Some(Warm::Continue(donor.basis.with_rows_appended(&[4]))),
         );
         assert_eq!(warm.status, SimplexStatus::Optimal);
         assert_eq!(warm.iterations, 0, "non-binding cut forced pivots");
@@ -1543,11 +1494,9 @@ mod tests {
             costs,
             rhs,
         };
-        let opts = SimplexOptions {
-            refactor_every: 3,
-            ..SimplexOptions::default()
-        };
-        let r = solve_standard(&lp, opts);
+        let mut eng = Engine::new(&lp);
+        eng.refactor_every = 3;
+        let r = solve_cold(eng);
         assert_eq!(r.status, SimplexStatus::Optimal);
         assert!(r.residual < 1e-9, "residual {}", r.residual);
     }
@@ -1596,11 +1545,8 @@ mod tests {
         // compare equal: the sign of an exact zero is the one thing the
         // sparse sum may change.
         let lp = dualized_opt_g3();
-        let opts = SimplexOptions {
-            refactor_every: 16,
-            ..SimplexOptions::default()
-        };
-        let mut eng = Engine::new(&lp, opts);
+        let mut eng = Engine::new(&lp);
+        eng.refactor_every = 16;
         assert!(!eng.has_artificials(), "an OPT dual starts from its slacks");
         let (mut pivots, mut most_costed) = (0usize, 0usize);
         loop {

@@ -115,7 +115,7 @@ const RADIAL_GUESS_BUCKETS: usize = 512;
 /// [`planar_laplace_inverse_cdf`] re-derives an analytic `W₋₁` starting
 /// guess (two `ln` calls or a branch-point series) on every draw.
 /// `RadialSampler` hoists that work to construction time: it tabulates
-/// `W₋₁((p − 1)/e)` at [`RADIAL_GUESS_BUCKETS`] bucket midpoints once, and
+/// `W₋₁((p − 1)/e)` at `RADIAL_GUESS_BUCKETS` bucket midpoints once, and
 /// each draw re-enters Halley's method from the bucket's stored guess —
 /// already within `O(1/buckets)` of the root, so refinement converges in
 /// one or two iterations. Draw order and count are identical to the

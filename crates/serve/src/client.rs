@@ -31,7 +31,8 @@
 
 use crate::http::{self, Conn};
 use crate::json::Json;
-use geoind_rng::{Rng, SeededRng};
+use crate::shard::backoff_sleep;
+use geoind_rng::SeededRng;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -686,7 +687,7 @@ fn connection_thread(
                     continue 'requests;
                 }
                 tally.retries += 1;
-                backoff(&mut rng, config.backoff_base_ms, attempt);
+                backoff_sleep(&mut rng, config.backoff_base_ms, attempt);
             }
             attempt += 1;
             let addr = shared.active_addr();
@@ -801,15 +802,6 @@ fn connection_thread(
     Ok((tally, latencies))
 }
 
-/// Exponential backoff with seeded jitter: `base·2^min(attempt,6)` plus
-/// a uniform draw in `[0, base)` milliseconds.
-fn backoff(rng: &mut SeededRng, base_ms: u64, attempt: u32) {
-    let base = base_ms.max(1);
-    let exp = base.saturating_mul(1u64 << attempt.min(6));
-    let jitter = (rng.gen_f64() * base as f64) as u64;
-    std::thread::sleep(Duration::from_millis(exp + jitter));
-}
-
 fn resolve(addr: &str) -> Result<SocketAddr, ClientError> {
     addr.to_socket_addrs()
         .map_err(|e| ClientError::Io(format!("cannot resolve {addr}: {e}")))?
@@ -855,7 +847,7 @@ mod tests {
         // Attempt 60 must not overflow the shift.
         let mut rng = SeededRng::from_seed(9);
         let start = Instant::now();
-        backoff(&mut rng, 1, 60);
+        backoff_sleep(&mut rng, 1, 60);
         assert!(start.elapsed() < Duration::from_millis(500));
     }
 }

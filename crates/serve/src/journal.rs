@@ -55,9 +55,9 @@
 //!
 //! ## Folding without the lock
 //!
-//! A fold has two halves. [`Journal::rotate`] runs under the caller's
+//! A fold has two halves. `Journal::rotate` runs under the caller's
 //! lock and makes no file-system call: it switches appends to a durable,
-//! already-created spare segment `active + 1`. A [`Fold`] then runs on
+//! already-created spare segment `active + 1`. A `Fold` then runs on
 //! any thread, in this order: commit snapshot `T` (the new active
 //! generation) from a capture of the state at the segment boundary,
 //! delete the segments below `T`, create the next spare `T + 1`. A

@@ -14,7 +14,7 @@
 //!
 //! **Lag bound.** The pending queue holds records journaled locally
 //! but not yet acked. `--max-replica-lag` bounds it *strictly*: a
-//! shard's spends ask [`Shipper::room`] for room under the shard's slot
+//! shard's spends ask `Shipper::room` for room under the shard's slot
 //! lock, where they are journaled and published, so no other spend of
 //! the shard can take that room meanwhile and nothing is reserved. A
 //! bound full of unacked records is shipped from there (no other spend
@@ -58,7 +58,7 @@
 //! past the highest generation it has ever seen and checkpoints, after
 //! which any batch from a revived stale primary carries
 //! `gen < fence_gen` and is refused (`fenced` nack). The refused
-//! primary hard-fences itself — [`Shipper::room`] then refuses every
+//! primary hard-fences itself — `Shipper::room` then refuses every
 //! spend — so a split brain cannot double-spend: the old primary
 //! cannot serve (no acks), and the new one owns the budget. This is
 //! the same stale-generation-discard principle the journal already
@@ -246,9 +246,9 @@ struct ShipShard {
 ///
 /// Attached to a [`ShardedLedger`] via
 /// [`ShardedLedger::attach_shipper`]; `try_spend_many` then asks
-/// [`Shipper::room`] under a shard's slot lock before it journals each
-/// chunk of that shard's charges, [`Shipper::publish`]es the chunk under
-/// the same lock, and calls [`Shipper::wait_acked`] once per chunk after
+/// `Shipper::room` under a shard's slot lock before it journals each
+/// chunk of that shard's charges, `Shipper::publish`es the chunk under
+/// the same lock, and calls `Shipper::wait_acked` once per chunk after
 /// it, on the calling thread.
 #[derive(Debug)]
 pub struct Shipper {

@@ -362,12 +362,12 @@ impl ShardedLedger {
     ///
     /// A transient-`EIO` group append is retried in place, whole (bounded,
     /// seeded exponential backoff), before the refusal is surfaced. With
-    /// repair enabled, [`QUARANTINE_STRIKES`] consecutive failed group
+    /// repair enabled, `QUARANTINE_STRIKES` consecutive failed group
     /// appends self-quarantine the shard — it stops serving unjournaled
     /// spends and enters the repair loop.
     ///
     /// With a shipper attached, a shard's part runs in chunks of as many
-    /// charges as the lag bound has room for, asked of [`Shipper::room`]
+    /// charges as the lag bound has room for, asked of `Shipper::room`
     /// under the shard lock (the whole part when the bound has room).
     /// Each chunk is one group: journaled and published under that same
     /// lock, then answered once the follower has acked its last record
@@ -453,7 +453,7 @@ impl ShardedLedger {
             match &append {
                 Err(e) if journal::is_transient_io(e) && attempt < EIO_RETRY_LIMIT => {
                     attempt += 1;
-                    backoff_sleep(&mut rng, attempt);
+                    backoff_sleep(&mut rng, BACKOFF_BASE_MS, attempt);
                 }
                 _ => break (probes, append),
             }
@@ -818,11 +818,14 @@ impl ShardSet {
     }
 }
 
-/// Seeded exponential backoff: `base·2^min(attempt,6)` plus jitter in
-/// `[0, base)` milliseconds — deterministic per (user, shard) seed.
-fn backoff_sleep(rng: &mut SeededRng, attempt: u32) {
-    let exp = BACKOFF_BASE_MS.saturating_mul(1u64 << attempt.min(6));
-    let jitter = (rng.gen_f64() * BACKOFF_BASE_MS as f64) as u64;
+/// Seeded exponential backoff, shared by the shard retry loops and the
+/// load generator: sleep `base·2^min(attempt,6)` plus a jitter drawn
+/// uniformly from `[0, base)` milliseconds (one `gen_f64` draw), where
+/// `base` is `base_ms` clamped to at least 1. Deterministic per seed.
+pub(crate) fn backoff_sleep(rng: &mut SeededRng, base_ms: u64, attempt: u32) {
+    let base = base_ms.max(1);
+    let exp = base.saturating_mul(1u64 << attempt.min(6));
+    let jitter = (rng.gen_f64() * base as f64) as u64;
     std::thread::sleep(Duration::from_millis(exp + jitter));
 }
 
@@ -879,7 +882,7 @@ fn repair_shard(set: &ShardSet, shard: usize) {
         Err(JournalError::Injected("repair never attempted"));
     for attempt in 0..REPAIR_ATTEMPTS {
         if attempt > 0 {
-            backoff_sleep(&mut rng, attempt);
+            backoff_sleep(&mut rng, BACKOFF_BASE_MS, attempt);
         }
         outcome = journal::scavenge(dir, set.config.epoch).and_then(|report| {
             // Verified re-admission: the standard open (full checksum +

@@ -4,7 +4,7 @@
 //! ## Wire format
 //!
 //! Eight endpoints. Every body is JSON except `/replicate`'s binary
-//! batch; the framing itself lives in [`crate::http`].
+//! batch; the framing itself lives in the crate-private `http` module.
 //!
 //! * `POST /protect` — one request object
 //!   `{"user":7,"id":3,"x":1.0,"y":2.0}` or an array of them. An array

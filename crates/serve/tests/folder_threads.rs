@@ -5,6 +5,7 @@
 
 use geoind_serve::ledger::{LedgerConfig, SpendLedger};
 use std::fs;
+use std::time::{Duration, Instant};
 
 /// The `Threads:` count of `/proc/self/status`, where procfs exists.
 fn threads() -> Option<u64> {
@@ -15,6 +16,20 @@ fn threads() -> Option<u64> {
         .trim()
         .parse()
         .ok()
+}
+
+/// [`threads`] once it equals `want`, or after 5 s of polling every
+/// 10 ms. A joined thread can still be counted for a moment after
+/// `pthread_join` returns, while the kernel finishes its exit.
+fn threads_settled(want: Option<u64>) -> Option<u64> {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let now = threads();
+        if now == want || Instant::now() >= deadline {
+            return now;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
 }
 
 #[test]
@@ -33,7 +48,11 @@ fn dropped_ledgers_join_their_folder_threads() {
         let mut ledger = SpendLedger::open(&dir, config).expect("open");
         ledger.try_spend(i % 7, 0.25).expect("spend");
     }
-    assert_eq!(threads(), before, "a folder thread outlived its ledger");
+    assert_eq!(
+        threads_settled(before),
+        before,
+        "a folder thread outlived its ledger"
+    );
     let recovered = SpendLedger::open(&dir, config).expect("recover");
     assert!((recovered.total_spent() - 50.0).abs() < 1e-9);
     drop(recovered);

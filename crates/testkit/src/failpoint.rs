@@ -21,7 +21,7 @@
 //! 2. **Cheap when compiled in but disarmed.** The fast path is two
 //!    relaxed atomic loads. No lock, no string hash, no allocation until
 //!    at least one site is armed — and even then, thread-scoped arming
-//!    ([`Session`]) is kept in thread-local storage, so a session on one
+//!    (`Session`) is kept in thread-local storage, so a session on one
 //!    thread never makes another thread touch a lock.
 //! 3. **Deterministic.** Arming is *count-based*, never random: a
 //!    [`FailSpec`] says "skip the first `skip` hits, then fire `times`
@@ -31,7 +31,7 @@
 //!    `tests/determinism.rs`).
 //! 4. **Test-isolated.** Tests in one binary run on concurrent threads;
 //!    a globally armed fault in one test would trip unrelated tests.
-//!    [`Session`] therefore arms sites *for the current thread only* and
+//!    `Session` therefore arms sites *for the current thread only* and
 //!    disarms them on drop. Global arming (used by CI via the
 //!    `GEOIND_FAILPOINTS` environment variable) affects every thread.
 //!    Work a thread hands to a helper thread carries the thread's arming

@@ -40,6 +40,11 @@ echo "== cargo clippy (production configuration: failpoints compiled out)"
 # failpoint::hit() is a constant false and GEOIND_FAILPOINTS is inert.
 cargo clippy --workspace --offline -- -D warnings
 
+echo "== cargo doc (rustdoc warnings are errors: every intra-doc link resolves)"
+# A doc link to a private, renamed or deleted item is a warning rustdoc
+# prints and a reader trips over; -D warnings makes it fail here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== cargo check benchmark/ (the repository benchmark builds against this API)"
 # benchmark/ is a workspace of its own, so nothing above compiles it; a
 # public-API change that breaks it would otherwise surface only as a

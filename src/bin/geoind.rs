@@ -166,8 +166,8 @@ fn opt_options_from_flags(flags: &Flags) -> Result<OptOptions, String> {
     }
     match flags.get("cutgen").map(String::as_str) {
         None => {}
-        Some("on") => opts.cutgen.enabled = true,
-        Some("off") => opts.cutgen.enabled = false,
+        Some("on") => opts.cutgen = true,
+        Some("off") => opts.cutgen = false,
         Some(other) => return Err(format!("--cutgen: expected on|off, got '{other}'")),
     }
     Ok(opts)

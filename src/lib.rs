@@ -53,7 +53,7 @@ pub mod prelude {
     pub use geoind_core::eval::{EvalReport, Evaluator};
     pub use geoind_core::metrics::QualityMetric;
     pub use geoind_core::msm::{LevelSolveStats, MsmMechanism};
-    pub use geoind_core::opt::{ConstraintSet, CutGenOptions, OptOptions, OptimalMechanism};
+    pub use geoind_core::opt::{ConstraintSet, OptOptions, OptimalMechanism};
     pub use geoind_core::planar_laplace::PlanarLaplace;
     pub use geoind_core::resilient::{DegradationReport, ResilientMechanism, Tier};
     pub use geoind_core::Mechanism;

@@ -183,7 +183,7 @@ fn cutgen_spanner_bundle_bytes_are_independent_of_jobs() {
             constraints: ConstraintSet::Spanner { dilation: 1.2 },
             ..OptOptions::default()
         };
-        assert!(opts.cutgen.enabled, "cut generation is the default");
+        assert!(opts.cutgen, "cut generation is the default");
         let msm = MsmMechanism::builder(dataset.domain(), prior)
             .epsilon(0.8)
             .granularity(2)
@@ -251,6 +251,46 @@ fn benchmark_precompute_prefix_keeps_recorded_pivots_and_bytes() {
         });
     assert!(fallbacks >= 1, "the prefix lost its warm-restart fallback");
     assert_eq!(discarded, 227, "the abandoned restart's pivot count moved");
+}
+
+/// The same cross-build pin for the eager path (`cutgen: false`), which
+/// materializes every GeoInd row up front and so never enters the cut
+/// loop. Its first 5 nodes of the benchmark hierarchy are the root (cold)
+/// and 4 level-2 nodes: the level donor (cold) and 3 siblings
+/// warm-started from the donor's exit basis, two of which fall back to a
+/// cold solve.
+#[test]
+fn eager_precompute_prefix_keeps_recorded_pivots_and_bytes() {
+    let city = SyntheticCity::austin_like().generate_with_size(80_000, 8_000);
+    let msm = MsmMechanism::builder(city.domain(), GridPrior::from_dataset(&city, 64))
+        .epsilon(0.5)
+        .granularity(4)
+        .strategy(AllocationStrategy::FixedHeight(3))
+        .opt_options(OptOptions {
+            cutgen: false,
+            ..OptOptions::default()
+        })
+        .build()
+        .expect("benchmark configuration");
+    assert_eq!(msm.precompute_jobs(5, 1).expect("precompute"), 5);
+    assert_eq!(msm.lp_pivot_count(), 2_755, "kept pivots moved");
+    let mut blob = Vec::new();
+    msm.export_cache(&mut blob).expect("export");
+    assert_eq!(blob.len(), 13_188, "bundle length moved");
+    assert_eq!(fnv1a64(&blob), 0xdc13_68d2_9875_387c, "bundle bytes moved");
+    let stats = msm.level_solve_stats();
+    assert!(
+        stats.iter().all(|(_, s)| s.cut_rounds == 0),
+        "the eager path entered the cut loop"
+    );
+    let (fallbacks, discarded) = stats.iter().fold((0, 0), |(f, d), (_, s)| {
+        (f + s.warm_fallbacks, d + s.discarded_pivots)
+    });
+    assert_eq!(fallbacks, 2, "the warm-restart fallbacks moved");
+    assert_eq!(
+        discarded, 1_622,
+        "the abandoned restarts' pivot count moved"
+    );
 }
 
 /// Cross-mechanism: interleaving two mechanisms on one RNG stream is still
