@@ -15,9 +15,11 @@
 //! path (jobs=max, warm-started), so it reflects what a user upgrading
 //! actually gets; `pivot_reduction` isolates the warm-start effect at
 //! jobs=1, where scheduling cannot contribute. Each cell also records
-//! `warm_fallbacks` (sibling warm starts abandoned for a cold solve) and
+//! `warm_fallbacks` (sibling warm starts abandoned for a cold solve),
 //! `discarded_pivots` (the pivots those abandoned starts executed, which
-//! `pivots` does not count); cold cells report both as 0.
+//! `pivots` does not count; cold cells report both as 0) and
+//! `refactorizations` (LU factorizations of a basis, the one a level's
+//! sibling restarts share counted once).
 //!
 //! `cutgen` times single-node OPT solves across constraint strategies:
 //! eager (every row materialized) vs delayed constraint generation, at a
@@ -27,8 +29,8 @@
 //! JSON fragment that `scripts/bench.sh` folds into
 //! `BENCH_precompute.json` — every row records
 //! `{"constraints", "cutgen", "g", rows_total, rows_active, cut_rounds,
-//! pivots, wall_s, loss}` so the working-set ratio behind each wall
-//! clock is part of the artifact.
+//! pivots, refactorizations, wall_s, loss}` so the working-set ratio
+//! behind each wall clock is part of the artifact.
 //!
 //! `dilation` prints the utility-vs-dilation markdown table of
 //! EXPERIMENTS.md.
@@ -125,20 +127,26 @@ fn bench_precompute(g: u32, height: u32, eps: f64, jobs_max: usize, max_nodes: u
             .expect("benchmark precompute must succeed");
         let wall = start.elapsed().as_secs_f64();
         let pivots = msm.lp_pivot_count();
-        let (fallbacks, discarded) = msm
-            .level_solve_stats()
-            .iter()
-            .fold((0u64, 0u64), |(f, d), (_, s)| {
-                (f + s.warm_fallbacks, d + s.discarded_pivots)
-            });
+        let (fallbacks, discarded, refactorizations) =
+            msm.level_solve_stats()
+                .iter()
+                .fold((0u64, 0u64, 0u64), |(f, d, r), (_, s)| {
+                    (
+                        f + s.warm_fallbacks,
+                        d + s.discarded_pivots,
+                        r + s.refactorizations,
+                    )
+                });
         eprintln!(
             "# jobs={jobs} warm={warm}: {nodes} nodes, {wall:.3}s, {pivots} pivots, \
-             {fallbacks} warm fallbacks discarding {discarded} pivots"
+             {fallbacks} warm fallbacks discarding {discarded} pivots, \
+             {refactorizations} refactorizations"
         );
         cells.push(format!(
             "    {{\"jobs\": {jobs}, \"warm\": {warm}, \"nodes\": {nodes}, \
              \"wall_s\": {wall:.6}, \"pivots\": {pivots}, \
-             \"warm_fallbacks\": {fallbacks}, \"discarded_pivots\": {discarded}}}"
+             \"warm_fallbacks\": {fallbacks}, \"discarded_pivots\": {discarded}, \
+             \"refactorizations\": {refactorizations}}}"
         ));
         (wall, pivots)
     };
@@ -190,14 +198,15 @@ fn cutgen_cell(g: u32, eps: f64, constraints: ConstraintSet, cutgen: bool) -> (f
     };
     eprintln!(
         "# g={g} constraints={label} cutgen={cutgen}: {wall:.2}s, {} pivots, \
-         {} rounds, {}/{} rows, loss {loss:.6}",
-        st.iterations, st.cut_rounds, st.rows_active, st.rows_total
+         {} refactorizations, {} rounds, {}/{} rows, loss {loss:.6}",
+        st.iterations, st.refactorizations, st.cut_rounds, st.rows_active, st.rows_total
     );
     let cell = format!(
         "    {{\"constraints\": \"{label}\", \"cutgen\": {cutgen}, \"g\": {g}, \
          \"rows_total\": {}, \"rows_active\": {}, \"cut_rounds\": {}, \
-         \"pivots\": {}, \"wall_s\": {wall:.6}, \"loss\": {loss:.9}}}",
-        st.rows_total, st.rows_active, st.cut_rounds, st.iterations
+         \"pivots\": {}, \"refactorizations\": {}, \"wall_s\": {wall:.6}, \
+         \"loss\": {loss:.9}}}",
+        st.rows_total, st.rows_active, st.cut_rounds, st.iterations, st.refactorizations
     );
     (wall, cell)
 }

@@ -361,6 +361,9 @@ pub struct LevelSolveStats {
     /// Pivots the abandoned warm starts executed before they were thrown
     /// away, summed (never part of [`MsmMechanism::lp_pivot_count`]).
     pub discarded_pivots: u64,
+    /// LU factorizations of a basis computed, summed; the one shared by a
+    /// level's sibling restarts counts once.
+    pub refactorizations: u64,
     /// Rows materialized in the final working LPs, summed.
     pub rows_active: u64,
     /// Rows the full target programs would have, summed.
@@ -641,6 +644,7 @@ impl MsmMechanism {
             entry.cut_rounds += stats.cut_rounds as u64;
             entry.warm_fallbacks += stats.warm_fallbacks as u64;
             entry.discarded_pivots += stats.discarded_pivots as u64;
+            entry.refactorizations += stats.refactorizations as u64;
             entry.rows_active += stats.rows_active as u64;
             entry.rows_total += stats.rows_total as u64;
         }

@@ -102,6 +102,10 @@ pub struct SolveStats {
     /// Pivots those abandoned warm starts executed before they were thrown
     /// away, summed over all cut rounds.
     pub discarded_pivots: usize,
+    /// LU factorizations of a basis computed, summed over all cut rounds.
+    /// A sibling restart that copies the donor basis's shared inverse
+    /// does not count it; the solve that built it does.
+    pub refactorizations: usize,
     /// Cut-generation rounds (LP solves) performed; 0 when cut generation
     /// was disabled and the target rows were materialized up front.
     pub cut_rounds: usize,
@@ -341,6 +345,7 @@ impl OptimalMechanism {
         let mut total_iterations = 0usize;
         let mut warm_fallbacks = 0usize;
         let mut discarded_pivots = 0usize;
+        let mut refactorizations = 0usize;
         let mut rounds = 0usize;
         let mut seed_basis: Option<Basis> = None;
         let mut warm = donor.cloned().map(Warm::Restart);
@@ -353,6 +358,7 @@ impl OptimalMechanism {
             total_iterations += sol.iterations;
             warm_fallbacks += usize::from(sol.warm_fallback);
             discarded_pivots += sol.discarded_pivots;
+            refactorizations += sol.refactorizations;
             if seed_basis.is_none() {
                 // The seed-round exit basis lives in the seed LP's column
                 // space, which sibling solves share; later rounds' bases
@@ -423,6 +429,7 @@ impl OptimalMechanism {
                 iterations: total_iterations,
                 warm_fallbacks,
                 discarded_pivots,
+                refactorizations,
                 cut_rounds: if opts.cutgen { rounds } else { 0 },
                 rows_active,
                 rows_total,
@@ -457,10 +464,10 @@ impl OptimalMechanism {
     /// standard-form column space of the dual formulation the solve runs
     /// on (later cut rounds pivot in a cut-extended space no other solve
     /// shares). The precompute schedule passes a level donor's basis to
-    /// every sibling node's solve as a [`Warm::Restart`]: siblings share
+    /// every sibling node's solve as a `Warm::Restart`: siblings share
     /// the constraint matrix and only the prior-dependent right-hand side
-    /// differs.
-    pub fn basis(&self) -> &Basis {
+    /// differs, so the restarts also share one factorization of it.
+    pub(crate) fn basis(&self) -> &Basis {
         &self.basis
     }
 

@@ -2,10 +2,13 @@
 //!
 //! The simplex engine re-derives its basis inverse from scratch every few
 //! hundred pivots to shed accumulated floating-point drift; that
-//! refactorization is a dense LU + `m` triangular solves.
+//! refactorization is a dense LU of the basis's general block plus its
+//! inverse. The engine keeps one set of these matrices per solve and
+//! refills them (`DenseMatrix::reset`, `LuFactors::factor_in_place`,
+//! `LuFactors::inverse_into`) instead of allocating fresh ones.
 
 /// A dense column-major `n×n` or `m×n` matrix.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DenseMatrix {
     nrows: usize,
     ncols: usize,
@@ -30,6 +33,22 @@ impl DenseMatrix {
             m.data[i * n + i] = 1.0;
         }
         m
+    }
+
+    /// Reshape to an all-zero `nrows×ncols` matrix, reusing the storage.
+    pub(crate) fn reset(&mut self, nrows: usize, ncols: usize) {
+        self.nrows = nrows;
+        self.ncols = ncols;
+        self.data.clear();
+        self.data.resize(nrows * ncols, 0.0);
+    }
+
+    /// Become a copy of `src`, reusing the storage.
+    pub(crate) fn copy_from(&mut self, src: &DenseMatrix) {
+        self.nrows = src.nrows;
+        self.ncols = src.ncols;
+        self.data.clear();
+        self.data.extend_from_slice(&src.data);
     }
 
     /// Number of rows.
@@ -120,7 +139,15 @@ pub struct SingularMatrix {
 const PANEL: usize = 48;
 
 impl LuFactors {
-    /// Factorize a square [`DenseMatrix`].
+    /// Factorize a square [`DenseMatrix`] (a copy of it; the engine
+    /// factors its workspace in place).
+    pub fn factor(a: &DenseMatrix) -> Result<Self, SingularMatrix> {
+        Self::factor_in_place(a.clone())
+    }
+
+    /// Factorize a square [`DenseMatrix`], overwriting its storage with
+    /// the packed factors (`into_matrix` hands the storage back for the
+    /// next factorization).
     ///
     /// Right-looking LU with partial pivoting, blocked by `PANEL`: the
     /// panel is factorized unblocked, then the trailing columns absorb the
@@ -129,10 +156,10 @@ impl LuFactors {
     /// per-column updates are applied in the same `k` order, only grouped —
     /// while the trailing block streams from memory once per panel instead
     /// of once per column.
-    pub fn factor(a: &DenseMatrix) -> Result<Self, SingularMatrix> {
+    pub(crate) fn factor_in_place(a: DenseMatrix) -> Result<Self, SingularMatrix> {
         assert_eq!(a.nrows, a.ncols, "LU requires a square matrix");
         let n = a.nrows;
-        let mut lu = a.data.clone();
+        let mut lu = a.data;
         let mut perm: Vec<usize> = (0..n).collect();
         let mut kb = 0;
         while kb < n {
@@ -203,16 +230,26 @@ impl LuFactors {
         Ok(Self { n, lu, perm })
     }
 
-    /// The explicit inverse `A⁻¹`, equivalent to solving `A x = e_j` for
-    /// every unit vector but with the right-hand sides processed in panels:
-    /// the packed LU streams through cache once per panel of columns
-    /// instead of once per column, which is the difference between seconds
-    /// and minutes at the sizes the simplex engine refactorizes. Each
-    /// column's arithmetic is identical to [`LuFactors::solve`] on its unit
-    /// vector, so the result is bit-identical to the column-by-column loop.
-    pub fn inverse(&self) -> DenseMatrix {
+    /// The storage of the packed factors, as an `n×n` matrix to refill.
+    pub(crate) fn into_matrix(self) -> DenseMatrix {
+        DenseMatrix {
+            nrows: self.n,
+            ncols: self.n,
+            data: self.lu,
+        }
+    }
+
+    /// Write the explicit inverse `A⁻¹` into `out` (reshaped, storage
+    /// reused). Equivalent to solving `A x = e_j` for every unit vector
+    /// but with the right-hand sides processed in panels: the packed LU
+    /// streams through cache once per panel of columns instead of once per
+    /// column, which is the difference between seconds and minutes at the
+    /// sizes the simplex engine refactorizes. Each column's arithmetic is
+    /// identical to [`LuFactors::solve`] on its unit vector, so the result
+    /// is bit-identical to the column-by-column loop.
+    pub(crate) fn inverse_into(&self, out: &mut DenseMatrix) {
         let n = self.n;
-        let mut out = DenseMatrix::zeros(n, n);
+        out.reset(n, n);
         // Column j of the permuted identity has its 1 where perm[i] == j.
         let mut inv_perm = vec![0usize; n];
         for (i, &p) in self.perm.iter().enumerate() {
@@ -254,7 +291,6 @@ impl LuFactors {
             }
             jb = jend;
         }
-        out
     }
 
     /// Solve `A x = b`.
@@ -377,6 +413,35 @@ mod tests {
             for i in 0..n {
                 assert!((x[i] - x_true[i]).abs() < 1e-9, "n={n} i={i}");
             }
+        }
+    }
+
+    #[test]
+    fn inverse_reuses_storage_without_leftovers() {
+        // Factor and invert into storage that last held a larger matrix:
+        // the bits match a fresh inverse, and A·A⁻¹ is the identity.
+        let mut stale = random_matrix(9, 1);
+        let mut out = random_matrix(12, 2);
+        for seed in 3..6u64 {
+            let n = 3 + seed as usize;
+            let a = random_matrix(n, seed);
+            stale.reset(n, n);
+            for j in 0..n {
+                stale.col_mut(j).copy_from_slice(a.col(j));
+            }
+            let lu = LuFactors::factor_in_place(stale).unwrap();
+            lu.inverse_into(&mut out);
+            let mut fresh = DenseMatrix::default();
+            LuFactors::factor(&a).unwrap().inverse_into(&mut fresh);
+            assert_eq!(out, fresh, "n={n}");
+            for j in 0..n {
+                let e = a.mul_vec(out.col(j));
+                for (i, v) in e.iter().enumerate() {
+                    let want = if i == j { 1.0 } else { 0.0 };
+                    assert!((v - want).abs() < 1e-12, "n={n} ({i},{j})");
+                }
+            }
+            stale = lu.into_matrix();
         }
     }
 

@@ -128,6 +128,7 @@ pub fn solve_via_dual(primal: &Model, warm: Option<Warm>) -> Result<Solution, Lp
             basis: sol.basis,
             warm_fallback: sol.warm_fallback,
             discarded_pivots: sol.discarded_pivots,
+            refactorizations: sol.refactorizations,
         });
     }
     let dualized = dualize_min(primal);
@@ -165,6 +166,7 @@ pub fn solve_via_dual(primal: &Model, warm: Option<Warm>) -> Result<Solution, Lp
         basis: dual_sol.basis,
         warm_fallback: dual_sol.warm_fallback,
         discarded_pivots: dual_sol.discarded_pivots,
+        refactorizations: dual_sol.refactorizations,
     })
 }
 

@@ -95,6 +95,9 @@ pub struct Solution {
     pub warm_fallback: bool,
     /// Pivots the abandoned warm start executed; not part of `iterations`.
     pub discarded_pivots: usize,
+    /// LU factorizations of a basis the solve computed (see
+    /// [`crate::simplex::SimplexResult::refactorizations`]).
+    pub refactorizations: usize,
 }
 
 impl Model {
@@ -211,6 +214,7 @@ impl Model {
             basis: res.basis,
             warm_fallback: res.warm_fallback,
             discarded_pivots: res.discarded_pivots,
+            refactorizations: res.refactorizations,
         })
     }
 

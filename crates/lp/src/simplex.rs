@@ -14,13 +14,18 @@
 //!   shed drift) factors only the k×k block of non-singleton basic columns
 //!   — `O(k³ + k·m)` instead of `O(m³)`, a decisive saving on the
 //!   slack-heavy bases these LPs produce (see `Engine::refactorize`);
-//! * computes the row duals by a cost-sparse BTRAN that reads only the
-//!   basic positions S carrying a nonzero cost — `O(m·|S|)` instead of
-//!   `O(m²)`; in an optimal-mechanism dual only the split halves of the n
-//!   row-stochasticity duals carry cost, so |S| ≤ 2n ≪ m — and from
-//!   `INCREMENTAL_DUALS_MIN_ROWS` rows up carries them incrementally
-//!   across pivots (`O(m)` per pivot), re-verifying any claimed optimum
-//!   against freshly computed duals before trusting it;
+//! * computes the row duals once per phase by a cost-sparse BTRAN that
+//!   reads only the basic positions S carrying a nonzero cost — `O(m·|S|)`
+//!   instead of `O(m²)`; in an optimal-mechanism dual only the split halves
+//!   of the n row-stochasticity duals carry cost, so |S| ≤ 2n ≪ m — and
+//!   then keeps them current inside each pivot's rank-1 inverse update,
+//!   touching only the inverse columns that pivot changes (see
+//!   `Engine::pivot`); from `INCREMENTAL_DUALS_MIN_ROWS` rows up that
+//!   update is carried rather than re-summed, and any claimed optimum is
+//!   re-verified against freshly computed duals before it is trusted;
+//! * factors a warm-start basis once per standard form: restarts of
+//!   structurally identical LPs from one exported [`Basis`] share its
+//!   inverse (see [`Basis`]);
 //! * prices with Dantzig's rule and falls back to Bland's rule after a long
 //!   degenerate stall (anti-cycling).
 //!
@@ -33,6 +38,7 @@
 use crate::dense::{DenseMatrix, LuFactors};
 use crate::sparse::CscMatrix;
 use geoind_testkit::failpoint;
+use std::sync::{Arc, OnceLock};
 
 /// Magnitude below which drift-induced negative variable values are
 /// clipped to exact zero when a solution is extracted. Consumers deriving
@@ -78,17 +84,17 @@ const REFACTOR_MIN_PIVOTS: usize = 600;
 /// the measurements behind the value).
 const RESTART_PIVOT_FLOOR: f64 = 1e-7;
 
-/// Row count from which the engine carries duals incrementally across
-/// pivots instead of recomputing them by a BTRAN each iteration. Below
-/// this, the cost-sparse recompute (`O(m·|S|)`, S the basic positions with
-/// a nonzero cost) is cheap, and its exact-to-the-basis duals make tied
-/// pricing decisions maximally reproducible across pivot paths (warm and
-/// cold solves of a degenerate LP tend to exit at the same vertex). Above
-/// it, the incremental update — exact in real arithmetic, drift-checked at
-/// every claimed optimum — costs `O(m)` per pivot. It is what let large
-/// instances finish at all while the recompute was a dense `O(m²)`
-/// product, and moving those sizes to the exact recompute would change
-/// their pivot paths.
+/// Row count from which each pivot carries the duals it changes
+/// incrementally instead of re-summing them over the costed basic
+/// positions. Below this, the re-sum (`O(|S|)` per changed dual, S the
+/// basic positions with a nonzero cost) is cheap, and its exact-to-the-basis
+/// duals make tied pricing decisions maximally reproducible across pivot
+/// paths (warm and cold solves of a degenerate LP tend to exit at the same
+/// vertex). Above it, the incremental update — exact in real arithmetic,
+/// drift-checked at every claimed optimum — costs `O(1)` per changed dual.
+/// It is what let large instances finish at all while the recompute was a
+/// dense `O(m²)` product, and moving those sizes to the exact recompute
+/// would change their pivot paths.
 const INCREMENTAL_DUALS_MIN_ROWS: usize = 1024;
 
 /// A linear program in computational standard form.
@@ -112,27 +118,48 @@ pub struct StandardLp {
 /// A basis only round-trips between solves whose standard forms share the
 /// same shape; the engine validates this and silently falls back to a cold
 /// start on any mismatch, so a stale basis can never corrupt a solve.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+///
+/// A basis exported from an optimal solve remembers that solve's
+/// constraint matrix. Every warm start from it (or from a clone) on an LP
+/// whose matrix equals that one bit for bit shares one factorization of
+/// the basis: the first such start factors it, the others copy the
+/// inverse. The inverse is a function of the basis and the matrix alone,
+/// so sharing it moves no pivot and no bit. The shared inverse lives as
+/// long as the last clone of the basis.
+#[derive(Debug, Clone, Default)]
 pub struct Basis {
     rows: Vec<Option<usize>>,
+    origin: Option<Arc<Origin>>,
+}
+
+/// Two bases are equal when they assign the same column to every row;
+/// where they were exported from does not matter.
+impl PartialEq for Basis {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows == other.rows
+    }
+}
+
+impl Eq for Basis {}
+
+/// The constraint matrix a [`Basis`] was exported from, and the basis's
+/// inverse against it once a warm start has factored it.
+struct Origin {
+    cols: CscMatrix,
+    /// `B⁻¹` against `cols`, or `None` when the factorization failed.
+    binv: OnceLock<Option<DenseMatrix>>,
+}
+
+impl std::fmt::Debug for Origin {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Origin")
+            .field("ncols", &self.cols.ncols())
+            .field("factored", &self.binv.get().is_some())
+            .finish_non_exhaustive()
+    }
 }
 
 impl Basis {
-    /// An empty basis: never matches any LP, so it always cold-starts.
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
-    /// Number of rows this basis was exported from (0 for an empty basis).
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when the basis carries no row assignments.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Remap this basis for a standard form that grew by `added` columns
     /// inserted at column index `insert_at` (row count unchanged): every
     /// entry at or past the insertion point shifts up by `added`, entries
@@ -143,6 +170,8 @@ impl Basis {
     /// in the dualized LP the engine actually pivots on, and the old optimal
     /// basis stays primal-feasible for the grown LP (same rows, same rhs)
     /// once its column references are shifted past the insertion block.
+    /// The remapped basis belongs to the grown LP, so it shares no
+    /// factorization with this one.
     pub fn with_columns_inserted(&self, insert_at: usize, added: usize) -> Basis {
         Basis {
             rows: self
@@ -150,18 +179,8 @@ impl Basis {
                 .iter()
                 .map(|a| a.map(|j| if j >= insert_at { j + added } else { j }))
                 .collect(),
+            origin: None,
         }
-    }
-
-    /// Extend this basis for a standard form that gained rows, each covered
-    /// by a fresh basic column (its slack): `new_basic` names, in order, the
-    /// column basic in each appended row. This is the primal-path analogue
-    /// of [`Basis::with_columns_inserted`] — after a row append, the old
-    /// basis plus the new slack columns is a valid starting basis.
-    pub fn with_rows_appended(&self, new_basic: &[usize]) -> Basis {
-        let mut rows = self.rows.clone();
-        rows.extend(new_basic.iter().map(|&j| Some(j)));
-        Basis { rows }
     }
 }
 
@@ -232,6 +251,10 @@ pub struct SimplexResult {
     /// (0 without a fallback). `iterations` never includes them: it counts
     /// the pivots of the solve that produced this result.
     pub discarded_pivots: usize,
+    /// LU factorizations of a basis this run computed, an abandoned warm
+    /// start's included. A warm start that copies a [`Basis`]'s shared
+    /// inverse does not count it; the run that built it does.
+    pub refactorizations: usize,
 }
 
 /// Identifier for a basic variable: a real column or an artificial for a row.
@@ -258,6 +281,26 @@ struct Engine<'a> {
     /// Set when an LU refactorization fails: the explicit inverse can no
     /// longer be trusted, so the run must stop at the next loop head.
     singular: bool,
+    /// LU factorizations computed so far, across a warm start and the
+    /// cold fallback that reuses this engine.
+    refactorizations: usize,
+    /// `refactorize`'s workspace, refilled on every call: the general
+    /// block `M` (factored in place) and its inverse.
+    block: DenseMatrix,
+    block_inv: DenseMatrix,
+    /// The basic positions with a nonzero cost and their costs, ascending:
+    /// the terms each re-summed dual reads in `pivot`.
+    costed: Vec<(usize, f64)>,
+}
+
+/// Row duals `y = B⁻ᵀc_B` that [`Engine::pivot`] keeps current.
+struct Duals<'y> {
+    y: &'y mut Vec<f64>,
+    /// Whether `c_B` holds the phase-1 costs.
+    phase1: bool,
+    /// `d_q / w_r`, the step of the carried update used from
+    /// `INCREMENTAL_DUALS_MIN_ROWS` rows up.
+    step: f64,
 }
 
 impl<'a> Engine<'a> {
@@ -269,9 +312,32 @@ impl<'a> Engine<'a> {
             lp.rhs.iter().all(|&b| b >= 0.0),
             "standard form requires b >= 0"
         );
+        let mut eng = Self {
+            lp,
+            m,
+            basis: Vec::new(),
+            in_basis: Vec::new(),
+            binv: DenseMatrix::default(),
+            xb: Vec::new(),
+            iterations: 0,
+            pivots_since_refactor: 0,
+            refactor_every: m.max(REFACTOR_MIN_PIVOTS),
+            singular: false,
+            refactorizations: 0,
+            block: DenseMatrix::default(),
+            block_inv: DenseMatrix::default(),
+            costed: Vec::new(),
+        };
+        eng.crash();
+        eng
+    }
 
-        // Crash: cover each row with a unit (+1 singleton) column if one
-        // exists; otherwise an artificial.
+    /// Start over from the crash basis: cover each row with a unit (+1
+    /// singleton) column if one exists, otherwise an artificial. The
+    /// inverse and workspace storage are kept, and so is the count of
+    /// factorizations already computed.
+    fn crash(&mut self) {
+        let (lp, m) = (self.lp, self.m);
         let mut row_cover: Vec<Option<usize>> = vec![None; m];
         for j in 0..lp.cols.ncols() {
             let mut it = lp.cols.col(j);
@@ -281,8 +347,10 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        let mut in_basis = vec![false; lp.cols.ncols()];
-        let basis: Vec<Basic> = row_cover
+        self.in_basis.clear();
+        self.in_basis.resize(lp.cols.ncols(), false);
+        let in_basis = &mut self.in_basis;
+        self.basis = row_cover
             .iter()
             .enumerate()
             .map(|(r, cov)| match cov {
@@ -293,18 +361,14 @@ impl<'a> Engine<'a> {
                 None => Basic::Artificial(r),
             })
             .collect();
-        Self {
-            lp,
-            m,
-            basis,
-            in_basis,
-            binv: DenseMatrix::identity(m),
-            xb: lp.rhs.clone(),
-            iterations: 0,
-            pivots_since_refactor: 0,
-            refactor_every: m.max(REFACTOR_MIN_PIVOTS),
-            singular: false,
+        self.binv.reset(m, m);
+        for i in 0..m {
+            self.binv.set(i, i, 1.0);
         }
+        self.xb.clone_from(&lp.rhs);
+        self.iterations = 0;
+        self.pivots_since_refactor = 0;
+        self.singular = false;
     }
 
     fn has_artificials(&self) -> bool {
@@ -416,7 +480,22 @@ impl<'a> Engine<'a> {
     }
 
     /// Apply the pivot: column `q` enters, row `r` leaves.
-    fn pivot(&mut self, r: usize, q: usize, w: &[f64]) {
+    ///
+    /// With `duals`, the caller's row duals of the old basis leave as the
+    /// duals of the new one, updated inside the rank-1 inverse update
+    /// while each inverse column is in cache. Only a column `k` with a
+    /// nonzero in the leaving row changes, so only its `y_k` is touched:
+    /// below `INCREMENTAL_DUALS_MIN_ROWS` rows it is re-summed over the new
+    /// basis's costed positions exactly as [`Engine::duals`] sums it, and
+    /// from there up it takes the carried step `y_k += (d_q/w_r)·ρ_k`
+    /// (`ρ_k` the column's old leaving-row entry; see `run_phase`). Every
+    /// other `y_k` keeps its value: its column is unchanged and has an
+    /// exact zero in row r, the one position whose cost the pivot changes,
+    /// so a fresh sum would add the same terms plus at most a ±0. The
+    /// re-summed duals therefore equal a fresh BTRAN up to the sign of an
+    /// exact zero, which no comparison observes. A pivot that crosses the
+    /// refactorization cadence recomputes all of them.
+    fn pivot(&mut self, r: usize, q: usize, w: &[f64], mut duals: Option<Duals>) {
         let theta = self.xb[r] / w[r];
         for i in 0..self.m {
             self.xb[i] -= theta * w[i];
@@ -428,23 +507,43 @@ impl<'a> Engine<'a> {
         self.basis[r] = Basic::Col(q);
         self.in_basis[q] = true;
 
+        let carry = self.m >= INCREMENTAL_DUALS_MIN_ROWS;
+        if let (Some(d), false) = (&duals, carry) {
+            self.costed.clear();
+            for (p, &b) in self.basis.iter().enumerate() {
+                let c = self.basic_cost(b, d.phase1);
+                if c != 0.0 {
+                    self.costed.push((p, c));
+                }
+            }
+        }
         // Rank-1 update of the explicit inverse.
         let wr = w[r];
         for k in 0..self.m {
             let col = self.binv.col_mut(k);
-            let t = col[r];
-            if t != 0.0 {
-                let t = t / wr;
+            let rho = col[r];
+            if rho != 0.0 {
+                let t = rho / wr;
                 for i in 0..self.m {
                     col[i] -= w[i] * t;
                 }
                 col[r] = t;
+                if let Some(d) = duals.as_mut() {
+                    d.y[k] = if carry {
+                        d.y[k] + d.step * rho
+                    } else {
+                        self.costed.iter().map(|&(p, c)| col[p] * c).sum()
+                    };
+                }
             }
         }
         self.iterations += 1;
         self.pivots_since_refactor += 1;
         if self.pivots_since_refactor >= self.refactor_every {
             self.refactorize();
+            if let Some(d) = duals {
+                *d.y = self.duals(d.phase1);
+            }
         }
     }
 
@@ -470,6 +569,10 @@ impl<'a> Engine<'a> {
     /// *exactly* zero outside the k dense columns and the diagonal
     /// singletons, which keeps the per-pivot rank-1 update (it skips
     /// exact-zero entries) proportional to the dense block, not to m².
+    ///
+    /// The block, its LU and its inverse are built in the engine's
+    /// workspace and the inverse is assembled over the old one, so a solve
+    /// allocates these matrices once rather than at every refactorization.
     fn refactorize(&mut self) {
         self.pivots_since_refactor = 0;
         let m = self.m;
@@ -513,7 +616,8 @@ impl<'a> Engine<'a> {
         let k = structural.len();
         debug_assert_eq!(t_rows.len(), k);
         // Factor the k×k general block M and invert it column by column.
-        let mut block = DenseMatrix::zeros(k, k);
+        let mut block = std::mem::take(&mut self.block);
+        block.reset(k, k);
         for (s, &p) in structural.iter().enumerate() {
             let Basic::Col(j) = self.basis[p] else {
                 unreachable!("artificials are singletons")
@@ -524,7 +628,8 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        let lu = match LuFactors::factor(&block) {
+        self.refactorizations += 1;
+        let lu = match LuFactors::factor_in_place(block) {
             Ok(lu) => lu,
             Err(_) => {
                 // Numerically singular refactorization: the rank-1-updated
@@ -536,7 +641,9 @@ impl<'a> Engine<'a> {
                 return;
             }
         };
-        let minv = lu.inverse();
+        lu.inverse_into(&mut self.block_inv);
+        self.block = lu.into_matrix();
+        let minv = &self.block_inv;
         // Per general column: its covered-row entries as
         // (singleton position, entry / diagonal value) — the C and D⁻¹
         // factors of the lower-left block, pre-divided.
@@ -557,7 +664,8 @@ impl<'a> Engine<'a> {
         // positions and −D⁻¹·C·M⁻¹ on singleton positions; covered-row
         // columns carry the single diagonal entry 1/v; all else stays an
         // exact zero.
-        let mut inv = DenseMatrix::zeros(m, m);
+        let inv = &mut self.binv;
+        inv.reset(m, m);
         for (t, &tr) in t_rows.iter().enumerate() {
             let mcol = minv.col(t);
             let col = inv.col_mut(tr);
@@ -576,9 +684,13 @@ impl<'a> Engine<'a> {
                 inv.col_mut(r)[p] = 1.0 / v;
             }
         }
-        self.binv = inv;
+        self.basic_values_from_inverse();
+    }
+
+    /// `xb = B⁻¹b` from a freshly built inverse, with drift-level negatives
+    /// clipped to zero.
+    fn basic_values_from_inverse(&mut self) {
         self.xb = self.binv.mul_vec(&self.lp.rhs);
-        // Numerical guard: clip small negatives introduced by drift.
         for v in &mut self.xb {
             if *v < 0.0 && *v > -VALUE_CLIP {
                 *v = 0.0;
@@ -601,10 +713,11 @@ impl<'a> Engine<'a> {
         let mut bland = false;
         let mut stall = 0usize;
         let mut last_obj = self.objective(phase1);
-        // The row duals are carried *incrementally* across pivots: a
-        // from-scratch BTRAN reads the whole m×m inverse every iteration
-        // and dominates the solve once m reaches the thousands. After a
-        // pivot (entering q, leaving row r) the exact update is
+        // The row duals are computed once and then kept current by each
+        // pivot (see `Engine::pivot`). Below `INCREMENTAL_DUALS_MIN_ROWS`
+        // the pivot re-sums the duals it changes, so they stay exact to
+        // the basis. From there up it *carries* them: after a pivot
+        // (entering q, leaving row r) the exact update is
         // `y' = y + (d_q/w_r)·ρ_r` with ρ_r row r of the pre-pivot
         // inverse: a surviving basic column i keeps B_iᵀy' = c_i because
         // B_iᵀρ_r = (B⁻¹B_i)_r = 0, and the entering column satisfies
@@ -612,8 +725,6 @@ impl<'a> Engine<'a> {
         // drift still accumulates, so the vector is rebuilt whenever the
         // inverse itself is refactorized, and a claimed optimum is never
         // trusted until it re-prices clean against freshly computed duals.
-        // Small LPs keep the per-iteration recompute (see
-        // [`INCREMENTAL_DUALS_MIN_ROWS`]).
         let incremental = self.m >= INCREMENTAL_DUALS_MIN_ROWS;
         let mut y = self.duals(phase1);
         loop {
@@ -625,9 +736,6 @@ impl<'a> Engine<'a> {
             }
             if self.iterations >= MAX_ITERATIONS || failpoint::hit("lp.iterations.exhausted") {
                 return Some(SimplexStatus::IterationLimit);
-            }
-            if !incremental {
-                y = self.duals(phase1);
             }
             let q = match self.price(&y, phase1, bland) {
                 Some(q) => q,
@@ -651,26 +759,12 @@ impl<'a> Engine<'a> {
                 // signals numerical trouble; report it as unbounded anyway.
                 return Some(SimplexStatus::Unbounded);
             };
-            // Row r of B⁻¹, gathered before the pivot mutates the inverse,
-            // for the incremental dual update.
-            let rho: Vec<f64> = if incremental {
-                (0..self.m).map(|i| self.binv.col(i)[r]).collect()
-            } else {
-                Vec::new()
+            let duals = Duals {
+                y: &mut y,
+                phase1,
+                step: dq / w[r],
             };
-            let step = dq / w[r];
-            self.pivot(r, q, &w);
-            if incremental {
-                if self.pivots_since_refactor == 0 {
-                    // The pivot crossed the refactorization cadence and
-                    // rebuilt the inverse; rebase the duals on it too.
-                    y = self.duals(phase1);
-                } else {
-                    for (yi, &ri) in y.iter_mut().zip(&rho) {
-                        *yi += step * ri;
-                    }
-                }
-            }
+            self.pivot(r, q, &w, Some(duals));
             let obj = self.objective(phase1);
             if obj < last_obj - 1e-12 {
                 last_obj = obj;
@@ -689,6 +783,10 @@ impl<'a> Engine<'a> {
     /// crash basis. Returns `false` when the basis does not fit this LP
     /// (row-count mismatch, out-of-range or repeated columns, or a
     /// numerically singular factorization) — the caller then cold-starts.
+    ///
+    /// When this LP has the matrix the basis was exported from, bit for
+    /// bit, its inverse comes from the basis's shared factorization: the
+    /// first such install factors it (and counts it), later ones copy it.
     fn install_basis(&mut self, warm: &Basis) -> bool {
         if warm.rows.len() != self.m {
             return false;
@@ -711,10 +809,31 @@ impl<'a> Engine<'a> {
             })
             .collect();
         self.in_basis = in_basis;
-        // A fresh LU of the donor basis against *this* LP's rhs: basic
-        // values may come out negative (the whole point of the dual-simplex
-        // restart), but the factorization itself must succeed.
-        self.refactorize();
+        // The donor basis factored against this LP's matrix, with basic
+        // values against *this* LP's rhs: they may come out negative (the
+        // whole point of the dual-simplex restart), but the factorization
+        // itself must succeed.
+        let origin = warm.origin.as_deref();
+        let Some(origin) = origin.filter(|o| o.cols.bit_eq(&self.lp.cols)) else {
+            self.refactorize();
+            return !self.singular;
+        };
+        let mut built = false;
+        let shared = origin.binv.get_or_init(|| {
+            built = true;
+            self.refactorize();
+            (!self.singular).then(|| self.binv.clone())
+        });
+        if !built {
+            match shared {
+                Some(binv) => {
+                    self.binv.copy_from(binv);
+                    self.pivots_since_refactor = 0;
+                    self.basic_values_from_inverse();
+                }
+                None => self.singular = true,
+            }
+        }
         !self.singular
     }
 
@@ -763,13 +882,11 @@ impl<'a> Engine<'a> {
         // The restart only pays off while it is much cheaper than a cold
         // solve; past this budget, give up and let the cold path decide.
         let cap = MAX_ITERATIONS.min(4 * self.m + 128);
-        // Duals carried incrementally across pivots on large LPs, exactly
-        // as in `run_phase` — the dual-simplex basis change is the same
-        // basis change, so the same `y' = y + (d_q/w_r)·ρ_r` update
-        // applies. Any drift is caught downstream: the caller always
+        // Duals kept current by each pivot exactly as in `run_phase` — the
+        // dual-simplex basis change is the same basis change. Any drift of
+        // the carried update is caught downstream: the caller always
         // finishes with `run_phase(false)`, which re-verifies optimality
         // against freshly computed duals.
-        let incremental = self.m >= INCREMENTAL_DUALS_MIN_ROWS;
         let mut y = self.duals(false);
         loop {
             if self.singular {
@@ -788,9 +905,6 @@ impl<'a> Engine<'a> {
             };
             if self.iterations >= cap {
                 return false;
-            }
-            if !incremental {
-                y = self.duals(false);
             }
             // Row r of B⁻¹, gathered once.
             let rho: Vec<f64> = (0..self.m).map(|k| self.binv.col(k)[r]).collect();
@@ -825,17 +939,12 @@ impl<'a> Engine<'a> {
             if w[r].abs() < RESTART_PIVOT_FLOOR {
                 return false; // near-singular pivot: the cold solve decides
             }
-            let step = dq / w[r];
-            self.pivot(r, q, &w);
-            if incremental {
-                if self.pivots_since_refactor == 0 {
-                    y = self.duals(false);
-                } else {
-                    for (yi, &ri) in y.iter_mut().zip(&rho) {
-                        *yi += step * ri;
-                    }
-                }
-            }
+            let duals = Duals {
+                y: &mut y,
+                phase1: false,
+                step: dq / w[r],
+            };
+            self.pivot(r, q, &w, Some(duals));
         }
     }
 
@@ -886,7 +995,7 @@ impl<'a> Engine<'a> {
                 // and feasibility is preserved regardless of the sign of w.
                 debug_assert!(self.xb[row].abs() < 1e-6);
                 self.xb[row] = 0.0;
-                self.pivot(row, q, &w);
+                self.pivot(row, q, &w, None);
             }
             // else: redundant row; the artificial stays basic at zero and
             // can never move (its row of B⁻¹A is identically zero).
@@ -1034,6 +1143,14 @@ impl<'a> Engine<'a> {
                 dual_residual = -d;
             }
         }
+        // An optimal basis may warm-start later solves, so it remembers
+        // this LP's matrix for them to share its factorization.
+        let origin = (status == SimplexStatus::Optimal).then(|| {
+            Arc::new(Origin {
+                cols: self.lp.cols.clone(),
+                binv: OnceLock::new(),
+            })
+        });
         let basis = Basis {
             rows: self
                 .basis
@@ -1043,6 +1160,7 @@ impl<'a> Engine<'a> {
                     Basic::Artificial(_) => None,
                 })
                 .collect(),
+            origin,
         };
         SimplexResult {
             status,
@@ -1055,6 +1173,7 @@ impl<'a> Engine<'a> {
             basis,
             warm_fallback: false,
             discarded_pivots: 0,
+            refactorizations: self.refactorizations,
         }
     }
 }
@@ -1106,30 +1225,30 @@ fn finish_phase2(mut eng: Engine) -> SimplexResult {
 /// [`SimplexResult::warm_fallback`], and the pivots the abandoned start
 /// executed through [`SimplexResult::discarded_pivots`].
 pub fn solve_standard(lp: &StandardLp, warm: Option<Warm>) -> SimplexResult {
-    let mut discarded = None;
-    if let Some(warm) = warm {
-        let mut eng = Engine::new(lp);
-        let usable = match warm {
-            Warm::Restart(basis) => {
-                eng.install_basis(&basis)
-                    && eng.dual_feasible()
-                    && eng.restore_primal_feasibility()
-                    && eng.artificial_mass() <= 1e-7
-            }
-            Warm::Continue(basis) => {
-                eng.install_basis(&basis) && eng.primal_feasible() && eng.artificial_mass() <= 1e-7
-            }
-        };
-        if usable {
-            return finish_phase2(eng);
+    let mut eng = Engine::new(lp);
+    let Some(warm) = warm else {
+        return solve_cold(eng);
+    };
+    let usable = match warm {
+        Warm::Restart(basis) => {
+            eng.install_basis(&basis)
+                && eng.dual_feasible()
+                && eng.restore_primal_feasibility()
+                && eng.artificial_mass() <= 1e-7
         }
-        discarded = Some(eng.iterations);
+        Warm::Continue(basis) => {
+            eng.install_basis(&basis) && eng.primal_feasible() && eng.artificial_mass() <= 1e-7
+        }
+    };
+    if usable {
+        return finish_phase2(eng);
     }
-    let mut r = solve_cold(Engine::new(lp));
-    if let Some(pivots) = discarded {
-        r.warm_fallback = true;
-        r.discarded_pivots = pivots;
-    }
+    // The cold fallback reuses the engine's storage.
+    let discarded = eng.iterations;
+    eng.crash();
+    let mut r = solve_cold(eng);
+    r.warm_fallback = true;
+    r.discarded_pivots = discarded;
     r
 }
 
@@ -1429,42 +1548,12 @@ mod tests {
     fn column_insertion_remap_shifts_only_tail_entries() {
         let basis = Basis {
             rows: vec![Some(0), Some(4), None, Some(9)],
+            origin: None,
         };
         let shifted = basis.with_columns_inserted(4, 3);
         assert_eq!(shifted.rows, vec![Some(0), Some(7), None, Some(12)]);
         // Inserting zero columns is the identity.
         assert_eq!(basis.with_columns_inserted(2, 0), basis);
-    }
-
-    #[test]
-    fn row_append_with_basic_slacks_resumes_primal() {
-        // min -3x - 2y s.t. x + y + s1 = 4, x + 3y + s2 = 6; optimum x=4.
-        let base = lp_from_dense(
-            &[&[1.0, 1.0, 1.0, 0.0], &[1.0, 3.0, 0.0, 1.0]],
-            &[-3.0, -2.0, 0.0, 0.0],
-            &[4.0, 6.0],
-        );
-        let donor = solve_standard(&base, None);
-        assert_eq!(donor.status, SimplexStatus::Optimal);
-        // Append a non-binding cut x + s3 = 5 (old optimum satisfies it
-        // slackly): the extended basis — old columns remapped past nothing,
-        // new slack basic in the new row — restarts without phase 1.
-        let grown = lp_from_dense(
-            &[
-                &[1.0, 1.0, 1.0, 0.0, 0.0],
-                &[1.0, 3.0, 0.0, 1.0, 0.0],
-                &[1.0, 0.0, 0.0, 0.0, 1.0],
-            ],
-            &[-3.0, -2.0, 0.0, 0.0, 0.0],
-            &[4.0, 6.0, 5.0],
-        );
-        let warm = solve_standard(
-            &grown,
-            Some(Warm::Continue(donor.basis.with_rows_appended(&[4]))),
-        );
-        assert_eq!(warm.status, SimplexStatus::Optimal);
-        assert_eq!(warm.iterations, 0, "non-binding cut forced pivots");
-        assert!((warm.objective + 12.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1504,8 +1593,9 @@ mod tests {
     /// The standard form of a dualized optimal-mechanism LP over the 3×3
     /// unit grid (skewed prior, ε 0.7, every GeoInd pair): the shape the
     /// OPT solve pivots on, where only the split halves of the nine
-    /// row-stochasticity duals carry cost.
-    fn dualized_opt_g3() -> StandardLp {
+    /// row-stochasticity duals carry cost. `skew` picks the prior, which
+    /// only moves the right-hand side: any two skews are MSM siblings.
+    fn dualized_opt_g3(skew: usize) -> StandardLp {
         use crate::model::{Model, Op, Sense};
         let n = 9;
         let dist = |a: usize, b: usize| {
@@ -1517,7 +1607,7 @@ mod tests {
         };
         let mut m = Model::new(Sense::Minimize);
         for x in 0..n {
-            let px = (1 + (x * 5) % 7) as f64 / 37.0;
+            let px = (1 + (x * skew) % 7) as f64 / 37.0;
             for z in 0..n {
                 m.add_var(px * dist(x, z));
             }
@@ -1537,37 +1627,56 @@ mod tests {
         crate::dual::dualize_min(&m).model.to_standard().0
     }
 
+    /// The row duals a pivot carried, checked against a fresh
+    /// cost-sparse BTRAN and the dense product `B⁻ᵀc_B`. `==` lets ±0
+    /// compare equal: the sign of an exact zero is the one thing the
+    /// sparse sum and the carried duals may change.
+    fn assert_duals_current(eng: &Engine, y: &[f64], pivots: usize) {
+        let fresh = eng.duals(false);
+        assert_eq!(y, &fresh[..], "carried duals differ after {pivots} pivots");
+        let cb: Vec<f64> = eng
+            .basis
+            .iter()
+            .map(|&b| eng.basic_cost(b, false))
+            .collect();
+        assert_eq!(
+            fresh,
+            eng.binv.mul_vec_transpose(&cb),
+            "sparse and dense BTRAN differ after {pivots} pivots"
+        );
+    }
+
     #[test]
     fn cost_sparse_btran_equals_dense_reference_at_every_pivot() {
         // Step a cold solve by hand (price → FTRAN → ratio test → pivot,
-        // refactorizing every 16 pivots) and compare the cost-sparse BTRAN
-        // with the dense product B⁻ᵀc_B before each pivot. `==` lets ±0
-        // compare equal: the sign of an exact zero is the one thing the
-        // sparse sum may change.
-        let lp = dualized_opt_g3();
+        // refactorizing every 16 pivots), carrying the duals through each
+        // pivot, and compare them with a fresh BTRAN after each pivot.
+        let lp = dualized_opt_g3(5);
         let mut eng = Engine::new(&lp);
         eng.refactor_every = 16;
         assert!(!eng.has_artificials(), "an OPT dual starts from its slacks");
         let (mut pivots, mut most_costed) = (0usize, 0usize);
+        let mut y = eng.duals(false);
         loop {
-            let y = eng.duals(false);
-            let cb: Vec<f64> = eng
-                .basis
-                .iter()
-                .map(|&b| eng.basic_cost(b, false))
-                .collect();
-            assert_eq!(
-                y,
-                eng.binv.mul_vec_transpose(&cb),
-                "sparse and dense BTRAN differ after {pivots} pivots"
+            assert_duals_current(&eng, &y, pivots);
+            most_costed = most_costed.max(
+                eng.basis
+                    .iter()
+                    .filter(|&&b| eng.basic_cost(b, false) != 0.0)
+                    .count(),
             );
-            most_costed = most_costed.max(cb.iter().filter(|&&c| c != 0.0).count());
             let Some(q) = eng.price(&y, false, false) else {
                 break;
             };
             let w = eng.ftran(q);
             let r = eng.ratio_test(&w, false).expect("an OPT dual is bounded");
-            eng.pivot(r, q, &w);
+            let step = (lp.costs[q] - lp.cols.col_dot(q, &y)) / w[r];
+            let duals = Duals {
+                y: &mut y,
+                phase1: false,
+                step,
+            };
+            eng.pivot(r, q, &w, Some(duals));
             pivots += 1;
         }
         assert!(pivots > 16, "too few pivots to cross a refactorization");
@@ -1575,5 +1684,131 @@ mod tests {
             most_costed >= 3,
             "summation order is only exercised with three or more costed positions"
         );
+
+        // The same through a dual-simplex restart: a sibling LP installs
+        // the optimal basis and pivots back to primal feasibility,
+        // choosing its pivots as `restore_primal_feasibility` does.
+        let donor = solve_cold(Engine::new(&lp));
+        let sibling = dualized_opt_g3(3);
+        let mut eng = Engine::new(&sibling);
+        eng.refactor_every = 4;
+        assert!(eng.install_basis(&donor.basis) && eng.dual_feasible());
+        let mut y = eng.duals(false);
+        let mut pivots = 0usize;
+        loop {
+            assert_duals_current(&eng, &y, pivots);
+            let Some(r) = (0..eng.m)
+                .filter(|&i| eng.xb[i] < -1e-9)
+                .min_by(|&a, &b| eng.xb[a].total_cmp(&eng.xb[b]))
+            else {
+                break;
+            };
+            let rho: Vec<f64> = (0..eng.m).map(|k| eng.binv.col(k)[r]).collect();
+            let q = (0..sibling.cols.ncols())
+                .filter(|&j| !eng.in_basis[j])
+                .filter_map(|j| {
+                    let alpha = sibling.cols.col_dot(j, &rho);
+                    let d = sibling.costs[j] - sibling.cols.col_dot(j, &y);
+                    (alpha < -PIVOT_TOL).then(|| (j, d.max(0.0) / -alpha))
+                })
+                .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
+                .expect("the restart reaches a feasible basis")
+                .0;
+            let w = eng.ftran(q);
+            let step = (sibling.costs[q] - sibling.cols.col_dot(q, &y)) / w[r];
+            let duals = Duals {
+                y: &mut y,
+                phase1: false,
+                step,
+            };
+            eng.pivot(r, q, &w, Some(duals));
+            pivots += 1;
+        }
+        assert!(
+            pivots > 4,
+            "too few restart pivots to cross a refactorization"
+        );
+    }
+
+    /// Everything a restart reports, bit for bit.
+    fn assert_same_result(a: &SimplexResult, b: &SimplexResult) {
+        assert_eq!(a.status, b.status);
+        assert_eq!(a.iterations, b.iterations);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.x), bits(&b.x));
+        assert_eq!(bits(&a.duals), bits(&b.duals));
+        assert_eq!(a.objective.to_bits(), b.objective.to_bits());
+        assert_eq!(a.basis, b.basis);
+        assert_eq!(a.warm_fallback, b.warm_fallback);
+        assert_eq!(a.discarded_pivots, b.discarded_pivots);
+    }
+
+    /// The donor basis without the factorization it could share.
+    fn unshared(basis: &Basis) -> Basis {
+        Basis {
+            rows: basis.rows.clone(),
+            origin: None,
+        }
+    }
+
+    #[test]
+    fn restart_from_a_shared_factorization_matches_one_that_factors_its_own() {
+        let donor = solve_standard(&dualized_opt_g3(5), None);
+        assert_eq!(donor.status, SimplexStatus::Optimal);
+        let restart =
+            |lp: &StandardLp, basis: &Basis| solve_standard(lp, Some(Warm::Restart(basis.clone())));
+        for skew in [3, 4, 6] {
+            let sibling = dualized_opt_g3(skew);
+            let alone = restart(&sibling, &unshared(&donor.basis));
+            assert_eq!(alone.status, SimplexStatus::Optimal);
+            assert!(!alone.warm_fallback && alone.iterations > 0);
+            // The first restart from the donor basis builds the shared
+            // factorization (skew 3); every later one copies it.
+            let built = donor.basis.origin.as_ref().unwrap().binv.get().is_some();
+            let shared = restart(&sibling, &donor.basis);
+            assert_same_result(&shared, &alone);
+            let copied = usize::from(built);
+            assert_eq!(shared.refactorizations + copied, alone.refactorizations);
+        }
+    }
+
+    #[test]
+    fn a_sibling_with_one_different_coefficient_factors_its_own_inverse() {
+        let donor = solve_standard(&dualized_opt_g3(5), None);
+        let sibling = dualized_opt_g3(3);
+        // The same LP with one GeoInd coefficient one ulp further from 0.
+        let mut tweaked = sibling.clone();
+        let mut bld = CscBuilder::new(sibling.cols.nrows());
+        let scaled = |v: f64| v.abs() > 0.0 && v.abs() < 1.0;
+        let target = (0..sibling.cols.ncols())
+            .find(|&j| sibling.cols.col(j).any(|(_, v)| scaled(v)))
+            .expect("a scaled GeoInd coefficient");
+        for j in 0..sibling.cols.ncols() {
+            let mut col: Vec<(usize, f64)> = sibling.cols.col(j).collect();
+            if j == target {
+                let e = col.iter_mut().find(|e| scaled(e.1)).unwrap();
+                e.1 = f64::from_bits(e.1.to_bits() + 1);
+            }
+            bld.push_col(&col);
+        }
+        tweaked.cols = bld.finish();
+        let restart =
+            |lp: &StandardLp, basis: &Basis| solve_standard(lp, Some(Warm::Restart(basis.clone())));
+        let alone = restart(&tweaked, &unshared(&donor.basis));
+        let origin = donor.basis.origin.as_ref().unwrap();
+        // Before and after a matching sibling has built the shared
+        // factorization, the tweaked sibling factors its own.
+        let first = restart(&tweaked, &donor.basis);
+        assert!(
+            origin.binv.get().is_none(),
+            "a foreign LP built the shared inverse"
+        );
+        restart(&sibling, &donor.basis);
+        assert!(origin.binv.get().is_some());
+        let second = restart(&tweaked, &donor.basis);
+        for r in [&first, &second] {
+            assert_same_result(r, &alone);
+            assert_eq!(r.refactorizations, alone.refactorizations);
+        }
     }
 }

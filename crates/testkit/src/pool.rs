@@ -1,17 +1,17 @@
-//! Zero-dependency scoped worker pool with deterministic chunked
-//! scheduling.
+//! Zero-dependency scoped worker pool with input-ordered results.
 //!
 //! [`Pool::map`] fans a batch of independent work items out over
-//! [`std::thread::scope`] threads. Scheduling is *static*: the input is cut
-//! into at most `jobs` contiguous chunks up front, chunk `k` is owned by
-//! worker `k`, and results are returned in input order. Nothing about the
-//! output — order, content, or which item ran where — depends on thread
-//! timing, so a caller whose per-item function is deterministic gets
-//! bit-identical results at any job count.
+//! [`std::thread::scope`] threads and returns the results in input order.
+//! Which worker runs which item, and when, depends on thread timing; the
+//! output does not. A caller whose per-item function is deterministic
+//! gets bit-identical results at any job count.
 //!
 //! With `jobs == 1` the batch runs inline on the calling thread (no thread
 //! is spawned), which keeps thread-local state — e.g. thread-scoped
 //! failpoint sessions — visible to the work exactly as in a plain loop.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// A fixed-width worker pool. Cheap to construct; spawns scoped threads
 /// per [`Pool::map`] call and never outlives it.
@@ -33,10 +33,11 @@ impl Pool {
 
     /// Apply `f` to every item, returning results in input order.
     ///
-    /// The items are split into contiguous chunks (at most one per worker,
-    /// sized as evenly as possible); each scoped worker maps its chunk in
-    /// order and the chunk results are concatenated — so the output is
-    /// exactly `items.into_iter().map(f).collect()` regardless of `jobs`.
+    /// Each worker takes the next untaken item from a shared cursor until
+    /// none is left, so a worker that drew cheap items keeps drawing while
+    /// another is busy with an expensive one. Every result is stored at
+    /// its item's index, so the output is exactly
+    /// `items.into_iter().map(f).collect()` regardless of `jobs`.
     ///
     /// # Panics
     /// Re-raises the first worker panic on the calling thread, like the
@@ -51,31 +52,42 @@ impl Pool {
         if self.jobs == 1 || n <= 1 {
             return items.into_iter().map(f).collect();
         }
-        let workers = self.jobs.min(n);
-        let chunk = n.div_ceil(workers);
-        let mut chunks: Vec<Vec<I>> = Vec::with_capacity(workers);
-        let mut items = items.into_iter();
-        loop {
-            let piece: Vec<I> = items.by_ref().take(chunk).collect();
-            if piece.is_empty() {
-                break;
+        // The cursor hands out indices and publishes nothing: each item
+        // moves to its worker through its slot's mutex.
+        let slots: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
+        let cursor = AtomicUsize::new(0);
+        let (f, slots, cursor) = (&f, &slots, &cursor);
+        let worker = move || {
+            let mut done = Vec::new();
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(slot) = slots.get(i) else {
+                    return done;
+                };
+                let item = slot
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .take()
+                    .expect("each index is drawn once");
+                done.push((i, f(item)));
             }
-            chunks.push(piece);
-        }
-        let f = &f;
+        };
         std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|piece| scope.spawn(move || piece.into_iter().map(f).collect::<Vec<T>>()))
-                .collect();
-            let mut out = Vec::with_capacity(n);
+            let handles: Vec<_> = (0..self.jobs.min(n)).map(|_| scope.spawn(worker)).collect();
+            let mut out: Vec<Option<T>> = std::iter::repeat_with(|| None).take(n).collect();
             for handle in handles {
                 match handle.join() {
-                    Ok(part) => out.extend(part),
+                    Ok(done) => {
+                        for (i, t) in done {
+                            out[i] = Some(t);
+                        }
+                    }
                     Err(payload) => std::panic::resume_unwind(payload),
                 }
             }
-            out
+            out.into_iter()
+                .map(|t| t.expect("every item was mapped"))
+                .collect()
         })
     }
 }
@@ -91,6 +103,21 @@ mod tests {
         for jobs in [1, 2, 3, 4, 7, 16, 200] {
             let got = Pool::new(jobs).map(items.clone(), |i| i * i);
             assert_eq!(got, expect, "jobs={jobs}");
+        }
+        // Uneven costs: item i spins for about i² steps, so later items
+        // finish after earlier ones started on other workers.
+        let spin = |i: u64| {
+            let mut acc = i;
+            for step in 0..i * i * 64 {
+                acc = std::hint::black_box(acc.wrapping_mul(31).wrapping_add(step));
+            }
+            (i, acc)
+        };
+        let items: Vec<u64> = (0..40).collect();
+        let expect: Vec<(u64, u64)> = items.iter().map(|&i| spin(i)).collect();
+        for jobs in [2, 4, 7] {
+            let got = Pool::new(jobs).map(items.clone(), spin);
+            assert_eq!(got, expect, "uneven costs, jobs={jobs}");
         }
     }
 

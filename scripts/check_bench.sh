@@ -82,6 +82,13 @@ else:
     for cell in cells:
         assert cell["wall_s"] > 0, f"non-positive wall clock: {cell}"
         assert cell["pivots"] >= 0, f"negative pivot count: {cell}"
+        # LU factorizations of a basis: every cell counts them, and a solve
+        # that pivoted refactorized at least once (its exit basis).
+        refactorizations = cell.get("refactorizations")
+        assert isinstance(refactorizations, int), f"missing integer refactorizations: {cell}"
+        assert refactorizations >= 0, f"negative refactorizations: {cell}"
+        if cell["pivots"] > 0:
+            assert refactorizations >= 1, f"pivots without a refactorization: {cell}"
     # Abandoned sibling warm starts: every jobs-grid cell counts them and
     # the pivots they threw away (never part of "pivots"); a cold cell
     # tries no warm start, so it must report both as 0.

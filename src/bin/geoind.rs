@@ -398,17 +398,20 @@ fn cmd_precompute(flags: &Flags) -> Result<(), String> {
     );
     // Per-level solve telemetry: rows_active vs rows_total is what the
     // delayed-constraint solve saved at each level; warm_fallbacks and
-    // discarded_pivots are what abandoned sibling warm starts cost.
+    // discarded_pivots are what abandoned sibling warm starts cost;
+    // refactorizations counts the LU factorizations, the one a level's
+    // sibling restarts share counted once.
     for (level, s) in msm.level_solve_stats() {
         println!(
             "# level {level}: solves {} cut_rounds {} rows_active {} rows_total {} \
-             warm_fallbacks {} discarded_pivots {}",
+             warm_fallbacks {} discarded_pivots {} refactorizations {}",
             s.solves,
             s.cut_rounds,
             s.rows_active,
             s.rows_total,
             s.warm_fallbacks,
-            s.discarded_pivots
+            s.discarded_pivots,
+            s.refactorizations
         );
     }
     let (primal, dual) = msm.lp_residual_watermark();

@@ -227,30 +227,48 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// nodes, whose 256-row duals run on the per-pivot BTRAN path. The 8th
 /// level-3 sibling's warm restart is the full run's first fallback to a
 /// cold solve, so the prefix also pins how many pivots the abandoned
-/// restart throws away (227 under the pivot floor, 600 without it).
+/// restart throws away (227 under the pivot floor, 600 without it). It
+/// runs at 1 and 4 workers: the level-3 siblings share one factorization
+/// of the donor basis, built by whichever restart gets there first.
 #[test]
 fn benchmark_precompute_prefix_keeps_recorded_pivots_and_bytes() {
     let city = SyntheticCity::austin_like().generate_with_size(80_000, 8_000);
-    let msm = MsmMechanism::builder(city.domain(), GridPrior::from_dataset(&city, 64))
-        .epsilon(0.5)
-        .granularity(4)
-        .strategy(AllocationStrategy::FixedHeight(3))
-        .build()
-        .expect("benchmark configuration");
-    assert_eq!(msm.precompute_jobs(26, 1).expect("precompute"), 26);
-    assert_eq!(msm.lp_pivot_count(), 11_031, "kept pivots moved");
-    let mut blob = Vec::new();
-    msm.export_cache(&mut blob).expect("export");
-    assert_eq!(blob.len(), 68_460, "bundle length moved");
-    assert_eq!(fnv1a64(&blob), 0xf28f_d00c_db3d_114c, "bundle bytes moved");
-    let (fallbacks, discarded) = msm
-        .level_solve_stats()
-        .iter()
-        .fold((0, 0), |(f, d), (_, s)| {
-            (f + s.warm_fallbacks, d + s.discarded_pivots)
-        });
-    assert!(fallbacks >= 1, "the prefix lost its warm-restart fallback");
-    assert_eq!(discarded, 227, "the abandoned restart's pivot count moved");
+    for jobs in [1, 4] {
+        let msm = MsmMechanism::builder(city.domain(), GridPrior::from_dataset(&city, 64))
+            .epsilon(0.5)
+            .granularity(4)
+            .strategy(AllocationStrategy::FixedHeight(3))
+            .build()
+            .expect("benchmark configuration");
+        assert_eq!(msm.precompute_jobs(26, jobs).expect("precompute"), 26);
+        assert_eq!(
+            msm.lp_pivot_count(),
+            11_031,
+            "kept pivots moved, jobs {jobs}"
+        );
+        let mut blob = Vec::new();
+        msm.export_cache(&mut blob).expect("export");
+        assert_eq!(blob.len(), 68_460, "bundle length moved, jobs {jobs}");
+        assert_eq!(
+            fnv1a64(&blob),
+            0xf28f_d00c_db3d_114c,
+            "bundle bytes moved, jobs {jobs}"
+        );
+        let (fallbacks, discarded) = msm
+            .level_solve_stats()
+            .iter()
+            .fold((0, 0), |(f, d), (_, s)| {
+                (f + s.warm_fallbacks, d + s.discarded_pivots)
+            });
+        assert!(
+            fallbacks >= 1,
+            "the prefix lost its warm-restart fallback, jobs {jobs}"
+        );
+        assert_eq!(
+            discarded, 227,
+            "the abandoned restart's pivot count moved, jobs {jobs}"
+        );
+    }
 }
 
 /// The same cross-build pin for the eager path (`cutgen: false`), which
@@ -262,35 +280,48 @@ fn benchmark_precompute_prefix_keeps_recorded_pivots_and_bytes() {
 #[test]
 fn eager_precompute_prefix_keeps_recorded_pivots_and_bytes() {
     let city = SyntheticCity::austin_like().generate_with_size(80_000, 8_000);
-    let msm = MsmMechanism::builder(city.domain(), GridPrior::from_dataset(&city, 64))
-        .epsilon(0.5)
-        .granularity(4)
-        .strategy(AllocationStrategy::FixedHeight(3))
-        .opt_options(OptOptions {
-            cutgen: false,
-            ..OptOptions::default()
-        })
-        .build()
-        .expect("benchmark configuration");
-    assert_eq!(msm.precompute_jobs(5, 1).expect("precompute"), 5);
-    assert_eq!(msm.lp_pivot_count(), 2_755, "kept pivots moved");
-    let mut blob = Vec::new();
-    msm.export_cache(&mut blob).expect("export");
-    assert_eq!(blob.len(), 13_188, "bundle length moved");
-    assert_eq!(fnv1a64(&blob), 0xdc13_68d2_9875_387c, "bundle bytes moved");
-    let stats = msm.level_solve_stats();
-    assert!(
-        stats.iter().all(|(_, s)| s.cut_rounds == 0),
-        "the eager path entered the cut loop"
-    );
-    let (fallbacks, discarded) = stats.iter().fold((0, 0), |(f, d), (_, s)| {
-        (f + s.warm_fallbacks, d + s.discarded_pivots)
-    });
-    assert_eq!(fallbacks, 2, "the warm-restart fallbacks moved");
-    assert_eq!(
-        discarded, 1_622,
-        "the abandoned restarts' pivot count moved"
-    );
+    for jobs in [1, 4] {
+        let msm = MsmMechanism::builder(city.domain(), GridPrior::from_dataset(&city, 64))
+            .epsilon(0.5)
+            .granularity(4)
+            .strategy(AllocationStrategy::FixedHeight(3))
+            .opt_options(OptOptions {
+                cutgen: false,
+                ..OptOptions::default()
+            })
+            .build()
+            .expect("benchmark configuration");
+        assert_eq!(msm.precompute_jobs(5, jobs).expect("precompute"), 5);
+        assert_eq!(
+            msm.lp_pivot_count(),
+            2_755,
+            "kept pivots moved, jobs {jobs}"
+        );
+        let mut blob = Vec::new();
+        msm.export_cache(&mut blob).expect("export");
+        assert_eq!(blob.len(), 13_188, "bundle length moved, jobs {jobs}");
+        assert_eq!(
+            fnv1a64(&blob),
+            0xdc13_68d2_9875_387c,
+            "bundle bytes moved, jobs {jobs}"
+        );
+        let stats = msm.level_solve_stats();
+        assert!(
+            stats.iter().all(|(_, s)| s.cut_rounds == 0),
+            "the eager path entered the cut loop, jobs {jobs}"
+        );
+        let (fallbacks, discarded) = stats.iter().fold((0, 0), |(f, d), (_, s)| {
+            (f + s.warm_fallbacks, d + s.discarded_pivots)
+        });
+        assert_eq!(
+            fallbacks, 2,
+            "the warm-restart fallbacks moved, jobs {jobs}"
+        );
+        assert_eq!(
+            discarded, 1_622,
+            "the abandoned restarts' pivot count moved, jobs {jobs}"
+        );
+    }
 }
 
 /// Cross-mechanism: interleaving two mechanisms on one RNG stream is still
