@@ -361,8 +361,7 @@ pub struct LevelSolveStats {
     /// Pivots the abandoned warm starts executed before they were thrown
     /// away, summed (never part of [`MsmMechanism::lp_pivot_count`]).
     pub discarded_pivots: u64,
-    /// LU factorizations of a basis computed, summed; the one shared by a
-    /// level's sibling restarts counts once.
+    /// LU factorizations of a basis computed, summed.
     pub refactorizations: u64,
     /// Rows materialized in the final working LPs, summed.
     pub rows_active: u64,
@@ -530,6 +529,23 @@ impl MsmMechanism {
         Some(Arc::new(Spanner::greedy(&centers, dilation)))
     }
 
+    /// The global prior's mass in each child cell of `parent`, in child
+    /// order; all ones when the node holds no mass.
+    pub(crate) fn child_masses(&self, parent: LevelCell) -> Vec<f64> {
+        let extents: Vec<BBox> = self
+            .hier
+            .children(parent)
+            .iter()
+            .map(|c| self.hier.extent(*c))
+            .collect();
+        let masses = self.prior.masses(&extents);
+        if masses.iter().sum::<f64>() <= 0.0 {
+            vec![1.0; masses.len()]
+        } else {
+            masses
+        }
+    }
+
     pub(crate) fn children_of(&self, parent: LevelCell) -> Vec<LevelCell> {
         self.hier.children(parent)
     }
@@ -606,12 +622,7 @@ impl MsmMechanism {
     ) -> Result<(Channel, Basis), MechanismError> {
         let children = self.hier.children(parent);
         let centers: Vec<Point> = children.iter().map(|c| self.hier.center(*c)).collect();
-        let extents: Vec<BBox> = children.iter().map(|c| self.hier.extent(*c)).collect();
-        let mut masses = self.prior.masses(&extents);
-        let total: f64 = masses.iter().sum();
-        if total <= 0.0 {
-            masses = vec![1.0; masses.len()];
-        }
+        let masses = self.child_masses(parent);
         let level = parent.level + 1;
         let eps_i = self.budgets.level(level);
         let opt = OptimalMechanism::solve_node(
@@ -1357,11 +1368,12 @@ mod tests {
 
     #[test]
     fn warm_started_channel_matches_cold_within_strict_tolerance() {
-        // The donor-first schedule seeds every sibling solve with the
-        // donor's exit basis. Warm starting may change the pivot path,
-        // but the admitted channel must agree with a cold solve of the
-        // same node within certify's strict tolerance, and must carry a
-        // passing certificate — warm starts save work, never guarantees.
+        // The precompute schedule seeds each sibling solve with the exit
+        // basis of the solved sibling whose prior is nearest its own.
+        // Warm starting may change the pivot path, but the admitted
+        // channel must agree with a cold solve of the same node within
+        // certify's strict tolerance, and must carry a passing
+        // certificate — warm starts save work, never guarantees.
         let domain = BBox::square(8.0);
         let pts = (0..40).map(|i| {
             Point::new(
@@ -1376,8 +1388,9 @@ mod tests {
             .strategy(AllocationStrategy::FixedHeight(3))
             .build()
             .unwrap();
-        // Siblings live one level down from the root; the donor is the
-        // lowest cell index, exactly as the precompute schedule picks it.
+        // Siblings live one level down from the root; every one restarts
+        // here from the level donor, the lowest cell index, which the
+        // precompute schedule offers every sibling as a candidate.
         let level1 = msm.children_of(LevelCell::ROOT);
         assert!(level1.len() >= 2, "need siblings at level 1");
         let donor = level1[0];

@@ -110,14 +110,19 @@ impl MsmMechanism {
     /// is the breadth-first prefix of the tree (each level in ascending
     /// cell order) capped at `max_nodes`, and within each level one
     /// canonical **donor** node — the missing node with the lowest cell
-    /// index, never "whichever thread finished first" — is solved first.
-    /// Its exit basis warm-starts every sibling solve on that level: the
-    /// siblings' LPs share the donor's constraint matrix and costs (the
-    /// prior only moves the right-hand side), so the dual simplex
-    /// typically restores feasibility in a fraction of a cold solve's
-    /// pivots. Each sibling's result is a pure function of its LP and the
-    /// donor basis, so the cache contents — and the bytes
-    /// [`Self::export_cache`] writes — are bit-identical at any `jobs`.
+    /// index, never "whichever thread finished first" — is solved first,
+    /// cold. Its siblings follow in batches of 1, 2, 4, 8, … nodes in cell
+    /// order, and each warm-starts from the exit basis of the solved node
+    /// (the level donor or one of an earlier batch) whose prior is nearest
+    /// its own. Siblings' LPs share one constraint matrix and costs (the
+    /// prior only moves the right-hand side), so the dual simplex typically
+    /// restores feasibility in a fraction of a cold solve's pivots, the
+    /// fewer the closer the priors. Which node donates depends only on the
+    /// node's position and the priors, and each sibling's result is a pure
+    /// function of its LP and its donor's basis, so the cache contents —
+    /// and the bytes [`Self::export_cache`] writes — are bit-identical at
+    /// any `jobs`, and a `max_nodes` prefix solves its nodes exactly as the
+    /// whole tree does.
     ///
     /// Every fill runs through the same single-flight cache path as
     /// on-demand descents: the certify→repair→admit gate runs exactly
@@ -134,7 +139,7 @@ impl MsmMechanism {
     /// [`Self::precompute_jobs`] with warm starts optionally disabled
     /// (`warm_start: false` solves every node cold). The cold mode exists
     /// for the benchmark harness — it quantifies exactly what the donor
-    /// basis saves — and for diagnosing a suspected warm-start miss;
+    /// bases save — and for diagnosing a suspected warm-start miss;
     /// production callers want `precompute_jobs`.
     ///
     /// # Errors
@@ -156,33 +161,36 @@ impl MsmMechanism {
                 .copied()
                 .filter(|c| self.cache_get(*c).is_none())
                 .collect();
-            if let Some(&donor) = missing.first() {
-                // Canonical donor: the lowest-index missing node. Solved
-                // cold (levels differ in ε and scale, so cross-level
-                // bases rarely transfer), capturing its exit basis.
-                //
+            if let Some(&level_donor) = missing.first() {
                 // The greedy spanner (seed rows under cut generation, the
                 // whole target set under a spanner constraint set) is an
                 // O(n³) build over child geometry that every node on a
-                // level shares — build it once here, next to the donor
-                // basis, and hand it to every fill on the level.
-                let spanner = self.level_shared_spanner(donor);
-                let mut donor_basis: Option<Basis> = None;
-                let _ = self.cache_fill_warm(donor, None, spanner.as_ref(), &mut donor_basis)?;
-                let siblings: Vec<LevelCell> = missing[1..].to_vec();
-                let seed = if warm_start {
-                    donor_basis.as_ref()
-                } else {
-                    None
-                };
-                let results = pool.map(siblings, |cell| {
-                    self.cache_fill_warm(cell, seed, spanner.as_ref(), &mut None)
-                        .map(|_| ())
-                });
-                // Surface the first failure in canonical node order;
-                // successes published through the cache stay cached.
-                if let Some(err) = results.into_iter().find_map(Result::err) {
-                    return Err(err);
+                // level shares — build it once here and hand it to every
+                // fill on the level.
+                let spanner = self.level_shared_spanner(level_donor);
+                let priors: Vec<Vec<f64>> = missing
+                    .iter()
+                    .map(|&cell| normalized_prior(self, cell))
+                    .collect();
+                // Exit bases of the level's solved nodes, by index into
+                // `missing`; dropped with the level. The level donor is
+                // solved cold (levels differ in ε and scale, so
+                // cross-level bases rarely transfer).
+                let mut bases: Vec<Option<Basis>> = vec![None; missing.len()];
+                let _ = self.cache_fill_warm(level_donor, None, spanner.as_ref(), &mut bases[0])?;
+                for batch in nearest_prior_plan(&priors) {
+                    let results = pool.map(batch, |(sibling, donor)| {
+                        let seed = bases[donor].as_ref().filter(|_| warm_start);
+                        let mut basis = None;
+                        let cell = missing[sibling];
+                        let filled = self.cache_fill_warm(cell, seed, spanner.as_ref(), &mut basis);
+                        (sibling, filled.map(|_| basis))
+                    });
+                    for (sibling, result) in results {
+                        // The first failure in canonical node order ends
+                        // the precompute; successes stay cached.
+                        bases[sibling] = result?;
+                    }
                 }
             }
             level_nodes = next_internal_level(self, &level_nodes);
@@ -457,6 +465,54 @@ impl MsmMechanism {
     }
 }
 
+/// One tree level's warm-start plan, given the priors of its missing nodes
+/// normalized to sum 1: index 0 is the level donor, solved cold, and the
+/// rest are its siblings in canonical order. The siblings run in batches
+/// of 1, 2, 4, 8, … nodes (`[1, 2)`, `[2, 4)`, `[4, 8)`, …, the last cut
+/// short), so every batch can draw on as many solved nodes as it holds.
+/// Each sibling warm-starts from the node, among the level donor and all
+/// earlier batches, whose prior is nearest its own in L1 distance, ties
+/// going to the lower index. Returns the batches in solve order as
+/// `(sibling, donor)` index pairs.
+///
+/// A sibling's donor depends only on its index and the priors of the
+/// nodes before its batch, so a prefix of the level is planned exactly as
+/// the whole level. The search costs `O(N²·g²)` for `N` nodes of `g²`
+/// children.
+fn nearest_prior_plan(priors: &[Vec<f64>]) -> Vec<Vec<(usize, usize)>> {
+    let l1 = |i: usize, j: usize| -> f64 {
+        priors[i]
+            .iter()
+            .zip(&priors[j])
+            .map(|(a, b)| (a - b).abs())
+            .sum()
+    };
+    let mut batches = Vec::new();
+    let mut start = 1;
+    while start < priors.len() {
+        let end = (2 * start).min(priors.len());
+        let batch = (start..end).map(|i| {
+            // `min_by` keeps the first of equal minima: the lower index.
+            let (nearest, _) = (0..start)
+                .map(|j| (j, l1(i, j)))
+                .min_by(|a, b| a.1.total_cmp(&b.1))
+                .expect("the level donor precedes every batch");
+            (i, nearest)
+        });
+        batches.push(batch.collect());
+        start = end;
+    }
+    batches
+}
+
+/// `cell`'s prior over its children normalized to sum 1: what the
+/// warm-start plan measures distances between.
+fn normalized_prior(msm: &MsmMechanism, cell: LevelCell) -> Vec<f64> {
+    let masses = msm.child_masses(cell);
+    let total: f64 = masses.iter().sum();
+    masses.iter().map(|m| m / total).collect()
+}
+
 /// The internal nodes one level below `nodes`, in ascending cell order
 /// (the canonical within-level schedule for the parallel precompute).
 fn next_internal_level(msm: &MsmMechanism, nodes: &[LevelCell]) -> Vec<LevelCell> {
@@ -686,6 +742,127 @@ mod tests {
             .build()
             .unwrap();
         assert_corrupt(other.import_cache(&mut blob.as_slice()).unwrap_err());
+    }
+
+    /// `n` normalized 4-cell priors: every third one of four fixed
+    /// patterns (so exact L1 ties occur), the rest pseudo-random.
+    fn test_priors(n: usize) -> Vec<Vec<f64>> {
+        use geoind_rng::{Rng, SeededRng};
+        let patterns = [
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0, 0.0],
+            [0.25; 4],
+            [0.5, 0.5, 0.0, 0.0],
+        ];
+        let mut rng = SeededRng::from_seed(28);
+        (0..n)
+            .map(|i| {
+                if i % 3 == 0 {
+                    return patterns[(i / 3) % patterns.len()].to_vec();
+                }
+                let raw: Vec<f64> = (0..4).map(|_| rng.gen_f64()).collect();
+                let total: f64 = raw.iter().sum();
+                raw.iter().map(|v| v / total).collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn nearest_prior_plan_batches_double_and_pick_the_nearest_earlier_node() {
+        let l1 =
+            |a: &[f64], b: &[f64]| -> f64 { a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum() };
+        let mut ties = 0;
+        for n in 0..=70 {
+            let priors = test_priors(n);
+            let plan = nearest_prior_plan(&priors);
+            // Batches of 1, 2, 4, … siblings in index order, the last one
+            // cut at n.
+            let mut start = 1;
+            for batch in &plan {
+                let want: Vec<usize> = (start..(2 * start).min(n)).collect();
+                let got: Vec<usize> = batch.iter().map(|&(i, _)| i).collect();
+                assert_eq!(got, want, "n={n}");
+                // Every donor was solved before this batch, and is the
+                // nearest such node in L1, ties going to the lower index.
+                for &(i, d) in batch {
+                    assert!(
+                        d < start,
+                        "n={n}: sibling {i} draws on {d} of its own batch"
+                    );
+                    let best = l1(&priors[i], &priors[d]);
+                    for (j, prior) in priors.iter().enumerate().take(start) {
+                        let dj = l1(&priors[i], prior);
+                        assert!(dj >= best, "n={n}: {j} is nearer to {i} than {d}");
+                        assert!(j >= d || dj > best, "n={n}: tie of {j} < {d} for {i}");
+                        ties += usize::from(j > d && dj == best);
+                    }
+                }
+                start *= 2;
+            }
+            assert!(start >= n, "n={n}: the plan stops before the level ends");
+        }
+        // The fixed patterns make exact ties, so the tie rule was tested.
+        assert!(ties > 0, "no donor choice broke a tie");
+    }
+
+    #[test]
+    fn nearest_prior_plan_of_a_prefix_is_a_prefix_of_the_plan() {
+        let priors = test_priors(70);
+        let whole = nearest_prior_plan(&priors).concat();
+        for k in 1..=priors.len() {
+            let prefix = nearest_prior_plan(&priors[..k]).concat();
+            assert_eq!(prefix, whole[..k - 1], "prefix of {k} nodes");
+        }
+    }
+
+    #[test]
+    fn capped_precompute_solves_its_nodes_as_the_whole_tree_does() {
+        // g=2, h=3: the root, 4 level-1 and 16 level-2 internal nodes. A
+        // skewed prior gives the 16 siblings different nearest donors.
+        let domain = BBox::square(8.0);
+        let pts = (0..60).map(|i| {
+            Point::new(
+                0.2 + 7.6 * ((i * i * 7 % 61) as f64 / 61.0),
+                0.2 + 7.6 * ((i * 13 % 29) as f64 / 29.0).powi(2),
+            )
+        });
+        let prior = GridPrior::from_points(domain, 8, pts);
+        let build = || {
+            MsmMechanism::builder(domain, prior.clone())
+                .epsilon(1.0)
+                .granularity(2)
+                .strategy(AllocationStrategy::FixedHeight(3))
+                .build()
+                .unwrap()
+        };
+        let whole = build();
+        assert_eq!(whole.precompute(usize::MAX).unwrap(), 21);
+        // The cap keeps the root, the 4 level-1 nodes and the first 7
+        // level-2 nodes, some of which draw on a sibling other than the
+        // level donor.
+        let level2 = next_internal_level(&whole, &whole.children_of(LevelCell::ROOT));
+        let level2_priors: Vec<Vec<f64>> = level2[..7]
+            .iter()
+            .map(|&c| normalized_prior(&whole, c))
+            .collect();
+        assert!(
+            nearest_prior_plan(&level2_priors)
+                .concat()
+                .iter()
+                .any(|&(_, d)| d != 0),
+            "every sibling drew on the level donor"
+        );
+        let capped = build();
+        assert_eq!(capped.precompute_jobs(12, 4).unwrap(), 12);
+        let (whole, capped) = (whole.cache_snapshot(), capped.cache_snapshot());
+        assert_eq!(capped.len(), 12);
+        for ((cell, a), (capped_cell, b)) in whole.iter().zip(&capped) {
+            assert_eq!(cell, capped_cell);
+            for x in 0..a.num_inputs() {
+                let bits = |ch: &Channel| ch.row(x).iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(a), bits(b), "node {cell:?} row {x}");
+            }
+        }
     }
 
     #[test]

@@ -102,9 +102,9 @@ pub struct SolveStats {
     /// Pivots those abandoned warm starts executed before they were thrown
     /// away, summed over all cut rounds.
     pub discarded_pivots: usize,
-    /// LU factorizations of a basis computed, summed over all cut rounds.
-    /// A sibling restart that copies the donor basis's shared inverse
-    /// does not count it; the solve that built it does.
+    /// LU factorizations of a basis computed, summed over all cut rounds:
+    /// the periodic refactorizations, the one a warm start's basis install
+    /// costs, and those of an abandoned warm start.
     pub refactorizations: usize,
     /// Cut-generation rounds (LP solves) performed; 0 when cut generation
     /// was disabled and the target rows were materialized up front.
@@ -463,10 +463,10 @@ impl OptimalMechanism {
     /// The optimal basis the first LP round exited with, in the
     /// standard-form column space of the dual formulation the solve runs
     /// on (later cut rounds pivot in a cut-extended space no other solve
-    /// shares). The precompute schedule passes a level donor's basis to
-    /// every sibling node's solve as a `Warm::Restart`: siblings share
-    /// the constraint matrix and only the prior-dependent right-hand side
-    /// differs, so the restarts also share one factorization of it.
+    /// shares). The precompute schedule passes it to the solves of later
+    /// siblings whose prior is nearest this node's, as a `Warm::Restart`:
+    /// siblings share the constraint matrix and only the prior-dependent
+    /// right-hand side differs.
     pub(crate) fn basis(&self) -> &Basis {
         &self.basis
     }

@@ -43,14 +43,6 @@ impl DenseMatrix {
         self.data.resize(nrows * ncols, 0.0);
     }
 
-    /// Become a copy of `src`, reusing the storage.
-    pub(crate) fn copy_from(&mut self, src: &DenseMatrix) {
-        self.nrows = src.nrows;
-        self.ncols = src.ncols;
-        self.data.clear();
-        self.data.extend_from_slice(&src.data);
-    }
-
     /// Number of rows.
     pub fn nrows(&self) -> usize {
         self.nrows

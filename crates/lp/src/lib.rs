@@ -12,8 +12,7 @@
 //! * [`simplex`] — a revised primal simplex on computational standard form
 //!   with an explicitly maintained (periodically refactorized) basis
 //!   inverse, crash slack basis, two phases, Dantzig pricing with Bland
-//!   anti-cycling fallback, and warm starts from an exported [`Basis`]
-//!   (restarts of identical LPs from one basis share its factorization).
+//!   anti-cycling fallback, and warm starts from an exported [`Basis`].
 //!   The engine has no tuning options: its tolerances and limits are
 //!   constants ([`simplex::OPT_TOL`], [`simplex::VALUE_CLIP`] and private
 //!   ones for the pivot tolerance, the iteration and stall limits, the

@@ -23,9 +23,6 @@
 //!   `Engine::pivot`); from `INCREMENTAL_DUALS_MIN_ROWS` rows up that
 //!   update is carried rather than re-summed, and any claimed optimum is
 //!   re-verified against freshly computed duals before it is trusted;
-//! * factors a warm-start basis once per standard form: restarts of
-//!   structurally identical LPs from one exported [`Basis`] share its
-//!   inverse (see [`Basis`]);
 //! * prices with Dantzig's rule and falls back to Bland's rule after a long
 //!   degenerate stall (anti-cycling).
 //!
@@ -38,7 +35,6 @@
 use crate::dense::{DenseMatrix, LuFactors};
 use crate::sparse::CscMatrix;
 use geoind_testkit::failpoint;
-use std::sync::{Arc, OnceLock};
 
 /// Magnitude below which drift-induced negative variable values are
 /// clipped to exact zero when a solution is extracted. Consumers deriving
@@ -118,45 +114,9 @@ pub struct StandardLp {
 /// A basis only round-trips between solves whose standard forms share the
 /// same shape; the engine validates this and silently falls back to a cold
 /// start on any mismatch, so a stale basis can never corrupt a solve.
-///
-/// A basis exported from an optimal solve remembers that solve's
-/// constraint matrix. Every warm start from it (or from a clone) on an LP
-/// whose matrix equals that one bit for bit shares one factorization of
-/// the basis: the first such start factors it, the others copy the
-/// inverse. The inverse is a function of the basis and the matrix alone,
-/// so sharing it moves no pivot and no bit. The shared inverse lives as
-/// long as the last clone of the basis.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Basis {
     rows: Vec<Option<usize>>,
-    origin: Option<Arc<Origin>>,
-}
-
-/// Two bases are equal when they assign the same column to every row;
-/// where they were exported from does not matter.
-impl PartialEq for Basis {
-    fn eq(&self, other: &Self) -> bool {
-        self.rows == other.rows
-    }
-}
-
-impl Eq for Basis {}
-
-/// The constraint matrix a [`Basis`] was exported from, and the basis's
-/// inverse against it once a warm start has factored it.
-struct Origin {
-    cols: CscMatrix,
-    /// `B⁻¹` against `cols`, or `None` when the factorization failed.
-    binv: OnceLock<Option<DenseMatrix>>,
-}
-
-impl std::fmt::Debug for Origin {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Origin")
-            .field("ncols", &self.cols.ncols())
-            .field("factored", &self.binv.get().is_some())
-            .finish_non_exhaustive()
-    }
 }
 
 impl Basis {
@@ -170,8 +130,6 @@ impl Basis {
     /// in the dualized LP the engine actually pivots on, and the old optimal
     /// basis stays primal-feasible for the grown LP (same rows, same rhs)
     /// once its column references are shifted past the insertion block.
-    /// The remapped basis belongs to the grown LP, so it shares no
-    /// factorization with this one.
     pub fn with_columns_inserted(&self, insert_at: usize, added: usize) -> Basis {
         Basis {
             rows: self
@@ -179,7 +137,6 @@ impl Basis {
                 .iter()
                 .map(|a| a.map(|j| if j >= insert_at { j + added } else { j }))
                 .collect(),
-            origin: None,
         }
     }
 }
@@ -252,8 +209,7 @@ pub struct SimplexResult {
     /// the pivots of the solve that produced this result.
     pub discarded_pivots: usize,
     /// LU factorizations of a basis this run computed, an abandoned warm
-    /// start's included. A warm start that copies a [`Basis`]'s shared
-    /// inverse does not count it; the run that built it does.
+    /// start's included.
     pub refactorizations: usize,
 }
 
@@ -783,10 +739,6 @@ impl<'a> Engine<'a> {
     /// crash basis. Returns `false` when the basis does not fit this LP
     /// (row-count mismatch, out-of-range or repeated columns, or a
     /// numerically singular factorization) — the caller then cold-starts.
-    ///
-    /// When this LP has the matrix the basis was exported from, bit for
-    /// bit, its inverse comes from the basis's shared factorization: the
-    /// first such install factors it (and counts it), later ones copy it.
     fn install_basis(&mut self, warm: &Basis) -> bool {
         if warm.rows.len() != self.m {
             return false;
@@ -809,31 +761,10 @@ impl<'a> Engine<'a> {
             })
             .collect();
         self.in_basis = in_basis;
-        // The donor basis factored against this LP's matrix, with basic
-        // values against *this* LP's rhs: they may come out negative (the
-        // whole point of the dual-simplex restart), but the factorization
-        // itself must succeed.
-        let origin = warm.origin.as_deref();
-        let Some(origin) = origin.filter(|o| o.cols.bit_eq(&self.lp.cols)) else {
-            self.refactorize();
-            return !self.singular;
-        };
-        let mut built = false;
-        let shared = origin.binv.get_or_init(|| {
-            built = true;
-            self.refactorize();
-            (!self.singular).then(|| self.binv.clone())
-        });
-        if !built {
-            match shared {
-                Some(binv) => {
-                    self.binv.copy_from(binv);
-                    self.pivots_since_refactor = 0;
-                    self.basic_values_from_inverse();
-                }
-                None => self.singular = true,
-            }
-        }
+        // A fresh LU of the donor basis against *this* LP's rhs: basic
+        // values may come out negative (the whole point of the dual-simplex
+        // restart), but the factorization itself must succeed.
+        self.refactorize();
         !self.singular
     }
 
@@ -1143,14 +1074,6 @@ impl<'a> Engine<'a> {
                 dual_residual = -d;
             }
         }
-        // An optimal basis may warm-start later solves, so it remembers
-        // this LP's matrix for them to share its factorization.
-        let origin = (status == SimplexStatus::Optimal).then(|| {
-            Arc::new(Origin {
-                cols: self.lp.cols.clone(),
-                binv: OnceLock::new(),
-            })
-        });
         let basis = Basis {
             rows: self
                 .basis
@@ -1160,7 +1083,6 @@ impl<'a> Engine<'a> {
                     Basic::Artificial(_) => None,
                 })
                 .collect(),
-            origin,
         };
         SimplexResult {
             status,
@@ -1548,7 +1470,6 @@ mod tests {
     fn column_insertion_remap_shifts_only_tail_entries() {
         let basis = Basis {
             rows: vec![Some(0), Some(4), None, Some(9)],
-            origin: None,
         };
         let shifted = basis.with_columns_inserted(4, 3);
         assert_eq!(shifted.rows, vec![Some(0), Some(7), None, Some(12)]);
@@ -1728,87 +1649,5 @@ mod tests {
             pivots > 4,
             "too few restart pivots to cross a refactorization"
         );
-    }
-
-    /// Everything a restart reports, bit for bit.
-    fn assert_same_result(a: &SimplexResult, b: &SimplexResult) {
-        assert_eq!(a.status, b.status);
-        assert_eq!(a.iterations, b.iterations);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&a.x), bits(&b.x));
-        assert_eq!(bits(&a.duals), bits(&b.duals));
-        assert_eq!(a.objective.to_bits(), b.objective.to_bits());
-        assert_eq!(a.basis, b.basis);
-        assert_eq!(a.warm_fallback, b.warm_fallback);
-        assert_eq!(a.discarded_pivots, b.discarded_pivots);
-    }
-
-    /// The donor basis without the factorization it could share.
-    fn unshared(basis: &Basis) -> Basis {
-        Basis {
-            rows: basis.rows.clone(),
-            origin: None,
-        }
-    }
-
-    #[test]
-    fn restart_from_a_shared_factorization_matches_one_that_factors_its_own() {
-        let donor = solve_standard(&dualized_opt_g3(5), None);
-        assert_eq!(donor.status, SimplexStatus::Optimal);
-        let restart =
-            |lp: &StandardLp, basis: &Basis| solve_standard(lp, Some(Warm::Restart(basis.clone())));
-        for skew in [3, 4, 6] {
-            let sibling = dualized_opt_g3(skew);
-            let alone = restart(&sibling, &unshared(&donor.basis));
-            assert_eq!(alone.status, SimplexStatus::Optimal);
-            assert!(!alone.warm_fallback && alone.iterations > 0);
-            // The first restart from the donor basis builds the shared
-            // factorization (skew 3); every later one copies it.
-            let built = donor.basis.origin.as_ref().unwrap().binv.get().is_some();
-            let shared = restart(&sibling, &donor.basis);
-            assert_same_result(&shared, &alone);
-            let copied = usize::from(built);
-            assert_eq!(shared.refactorizations + copied, alone.refactorizations);
-        }
-    }
-
-    #[test]
-    fn a_sibling_with_one_different_coefficient_factors_its_own_inverse() {
-        let donor = solve_standard(&dualized_opt_g3(5), None);
-        let sibling = dualized_opt_g3(3);
-        // The same LP with one GeoInd coefficient one ulp further from 0.
-        let mut tweaked = sibling.clone();
-        let mut bld = CscBuilder::new(sibling.cols.nrows());
-        let scaled = |v: f64| v.abs() > 0.0 && v.abs() < 1.0;
-        let target = (0..sibling.cols.ncols())
-            .find(|&j| sibling.cols.col(j).any(|(_, v)| scaled(v)))
-            .expect("a scaled GeoInd coefficient");
-        for j in 0..sibling.cols.ncols() {
-            let mut col: Vec<(usize, f64)> = sibling.cols.col(j).collect();
-            if j == target {
-                let e = col.iter_mut().find(|e| scaled(e.1)).unwrap();
-                e.1 = f64::from_bits(e.1.to_bits() + 1);
-            }
-            bld.push_col(&col);
-        }
-        tweaked.cols = bld.finish();
-        let restart =
-            |lp: &StandardLp, basis: &Basis| solve_standard(lp, Some(Warm::Restart(basis.clone())));
-        let alone = restart(&tweaked, &unshared(&donor.basis));
-        let origin = donor.basis.origin.as_ref().unwrap();
-        // Before and after a matching sibling has built the shared
-        // factorization, the tweaked sibling factors its own.
-        let first = restart(&tweaked, &donor.basis);
-        assert!(
-            origin.binv.get().is_none(),
-            "a foreign LP built the shared inverse"
-        );
-        restart(&sibling, &donor.basis);
-        assert!(origin.binv.get().is_some());
-        let second = restart(&tweaked, &donor.basis);
-        for r in [&first, &second] {
-            assert_same_result(r, &alone);
-            assert_eq!(r.refactorizations, alone.refactorizations);
-        }
     }
 }

@@ -113,20 +113,6 @@ impl CscMatrix {
         range.map(move |i| (self.row_idx[i] as usize, self.values[i]))
     }
 
-    /// True when both matrices store the same entries at the same
-    /// positions, values compared bit for bit.
-    pub(crate) fn bit_eq(&self, other: &CscMatrix) -> bool {
-        self.nrows == other.nrows
-            && self.col_ptr == other.col_ptr
-            && self.row_idx == other.row_idx
-            && self.values.len() == other.values.len()
-            && self
-                .values
-                .iter()
-                .zip(&other.values)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-    }
-
     /// Dot product of column `j` with a dense vector.
     #[inline]
     pub fn col_dot(&self, j: usize, v: &[f64]) -> f64 {

@@ -21,7 +21,8 @@
 # Knobs (env): BENCH_G (granularity, default 5), BENCH_H (height, 2),
 # BENCH_EPS (0.5), BENCH_JOBS (all cores). The defaults keep a full run in
 # the order of a couple of minutes on one core: height 2 gives 1 + g^2
-# internal nodes (each level fans g^2 warm-started siblings off one donor),
+# internal nodes (the g^2-node level solves one donor cold and warm-starts
+# each sibling from the solved node whose prior is nearest its own),
 # while height 3 multiplies the node count by g^2 again and larger grids
 # scale the per-node LP as ~g^6 per pivot — raise either only on real
 # hardware.

@@ -399,8 +399,8 @@ fn cmd_precompute(flags: &Flags) -> Result<(), String> {
     // Per-level solve telemetry: rows_active vs rows_total is what the
     // delayed-constraint solve saved at each level; warm_fallbacks and
     // discarded_pivots are what abandoned sibling warm starts cost;
-    // refactorizations counts the LU factorizations, the one a level's
-    // sibling restarts share counted once.
+    // refactorizations counts the LU factorizations, one per sibling's
+    // install of its donor's basis included.
     for (level, s) in msm.level_solve_stats() {
         println!(
             "# level {level}: solves {} cut_rounds {} rows_active {} rows_total {} \

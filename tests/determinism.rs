@@ -139,9 +139,10 @@ fn degraded_ladder_is_bit_deterministic_under_armed_faults() {
 }
 
 /// The parallel precompute fan-out must be invisible in the exported
-/// bundle: `--jobs 1` and `--jobs 4` walk the same donor-first warm-start
-/// schedule (the donor of each level is the lowest cell index, never
-/// "whichever worker finished first"), so the exported cache bytes are
+/// bundle: `--jobs 1` and `--jobs 4` walk the same warm-start schedule
+/// (the donor of each level is the lowest cell index, and each sibling's
+/// the solved node whose prior is nearest its own, never "whichever
+/// worker finished first"), so the exported cache bytes are
 /// identical at any worker count. This is the contract that lets CI cmp
 /// two bundles and lets operators precompute on any machine.
 #[test]
@@ -170,7 +171,7 @@ fn precompute_bundle_bytes_are_independent_of_jobs() {
 
 /// The jobs-invariance contract holds for every solve strategy, not just
 /// the default: a cut-generation precompute over a spanner-sparsified
-/// constraint set walks the same donor-first schedule, shares one
+/// constraint set walks the same warm-start schedule, shares one
 /// per-level spanner built from the donor geometry, and lands every
 /// sibling solve on the same fixed point — so `--jobs 1` and `--jobs 4`
 /// still export byte-identical bundles.
@@ -216,20 +217,21 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
-/// The simplex engine's decisions, pinned across builds. The two jobs
-/// tests above compare bundles within one build, so a kernel change that
-/// moved a single pivot would still pass them; this test compares the kept
-/// pivots and the bundle bytes against values recorded before the
-/// cost-sparse BTRAN and the warm-restart pivot floor went in. It
-/// precomputes the first 26 nodes of the repository benchmark's hierarchy
-/// (synthetic Austin city, 80,000 check-ins, prior granularity 64, ε 0.5,
-/// g 4, `FixedHeight(3)`): the root, all 16 level-2 nodes and 9 level-3
-/// nodes, whose 256-row duals run on the per-pivot BTRAN path. The 8th
-/// level-3 sibling's warm restart is the full run's first fallback to a
-/// cold solve, so the prefix also pins how many pivots the abandoned
-/// restart throws away (227 under the pivot floor, 600 without it). It
-/// runs at 1 and 4 workers: the level-3 siblings share one factorization
-/// of the donor basis, built by whichever restart gets there first.
+/// The simplex engine's and the precompute schedule's decisions, pinned
+/// across builds. The two jobs tests above compare bundles within one
+/// build, so a change that moved a single pivot would still pass them;
+/// this test compares the kept pivots and the bundle bytes against
+/// recorded values. It precomputes the first 60 nodes of the repository
+/// benchmark's hierarchy (synthetic Austin city, 80,000 check-ins, prior
+/// granularity 64, ε 0.5, g 4, `FixedHeight(3)`): the root, all 16
+/// level-2 nodes and 43 level-3 nodes, whose 256-row duals run on the
+/// per-pivot BTRAN path. The level-3 siblings warm-start in batches of 1,
+/// 2, 4, 8, 16 and (cut short) 11 nodes, each from the solved node whose
+/// prior is nearest its own, so the prefix pins the donor choice too. The
+/// 43rd level-3 node's warm restart is the full run's first fallback to a
+/// cold solve (60 is the shortest prefix that has one), so the prefix
+/// also pins how many pivots the abandoned restart throws away. It runs
+/// at 1 and 4 workers: which worker solves a sibling must not matter.
 #[test]
 fn benchmark_precompute_prefix_keeps_recorded_pivots_and_bytes() {
     let city = SyntheticCity::austin_like().generate_with_size(80_000, 8_000);
@@ -240,18 +242,18 @@ fn benchmark_precompute_prefix_keeps_recorded_pivots_and_bytes() {
             .strategy(AllocationStrategy::FixedHeight(3))
             .build()
             .expect("benchmark configuration");
-        assert_eq!(msm.precompute_jobs(26, jobs).expect("precompute"), 26);
+        assert_eq!(msm.precompute_jobs(60, jobs).expect("precompute"), 60);
         assert_eq!(
             msm.lp_pivot_count(),
-            11_031,
+            9_918,
             "kept pivots moved, jobs {jobs}"
         );
         let mut blob = Vec::new();
         msm.export_cache(&mut blob).expect("export");
-        assert_eq!(blob.len(), 68_460, "bundle length moved, jobs {jobs}");
+        assert_eq!(blob.len(), 157_948, "bundle length moved, jobs {jobs}");
         assert_eq!(
             fnv1a64(&blob),
-            0xf28f_d00c_db3d_114c,
+            0x6635_d32e_a254_03ad,
             "bundle bytes moved, jobs {jobs}"
         );
         let (fallbacks, discarded) = msm
@@ -265,7 +267,7 @@ fn benchmark_precompute_prefix_keeps_recorded_pivots_and_bytes() {
             "the prefix lost its warm-restart fallback, jobs {jobs}"
         );
         assert_eq!(
-            discarded, 227,
+            discarded, 106,
             "the abandoned restart's pivot count moved, jobs {jobs}"
         );
     }
@@ -274,9 +276,12 @@ fn benchmark_precompute_prefix_keeps_recorded_pivots_and_bytes() {
 /// The same cross-build pin for the eager path (`cutgen: false`), which
 /// materializes every GeoInd row up front and so never enters the cut
 /// loop. Its first 5 nodes of the benchmark hierarchy are the root (cold)
-/// and 4 level-2 nodes: the level donor (cold) and 3 siblings
-/// warm-started from the donor's exit basis, two of which fall back to a
-/// cold solve.
+/// and 4 level-2 nodes: the level donor (cold), a first sibling
+/// warm-started from the donor's exit basis, and two more warm-started
+/// from whichever of those two has the nearer prior. Both of those
+/// restarts fall back to a cold solve, so the kept pivots and the bytes
+/// do not depend on which donor they drew; the pivots the abandoned
+/// restarts throw away do.
 #[test]
 fn eager_precompute_prefix_keeps_recorded_pivots_and_bytes() {
     let city = SyntheticCity::austin_like().generate_with_size(80_000, 8_000);
@@ -318,7 +323,7 @@ fn eager_precompute_prefix_keeps_recorded_pivots_and_bytes() {
             "the warm-restart fallbacks moved, jobs {jobs}"
         );
         assert_eq!(
-            discarded, 1_622,
+            discarded, 1_704,
             "the abandoned restarts' pivot count moved, jobs {jobs}"
         );
     }
