@@ -18,8 +18,8 @@
 //! `warm_fallbacks` (sibling warm starts abandoned for a cold solve),
 //! `discarded_pivots` (the pivots those abandoned starts executed, which
 //! `pivots` does not count; cold cells report both as 0) and
-//! `refactorizations` (LU factorizations of a basis, the one a level's
-//! sibling restarts share counted once).
+//! `refactorizations` (LU factorizations of a basis, each sibling's
+//! install of its donor's basis included).
 //!
 //! `cutgen` times single-node OPT solves across constraint strategies:
 //! eager (every row materialized) vs delayed constraint generation, at a
@@ -38,8 +38,9 @@
 use geoind_core::alloc::AllocationStrategy;
 use geoind_core::metrics::QualityMetric;
 use geoind_core::msm::MsmMechanism;
-use geoind_core::opt::{ConstraintSet, OptOptions, OptimalMechanism};
+use geoind_core::opt::{ConstraintSet, OptOptions, OptimalMechanism, SolveStats};
 use geoind_data::prior::GridPrior;
+use geoind_lp::Effort;
 use geoind_spatial::geom::BBox;
 use geoind_spatial::grid::Grid;
 use std::time::Instant;
@@ -126,17 +127,13 @@ fn bench_precompute(g: u32, height: u32, eps: f64, jobs_max: usize, max_nodes: u
             .precompute_opts(max_nodes, jobs, warm)
             .expect("benchmark precompute must succeed");
         let wall = start.elapsed().as_secs_f64();
-        let pivots = msm.lp_pivot_count();
-        let (fallbacks, discarded, refactorizations) =
-            msm.level_solve_stats()
-                .iter()
-                .fold((0u64, 0u64, 0u64), |(f, d, r), (_, s)| {
-                    (
-                        f + s.warm_fallbacks,
-                        d + s.discarded_pivots,
-                        r + s.refactorizations,
-                    )
-                });
+        let total: SolveStats = msm.level_solve_stats().into_iter().map(|(_, s)| s).sum();
+        let Effort {
+            pivots,
+            warm_fallbacks: fallbacks,
+            discarded_pivots: discarded,
+            refactorizations,
+        } = total.effort;
         eprintln!(
             "# jobs={jobs} warm={warm}: {nodes} nodes, {wall:.3}s, {pivots} pivots, \
              {fallbacks} warm fallbacks discarding {discarded} pivots, \
@@ -199,14 +196,14 @@ fn cutgen_cell(g: u32, eps: f64, constraints: ConstraintSet, cutgen: bool) -> (f
     eprintln!(
         "# g={g} constraints={label} cutgen={cutgen}: {wall:.2}s, {} pivots, \
          {} refactorizations, {} rounds, {}/{} rows, loss {loss:.6}",
-        st.iterations, st.refactorizations, st.cut_rounds, st.rows_active, st.rows_total
+        st.effort.pivots, st.effort.refactorizations, st.cut_rounds, st.rows_active, st.rows_total
     );
     let cell = format!(
         "    {{\"constraints\": \"{label}\", \"cutgen\": {cutgen}, \"g\": {g}, \
          \"rows_total\": {}, \"rows_active\": {}, \"cut_rounds\": {}, \
          \"pivots\": {}, \"refactorizations\": {}, \"wall_s\": {wall:.6}, \
          \"loss\": {loss:.9}}}",
-        st.rows_total, st.rows_active, st.cut_rounds, st.iterations, st.refactorizations
+        st.rows_total, st.rows_active, st.cut_rounds, st.effort.pivots, st.effort.refactorizations
     );
     (wall, cell)
 }
@@ -269,14 +266,14 @@ fn bench_dilation(g: u32, eps: f64, dilations: &[f64]) {
     println!("|---|-----------|-------------|--------|--------|---------|------------|");
     println!(
         "| exact | ε | {} | {} | {exact_wall:.2} | {exact_loss:.6} | — |",
-        exact_stats.rows_total, exact_stats.iterations
+        exact_stats.rows_total, exact_stats.effort.pivots
     );
     for &dilation in dilations {
         let (st, loss, wall) = solve(ConstraintSet::Spanner { dilation });
         let delta = (loss - exact_loss) / exact_loss * 100.0;
         println!(
             "| {dilation} | {dilation}·ε | {} | {} | {wall:.2} | {loss:.6} | {delta:+.2} % |",
-            st.rows_total, st.iterations
+            st.rows_total, st.effort.pivots
         );
     }
 }

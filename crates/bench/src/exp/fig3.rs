@@ -62,7 +62,7 @@ pub fn run_to(cfg: &Config, max_g: u32) -> Vec<Table> {
             opt.stats().rows_total.to_string(),
             fnum(report.mean_loss),
             ftime(solve),
-            opt.stats().iterations.to_string(),
+            opt.stats().effort.pivots.to_string(),
             fnum(report.mean_time_s * 1e3),
         ]);
     }

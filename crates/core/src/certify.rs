@@ -28,12 +28,13 @@
 //!    [`MechanismError::ChannelQuarantined`] — it is never sampled.
 //!
 //! The offline cache import gate
-//! ([`crate::msm::MsmMechanism::import_cache`]) uses [`certify`]
-//! *without* the repair step: a cached entry was already
-//! repaired at provisioning time, so a violation there is evidence of
-//! tampering or corruption, and repairing it would launder a forged
-//! channel into service. The entry is quarantined instead (the node is
-//! re-solved on demand).
+//! ([`crate::msm::MsmMechanism::import_cache`]) and `geoind doctor` use
+//! [`certify`] at the strict tolerance *without* the repair step: a cached
+//! entry was already repaired and strictly re-certified over the full
+//! pair set at provisioning time, whatever constraint set it was solved
+//! under, so a violation there is evidence of tampering or corruption,
+//! and repairing it would launder a forged channel into service. The
+//! entry is quarantined instead (the node is re-solved on demand).
 //!
 //! ## Tolerance derivation
 //!
@@ -232,23 +233,6 @@ pub fn admission_tolerance(n: usize, m: usize, spec: &CertifySpec) -> f64 {
 /// size term.
 pub fn strict_tolerance(n: usize, m: usize) -> f64 {
     1e-10 + size_term(n, m)
-}
-
-/// Tolerance for *re-certifying* an already-admitted channel (doctor
-/// re-checks, offline-cache import): the strict tolerance, widened by the
-/// same `δ·(n−1)` chaining factor the admission gate applies when the
-/// channel was provisioned under a spanner constraint set. Re-checking a
-/// spanner-admitted bundle against the bare full-set strict tolerance
-/// would hold it to a tighter spec than the one it was admitted under and
-/// risk false quarantine.
-pub fn recheck_tolerance(n: usize, m: usize, constraints: ConstraintSet) -> f64 {
-    let base = strict_tolerance(n, m);
-    match constraints {
-        ConstraintSet::Full => base,
-        ConstraintSet::Spanner { dilation } => {
-            base * dilation.max(1.0) * (n.saturating_sub(1)).max(1) as f64
-        }
-    }
 }
 
 /// Certify a channel against `eps` at tolerance `tol` — no repair. Used

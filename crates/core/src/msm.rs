@@ -22,7 +22,7 @@ use crate::cache::ShardedCache;
 use crate::certify::{Certificate, Verdict};
 use crate::channel::Channel;
 use crate::metrics::QualityMetric;
-use crate::opt::{ConstraintSet, OptOptions, OptimalMechanism};
+use crate::opt::{ConstraintSet, OptOptions, OptimalMechanism, SolveStats};
 use crate::spanner::Spanner;
 use crate::{Mechanism, MechanismError};
 use geoind_data::prior::GridPrior;
@@ -32,7 +32,6 @@ use geoind_spatial::geom::{BBox, Point};
 use geoind_spatial::grid::Grid;
 use geoind_spatial::hier::{HierGrid, LevelCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::{Mutex, PoisonError, RwLock};
 
@@ -134,8 +133,6 @@ impl MsmBuilder {
             opt_options: self.opt_options,
             caching: self.caching,
             cache: ShardedCache::new("msm channel cache"),
-            residual_watermark: Mutex::new((0.0, 0.0)),
-            pivot_count: AtomicU64::new(0),
             level_stats: Mutex::new(BTreeMap::new()),
             flat_tree: RwLock::new(None),
         })
@@ -342,33 +339,6 @@ pub struct FlatAudit {
     pub failures: Vec<(LevelCell, f64)>,
 }
 
-/// Aggregated LP solve effort for one tree level, keyed by the level of
-/// the solved channels (`parent.level + 1`). `geoind precompute` prints
-/// one line per level so the delayed-constraint-generation savings
-/// (`rows_active` vs `rows_total`) and the cost of abandoned sibling warm
-/// starts (`warm_fallbacks`, `discarded_pivots`) are visible where they
-/// happen.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LevelSolveStats {
-    /// Per-node OPT solves that actually ran at this level (cache hits
-    /// don't count).
-    pub solves: u64,
-    /// Cut-generation rounds summed over those solves (0 under an eager
-    /// full materialization).
-    pub cut_rounds: u64,
-    /// Warm starts abandoned for a cold solve, summed over those solves.
-    pub warm_fallbacks: u64,
-    /// Pivots the abandoned warm starts executed before they were thrown
-    /// away, summed (never part of [`MsmMechanism::lp_pivot_count`]).
-    pub discarded_pivots: u64,
-    /// LU factorizations of a basis computed, summed.
-    pub refactorizations: u64,
-    /// Rows materialized in the final working LPs, summed.
-    pub rows_active: u64,
-    /// Rows the full target programs would have, summed.
-    pub rows_total: u64,
-}
-
 /// The multi-step mechanism over a hierarchical grid index.
 #[derive(Debug)]
 pub struct MsmMechanism {
@@ -384,15 +354,11 @@ pub struct MsmMechanism {
     /// single-flight fills so concurrent misses of the same node run one
     /// LP solve (and one admission gate) between them.
     cache: ShardedCache<LevelCell, Channel>,
-    /// Worst (primal, dual) LP residual seen across per-node solves —
-    /// surfaced by `geoind precompute` and `geoind doctor`.
-    residual_watermark: Mutex<(f64, f64)>,
-    /// Total simplex pivots across per-node solves — the benchmark
-    /// harness reads this to quantify what warm starts save.
-    pivot_count: AtomicU64,
-    /// Per-level aggregated solve stats (cut rounds, active vs total
-    /// rows), keyed by channel level — read by `geoind precompute`.
-    level_stats: Mutex<BTreeMap<u32, LevelSolveStats>>,
+    /// The sum of every per-node solve's record, keyed by the level of
+    /// the channel it built (`parent.level + 1`): the one store behind
+    /// [`Self::level_solve_stats`], [`Self::lp_pivot_count`] and
+    /// [`Self::lp_residual_watermark`].
+    level_stats: Mutex<BTreeMap<u32, SolveStats>>,
     /// The fused serving structure, when [`Self::flatten`] has run and no
     /// cache mutation has dropped it since.
     flat_tree: RwLock<Option<Arc<FlatTree>>>,
@@ -473,31 +439,6 @@ impl MsmMechanism {
     /// instead handed the winner's admitted channel.
     pub fn dedup_suppressed(&self) -> u64 {
         self.cache.dedup_suppressed()
-    }
-
-    /// Internal accessors for the offline precompute/persistence module.
-    ///
-    /// One gated, cached, optionally warm-started per-node solve through
-    /// the regular single-flight path. The `basis_out` side channel
-    /// captures the solve's exit basis only when this call actually ran
-    /// the fill (a cache hit or a racing filler leaves it `None`).
-    pub(crate) fn cache_fill_warm(
-        &self,
-        cell: LevelCell,
-        warm: Option<&Basis>,
-        shared: Option<&Arc<Spanner>>,
-        basis_out: &mut Option<Basis>,
-    ) -> Result<Arc<Channel>, MechanismError> {
-        if !self.caching {
-            let (ch, basis) = self.build_channel_warm(cell, warm, shared)?;
-            *basis_out = Some(basis);
-            return Ok(Arc::new(ch));
-        }
-        self.cache.get_or_fill(cell, || {
-            let (ch, basis) = self.build_channel_warm(cell, warm, shared)?;
-            *basis_out = Some(basis);
-            Ok(ch)
-        })
     }
 
     /// The greedy spanner shared by every node solve on one tree level,
@@ -590,101 +531,93 @@ impl MsmMechanism {
     /// longer be trusted); any [`MechanismError`] from the per-node OPT
     /// solve.
     pub fn try_channel_for(&self, parent: LevelCell) -> Result<Arc<Channel>, MechanismError> {
-        if !self.caching {
-            // Ablation path: no cache, no single-flight, a fresh gated
-            // solve per fetch — and no `cache.lock.poisoned` exposure,
-            // since no shared cache state is touched.
-            return Ok(Arc::new(self.build_channel(parent)?));
-        }
-        self.cache
-            .get_or_fill(parent, || self.build_channel(parent))
+        self.fill(parent, None, None).map(|(channel, _)| channel)
     }
 
-    /// Solve the per-node OPT: `g²` child-cell centers, the global prior
-    /// restricted to the node and renormalized (uniform when the node has
-    /// zero mass), and the level budget.
-    fn build_channel(&self, parent: LevelCell) -> Result<Channel, MechanismError> {
-        self.build_channel_warm(parent, None, None)
-            .map(|(ch, _)| ch)
-    }
-
-    /// [`Self::build_channel`] with an optional warm-start basis from a
-    /// sibling node's solve; also returns the exit basis so the parallel
-    /// precompute can seed the rest of the level. Warm starting changes
-    /// pivot counts, never the admitted channel: the engine falls back to
-    /// a cold start on any mismatch and both paths exit at the same
-    /// (deterministic) optimum, behind the same admission gate.
-    pub(crate) fn build_channel_warm(
+    /// The one per-node fetch: the channel over the children of `parent`
+    /// from the single-flight cache, or from a fresh gated solve of the
+    /// per-node OPT — `g²` child-cell centers, the global prior restricted
+    /// to the node and renormalized (uniform when the node has zero mass),
+    /// and the level budget. The solve warm-starts from `warm`, a
+    /// sibling's exit basis, and uses `shared` as its greedy spanner when
+    /// it fits. Warm starting changes pivot counts, never the admitted
+    /// channel: the engine falls back to a cold start on any mismatch and
+    /// both paths exit at the same (deterministic) optimum, behind the
+    /// same admission gate. Returns the solve's exit basis, for the
+    /// precompute to seed later siblings, when this call ran the solve
+    /// (a cache hit or a racing filler leaves it `None`).
+    ///
+    /// With caching on, the `cache.lock.poisoned` failpoint is checked
+    /// exactly once per call; with it off (the ablation path) every call
+    /// solves afresh and touches no shared cache state.
+    pub(crate) fn fill(
         &self,
         parent: LevelCell,
         warm: Option<&Basis>,
         shared: Option<&Arc<Spanner>>,
-    ) -> Result<(Channel, Basis), MechanismError> {
-        let children = self.hier.children(parent);
-        let centers: Vec<Point> = children.iter().map(|c| self.hier.center(*c)).collect();
-        let masses = self.child_masses(parent);
-        let level = parent.level + 1;
-        let eps_i = self.budgets.level(level);
-        let opt = OptimalMechanism::solve_node(
-            eps_i,
-            &centers,
-            &masses,
-            self.metric,
-            self.opt_options,
-            warm,
-            shared,
-        )?;
-        let stats = opt.stats();
-        self.pivot_count
-            .fetch_add(stats.iterations as u64, Ordering::Relaxed);
-        {
-            let mut w = self
-                .residual_watermark
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            w.0 = w.0.max(stats.primal_residual);
-            w.1 = w.1.max(stats.dual_residual);
-        }
-        {
-            let mut ls = self
+    ) -> Result<(Arc<Channel>, Option<Basis>), MechanismError> {
+        let mut basis = None;
+        let mut solve = || -> Result<Channel, MechanismError> {
+            let children = self.hier.children(parent);
+            let centers: Vec<Point> = children.iter().map(|c| self.hier.center(*c)).collect();
+            let level = parent.level + 1;
+            let opt = OptimalMechanism::solve_node(
+                self.budgets.level(level),
+                &centers,
+                &self.child_masses(parent),
+                self.metric,
+                self.opt_options,
+                warm,
+                shared,
+            )?;
+            *self
                 .level_stats
                 .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            let entry = ls.entry(level).or_default();
-            entry.solves += 1;
-            entry.cut_rounds += stats.cut_rounds as u64;
-            entry.warm_fallbacks += stats.warm_fallbacks as u64;
-            entry.discarded_pivots += stats.discarded_pivots as u64;
-            entry.refactorizations += stats.refactorizations as u64;
-            entry.rows_active += stats.rows_active as u64;
-            entry.rows_total += stats.rows_total as u64;
-        }
-        Ok((opt.channel().clone(), opt.basis().clone()))
+                .unwrap_or_else(PoisonError::into_inner)
+                .entry(level)
+                .or_default() += opt.stats();
+            let (channel, exit) = opt.into_channel_and_basis();
+            basis = Some(exit);
+            Ok(channel)
+        };
+        let channel = if self.caching {
+            self.cache.get_or_fill(parent, solve)?
+        } else {
+            Arc::new(solve()?)
+        };
+        Ok((channel, basis))
+    }
+
+    /// The sum of every per-node solve's record so far.
+    fn solve_total(&self) -> SolveStats {
+        self.level_stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .values()
+            .copied()
+            .sum()
     }
 
     /// Total simplex pivots performed across all per-node LP solves so
     /// far. The benchmark harness compares this between cold and
     /// warm-started precompute runs; warm starts change this number,
     /// never the admitted channels. Only kept pivots count: an abandoned
-    /// warm start's pivots are reported per level as
-    /// [`LevelSolveStats::discarded_pivots`].
+    /// warm start's pivots are its `effort.discarded_pivots`.
     pub fn lp_pivot_count(&self) -> u64 {
-        self.pivot_count.load(Ordering::Relaxed)
+        self.solve_total().effort.pivots
     }
 
     /// Worst `(primal, dual)` LP residual observed across all per-node
     /// solves so far (both 0 before any solve ran).
     pub fn lp_residual_watermark(&self) -> (f64, f64) {
-        *self
-            .residual_watermark
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        let total = self.solve_total();
+        (total.primal_residual, total.dual_residual)
     }
 
-    /// Per-level aggregated solve statistics, sorted by level. A solve is
-    /// counted at the level of the channel it built (`parent.level + 1`);
-    /// cache hits never count.
-    pub fn level_solve_stats(&self) -> Vec<(u32, LevelSolveStats)> {
+    /// Per-level solve records, sorted by level: each the `+=` sum of the
+    /// records of the solves that built a channel of that level
+    /// (`parent.level + 1`). Cache hits never count.
+    pub fn level_solve_stats(&self) -> Vec<(u32, SolveStats)> {
         self.level_stats
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -700,11 +633,9 @@ impl MsmMechanism {
     }
 
     /// Re-certify every memoized channel against its level budget at the
-    /// recheck tolerance — the strict (post-repair) tolerance, widened by
-    /// the `δ·(n−1)` chaining factor when this mechanism provisions its
-    /// channels under a spanner constraint set (holding those to the bare
-    /// full-set tolerance would risk false quarantine; see
-    /// [`crate::certify::recheck_tolerance`]). No repairs happen here.
+    /// strict (post-repair) tolerance — the tolerance `certify::admit`
+    /// held it to, over the full pair set, whatever the constraint set it
+    /// was solved under. No repairs happen here.
     /// Returns one `(parent cell, certificate)` per cached channel; a
     /// `Quarantined` verdict means the cached channel must not be served —
     /// `geoind doctor` exits nonzero on any such entry.
@@ -713,11 +644,7 @@ impl MsmMechanism {
             .into_iter()
             .map(|(cell, ch)| {
                 let eps_i = self.budgets.level(cell.level + 1);
-                let tol = crate::certify::recheck_tolerance(
-                    ch.num_inputs(),
-                    ch.num_outputs(),
-                    self.opt_options.constraints,
-                );
+                let tol = crate::certify::strict_tolerance(ch.num_inputs(), ch.num_outputs());
                 (cell, crate::certify::certify(&ch, eps_i, tol))
             })
             .collect()
@@ -1382,10 +1309,12 @@ mod tests {
             )
         });
         let prior = GridPrior::from_points(domain, 8, pts);
+        // Caching off: every fetch below runs its own solve.
         let msm = MsmMechanism::builder(domain, prior)
             .epsilon(0.8)
             .granularity(2)
             .strategy(AllocationStrategy::FixedHeight(3))
+            .caching(false)
             .build()
             .unwrap();
         // Siblings live one level down from the root; every one restarts
@@ -1394,12 +1323,11 @@ mod tests {
         let level1 = msm.children_of(LevelCell::ROOT);
         assert!(level1.len() >= 2, "need siblings at level 1");
         let donor = level1[0];
-        let (_, donor_basis) = msm.build_channel_warm(donor, None, None).unwrap();
+        let (_, donor_basis) = msm.fill(donor, None, None).unwrap();
+        let donor_basis = donor_basis.expect("an uncached fetch solves");
         for &sibling in &level1[1..] {
-            let (cold, _) = msm.build_channel_warm(sibling, None, None).unwrap();
-            let (warm, _) = msm
-                .build_channel_warm(sibling, Some(&donor_basis), None)
-                .unwrap();
+            let (cold, _) = msm.fill(sibling, None, None).unwrap();
+            let (warm, _) = msm.fill(sibling, Some(&donor_basis), None).unwrap();
             let cert = warm.certificate().expect("admitted channels are certified");
             assert!(
                 cert.passes(),

@@ -172,24 +172,36 @@ impl MsmMechanism {
                     .iter()
                     .map(|&cell| normalized_prior(self, cell))
                     .collect();
+                let plan = nearest_prior_plan(&priors);
+                let last_read = if warm_start {
+                    last_reads(&plan, missing.len())
+                } else {
+                    vec![None; missing.len()]
+                };
                 // Exit bases of the level's solved nodes, by index into
-                // `missing`; dropped with the level. The level donor is
-                // solved cold (levels differ in ε and scale, so
-                // cross-level bases rarely transfer).
+                // `missing`, each kept from its solve to the end of the
+                // last batch that reads it. The level donor is solved cold
+                // (levels differ in ε and scale, so cross-level bases
+                // rarely transfer).
+                let kept =
+                    |node: usize, basis: Option<Basis>| basis.filter(|_| last_read[node].is_some());
                 let mut bases: Vec<Option<Basis>> = vec![None; missing.len()];
-                let _ = self.cache_fill_warm(level_donor, None, spanner.as_ref(), &mut bases[0])?;
-                for batch in nearest_prior_plan(&priors) {
+                bases[0] = kept(0, self.fill(level_donor, None, spanner.as_ref())?.1);
+                for (b, batch) in plan.into_iter().enumerate() {
                     let results = pool.map(batch, |(sibling, donor)| {
-                        let seed = bases[donor].as_ref().filter(|_| warm_start);
-                        let mut basis = None;
-                        let cell = missing[sibling];
-                        let filled = self.cache_fill_warm(cell, seed, spanner.as_ref(), &mut basis);
-                        (sibling, filled.map(|_| basis))
+                        let seed = bases[donor].as_ref();
+                        let filled = self.fill(missing[sibling], seed, spanner.as_ref());
+                        (sibling, filled.map(|(_, basis)| kept(sibling, basis)))
                     });
                     for (sibling, result) in results {
                         // The first failure in canonical node order ends
                         // the precompute; successes stay cached.
                         bases[sibling] = result?;
+                    }
+                    for (basis, last) in bases.iter_mut().zip(&last_read) {
+                        if *last == Some(b) {
+                            *basis = None;
+                        }
                     }
                 }
             }
@@ -365,15 +377,10 @@ impl MsmMechanism {
         let mut admitted = Vec::with_capacity(staged.len());
         for (cell, channel) in staged {
             let eps_entry = self.budgets().level(cell.level + 1);
-            // Recheck tolerance, not the bare strict one: a bundle built
-            // under a spanner constraint set was admitted with δ·(n−1)
-            // chaining slack, and holding it to the full-set tolerance on
-            // import would false-quarantine healthy channels.
-            let tol = certify::recheck_tolerance(
-                channel.num_inputs(),
-                channel.num_outputs(),
-                self.opt_options().constraints,
-            );
+            // The strict tolerance `certify::admit` held every channel to
+            // over the full pair set, whatever constraint set the bundle
+            // was solved under.
+            let tol = certify::strict_tolerance(channel.num_inputs(), channel.num_outputs());
             let cert = certify::certify(&channel, eps_entry, tol);
             // Attach the fresh certificate so descents can trust (and
             // count) imported channels exactly like solver-admitted ones.
@@ -503,6 +510,21 @@ fn nearest_prior_plan(priors: &[Vec<f64>]) -> Vec<Vec<(usize, usize)>> {
         start = end;
     }
     batches
+}
+
+/// The last batch of a level's `plan` that reads each node's exit basis,
+/// by index over the level's `nodes` nodes; `None` for a node no batch
+/// names as donor. The precompute keeps a node's basis from its solve
+/// only until the end of that batch, and never keeps a basis no batch
+/// reads (the last batch's, up to half the level).
+fn last_reads(plan: &[Vec<(usize, usize)>], nodes: usize) -> Vec<Option<usize>> {
+    let mut last = vec![None; nodes];
+    for (b, batch) in plan.iter().enumerate() {
+        for &(_, donor) in batch {
+            last[donor] = Some(b);
+        }
+    }
+    last
 }
 
 /// `cell`'s prior over its children normalized to sum 1: what the
@@ -816,9 +838,47 @@ mod tests {
     }
 
     #[test]
-    fn capped_precompute_solves_its_nodes_as_the_whole_tree_does() {
-        // g=2, h=3: the root, 4 level-1 and 16 level-2 internal nodes. A
-        // skewed prior gives the 16 siblings different nearest donors.
+    fn a_basis_is_kept_from_its_solve_to_its_last_reader_only() {
+        for n in 0..=70 {
+            let plan = nearest_prior_plan(&test_priors(n));
+            let last = last_reads(&plan, n);
+            // Walk the level as the precompute does: the level donor's
+            // basis, then each batch's, released after each batch.
+            let mut held = vec![false; n];
+            if n > 0 {
+                held[0] = last[0].is_some();
+            }
+            for (b, batch) in plan.iter().enumerate() {
+                for &(i, d) in batch {
+                    assert!(
+                        held[d],
+                        "n={n}: {i} in batch {b} reads {d}'s released basis"
+                    );
+                }
+                for &(i, _) in batch {
+                    held[i] = last[i].is_some();
+                }
+                for (h, l) in held.iter_mut().zip(&last) {
+                    *h &= *l != Some(b);
+                }
+            }
+            assert!(!held.contains(&true), "n={n}: a basis outlived the level");
+            // A basis is kept exactly for the nodes some batch names, the
+            // level donor always among them and the last batch never.
+            for i in 0..n {
+                let named = plan.iter().flatten().any(|&(_, d)| d == i);
+                assert_eq!(last[i].is_some(), named, "n={n}: node {i}");
+            }
+            if let Some(final_batch) = plan.last() {
+                assert!(last[0].is_some(), "n={n}");
+                assert!(final_batch.iter().all(|&(i, _)| last[i].is_none()));
+            }
+        }
+    }
+
+    /// g=2, h=3 over a skewed prior: the root, 4 level-1 and 16 level-2
+    /// internal nodes, the 16 siblings with different nearest donors.
+    fn skewed_tree(opts: crate::opt::OptOptions) -> MsmMechanism {
         let domain = BBox::square(8.0);
         let pts = (0..60).map(|i| {
             Point::new(
@@ -826,15 +886,18 @@ mod tests {
                 0.2 + 7.6 * ((i * 13 % 29) as f64 / 29.0).powi(2),
             )
         });
-        let prior = GridPrior::from_points(domain, 8, pts);
-        let build = || {
-            MsmMechanism::builder(domain, prior.clone())
-                .epsilon(1.0)
-                .granularity(2)
-                .strategy(AllocationStrategy::FixedHeight(3))
-                .build()
-                .unwrap()
-        };
+        MsmMechanism::builder(domain, GridPrior::from_points(domain, 8, pts))
+            .epsilon(1.0)
+            .granularity(2)
+            .strategy(AllocationStrategy::FixedHeight(3))
+            .opt_options(opts)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn capped_precompute_solves_its_nodes_as_the_whole_tree_does() {
+        let build = || skewed_tree(crate::opt::OptOptions::default());
         let whole = build();
         assert_eq!(whole.precompute(usize::MAX).unwrap(), 21);
         // The cap keeps the root, the 4 level-1 nodes and the first 7
@@ -862,6 +925,33 @@ mod tests {
                 let bits = |ch: &Channel| ch.row(x).iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(a), bits(b), "node {cell:?} row {x}");
             }
+        }
+    }
+
+    #[test]
+    fn spanner_bundle_imports_into_a_full_set_mechanism() {
+        // `certify::admit` re-certifies every channel over the full pair
+        // set at the strict tolerance, whatever its constraint set, so a
+        // bundle solved under a spanner set by the cut loop passes the
+        // import gate and doctor's re-check of a full-set mechanism.
+        use crate::opt::{ConstraintSet, OptOptions};
+        let provisioner = skewed_tree(OptOptions {
+            constraints: ConstraintSet::Spanner { dilation: 1.2 },
+            cutgen: true,
+        });
+        assert_eq!(provisioner.precompute(usize::MAX).unwrap(), 21);
+        let mut blob = Vec::new();
+        provisioner.export_cache(&mut blob).unwrap();
+        let device = skewed_tree(OptOptions::default());
+        let report = device.import_cache(&mut blob.as_slice()).unwrap();
+        assert_eq!(report.loaded, 21);
+        assert!(
+            report.quarantined.is_empty(),
+            "quarantined {:?}",
+            report.quarantined
+        );
+        for (cell, cert) in device.recertify_cache() {
+            assert_eq!(cert.verdict, Verdict::Certified, "node {cell:?}");
         }
     }
 

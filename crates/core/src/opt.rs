@@ -17,12 +17,14 @@ use crate::{Mechanism, MechanismError};
 use geoind_data::prior::GridPrior;
 use geoind_lp::dual::remap_dual_basis_after_le_append;
 use geoind_lp::model::{Model, Op, Sense, SolveVia};
-use geoind_lp::simplex::{Basis, Warm, VALUE_CLIP};
+use geoind_lp::simplex::{Basis, Effort, Warm, VALUE_CLIP};
 use geoind_lp::LpError;
 use geoind_rng::Rng;
 use geoind_spatial::geom::Point;
 use geoind_spatial::grid::Grid;
 use geoind_spatial::kdtree::KdTree;
+use std::iter::Sum;
+use std::ops::AddAssign;
 use std::sync::Arc;
 
 /// Which GeoInd constraint set to generate.
@@ -56,7 +58,7 @@ const SEPARATION_TOL: f64 = VALUE_CLIP;
 /// Safety cap on cut-loop rounds. Each round strictly grows the working
 /// set, so termination is guaranteed regardless; this bounds pathological
 /// float behavior.
-const MAX_CUT_ROUNDS: usize = 200;
+const MAX_CUT_ROUNDS: u64 = 200;
 
 /// The whole configuration of an OPT solve ([`OptimalMechanism::solve_with`]
 /// and every per-node solve of an MSM). The LP always runs through its
@@ -87,40 +89,53 @@ impl Default for OptOptions {
     }
 }
 
-/// Size/effort statistics from the LP solve.
-#[derive(Debug, Clone, Copy)]
+/// What OPT solves cost and how large their LPs were. One solve's record
+/// has `solves: 1`; the record of a tree level, or of a whole precompute,
+/// is the `+=` sum of its solves' records, so a count is declared once,
+/// here or in the engine's [`Effort`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SolveStats {
-    /// Variables in the primal formulation.
-    pub cols: usize,
-    /// Simplex pivots performed, summed over all cut rounds. Pivots of an
-    /// abandoned warm start are not included (see
-    /// [`SolveStats::discarded_pivots`]).
-    pub iterations: usize,
-    /// Rounds whose warm start was abandoned for a cold solve, summed over
-    /// all cut rounds.
-    pub warm_fallbacks: usize,
-    /// Pivots those abandoned warm starts executed before they were thrown
-    /// away, summed over all cut rounds.
-    pub discarded_pivots: usize,
-    /// LU factorizations of a basis computed, summed over all cut rounds:
-    /// the periodic refactorizations, the one a warm start's basis install
-    /// costs, and those of an abandoned warm start.
-    pub refactorizations: usize,
+    /// OPT solves summed into this record.
+    pub solves: u64,
+    /// The LP engine's counts, summed over every cut round.
+    pub effort: Effort,
     /// Cut-generation rounds (LP solves) performed; 0 when cut generation
     /// was disabled and the target rows were materialized up front.
-    pub cut_rounds: usize,
+    pub cut_rounds: u64,
     /// Rows actually materialized in the final working LP — the seed rows
     /// plus every violated row the separation oracle appended.
-    pub rows_active: usize,
+    pub rows_active: u64,
     /// Constraint rows in the primal formulation of the full target
     /// program (`n` stochasticity rows plus `n` GeoInd rows per target
     /// pair).
-    pub rows_total: usize,
+    pub rows_total: u64,
     /// `‖Ax − b‖∞` of the solution after one iterative-refinement pass on
-    /// the final basis (primal feasibility).
+    /// the final basis (primal feasibility); a sum keeps the largest.
     pub primal_residual: f64,
-    /// Worst reduced-cost violation at the exit basis (dual feasibility).
+    /// Worst reduced-cost violation at the exit basis (dual feasibility);
+    /// a sum keeps the largest.
     pub dual_residual: f64,
+}
+
+impl AddAssign for SolveStats {
+    fn add_assign(&mut self, rhs: Self) {
+        self.solves += rhs.solves;
+        self.effort += rhs.effort;
+        self.cut_rounds += rhs.cut_rounds;
+        self.rows_active += rhs.rows_active;
+        self.rows_total += rhs.rows_total;
+        self.primal_residual = self.primal_residual.max(rhs.primal_residual);
+        self.dual_residual = self.dual_residual.max(rhs.dual_residual);
+    }
+}
+
+impl Sum for SolveStats {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |mut total, s| {
+            total += s;
+            total
+        })
+    }
 }
 
 /// Reuse a level-shared spanner when it matches this solve's geometry and
@@ -209,9 +224,10 @@ impl OptimalMechanism {
     }
 
     /// [`Self::solve_with`] for one node of a precompute schedule. `donor`
-    /// is the seed-round exit basis of a sibling node ([`Self::basis`]):
-    /// siblings share the constraint matrix and costs, so it warm-starts
-    /// the first LP round as a [`Warm::Restart`]. `spanner` is the greedy
+    /// is the seed-round exit basis of a sibling node (see
+    /// [`Self::into_channel_and_basis`]): siblings share the constraint
+    /// matrix and costs, so it warm-starts the first LP round as a
+    /// [`Warm::Restart`]. `spanner` is the greedy
     /// spanner built once per tree level; it replaces this solve's own
     /// build when its vertex count and dilation match what the solve needs.
     /// Neither changes the admitted channel, only the work to reach it.
@@ -280,7 +296,7 @@ impl OptimalMechanism {
                 (eps / dilation, pairs)
             }
         };
-        let rows_total = n + n * target_pairs.len();
+        let rows_total = (n + n * target_pairs.len()) as u64;
 
         // Seed pairs materialized before the first solve. With cut
         // generation off, that is the whole target set (the historical
@@ -341,12 +357,8 @@ impl OptimalMechanism {
             }
         }
 
-        let stats_cols = model.num_vars();
-        let mut total_iterations = 0usize;
-        let mut warm_fallbacks = 0usize;
-        let mut discarded_pivots = 0usize;
-        let mut refactorizations = 0usize;
-        let mut rounds = 0usize;
+        let mut effort = Effort::default();
+        let mut rounds = 0;
         let mut seed_basis: Option<Basis> = None;
         let mut warm = donor.cloned().map(Warm::Restart);
         let sol = loop {
@@ -355,10 +367,7 @@ impl OptimalMechanism {
             }
             rounds += 1;
             let sol = model.solve_with(SolveVia::Dual, warm.take())?;
-            total_iterations += sol.iterations;
-            warm_fallbacks += usize::from(sol.warm_fallback);
-            discarded_pivots += sol.discarded_pivots;
-            refactorizations += sol.refactorizations;
+            effort += sol.effort;
             if seed_basis.is_none() {
                 // The seed-round exit basis lives in the seed LP's column
                 // space, which sibling solves share; later rounds' bases
@@ -399,7 +408,7 @@ impl OptimalMechanism {
                 add_pair(&mut model, x, xp);
             }
         };
-        let rows_active = n + n * active_pairs;
+        let rows_active = (n + n * active_pairs) as u64;
 
         // Mandatory admission gate: certify the raw simplex optimum against
         // the solve-time constraint set, lift it back onto the exact GeoInd
@@ -425,11 +434,8 @@ impl OptimalMechanism {
             channel,
             snapper,
             stats: SolveStats {
-                cols: stats_cols,
-                iterations: total_iterations,
-                warm_fallbacks,
-                discarded_pivots,
-                refactorizations,
+                solves: 1,
+                effort,
                 cut_rounds: if opts.cutgen { rounds } else { 0 },
                 rows_active,
                 rows_total,
@@ -460,15 +466,16 @@ impl OptimalMechanism {
         self.stats
     }
 
-    /// The optimal basis the first LP round exited with, in the
-    /// standard-form column space of the dual formulation the solve runs
-    /// on (later cut rounds pivot in a cut-extended space no other solve
-    /// shares). The precompute schedule passes it to the solves of later
-    /// siblings whose prior is nearest this node's, as a `Warm::Restart`:
-    /// siblings share the constraint matrix and only the prior-dependent
-    /// right-hand side differs.
-    pub(crate) fn basis(&self) -> &Basis {
-        &self.basis
+    /// The optimal channel, and the optimal basis the first LP round
+    /// exited with, in the standard-form column space of the dual
+    /// formulation the solve runs on (later cut rounds pivot in a
+    /// cut-extended space no other solve shares). The precompute schedule
+    /// passes the basis to the solves of later siblings whose prior is
+    /// nearest this node's, as a `Warm::Restart`: siblings share the
+    /// constraint matrix and only the prior-dependent right-hand side
+    /// differs.
+    pub(crate) fn into_channel_and_basis(self) -> (Channel, Basis) {
+        (self.channel, self.basis)
     }
 
     /// Expected loss under a prior (defaults to the training objective when
@@ -499,6 +506,60 @@ mod tests {
     use super::*;
     use geoind_rng::SeededRng;
     use geoind_spatial::geom::BBox;
+
+    #[test]
+    fn solve_stats_sum_adds_every_count_and_keeps_the_larger_residual() {
+        let a = SolveStats {
+            solves: 1,
+            effort: Effort {
+                pivots: 10,
+                warm_fallbacks: 1,
+                discarded_pivots: 7,
+                refactorizations: 3,
+            },
+            cut_rounds: 2,
+            rows_active: 40,
+            rows_total: 100,
+            primal_residual: 1e-12,
+            dual_residual: 5e-10,
+        };
+        let b = SolveStats {
+            solves: 2,
+            effort: Effort {
+                pivots: 5,
+                warm_fallbacks: 0,
+                discarded_pivots: 0,
+                refactorizations: 4,
+            },
+            cut_rounds: 3,
+            rows_active: 60,
+            rows_total: 200,
+            primal_residual: 3e-11,
+            dual_residual: 1e-10,
+        };
+        let mut sum = a;
+        sum += b;
+        let want = SolveStats {
+            solves: 3,
+            effort: Effort {
+                pivots: 15,
+                warm_fallbacks: 1,
+                discarded_pivots: 7,
+                refactorizations: 7,
+            },
+            cut_rounds: 5,
+            rows_active: 100,
+            rows_total: 300,
+            primal_residual: 3e-11,
+            dual_residual: 5e-10,
+        };
+        assert_eq!(sum, want);
+        assert_eq!([a, b].into_iter().sum::<SolveStats>(), want);
+        assert_eq!(
+            std::iter::empty().sum::<SolveStats>(),
+            SolveStats::default()
+        );
+    }
 
     fn line_points(n: usize, spacing: f64) -> Vec<Point> {
         (0..n)

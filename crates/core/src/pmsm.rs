@@ -104,27 +104,25 @@ impl<P: SpacePartition> PartitionMsm<P> {
         self.cache.dedup_suppressed()
     }
 
-    /// Memoized per-node channel over the children of `node`.
+    /// Memoized per-node channel over the children of `node`: one OPT
+    /// solve over the children's box centers per cache miss.
     ///
     /// # Errors
     /// [`MechanismError::LockPoisoned`] on a poisoned cache lock; any
     /// [`MechanismError`] from the per-node OPT solve.
     fn try_channel_for(&self, node: usize) -> Result<Arc<Channel>, MechanismError> {
-        self.cache.get_or_fill(node, || self.build_channel(node))
-    }
-
-    /// One per-node OPT solve over the children's box centers.
-    fn build_channel(&self, node: usize) -> Result<Channel, MechanismError> {
-        let part = &self.partition;
-        let children = part.children(node);
-        let centers: Vec<Point> = children.iter().map(|&c| part.bbox(c).center()).collect();
-        let mut masses: Vec<f64> = children.iter().map(|&c| part.mass(c)).collect();
-        if masses.iter().sum::<f64>() <= 0.0 {
-            masses = vec![1.0; masses.len()];
-        }
-        let eps_i = self.budgets[part.level(node) as usize];
-        let opt = OptimalMechanism::solve(eps_i, &centers, &masses, self.metric)?;
-        Ok(opt.channel().clone())
+        self.cache.get_or_fill(node, || {
+            let part = &self.partition;
+            let children = part.children(node);
+            let centers: Vec<Point> = children.iter().map(|&c| part.bbox(c).center()).collect();
+            let mut masses: Vec<f64> = children.iter().map(|&c| part.mass(c)).collect();
+            if masses.iter().sum::<f64>() <= 0.0 {
+                masses = vec![1.0; masses.len()];
+            }
+            let eps_i = self.budgets[part.level(node) as usize];
+            let opt = OptimalMechanism::solve(eps_i, &centers, &masses, self.metric)?;
+            Ok(opt.channel().clone())
+        })
     }
 
     /// Fallible form of [`Mechanism::report`]: surfaces per-node

@@ -120,15 +120,8 @@ pub fn solve_via_dual(primal: &Model, warm: Option<Warm>) -> Result<Solution, Lp
         let sol = solve_via_dual(&min_model, warm)?;
         return Ok(Solution {
             objective: -sol.objective,
-            values: sol.values,
             duals: sol.duals.iter().map(|&d| -d).collect(),
-            iterations: sol.iterations,
-            residual: sol.residual,
-            dual_residual: sol.dual_residual,
-            basis: sol.basis,
-            warm_fallback: sol.warm_fallback,
-            discarded_pivots: sol.discarded_pivots,
-            refactorizations: sol.refactorizations,
+            ..sol
         });
     }
     let dualized = dualize_min(primal);
@@ -160,13 +153,10 @@ pub fn solve_via_dual(primal: &Model, warm: Option<Warm>) -> Result<Solution, Lp
         objective: dual_sol.objective,
         values,
         duals,
-        iterations: dual_sol.iterations,
+        effort: dual_sol.effort,
         residual: dual_sol.dual_residual,
         dual_residual: dual_sol.residual,
         basis: dual_sol.basis,
-        warm_fallback: dual_sol.warm_fallback,
-        discarded_pivots: dual_sol.discarded_pivots,
-        refactorizations: dual_sol.refactorizations,
     })
 }
 

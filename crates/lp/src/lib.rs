@@ -64,7 +64,7 @@ pub mod tableau;
 
 pub use dual::remap_dual_basis_after_le_append;
 pub use model::{Model, Op, Sense, Solution, SolveVia, VarDomain};
-pub use simplex::{Basis, SimplexStatus, Warm};
+pub use simplex::{Basis, Effort, SimplexStatus, Warm};
 pub use sparse::CscMatrix;
 
 /// Errors surfaced by the solvers.

@@ -6,7 +6,7 @@
 //! [`SolveVia`]), and maps the answer back.
 
 use crate::dual::solve_via_dual;
-use crate::simplex::{solve_standard, Basis, SimplexStatus, StandardLp, Warm};
+use crate::simplex::{solve_standard, Basis, Effort, SimplexStatus, StandardLp, Warm};
 use crate::sparse::CscBuilder;
 use crate::LpError;
 
@@ -75,8 +75,8 @@ pub struct Solution {
     /// every non-negative variable `j`, `c_j − Σᵢ yᵢ·a_{ij}` is `≥ 0`
     /// (Minimize) or `≤ 0` (Maximize); exactly 0 for free variables.
     pub duals: Vec<f64>,
-    /// Simplex pivots used.
-    pub iterations: usize,
+    /// What the solve cost.
+    pub effort: Effort,
     /// `‖Ax − b‖∞` self-check from the engine (primal feasibility).
     pub residual: f64,
     /// Worst reduced-cost violation at the exit basis (dual feasibility),
@@ -90,14 +90,6 @@ pub struct Solution {
     /// structurally identical model taken through the same path; on any
     /// mismatch the engine cold-starts.
     pub basis: Basis,
-    /// True when the supplied start basis was abandoned and the solve fell
-    /// back to a cold start (see [`crate::simplex::SimplexResult::warm_fallback`]).
-    pub warm_fallback: bool,
-    /// Pivots the abandoned warm start executed; not part of `iterations`.
-    pub discarded_pivots: usize,
-    /// LU factorizations of a basis the solve computed (see
-    /// [`crate::simplex::SimplexResult::refactorizations`]).
-    pub refactorizations: usize,
 }
 
 impl Model {
@@ -208,13 +200,10 @@ impl Model {
             objective,
             values,
             duals,
-            iterations: res.iterations,
+            effort: res.effort,
             residual: res.residual,
             dual_residual: res.dual_residual,
             basis: res.basis,
-            warm_fallback: res.warm_fallback,
-            discarded_pivots: res.discarded_pivots,
-            refactorizations: res.refactorizations,
         })
     }
 

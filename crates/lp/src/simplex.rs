@@ -49,7 +49,7 @@ pub const VALUE_CLIP: f64 = 1e-7;
 pub const OPT_TOL: f64 = 1e-9;
 
 /// Hard cap on pivots across both phases of one solve.
-const MAX_ITERATIONS: usize = 2_000_000;
+const MAX_ITERATIONS: u64 = 2_000_000;
 
 /// Minimum pivot magnitude accepted by the ratio tests.
 const PIVOT_TOL: f64 = 1e-9;
@@ -178,6 +178,34 @@ pub enum SimplexStatus {
     SingularBasis,
 }
 
+/// What a solve cost: the counts the engine keeps while it pivots. A cut
+/// loop, a tree level and a whole precompute sum their solves' counts
+/// with `+=`, so a new count is one new field here.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Effort {
+    /// Pivots of the start that produced the result. An abandoned warm
+    /// start's pivots are not among them (see `discarded_pivots`).
+    pub pivots: u64,
+    /// Warm starts abandoned for a cold solve (0 or 1 per solve).
+    pub warm_fallbacks: u64,
+    /// Pivots those abandoned warm starts executed before they were
+    /// thrown away.
+    pub discarded_pivots: u64,
+    /// LU factorizations of a basis computed: the periodic ones, the one
+    /// a warm start's basis install costs, and those of an abandoned warm
+    /// start.
+    pub refactorizations: u64,
+}
+
+impl std::ops::AddAssign for Effort {
+    fn add_assign(&mut self, rhs: Self) {
+        self.pivots += rhs.pivots;
+        self.warm_fallbacks += rhs.warm_fallbacks;
+        self.discarded_pivots += rhs.discarded_pivots;
+        self.refactorizations += rhs.refactorizations;
+    }
+}
+
 /// Result of a simplex run.
 #[derive(Debug, Clone)]
 pub struct SimplexResult {
@@ -189,8 +217,8 @@ pub struct SimplexResult {
     pub duals: Vec<f64>,
     /// Objective value `c·x`.
     pub objective: f64,
-    /// Total pivots performed.
-    pub iterations: usize,
+    /// What the run cost.
+    pub effort: Effort,
     /// `‖Ax − b‖∞` at exit — a self-check on accumulated drift.
     pub residual: f64,
     /// Worst dual-feasibility violation at exit: the most negative reduced
@@ -201,16 +229,6 @@ pub struct SimplexResult {
     /// a structurally identical LP. Only meaningful when the run ended
     /// [`SimplexStatus::Optimal`].
     pub basis: Basis,
-    /// True when a [`Warm`] start was supplied but abandoned, and this
-    /// result comes from the cold fallback.
-    pub warm_fallback: bool,
-    /// Pivots the abandoned warm start executed before it was thrown away
-    /// (0 without a fallback). `iterations` never includes them: it counts
-    /// the pivots of the solve that produced this result.
-    pub discarded_pivots: usize,
-    /// LU factorizations of a basis this run computed, an abandoned warm
-    /// start's included.
-    pub refactorizations: usize,
 }
 
 /// Identifier for a basic variable: a real column or an artificial for a row.
@@ -230,16 +248,16 @@ struct Engine<'a> {
     binv: DenseMatrix,
     /// Values of the basic variables.
     xb: Vec<f64>,
-    iterations: usize,
+    /// The run's counts. `pivots` counts the current start only: a cold
+    /// fallback moves an abandoned warm start's pivots to
+    /// `discarded_pivots`.
+    effort: Effort,
     pivots_since_refactor: usize,
     /// Pivots between refactorizations: `max(REFACTOR_MIN_PIVOTS, m)`.
     refactor_every: usize,
     /// Set when an LU refactorization fails: the explicit inverse can no
     /// longer be trusted, so the run must stop at the next loop head.
     singular: bool,
-    /// LU factorizations computed so far, across a warm start and the
-    /// cold fallback that reuses this engine.
-    refactorizations: usize,
     /// `refactorize`'s workspace, refilled on every call: the general
     /// block `M` (factored in place) and its inverse.
     block: DenseMatrix,
@@ -275,11 +293,10 @@ impl<'a> Engine<'a> {
             in_basis: Vec::new(),
             binv: DenseMatrix::default(),
             xb: Vec::new(),
-            iterations: 0,
+            effort: Effort::default(),
             pivots_since_refactor: 0,
             refactor_every: m.max(REFACTOR_MIN_PIVOTS),
             singular: false,
-            refactorizations: 0,
             block: DenseMatrix::default(),
             block_inv: DenseMatrix::default(),
             costed: Vec::new(),
@@ -290,8 +307,8 @@ impl<'a> Engine<'a> {
 
     /// Start over from the crash basis: cover each row with a unit (+1
     /// singleton) column if one exists, otherwise an artificial. The
-    /// inverse and workspace storage are kept, and so is the count of
-    /// factorizations already computed.
+    /// inverse and workspace storage are kept, and so are the effort
+    /// counts.
     fn crash(&mut self) {
         let (lp, m) = (self.lp, self.m);
         let mut row_cover: Vec<Option<usize>> = vec![None; m];
@@ -322,7 +339,6 @@ impl<'a> Engine<'a> {
             self.binv.set(i, i, 1.0);
         }
         self.xb.clone_from(&lp.rhs);
-        self.iterations = 0;
         self.pivots_since_refactor = 0;
         self.singular = false;
     }
@@ -493,7 +509,7 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        self.iterations += 1;
+        self.effort.pivots += 1;
         self.pivots_since_refactor += 1;
         if self.pivots_since_refactor >= self.refactor_every {
             self.refactorize();
@@ -584,7 +600,7 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        self.refactorizations += 1;
+        self.effort.refactorizations += 1;
         let lu = match LuFactors::factor_in_place(block) {
             Ok(lu) => lu,
             Err(_) => {
@@ -690,7 +706,7 @@ impl<'a> Engine<'a> {
                 self.singular = true;
                 return Some(SimplexStatus::SingularBasis);
             }
-            if self.iterations >= MAX_ITERATIONS || failpoint::hit("lp.iterations.exhausted") {
+            if self.effort.pivots >= MAX_ITERATIONS || failpoint::hit("lp.iterations.exhausted") {
                 return Some(SimplexStatus::IterationLimit);
             }
             let q = match self.price(&y, phase1, bland) {
@@ -812,7 +828,7 @@ impl<'a> Engine<'a> {
     fn restore_primal_feasibility(&mut self) -> bool {
         // The restart only pays off while it is much cheaper than a cold
         // solve; past this budget, give up and let the cold path decide.
-        let cap = MAX_ITERATIONS.min(4 * self.m + 128);
+        let cap = MAX_ITERATIONS.min(4 * self.m as u64 + 128);
         // Duals kept current by each pivot exactly as in `run_phase` — the
         // dual-simplex basis change is the same basis change. Any drift of
         // the carried update is caught downstream: the caller always
@@ -834,7 +850,7 @@ impl<'a> Engine<'a> {
             let Some(r) = leave else {
                 return true; // primal-feasible
             };
-            if self.iterations >= cap {
+            if self.effort.pivots >= cap {
                 return false;
             }
             // Row r of B⁻¹, gathered once.
@@ -1089,13 +1105,10 @@ impl<'a> Engine<'a> {
             x,
             duals,
             objective,
-            iterations: self.iterations,
+            effort: self.effort,
             residual,
             dual_residual,
             basis,
-            warm_fallback: false,
-            discarded_pivots: 0,
-            refactorizations: self.refactorizations,
         }
     }
 }
@@ -1143,9 +1156,9 @@ fn finish_phase2(mut eng: Engine) -> SimplexResult {
 /// (restart), is not primal-feasible for its rhs (continue), or the
 /// restart stalls, the solve silently falls back to the ordinary cold
 /// start — warm starting can change the pivot count, never the correctness
-/// of the result. A fallback is reported through
-/// [`SimplexResult::warm_fallback`], and the pivots the abandoned start
-/// executed through [`SimplexResult::discarded_pivots`].
+/// of the result. A fallback is reported through the result's
+/// [`Effort::warm_fallbacks`], and the pivots the abandoned start executed
+/// through [`Effort::discarded_pivots`].
 pub fn solve_standard(lp: &StandardLp, warm: Option<Warm>) -> SimplexResult {
     let mut eng = Engine::new(lp);
     let Some(warm) = warm else {
@@ -1166,12 +1179,10 @@ pub fn solve_standard(lp: &StandardLp, warm: Option<Warm>) -> SimplexResult {
         return finish_phase2(eng);
     }
     // The cold fallback reuses the engine's storage.
-    let discarded = eng.iterations;
+    eng.effort.warm_fallbacks += 1;
+    eng.effort.discarded_pivots += std::mem::take(&mut eng.effort.pivots);
     eng.crash();
-    let mut r = solve_cold(eng);
-    r.warm_fallback = true;
-    r.discarded_pivots = discarded;
-    r
+    solve_cold(eng)
 }
 
 /// Phase 1 from the crash basis when artificials are needed, then phase 2.
@@ -1332,10 +1343,13 @@ mod tests {
         let lp = banded_lp(&rhs);
         let donor = solve_standard(&lp, None);
         assert_eq!(donor.status, SimplexStatus::Optimal);
-        assert!(donor.iterations > 0, "donor solved without pivoting");
+        assert!(donor.effort.pivots > 0, "donor solved without pivoting");
         let warm = solve_standard(&lp, Some(Warm::Restart(donor.basis.clone())));
         assert_eq!(warm.status, SimplexStatus::Optimal);
-        assert_eq!(warm.iterations, 0, "optimal basis re-priced from scratch");
+        assert_eq!(
+            warm.effort.pivots, 0,
+            "optimal basis re-priced from scratch"
+        );
         assert!((warm.objective - donor.objective).abs() < 1e-9);
     }
 
@@ -1357,10 +1371,10 @@ mod tests {
             cold.objective
         );
         assert!(
-            warm.iterations <= cold.iterations,
+            warm.effort.pivots <= cold.effort.pivots,
             "warm start pivoted more ({} > {})",
-            warm.iterations,
-            cold.iterations
+            warm.effort.pivots,
+            cold.effort.pivots
         );
         for (a, b) in warm.x.iter().zip(&cold.x) {
             assert!((a - b).abs() < 1e-7, "solutions diverged: {a} vs {b}");
@@ -1380,7 +1394,7 @@ mod tests {
         let cold = solve_standard(&lp, None);
         let warm = solve_standard(&lp, Some(Warm::Restart(foreign.basis.clone())));
         assert_eq!(warm.status, cold.status);
-        assert_eq!(warm.iterations, cold.iterations);
+        assert_eq!(warm.effort.pivots, cold.effort.pivots);
         for (a, b) in warm.x.iter().zip(&cold.x) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -1447,10 +1461,10 @@ mod tests {
             cold.objective
         );
         assert!(
-            warm.iterations < cold.iterations,
+            warm.effort.pivots < cold.effort.pivots,
             "continuation did not save pivots ({} >= {})",
-            warm.iterations,
-            cold.iterations
+            warm.effort.pivots,
+            cold.effort.pivots
         );
         // Under the dual-restart mode the same remapped basis is rejected
         // (not dual-feasible) and the solve falls back to cold bits.
@@ -1460,7 +1474,7 @@ mod tests {
                 donor.basis.with_columns_inserted(n, extra.len()),
             )),
         );
-        assert_eq!(fallback.iterations, cold.iterations);
+        assert_eq!(fallback.effort.pivots, cold.effort.pivots);
         for (a, b) in fallback.x.iter().zip(&cold.x) {
             assert_eq!(a.to_bits(), b.to_bits());
         }

@@ -121,9 +121,11 @@ echo "== cutgen doctor run (g=6 spanner cut-generation precompute, wall-budgeted
 # The cut-generation tentpole end to end on the release binary at a real
 # node size (g=6: each node is a 36-location OPT over a 1296-row dual):
 # precompute with delayed constraint generation against a spanner target,
-# then re-certify the bundle through the certify-on-load gate under the
-# same spanner spec — doctor must be told the spec or it would apply the
-# full-set tolerance and false-quarantine every channel. `timeout`
+# then re-certify the bundle through the certify-on-load gate, once under
+# the same spanner spec and once under the default full-set spec. Both
+# must pass: admission re-certifies every channel over the full pair set
+# at the strict tolerance whatever the constraint set, and the import
+# gate and doctor's re-check hold it to that same tolerance. `timeout`
 # enforces the wall budget: before cut generation this grid cost minutes
 # per node, so blowing the budget is a perf regression, not flake.
 timeout 300 target/release/geoind precompute --out "$CUTGEN_CACHE" \
@@ -132,6 +134,8 @@ timeout 300 target/release/geoind precompute --out "$CUTGEN_CACHE" \
 timeout 120 target/release/geoind doctor --cache "$CUTGEN_CACHE" \
     --eps 0.4 --g 6 --synthetic-size 5000 --requests 64 --seed 7 \
     --constraints spanner:1.2 --cutgen on
+timeout 120 target/release/geoind doctor --cache "$CUTGEN_CACHE" \
+    --eps 0.4 --g 6 --synthetic-size 5000 --requests 64 --seed 7
 
 echo "== statistical equivalence suite (seeded chi-square, cannot flake)"
 # The flattened-sampling equivalence claims (DESIGN.md §12): exact alias

@@ -382,10 +382,48 @@ fn cmd_precompute(flags: &Flags) -> Result<(), String> {
     let data = dataset(flags)?;
     let out = flags.get("out").ok_or("--out <file> is required")?;
     let jobs = get_jobs(flags)?;
+    let max_nodes = get_u64(flags, "max-nodes", 100_000)? as usize;
     let msm = build_msm(flags, &data)?;
-    let nodes = msm
-        .precompute_jobs(get_u64(flags, "max-nodes", 100_000)? as usize, jobs)
-        .map_err(|e| e.to_string())?;
+    // One call per level, capped at the internal nodes through it: a
+    // capped precompute solves its nodes as the whole tree does and skips
+    // cached ones, so the bundle is the one a single call writes, and each
+    // level's line prints as the level finishes. rows_active vs rows_total
+    // is what the delayed-constraint solve saved; warm_fallbacks and
+    // discarded_pivots are what abandoned sibling warm starts cost;
+    // refactorizations counts the LU factorizations, one per sibling's
+    // install of its donor's basis included; pivots are the kept ones.
+    let fanout = (msm.granularity() as usize).pow(2);
+    let (mut through, mut width, mut nodes) = (0usize, 1usize, 0);
+    for level in 1..=msm.height() {
+        through = through.saturating_add(width).min(max_nodes);
+        width = width.saturating_mul(fanout);
+        let start = std::time::Instant::now();
+        nodes = msm
+            .precompute_jobs(through, jobs)
+            .map_err(|e| e.to_string())?;
+        let wall = start.elapsed().as_secs_f64();
+        if let Some((_, s)) = msm
+            .level_solve_stats()
+            .into_iter()
+            .find(|&(l, _)| l == level)
+        {
+            println!(
+                "# level {level}: solves {} cut_rounds {} rows_active {} rows_total {} \
+                 warm_fallbacks {} discarded_pivots {} refactorizations {} pivots {} wall_s {wall:.3}",
+                s.solves,
+                s.cut_rounds,
+                s.rows_active,
+                s.rows_total,
+                s.effort.warm_fallbacks,
+                s.effort.discarded_pivots,
+                s.effort.refactorizations,
+                s.effort.pivots
+            );
+        }
+        if through == max_nodes {
+            break;
+        }
+    }
     let mut blob = Vec::new();
     msm.export_cache(&mut blob).map_err(|e| e.to_string())?;
     // Crash-safe export: temp file + fsync + atomic rename, so a killed
@@ -396,24 +434,6 @@ fn cmd_precompute(flags: &Flags) -> Result<(), String> {
         "precomputed {nodes} channels ({} bytes) -> {out}",
         blob.len()
     );
-    // Per-level solve telemetry: rows_active vs rows_total is what the
-    // delayed-constraint solve saved at each level; warm_fallbacks and
-    // discarded_pivots are what abandoned sibling warm starts cost;
-    // refactorizations counts the LU factorizations, one per sibling's
-    // install of its donor's basis included.
-    for (level, s) in msm.level_solve_stats() {
-        println!(
-            "# level {level}: solves {} cut_rounds {} rows_active {} rows_total {} \
-             warm_fallbacks {} discarded_pivots {} refactorizations {}",
-            s.solves,
-            s.cut_rounds,
-            s.rows_active,
-            s.rows_total,
-            s.warm_fallbacks,
-            s.discarded_pivots,
-            s.refactorizations
-        );
-    }
     let (primal, dual) = msm.lp_residual_watermark();
     println!("# lp residual watermark: primal {primal:.3e} dual {dual:.3e}");
     println!("# load on-device with MsmMechanism::import_cache");

@@ -52,8 +52,8 @@ pub mod prelude {
     pub use geoind_core::channel::Channel;
     pub use geoind_core::eval::{EvalReport, Evaluator};
     pub use geoind_core::metrics::QualityMetric;
-    pub use geoind_core::msm::{LevelSolveStats, MsmMechanism};
-    pub use geoind_core::opt::{ConstraintSet, OptOptions, OptimalMechanism};
+    pub use geoind_core::msm::MsmMechanism;
+    pub use geoind_core::opt::{ConstraintSet, OptOptions, OptimalMechanism, SolveStats};
     pub use geoind_core::planar_laplace::PlanarLaplace;
     pub use geoind_core::resilient::{DegradationReport, ResilientMechanism, Tier};
     pub use geoind_core::Mechanism;

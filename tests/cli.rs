@@ -196,6 +196,43 @@ fn precompute_writes_a_loadable_bundle() {
 }
 
 #[test]
+fn precompute_prints_each_level_before_the_summary() {
+    let path = std::env::temp_dir().join(format!("geoind-cli-levels-{}.bin", std::process::id()));
+    // ε 1.0 at g 2 builds a height-3 tree: 1, 4 and 16 channels.
+    let out = geoind()
+        .args(["precompute", "--out", path.to_str().unwrap()])
+        .args(["--eps", "1.0", "--g", "2", "--synthetic-size", "5000"])
+        .output()
+        .expect("binary runs");
+    std::fs::remove_file(&path).ok();
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "stdout: {text}");
+    let lines: Vec<&str> = text.lines().collect();
+    let summary = lines
+        .iter()
+        .position(|l| l.starts_with("precomputed "))
+        .expect("summary line");
+    let mut levels = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        let Some(rest) = line.strip_prefix("# level ") else {
+            continue;
+        };
+        assert!(i < summary, "level line after the summary: {line}");
+        levels.push(rest.split(':').next().unwrap().parse::<u32>().unwrap());
+        let words: Vec<&str> = line.split_whitespace().collect();
+        let [.., pivots, n, wall, s] = words[..] else {
+            panic!("short level line: {line}");
+        };
+        assert_eq!((pivots, wall), ("pivots", "wall_s"), "{line}");
+        assert!(
+            n.parse::<u64>().is_ok() && s.parse::<f64>().is_ok(),
+            "{line}"
+        );
+    }
+    assert_eq!(levels, [1, 2, 3], "stdout: {text}");
+}
+
+#[test]
 fn doctor_passes_on_a_healthy_cache_and_fails_on_a_corrupt_one() {
     let path = std::env::temp_dir().join(format!("geoind-cli-doctor-{}.bin", std::process::id()));
     let common = [

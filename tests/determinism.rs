@@ -256,18 +256,19 @@ fn benchmark_precompute_prefix_keeps_recorded_pivots_and_bytes() {
             0x6635_d32e_a254_03ad,
             "bundle bytes moved, jobs {jobs}"
         );
-        let (fallbacks, discarded) = msm
-            .level_solve_stats()
-            .iter()
-            .fold((0, 0), |(f, d), (_, s)| {
-                (f + s.warm_fallbacks, d + s.discarded_pivots)
-            });
+        let levels = msm.level_solve_stats();
+        let effort = levels.iter().map(|&(_, s)| s).sum::<SolveStats>().effort;
+        assert_eq!(
+            effort.pivots,
+            msm.lp_pivot_count(),
+            "the levels' kept pivots do not sum to the total, jobs {jobs}"
+        );
         assert!(
-            fallbacks >= 1,
+            effort.warm_fallbacks >= 1,
             "the prefix lost its warm-restart fallback, jobs {jobs}"
         );
         assert_eq!(
-            discarded, 106,
+            effort.discarded_pivots, 106,
             "the abandoned restart's pivot count moved, jobs {jobs}"
         );
     }
@@ -315,15 +316,18 @@ fn eager_precompute_prefix_keeps_recorded_pivots_and_bytes() {
             stats.iter().all(|(_, s)| s.cut_rounds == 0),
             "the eager path entered the cut loop, jobs {jobs}"
         );
-        let (fallbacks, discarded) = stats.iter().fold((0, 0), |(f, d), (_, s)| {
-            (f + s.warm_fallbacks, d + s.discarded_pivots)
-        });
+        let effort = stats.iter().map(|&(_, s)| s).sum::<SolveStats>().effort;
         assert_eq!(
-            fallbacks, 2,
+            effort.pivots,
+            msm.lp_pivot_count(),
+            "the levels' kept pivots do not sum to the total, jobs {jobs}"
+        );
+        assert_eq!(
+            effort.warm_fallbacks, 2,
             "the warm-restart fallbacks moved, jobs {jobs}"
         );
         assert_eq!(
-            discarded, 1_704,
+            effort.discarded_pivots, 1_704,
             "the abandoned restarts' pivot count moved, jobs {jobs}"
         );
     }
