@@ -1,33 +1,42 @@
 //! Wall-clock micro-benchmarks for the LP substrate.
 
-use geoind_lp::model::{Model, Op, Sense, SolveVia};
+use geoind_lp::dual::{opt_dual, solve_opt_dual};
+use geoind_lp::model::{Model, Op, Sense};
 use geoind_lp::tableau::solve_dense;
 use geoind_rng::{Rng, SeededRng};
 use geoind_testkit::bench::Bench;
 use std::hint::black_box;
 
-/// An OPT-shaped LP over `n` collinear unit-spaced locations.
-fn opt_shaped(n: usize, eps: f64) -> Model {
-    let mut m = Model::new(Sense::Minimize);
+/// OPT over `n` collinear unit-spaced locations under a uniform prior:
+/// the prior-weighted losses and every GeoInd pair with its `e^{−ε·d}`
+/// row scale.
+fn opt_shaped(n: usize, eps: f64) -> (Vec<f64>, Vec<(usize, usize, f64)>) {
     let pts: Vec<f64> = (0..n).map(|i| i as f64).collect();
+    let losses = (0..n * n)
+        .map(|k| (pts[k / n] - pts[k % n]).abs() / n as f64)
+        .collect();
+    let mut pairs = Vec::new();
     for x in 0..n {
-        for z in 0..n {
-            m.add_var((pts[x] - pts[z]).abs() / n as f64);
+        for xp in (0..n).filter(|&xp| xp != x) {
+            pairs.push((x, xp, (-eps * (pts[x] - pts[xp]).abs()).exp()));
         }
+    }
+    (losses, pairs)
+}
+
+/// The same OPT as a primal [`Model`].
+fn opt_primal(n: usize, losses: &[f64], pairs: &[(usize, usize, f64)]) -> Model {
+    let mut m = Model::new(Sense::Minimize);
+    for &loss in losses {
+        m.add_var(loss);
     }
     for x in 0..n {
         let row: Vec<(usize, f64)> = (0..n).map(|z| (x * n + z, 1.0)).collect();
         m.add_row(&row, Op::Eq, 1.0);
     }
-    for x in 0..n {
-        for xp in 0..n {
-            if x == xp {
-                continue;
-            }
-            let scale = (-eps * (pts[x] - pts[xp]).abs()).exp();
-            for z in 0..n {
-                m.add_row(&[(x * n + z, scale), (xp * n + z, -1.0)], Op::Le, 0.0);
-            }
+    for &(x, xp, scale) in pairs {
+        for z in 0..n {
+            m.add_row(&[(x * n + z, scale), (xp * n + z, -1.0)], Op::Le, 0.0);
         }
     }
     m
@@ -35,13 +44,14 @@ fn opt_shaped(n: usize, eps: f64) -> Model {
 
 fn bench_paths(b: &mut Bench) {
     for n in [6usize, 10] {
-        let model = opt_shaped(n, 0.6);
+        let (losses, pairs) = opt_shaped(n, 0.6);
         b.iter(&format!("opt_shaped_n{n}/dual_path"), || {
-            black_box(model.solve(SolveVia::Dual).unwrap())
+            black_box(solve_opt_dual(&opt_dual(n, &losses, &pairs), None).unwrap())
         });
         if n <= 6 {
+            let model = opt_primal(n, &losses, &pairs);
             b.iter(&format!("opt_shaped_n{n}/primal_path"), || {
-                black_box(model.solve(SolveVia::Primal).unwrap())
+                black_box(model.solve().unwrap())
             });
         }
     }
@@ -68,7 +78,7 @@ fn bench_oracle_vs_revised(b: &mut Bench) {
         model.add_row(&entries, *op, *rhs);
     }
     b.iter("revised_simplex_random_lp", || {
-        black_box(model.solve(SolveVia::Primal).unwrap())
+        black_box(model.solve().unwrap())
     });
     b.iter("tableau_oracle_random_lp", || {
         black_box(solve_dense(Sense::Minimize, &costs, &rows).unwrap())

@@ -153,7 +153,8 @@ fn neumaier_sum(values: &[f64]) -> f64 {
 /// of the delayed-constraint-generation solve in
 /// [`crate::opt::OptimalMechanism`]: a positive return beyond the
 /// separation tolerance means the pair's GeoInd rows are violated and
-/// must be appended to the working LP.
+/// must be appended to the working LP. A NaN term (a NaN coordinate)
+/// fails closed: the pair's violation is `+∞`.
 pub(crate) fn pair_violation(channel: &Channel, eps: f64, x: usize, xp: usize) -> f64 {
     let inputs = channel.inputs();
     let m = channel.num_outputs();
@@ -161,6 +162,9 @@ pub(crate) fn pair_violation(channel: &Channel, eps: f64, x: usize, xp: usize) -
     let mut worst = f64::NEG_INFINITY;
     for z in 0..m {
         let v = factor * channel.prob(x, z) - channel.prob(xp, z);
+        if v.is_nan() {
+            return f64::INFINITY;
+        }
         if v > worst {
             worst = v;
         }
@@ -183,8 +187,8 @@ pub(crate) fn max_row_error(channel: &Channel) -> f64 {
 }
 
 /// Exhaustively measure a channel: the largest scaled ε·d violation over
-/// all ordered input pairs and outputs, the number of pairs checked, and
-/// the largest compensated row-sum deviation.
+/// all ordered input pairs and outputs (`+∞` if any is NaN), the number
+/// of pairs checked, and the largest compensated row-sum deviation.
 pub fn measure(channel: &Channel, eps: f64) -> (f64, usize, f64) {
     let n = channel.num_inputs();
     let mut max_violation = f64::NEG_INFINITY;
@@ -436,6 +440,23 @@ mod tests {
             other => panic!("expected ChannelQuarantined, got {other:?}"),
         }
         assert!(fp.fired("certify.repair.fail") >= 1);
+    }
+
+    #[test]
+    fn a_nan_input_point_is_quarantined() {
+        // NaN coordinates make every scaled violation NaN; a maximum that
+        // skipped them would read −∞ and certify any matrix, here the
+        // identity.
+        let eps = 1.0;
+        let pts = vec![Point::new(f64::NAN, 0.0), Point::new(1.0, 0.0)];
+        let c = Channel::new(pts.clone(), pts, vec![1.0, 0.0, 0.0, 1.0]);
+        let cert = certify(&c, eps, strict_tolerance(2, 2));
+        assert_eq!(cert.verdict, Verdict::Quarantined);
+        assert_eq!(cert.max_violation, f64::INFINITY);
+        assert!(matches!(
+            admit(c, &spec(eps), "test"),
+            Err(MechanismError::ChannelQuarantined { .. })
+        ));
     }
 
     #[test]

@@ -98,7 +98,8 @@ impl MsmBuilder {
     ///
     /// # Errors
     /// [`MechanismError::BadParameter`] when ε is missing/non-positive, the
-    /// granularity is < 2, or the prior's domain disagrees with `domain`.
+    /// granularity is < 2, ρ is outside (0, 1), or the prior's domain
+    /// disagrees with `domain`.
     pub fn build(self) -> Result<MsmMechanism, MechanismError> {
         let eps = self
             .eps
@@ -112,6 +113,12 @@ impl MsmBuilder {
             return Err(MechanismError::BadParameter(format!(
                 "granularity must be >= 2, got {}",
                 self.g
+            )));
+        }
+        if !(self.rho > 0.0 && self.rho < 1.0) {
+            return Err(MechanismError::BadParameter(format!(
+                "rho must be in (0, 1), got {}",
+                self.rho
             )));
         }
         let pd = self.prior.grid().domain();
@@ -357,7 +364,7 @@ pub struct MsmMechanism {
     /// The sum of every per-node solve's record, keyed by the level of
     /// the channel it built (`parent.level + 1`): the one store behind
     /// [`Self::level_solve_stats`], [`Self::lp_pivot_count`] and
-    /// [`Self::lp_residual_watermark`].
+    /// [`Self::solve_total`].
     level_stats: Mutex<BTreeMap<u32, SolveStats>>,
     /// The fused serving structure, when [`Self::flatten`] has run and no
     /// cache mutation has dropped it since.
@@ -588,8 +595,10 @@ impl MsmMechanism {
         Ok((channel, basis))
     }
 
-    /// The sum of every per-node solve's record so far.
-    fn solve_total(&self) -> SolveStats {
+    /// The sum of every per-node solve's record so far: its `solves`
+    /// count, and the worst LP residuals over those solves (both 0, with
+    /// `solves` 0, before any solve ran).
+    pub fn solve_total(&self) -> SolveStats {
         self.level_stats
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -605,13 +614,6 @@ impl MsmMechanism {
     /// warm start's pivots are its `effort.discarded_pivots`.
     pub fn lp_pivot_count(&self) -> u64 {
         self.solve_total().effort.pivots
-    }
-
-    /// Worst `(primal, dual)` LP residual observed across all per-node
-    /// solves so far (both 0 before any solve ran).
-    pub fn lp_residual_watermark(&self) -> (f64, f64) {
-        let total = self.solve_total();
-        (total.primal_residual, total.dual_residual)
     }
 
     /// Per-level solve records, sorted by level: each the `+=` sum of the

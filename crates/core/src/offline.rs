@@ -460,8 +460,11 @@ impl MsmMechanism {
         if expect.len() != n || n != m {
             return Err(fail("child count mismatch".into()));
         }
-        for (a, b) in expect.iter().zip(&pts[..n]) {
-            if a.dist(*b) > 1e-9 {
+        // Inputs and outputs are both the child centers; a NaN
+        // coordinate fails too.
+        for (a, b) in expect.iter().chain(&expect).zip(&pts) {
+            let d = a.dist(*b);
+            if d.is_nan() || d > 1e-9 {
                 return Err(fail("channel geometry does not match this index".into()));
             }
         }
@@ -752,6 +755,29 @@ mod tests {
         assert_eq!(device.cached_channels(), 0);
     }
 
+    // The first entry's payload starts after its 40-byte header block at
+    // 68: level@68, id@76, n@84, m@92, then the 2(n+m) = 16 coordinate
+    // f64s of its 4 inputs and 4 outputs at 100, then the 4×4 probability
+    // matrix at 228.
+    const POINTS: usize = 100;
+    const PROBS: usize = 228;
+
+    /// Overwrite the f64 at `at`.
+    fn put_f64(blob: &mut [u8], at: usize, v: f64) {
+        blob[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Recompute the first entry's payload checksum (entry-header word 3)
+    /// and then the entry-header checksum over the rewritten header, so a
+    /// forged payload passes every FNV-1a check.
+    fn fix_first_entry_sums(blob: &mut [u8]) {
+        let payload_len = u64::from_le_bytes(blob[ENTRY..ENTRY + 8].try_into().unwrap()) as usize;
+        let payload_sum = fnv1a64(&blob[68..68 + payload_len]).to_le_bytes();
+        blob[ENTRY + 24..ENTRY + 32].copy_from_slice(&payload_sum);
+        let entry_sum = fnv1a64(&blob[ENTRY..ENTRY + 32]).to_le_bytes();
+        blob[ENTRY + 32..ENTRY + 40].copy_from_slice(&entry_sum);
+    }
+
     #[test]
     fn geometry_mismatch_rejected() {
         let blob = exported_blob();
@@ -764,6 +790,42 @@ mod tests {
             .build()
             .unwrap();
         assert_corrupt(other.import_cache(&mut blob.as_slice()).unwrap_err());
+
+        // Checksum-valid forgeries of the first entry's points. NaN input
+        // x-coordinates with the identity matrix: every scaled violation
+        // is NaN, so a certifier that skipped NaN would admit the identity
+        // and serve every report as its own cell's center. An output point
+        // moved off its child center.
+        let nan_inputs = |blob: &mut Vec<u8>| {
+            for k in 0..4 {
+                put_f64(blob, POINTS + 16 * k, f64::NAN);
+                for z in 0..4 {
+                    put_f64(
+                        blob,
+                        PROBS + 8 * (4 * k + z),
+                        if k == z { 1.0 } else { 0.0 },
+                    );
+                }
+            }
+        };
+        let moved_output = |blob: &mut Vec<u8>| {
+            let x = f64::from_le_bytes(blob[POINTS + 64..POINTS + 72].try_into().unwrap());
+            put_f64(blob, POINTS + 64, x + 0.5);
+        };
+        for forge in [&nan_inputs as &dyn Fn(&mut Vec<u8>), &moved_output] {
+            let mut forged = blob.clone();
+            forge(&mut forged);
+            fix_first_entry_sums(&mut forged);
+            let device = mechanism();
+            match device.import_cache(&mut forged.as_slice()).unwrap_err() {
+                MechanismError::CacheCorrupt { detail, .. } => assert!(
+                    detail.contains("geometry"),
+                    "forged points misreported: {detail}"
+                ),
+                other => panic!("expected CacheCorrupt, got {other:?}"),
+            }
+            assert_eq!(device.cached_channels(), 0);
+        }
     }
 
     /// `n` normalized 4-cell priors: every third one of four fixed
@@ -972,21 +1034,10 @@ mod tests {
         // confirm import quarantines exactly that entry and serves nothing
         // from it.
         let mut blob = exported_blob();
-        // First entry payload starts after its 40-byte header block at 68:
-        // level@68, id@76, n@84, m@92, then 2(n+m)=16 coordinate f64s at
-        // 100, then the 4×4 probability matrix at 228.
-        const PROBS: usize = 228;
-        let forged: [f64; 4] = [1.0, 0.0, 0.0, 0.0];
-        for (k, v) in forged.iter().enumerate() {
-            blob[PROBS + 8 * k..PROBS + 8 * (k + 1)].copy_from_slice(&v.to_le_bytes());
+        for (z, v) in [1.0, 0.0, 0.0, 0.0].into_iter().enumerate() {
+            put_f64(&mut blob, PROBS + 8 * z, v);
         }
-        // Fix up the payload checksum (entry-header word 3) and then the
-        // entry-header checksum over the rewritten header.
-        let payload_len = u64::from_le_bytes(blob[ENTRY..ENTRY + 8].try_into().unwrap()) as usize;
-        let payload_sum = fnv1a64(&blob[68..68 + payload_len]).to_le_bytes();
-        blob[ENTRY + 24..ENTRY + 32].copy_from_slice(&payload_sum);
-        let entry_sum = fnv1a64(&blob[ENTRY..ENTRY + 32]).to_le_bytes();
-        blob[ENTRY + 32..ENTRY + 40].copy_from_slice(&entry_sum);
+        fix_first_entry_sums(&mut blob);
 
         let device = mechanism();
         let report = device.import_cache(&mut blob.as_slice()).unwrap();

@@ -7,16 +7,16 @@
 //! best utility any GeoInd mechanism can achieve against that prior.
 //!
 //! The LP has `n²` variables and `n + n²(n−1)` constraints; it is solved
-//! through its dual (see `geoind_lp::dual`), whose basis has only `n²` rows
-//! and whose slack basis is immediately feasible.
+//! through its dual, built directly in standard form by
+//! [`geoind_lp::dual::opt_dual`], whose basis has only `n²` rows and whose
+//! slack basis is immediately feasible.
 
 use crate::channel::Channel;
 use crate::metrics::QualityMetric;
 use crate::spanner::Spanner;
 use crate::{Mechanism, MechanismError};
 use geoind_data::prior::GridPrior;
-use geoind_lp::dual::remap_dual_basis_after_le_append;
-use geoind_lp::model::{Model, Op, Sense, SolveVia};
+use geoind_lp::dual::{continue_after_pairs, opt_dual, solve_opt_dual};
 use geoind_lp::simplex::{Basis, Effort, Warm, VALUE_CLIP};
 use geoind_lp::LpError;
 use geoind_rng::Rng;
@@ -62,7 +62,7 @@ const MAX_CUT_ROUNDS: u64 = 200;
 
 /// The whole configuration of an OPT solve ([`OptimalMechanism::solve_with`]
 /// and every per-node solve of an MSM). The LP always runs through its
-/// dual ([`SolveVia::Dual`]); the simplex and cut-loop tolerances are
+/// dual ([`geoind_lp::dual`]); the simplex and cut-loop tolerances are
 /// constants.
 #[derive(Debug, Clone, Copy)]
 pub struct OptOptions {
@@ -240,10 +240,18 @@ impl OptimalMechanism {
         donor: Option<&Basis>,
         spanner: Option<&Arc<Spanner>>,
     ) -> Result<Self, MechanismError> {
-        if eps <= 0.0 {
+        if !(eps > 0.0 && eps.is_finite()) {
             return Err(MechanismError::BadParameter(format!(
-                "eps must be positive, got {eps}"
+                "eps must be positive and finite, got {eps}"
             )));
+        }
+        if locations
+            .iter()
+            .any(|p| !(p.x.is_finite() && p.y.is_finite()))
+        {
+            return Err(MechanismError::BadParameter(
+                "locations must be finite".into(),
+            ));
         }
         if locations.len() < 2 {
             return Err(MechanismError::BadParameter(
@@ -326,34 +334,28 @@ impl OptimalMechanism {
             }
         };
 
-        let mut model = Model::new(Sense::Minimize);
-        // Variables k[x*n + z] with objective Π(x)·d_Q(x,z).
+        // The prior-weighted losses Π(x)·d_Q(x,z)/ΣΠ: the primal objective,
+        // and the right-hand side of the dual the LP runs on.
+        let mut losses = Vec::with_capacity(n * n);
         for x in 0..n {
             let px = prior[x] / psum;
             for z in 0..n {
-                model.add_var(px * metric.loss(locations[x], locations[z]));
+                losses.push(px * metric.loss(locations[x], locations[z]));
             }
         }
-        // Row-stochasticity: Σ_z k(x,z) = 1.
-        for x in 0..n {
-            let entries: Vec<(usize, f64)> = (0..n).map(|z| (x * n + z, 1.0)).collect();
-            model.add_row(&entries, Op::Eq, 1.0);
-        }
-        // GeoInd constraints. Rows are scaled by e^{−ε·d} so every
-        // coefficient stays in [−1, 1] (the rhs is 0, so scaling is free).
-        let add_pair = |m: &mut Model, x: usize, xp: usize| {
+        // The materialized GeoInd pairs in inclusion order, each with the
+        // e^{−ε·d} scale of its rows (so every coefficient stays in
+        // [−1, 1]; the rhs is 0, so scaling is free).
+        let scaled = |x: usize, xp: usize| {
             let scale = (-eps_row * locations[x].dist(locations[xp])).exp();
-            for z in 0..n {
-                m.add_row(&[(x * n + z, scale), (xp * n + z, -1.0)], Op::Le, 0.0);
-            }
+            (x, xp, scale)
         };
         let mut included = vec![false; n * n];
-        let mut active_pairs = 0usize;
+        let mut pairs = Vec::with_capacity(seed_pairs.len());
         for &(x, xp) in &seed_pairs {
             if !included[x * n + xp] {
                 included[x * n + xp] = true;
-                active_pairs += 1;
-                add_pair(&mut model, x, xp);
+                pairs.push(scaled(x, xp));
             }
         }
 
@@ -366,21 +368,21 @@ impl OptimalMechanism {
                 return Err(MechanismError::Lp(LpError::IterationLimit));
             }
             rounds += 1;
-            let sol = model.solve_with(SolveVia::Dual, warm.take())?;
+            let sol = solve_opt_dual(&opt_dual(n, &losses, &pairs), warm.take())?;
             effort += sol.effort;
+            if !opts.cutgen {
+                break sol;
+            }
             if seed_basis.is_none() {
                 // The seed-round exit basis lives in the seed LP's column
                 // space, which sibling solves share; later rounds' bases
                 // live in this solve's private cut-extended space.
                 seed_basis = Some(sol.basis.clone());
             }
-            if !opts.cutgen {
-                break sol;
-            }
             // Separation oracle: scan the candidate optimum for violated
             // target pairs with certify's per-pair check, in canonical
             // target order.
-            let cand = Channel::new(locations.to_vec(), locations.to_vec(), sol.values.clone());
+            let cand = Channel::new(locations.to_vec(), locations.to_vec(), sol.channel.clone());
             let fresh: Vec<(usize, usize)> = target_pairs
                 .iter()
                 .copied()
@@ -392,23 +394,22 @@ impl OptimalMechanism {
             if fresh.is_empty() {
                 break sol; // fixed point: every target pair satisfied
             }
-            // Warm restart: the appended primal rows become new dual
-            // columns, so the exit basis stays primal-feasible once its
-            // column references are shifted past the insertion block —
-            // resume primal phase 2 instead of re-solving from scratch.
-            // (Computed against the model *before* the rows go in.)
-            warm = Some(Warm::Continue(remap_dual_basis_after_le_append(
-                &model,
+            // Warm restart: the appended pairs become new dual columns, so
+            // the exit basis stays primal-feasible once its column
+            // references are shifted past them — resume primal phase 2
+            // instead of re-solving from scratch.
+            warm = Some(continue_after_pairs(
                 &sol.basis,
-                n * fresh.len(),
-            )));
+                n,
+                pairs.len(),
+                fresh.len(),
+            ));
             for (x, xp) in fresh {
                 included[x * n + xp] = true;
-                active_pairs += 1;
-                add_pair(&mut model, x, xp);
+                pairs.push(scaled(x, xp));
             }
         };
-        let rows_active = (n + n * active_pairs) as u64;
+        let rows_active = (n + n * pairs.len()) as u64;
 
         // Mandatory admission gate: certify the raw simplex optimum against
         // the solve-time constraint set, lift it back onto the exact GeoInd
@@ -423,7 +424,7 @@ impl OptimalMechanism {
             constraints: opts.constraints,
         };
         let channel = crate::certify::admit(
-            Channel::new(locations.to_vec(), locations.to_vec(), sol.values),
+            Channel::new(locations.to_vec(), locations.to_vec(), sol.channel),
             &spec,
             "opt.solve",
         )?;
@@ -442,7 +443,7 @@ impl OptimalMechanism {
                 primal_residual: sol.residual,
                 dual_residual: sol.dual_residual,
             },
-            basis: seed_basis.unwrap_or_default(),
+            basis: seed_basis.unwrap_or(sol.basis),
         })
     }
 
@@ -940,8 +941,19 @@ mod tests {
     #[test]
     fn bad_parameters_rejected() {
         let pts = line_points(3, 1.0);
+        // A NaN or infinite ε yields a channel no ε-check can certify: every
+        // scaled violation is NaN, or the bound e^{ε·d} is vacuous.
+        for eps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                OptimalMechanism::solve(eps, &pts, &[0.3, 0.3, 0.4], QualityMetric::Euclidean),
+                Err(MechanismError::BadParameter(_))
+            ));
+        }
+        // A NaN location makes NaN distances, losses and scales.
+        let mut nan = pts.clone();
+        nan[1].y = f64::NAN;
         assert!(matches!(
-            OptimalMechanism::solve(0.0, &pts, &[0.3, 0.3, 0.4], QualityMetric::Euclidean),
+            OptimalMechanism::solve(0.5, &nan, &[0.3, 0.3, 0.4], QualityMetric::Euclidean),
             Err(MechanismError::BadParameter(_))
         ));
         assert!(matches!(

@@ -8,7 +8,8 @@
 //! provides the equivalent capability without external dependencies:
 //!
 //! * [`model`] — a small modelling API ([`Model`]): non-negative or free
-//!   variables, `≤ / = / ≥` rows, min/max objectives.
+//!   variables, `≤ / = / ≥` rows, min/max objectives, solved directly by
+//!   the simplex below.
 //! * [`simplex`] — a revised primal simplex on computational standard form
 //!   with an explicitly maintained (periodically refactorized) basis
 //!   inverse, crash slack basis, two phases, Dantzig pricing with Bland
@@ -18,21 +19,22 @@
 //!   ones for the pivot tolerance, the iteration and stall limits, the
 //!   exit residual gate and the `max(600, m)` refactorization cadence),
 //!   and the one per-solve choice, a warm start, is an argument
-//!   ([`Warm`]) of [`Model::solve_with`].
-//! * [`dual`] — mechanical dualization. The OPT LP is *row-heavy*
-//!   (`O(n³)` rows, `O(n²)` columns); its dual is column-heavy, which is the
-//!   shape the revised simplex wants (basis size = row count). Solving the
-//!   dual and reading the primal solution off the row duals is exactly how a
-//!   commercial dual-simplex run behaves on the original problem, and
-//!   [`SolveVia::Dual`] is the only path the optimal mechanism uses;
-//!   [`SolveVia::Primal`] runs the same engine on the model as given.
+//!   ([`Warm`]) of [`simplex::solve_standard`].
+//! * [`dual`] — the optimal mechanism's LP, built as its dual directly in
+//!   standard form. The OPT LP is *row-heavy* (`O(n³)` rows, `O(n²)`
+//!   columns); its dual is column-heavy, which is the shape the revised
+//!   simplex wants (basis size = row count). Solving the dual and reading
+//!   the channel off its row duals is exactly how a commercial
+//!   dual-simplex run behaves on the original problem, and it is the one
+//!   path the optimal mechanism's solves take.
 //! * [`tableau`] — a naive dense two-phase tableau simplex kept as a test
 //!   oracle.
 //! * [`sparse`] / [`dense`] — CSC matrices and a dense LU with partial
 //!   pivoting.
 //!
 //! ```
-//! use geoind_lp::model::{Model, Sense, Op, SolveVia};
+//! use geoind_lp::dual::{opt_dual, solve_opt_dual};
+//! use geoind_lp::model::{Model, Op, Sense};
 //!
 //! // max 3x + 2y  s.t.  x + y <= 4,  x + 3y <= 6,  x,y >= 0
 //! let mut m = Model::new(Sense::Maximize);
@@ -40,9 +42,19 @@
 //! let y = m.add_var(2.0);
 //! m.add_row(&[(x, 1.0), (y, 1.0)], Op::Le, 4.0);
 //! m.add_row(&[(x, 1.0), (y, 3.0)], Op::Le, 6.0);
-//! let sol = m.solve(SolveVia::Primal).unwrap();
+//! let sol = m.solve().unwrap();
 //! assert!((sol.objective - 12.0).abs() < 1e-9);
 //! assert!((sol.values[x] - 4.0).abs() < 1e-9);
+//!
+//! // OPT over two locations 1 apart, uniform prior, ε = 1: each location
+//! // is reported as the other with probability 1 / (1 + e^ε).
+//! let scale = (-1.0f64).exp();
+//! let losses = [0.0, 0.5, 0.5, 0.0];
+//! let lp = opt_dual(2, &losses, &[(0, 1, scale), (1, 0, scale)]);
+//! let opt = solve_opt_dual(&lp, None).unwrap();
+//! let flip = 1.0 / (1.0 + 1.0f64.exp());
+//! assert!((opt.channel[1] - flip).abs() < 1e-9);
+//! assert!((opt.objective - flip).abs() < 1e-9);
 //! ```
 
 #![warn(missing_docs)]
@@ -62,8 +74,7 @@ pub mod simplex;
 pub mod sparse;
 pub mod tableau;
 
-pub use dual::remap_dual_basis_after_le_append;
-pub use model::{Model, Op, Sense, Solution, SolveVia, VarDomain};
+pub use model::{Model, Op, Sense, Solution, VarDomain};
 pub use simplex::{Basis, Effort, SimplexStatus, Warm};
 pub use sparse::CscMatrix;
 

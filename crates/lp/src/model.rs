@@ -2,11 +2,11 @@
 //!
 //! A [`Model`] owns variables (non-negative or free), rows (`≤ / = / ≥`),
 //! and a min/max objective; [`Model::solve`] converts to computational
-//! standard form, runs the revised simplex (directly or on the dual, see
-//! [`SolveVia`]), and maps the answer back.
+//! standard form, runs the revised simplex, and maps the answer back. The
+//! optimal mechanism does not go through it: it builds its dual directly
+//! (see [`crate::dual`]).
 
-use crate::dual::solve_via_dual;
-use crate::simplex::{solve_standard, Basis, Effort, SimplexStatus, StandardLp, Warm};
+use crate::simplex::{solve_standard, Effort, SimplexStatus, StandardLp};
 use crate::sparse::CscBuilder;
 use crate::LpError;
 
@@ -39,29 +39,20 @@ pub enum VarDomain {
     Free,
 }
 
-/// Which formulation the simplex actually runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolveVia {
-    /// Solve the model as given.
-    Primal,
-    /// Solve the dual and recover the primal solution from its row duals.
-    Dual,
-}
-
 #[derive(Debug, Clone)]
-pub(crate) struct Row {
-    pub entries: Vec<(usize, f64)>,
-    pub op: Op,
-    pub rhs: f64,
+struct Row {
+    entries: Vec<(usize, f64)>,
+    op: Op,
+    rhs: f64,
 }
 
 /// A linear program under construction.
 #[derive(Debug, Clone)]
 pub struct Model {
-    pub(crate) sense: Sense,
-    pub(crate) obj: Vec<f64>,
-    pub(crate) domains: Vec<VarDomain>,
-    pub(crate) rows: Vec<Row>,
+    sense: Sense,
+    obj: Vec<f64>,
+    domains: Vec<VarDomain>,
+    rows: Vec<Row>,
 }
 
 /// An optimal solution.
@@ -80,16 +71,8 @@ pub struct Solution {
     /// `‖Ax − b‖∞` self-check from the engine (primal feasibility).
     pub residual: f64,
     /// Worst reduced-cost violation at the exit basis (dual feasibility),
-    /// as a non-negative magnitude. On the dual solve path the two
-    /// residuals are swapped so both always describe *this* model's
-    /// primal/dual feasibility.
+    /// as a non-negative magnitude.
     pub dual_residual: f64,
-    /// The engine's final basis, in the standard-form space of whatever
-    /// formulation actually ran (the dual's on the [`SolveVia::Dual`]
-    /// path). Passed back as a [`Warm`] start, it warm-starts a solve of a
-    /// structurally identical model taken through the same path; on any
-    /// mismatch the engine cold-starts.
-    pub basis: Basis,
 }
 
 impl Model {
@@ -138,37 +121,13 @@ impl Model {
         self.obj.len()
     }
 
-    /// Number of rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Sense accessor.
-    pub fn sense(&self) -> Sense {
-        self.sense
-    }
-
-    /// Solve from a cold start.
-    pub fn solve(&self, via: SolveVia) -> Result<Solution, LpError> {
-        self.solve_with(via, None)
-    }
-
-    /// Solve, optionally warm-started from the basis of an earlier solve
-    /// taken through the same `via` path (see [`Warm`]).
-    pub fn solve_with(&self, via: SolveVia, warm: Option<Warm>) -> Result<Solution, LpError> {
+    /// Solve from a cold start: standard form + revised simplex.
+    pub fn solve(&self) -> Result<Solution, LpError> {
         if self.obj.is_empty() {
             return Err(LpError::BadModel("model has no variables".into()));
         }
-        match via {
-            SolveVia::Primal => self.solve_primal(warm),
-            SolveVia::Dual => solve_via_dual(self, warm),
-        }
-    }
-
-    /// Direct path: standard form + revised simplex.
-    fn solve_primal(&self, warm: Option<Warm>) -> Result<Solution, LpError> {
         let (lp, map) = self.to_standard();
-        let res = solve_standard(&lp, warm);
+        let res = solve_standard(&lp, None);
         match res.status {
             SimplexStatus::Optimal => {}
             SimplexStatus::Infeasible => return Err(LpError::Infeasible),
@@ -203,12 +162,11 @@ impl Model {
             effort: res.effort,
             residual: res.residual,
             dual_residual: res.dual_residual,
-            basis: res.basis,
         })
     }
 
     /// Convert to computational standard form (min, `Ax = b`, `b ≥ 0`).
-    pub(crate) fn to_standard(&self) -> (StandardLp, StandardMap) {
+    fn to_standard(&self) -> (StandardLp, StandardMap) {
         let nrows = self.rows.len();
         let sense_sign = if self.sense == Sense::Maximize {
             -1.0
@@ -280,11 +238,11 @@ impl Model {
 
 /// Book-keeping to map a [`StandardLp`] solution back to [`Model`] space.
 #[derive(Debug, Clone)]
-pub(crate) struct StandardMap {
+struct StandardMap {
     /// Per user variable: (positive column, optional negative column).
-    pub var_cols: Vec<(usize, Option<usize>)>,
+    var_cols: Vec<(usize, Option<usize>)>,
     /// ±1 per row (−1 where the row was negated to make `b ≥ 0`).
-    pub row_signs: Vec<f64>,
+    row_signs: Vec<f64>,
 }
 
 #[cfg(test)]
@@ -299,7 +257,7 @@ mod tests {
         m.add_row(&[(x, 1.0)], Op::Le, 4.0);
         m.add_row(&[(y, 2.0)], Op::Le, 12.0);
         m.add_row(&[(x, 3.0), (y, 2.0)], Op::Le, 18.0);
-        let s = m.solve(SolveVia::Primal).unwrap();
+        let s = m.solve().unwrap();
         assert!((s.objective - 36.0).abs() < 1e-9);
         assert!((s.values[x] - 2.0).abs() < 1e-9);
         assert!((s.values[y] - 6.0).abs() < 1e-9);
@@ -318,7 +276,7 @@ mod tests {
         let y = m.add_var(0.35);
         m.add_row(&[(x, 5.0), (y, 7.0)], Op::Ge, 8.0);
         m.add_row(&[(x, 4.0), (y, 2.0)], Op::Ge, 15.0);
-        let s = m.solve(SolveVia::Primal).unwrap();
+        let s = m.solve().unwrap();
         // Optimum at x = 3.75, y = 0 (second row binds).
         assert!((s.values[x] - 3.75).abs() < 1e-8);
         assert!(s.values[y].abs() < 1e-8);
@@ -332,7 +290,7 @@ mod tests {
         let x = m.add_var(1.0);
         let y = m.add_var(1.0);
         m.add_row(&[(x, 1.0), (y, -1.0)], Op::Le, -1.0);
-        let s = m.solve(SolveVia::Primal).unwrap();
+        let s = m.solve().unwrap();
         assert!(s.values[x].abs() < 1e-9);
         assert!((s.values[y] - 1.0).abs() < 1e-9);
         assert!((s.objective - 1.0).abs() < 1e-9);
@@ -344,7 +302,7 @@ mod tests {
         let mut m = Model::new(Sense::Minimize);
         let x = m.add_var_free(1.0);
         m.add_row(&[(x, 1.0)], Op::Ge, -5.0);
-        let s = m.solve(SolveVia::Primal).unwrap();
+        let s = m.solve().unwrap();
         assert!((s.values[x] + 5.0).abs() < 1e-9);
     }
 
@@ -356,7 +314,7 @@ mod tests {
         let y = m.add_var(3.0);
         m.add_row(&[(x, 1.0), (y, 1.0)], Op::Eq, 10.0);
         m.add_row(&[(x, 1.0), (y, -1.0)], Op::Eq, 2.0);
-        let s = m.solve(SolveVia::Primal).unwrap();
+        let s = m.solve().unwrap();
         assert!((s.values[x] - 6.0).abs() < 1e-8);
         assert!((s.values[y] - 4.0).abs() < 1e-8);
         assert!((s.objective - 24.0).abs() < 1e-8);
@@ -368,7 +326,7 @@ mod tests {
         let x = m.add_var(1.0);
         m.add_row(&[(x, 1.0)], Op::Ge, 5.0);
         m.add_row(&[(x, 1.0)], Op::Le, 2.0);
-        assert_eq!(m.solve(SolveVia::Primal).unwrap_err(), LpError::Infeasible);
+        assert_eq!(m.solve().unwrap_err(), LpError::Infeasible);
     }
 
     #[test]
@@ -376,16 +334,13 @@ mod tests {
         let mut m = Model::new(Sense::Maximize);
         let x = m.add_var(1.0);
         m.add_row(&[(x, -1.0)], Op::Le, 0.0);
-        assert_eq!(m.solve(SolveVia::Primal).unwrap_err(), LpError::Unbounded);
+        assert_eq!(m.solve().unwrap_err(), LpError::Unbounded);
     }
 
     #[test]
     fn empty_model_is_bad() {
         let m = Model::new(Sense::Minimize);
-        assert!(matches!(
-            m.solve(SolveVia::Primal),
-            Err(LpError::BadModel(_))
-        ));
+        assert!(matches!(m.solve(), Err(LpError::BadModel(_))));
     }
 
     #[test]
@@ -396,7 +351,7 @@ mod tests {
         let y = m.add_var(2.0);
         m.add_row(&[(x, 1.0), (y, 1.0)], Op::Ge, 4.0);
         m.add_row(&[(y, 1.0)], Op::Le, 10.0);
-        let s = m.solve(SolveVia::Primal).unwrap();
+        let s = m.solve().unwrap();
         assert!((s.objective - 4.0).abs() < 1e-9);
         // y'b must equal the objective.
         let yb = s.duals[0] * 4.0 + s.duals[1] * 10.0;

@@ -125,11 +125,12 @@ impl Basis {
     /// entry at or past the insertion point shifts up by `added`, entries
     /// before it are untouched, and none of the new columns is basic.
     ///
-    /// This is the delayed-constraint-generation bridge: appending cut rows
-    /// to a primal model appends dual variables — standard-form *columns* —
-    /// in the dualized LP the engine actually pivots on, and the old optimal
-    /// basis stays primal-feasible for the grown LP (same rows, same rhs)
-    /// once its column references are shifted past the insertion block.
+    /// This is the delayed-constraint-generation bridge: a cut round's new
+    /// primal rows are new dual variables — standard-form *columns* — in
+    /// the dual the engine actually pivots on, and the old optimal basis
+    /// stays primal-feasible for the grown LP (same rows, same rhs) once
+    /// its column references are shifted past the insertion block (see
+    /// [`crate::dual::continue_after_pairs`]).
     pub fn with_columns_inserted(&self, insert_at: usize, added: usize) -> Basis {
         Basis {
             rows: self
@@ -1525,13 +1526,13 @@ mod tests {
         assert!(r.residual < 1e-9, "residual {}", r.residual);
     }
 
-    /// The standard form of a dualized optimal-mechanism LP over the 3×3
-    /// unit grid (skewed prior, ε 0.7, every GeoInd pair): the shape the
-    /// OPT solve pivots on, where only the split halves of the nine
-    /// row-stochasticity duals carry cost. `skew` picks the prior, which
-    /// only moves the right-hand side: any two skews are MSM siblings.
+    /// The dual of the optimal-mechanism LP over the 3×3 unit grid
+    /// (skewed prior, ε 0.7, every GeoInd pair), built as the OPT solve
+    /// builds it: the shape it pivots on, where only the split halves of
+    /// the nine row-stochasticity duals carry cost. `skew` picks the
+    /// prior, which only moves the right-hand side: any two skews are MSM
+    /// siblings.
     fn dualized_opt_g3(skew: usize) -> StandardLp {
-        use crate::model::{Model, Op, Sense};
         let n = 9;
         let dist = |a: usize, b: usize| {
             let (dx, dy) = (
@@ -1540,26 +1541,18 @@ mod tests {
             );
             (dx * dx + dy * dy).sqrt()
         };
-        let mut m = Model::new(Sense::Minimize);
+        let mut losses = Vec::with_capacity(n * n);
         for x in 0..n {
             let px = (1 + (x * skew) % 7) as f64 / 37.0;
-            for z in 0..n {
-                m.add_var(px * dist(x, z));
-            }
+            losses.extend((0..n).map(|z| px * dist(x, z)));
         }
-        for x in 0..n {
-            let row: Vec<(usize, f64)> = (0..n).map(|z| (x * n + z, 1.0)).collect();
-            m.add_row(&row, Op::Eq, 1.0);
-        }
+        let mut pairs = Vec::new();
         for x in 0..n {
             for xp in (0..n).filter(|&xp| xp != x) {
-                let scale = (-0.7 * dist(x, xp)).exp();
-                for z in 0..n {
-                    m.add_row(&[(x * n + z, scale), (xp * n + z, -1.0)], Op::Le, 0.0);
-                }
+                pairs.push((x, xp, (-0.7 * dist(x, xp)).exp()));
             }
         }
-        crate::dual::dualize_min(&m).model.to_standard().0
+        crate::dual::opt_dual(n, &losses, &pairs)
     }
 
     /// The row duals a pivot carried, checked against a fresh

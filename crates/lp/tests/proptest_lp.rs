@@ -1,8 +1,11 @@
-//! Property tests: the revised simplex (primal and dual paths) against the
-//! dense tableau oracle on randomized LPs, plus duality invariants (on the
-//! deterministic `geoind-testkit` harness; failures print a per-case seed).
+//! Property tests: the revised simplex against the dense tableau oracle on
+//! randomized LPs, duality invariants, and the optimal mechanism's dual
+//! against its primal (on the deterministic `geoind-testkit` harness;
+//! failures print a per-case seed).
 
-use geoind_lp::model::{Model, Op, Sense, SolveVia};
+use geoind_lp::dual::{opt_dual, solve_opt_dual};
+use geoind_lp::model::{Model, Op, Sense};
+use geoind_lp::simplex::VALUE_CLIP;
 use geoind_lp::tableau::solve_dense;
 use geoind_lp::LpError;
 use geoind_rng::{Rng, SeededRng};
@@ -86,7 +89,7 @@ fn primal_matches_oracle() {
             };
             let model = build_model(lp, sense);
             let oracle = solve_dense(sense, &lp.costs, &lp.rows);
-            let ours = model.solve(SolveVia::Primal);
+            let ours = model.solve();
             match (oracle, ours) {
                 (Ok((obj_o, _)), Ok(sol)) => {
                     ensure!(
@@ -105,51 +108,109 @@ fn primal_matches_oracle() {
     );
 }
 
-/// Dual path agrees with primal path (objective AND variable values at
-/// non-degenerate instances — we check objective which is always unique).
+/// A small random OPT instance: `n` locations, the prior-weighted losses
+/// `Π(x)·d(x,z)/ΣΠ` (row `x·n+z`), and the materialized GeoInd pairs in
+/// inclusion order, each with its `e^{−ε·d(x,x′)}` row scale.
+#[derive(Debug, Clone)]
+struct RandomOpt {
+    n: usize,
+    losses: Vec<f64>,
+    pairs: Vec<(usize, usize, f64)>,
+}
+
+/// Generator for [`RandomOpt`]: 2–5 random points in a 3 km square, a
+/// random prior, ε in [0.1, 2], and either every ordered pair or a random
+/// subset of them. Does not shrink.
+///
+/// The square keeps every row scale `e^{−ε·d}` above ~2e-4. Drawn from a
+/// 10 km square, scales fall to ~1e-8 and the reference, a solve of the
+/// primal `Model`, turns ill-conditioned: it can exit "optimal" with
+/// GeoInd rows violated by up to ~1e-3 while the dual's channel is
+/// feasible.
+struct RandomOptGen;
+
+impl Gen for RandomOptGen {
+    type Value = RandomOpt;
+
+    fn generate(&self, rng: &mut SeededRng) -> RandomOpt {
+        let n = rng.gen_range(2..=5usize);
+        let pts: Vec<(f64, f64)> = (0..n)
+            .map(|_| (rng.gen_range(0.0..3.0), rng.gen_range(0.0..3.0)))
+            .collect();
+        let dist = |a: usize, b: usize| {
+            let (dx, dy) = (pts[a].0 - pts[b].0, pts[a].1 - pts[b].1);
+            (dx * dx + dy * dy).sqrt()
+        };
+        let prior: Vec<f64> = (0..n).map(|_| rng.gen_range(0.05..1.0)).collect();
+        let psum: f64 = prior.iter().sum();
+        let eps = rng.gen_range(0.1..2.0);
+        let subset = rng.gen_range(0..2usize) == 1;
+        let losses = (0..n * n)
+            .map(|k| prior[k / n] / psum * dist(k / n, k % n))
+            .collect();
+        let mut pairs = Vec::new();
+        for x in 0..n {
+            for xp in (0..n).filter(|&xp| xp != x) {
+                if !subset || rng.gen_range(0..2usize) == 1 {
+                    pairs.push((x, xp, (-eps * dist(x, xp)).exp()));
+                }
+            }
+        }
+        RandomOpt { n, losses, pairs }
+    }
+}
+
+/// The OPT instance as a primal [`Model`]: row-stochasticity equalities
+/// and one row-scaled GeoInd row per pair and output.
+fn opt_primal(opt: &RandomOpt) -> Model {
+    let n = opt.n;
+    let mut m = Model::new(Sense::Minimize);
+    for &loss in &opt.losses {
+        m.add_var(loss);
+    }
+    for x in 0..n {
+        let row: Vec<(usize, f64)> = (0..n).map(|z| (x * n + z, 1.0)).collect();
+        m.add_row(&row, Op::Eq, 1.0);
+    }
+    for &(x, xp, scale) in &opt.pairs {
+        for z in 0..n {
+            m.add_row(&[(x * n + z, scale), (xp * n + z, -1.0)], Op::Le, 0.0);
+        }
+    }
+    m
+}
+
+/// The optimal mechanism's dual, built in standard form and solved, agrees
+/// with a cold solve of the same primal (objectives within 1e-9 relative
+/// to `max(|objective|, 1)`), and reads off a channel: every entry at
+/// least `−VALUE_CLIP`, every row summing to 1 within 1e-9.
 #[test]
-fn dual_path_matches_primal_path() {
+fn opt_dual_matches_the_primal() {
     check(
-        "dual_path_matches_primal_path",
+        "opt_dual_matches_the_primal",
         Config::cases(300),
-        &(RandomLpGen, bool_any()),
-        |(lp, maximize)| {
-            let sense = if *maximize {
-                Sense::Maximize
-            } else {
-                Sense::Minimize
+        &RandomOptGen,
+        |opt| {
+            let n = opt.n;
+            let primal = opt_primal(opt).solve();
+            let dual = solve_opt_dual(&opt_dual(n, &opt.losses, &opt.pairs), None);
+            let (p, d) = match (primal, dual) {
+                (Ok(p), Ok(d)) => (p, d),
+                (p, d) => return Err(format!("OPT is bounded and feasible: {p:?} vs {d:?}")),
             };
-            let model = build_model(lp, sense);
-            let p = model.solve(SolveVia::Primal);
-            let d = model.solve(SolveVia::Dual);
-            match (p, d) {
-                (Ok(ps), Ok(ds)) => {
-                    ensure!(
-                        (ps.objective - ds.objective).abs() < 1e-6 * (1.0 + ps.objective.abs()),
-                        "objective mismatch: primal {} dual {}",
-                        ps.objective,
-                        ds.objective
-                    );
-                    // The dual-path primal values must be feasible for the model.
-                    for (coefs, op, rhs) in &lp.rows {
-                        let ax: f64 = coefs.iter().zip(&ds.values).map(|(a, x)| a * x).sum();
-                        match op {
-                            Op::Le => ensure!(ax <= rhs + 1e-6, "Le violated: {ax} > {rhs}"),
-                            Op::Ge => ensure!(ax >= rhs - 1e-6, "Ge violated: {ax} < {rhs}"),
-                            Op::Eq => {
-                                ensure!((ax - rhs).abs() < 1e-6, "Eq violated: {ax} != {rhs}")
-                            }
-                        }
-                    }
-                    for &v in &ds.values {
-                        ensure!(v >= -1e-7, "negative primal value {v} from dual path");
-                    }
-                }
-                (Err(LpError::Unbounded), Err(e)) => {
-                    // Unbounded primal surfaces as an error through the dual too.
-                    ensure!(matches!(e, LpError::Unbounded | LpError::Infeasible));
-                }
-                (p, d) => ensure!(false, "status mismatch: primal {p:?}, dual {d:?}"),
+            ensure!(
+                (p.objective - d.objective).abs() <= 1e-9 * p.objective.abs().max(1.0),
+                "objective mismatch: primal {} dual {}",
+                p.objective,
+                d.objective
+            );
+            ensure!(d.channel.len() == n * n);
+            for &k in &d.channel {
+                ensure!(k >= -VALUE_CLIP, "entry {k} below -VALUE_CLIP");
+            }
+            for row in d.channel.chunks(n) {
+                let sum: f64 = row.iter().sum();
+                ensure!((sum - 1.0).abs() <= 1e-9, "row sums to {sum}");
             }
             Ok(())
         },
@@ -165,7 +226,7 @@ fn duality_invariants() {
         &RandomLpGen,
         |lp| {
             let model = build_model(lp, Sense::Minimize);
-            if let Ok(sol) = model.solve(SolveVia::Primal) {
+            if let Ok(sol) = model.solve() {
                 // objective == y'b
                 let yb: f64 = sol
                     .duals

@@ -95,7 +95,10 @@ JOBS4_CACHE="$(mktemp /tmp/geoind-ci-cache4.XXXXXX)"
 CUTGEN_CACHE="$(mktemp /tmp/geoind-ci-cutgen.XXXXXX)"
 TALL1_CACHE="$(mktemp /tmp/geoind-ci-tall1.XXXXXX)"
 TALL4_CACHE="$(mktemp /tmp/geoind-ci-tall4.XXXXXX)"
+EAGER1_CACHE="$(mktemp /tmp/geoind-ci-eager1.XXXXXX)"
+EAGER4_CACHE="$(mktemp /tmp/geoind-ci-eager4.XXXXXX)"
 CLEANUP="$CLEANUP $DOCTOR_CACHE $JOBS4_CACHE $CUTGEN_CACHE $TALL1_CACHE $TALL4_CACHE"
+CLEANUP="$CLEANUP $EAGER1_CACHE $EAGER4_CACHE"
 target/release/geoind precompute --out "$DOCTOR_CACHE" \
     --eps 0.4 --g 2 --synthetic-size 5000 --jobs 1
 target/release/geoind doctor --cache "$DOCTOR_CACHE" \
@@ -107,7 +110,9 @@ echo "== parallel precompute determinism (--jobs 4 bundle is byte-identical)"
 # same at every worker count, so the exported bundle must not depend on
 # --jobs. The first pair's tree (5 channels) has one level of 3 siblings,
 # so it reaches only two batches; the second's (eps 1.0: 21 channels) has
-# a 16-node level whose siblings span batches of 1, 2, 4 and 8.
+# a 16-node level whose siblings span batches of 1, 2, 4 and 8. The third
+# pair solves that tree with cut generation off: every sibling then
+# restarts on the whole eager dual.
 target/release/geoind precompute --out "$JOBS4_CACHE" \
     --eps 0.4 --g 2 --synthetic-size 5000 --jobs 4
 cmp "$DOCTOR_CACHE" "$JOBS4_CACHE"
@@ -116,6 +121,11 @@ target/release/geoind precompute --out "$TALL1_CACHE" \
 target/release/geoind precompute --out "$TALL4_CACHE" \
     --eps 1.0 --g 2 --synthetic-size 5000 --jobs 4
 cmp "$TALL1_CACHE" "$TALL4_CACHE"
+target/release/geoind precompute --out "$EAGER1_CACHE" \
+    --eps 1.0 --g 2 --synthetic-size 5000 --cutgen off --jobs 1
+target/release/geoind precompute --out "$EAGER4_CACHE" \
+    --eps 1.0 --g 2 --synthetic-size 5000 --cutgen off --jobs 4
+cmp "$EAGER1_CACHE" "$EAGER4_CACHE"
 
 echo "== cutgen doctor run (g=6 spanner cut-generation precompute, wall-budgeted)"
 # The cut-generation tentpole end to end on the release binary at a real

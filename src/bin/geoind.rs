@@ -89,6 +89,15 @@ fn get_f64(flags: &Flags, name: &str, default: f64) -> Result<f64, String> {
     })
 }
 
+/// `--eps E` (default 0.5): a privacy budget, positive and finite.
+fn get_eps(flags: &Flags) -> Result<f64, String> {
+    let eps = get_f64(flags, "eps", 0.5)?;
+    if !(eps > 0.0 && eps.is_finite()) {
+        return Err(format!("--eps: must be positive and finite, got {eps}"));
+    }
+    Ok(eps)
+}
+
 fn get_u64(flags: &Flags, name: &str, default: u64) -> Result<u64, String> {
     flags.get(name).map_or(Ok(default), |v| {
         v.parse()
@@ -174,10 +183,10 @@ fn opt_options_from_flags(flags: &Flags) -> Result<OptOptions, String> {
 }
 
 fn build_msm(flags: &Flags, data: &Dataset) -> Result<MsmMechanism, String> {
-    let eps = get_f64(flags, "eps", 0.5)?;
+    let eps = get_eps(flags)?;
     let g = get_u64(flags, "g", 4)? as u32;
     let rho = get_f64(flags, "rho", 0.8)?;
-    let fine = g.pow(3).clamp(g * g, 64);
+    let fine = g.saturating_pow(3).min(64).max(g * g);
     MsmMechanism::builder(data.domain(), GridPrior::from_dataset(data, fine))
         .epsilon(eps)
         .granularity(g)
@@ -190,7 +199,7 @@ fn build_msm(flags: &Flags, data: &Dataset) -> Result<MsmMechanism, String> {
 fn cmd_protect(flags: &Flags) -> Result<(), String> {
     let resilient = resilience_on(flags)?;
     let data = dataset_resilient(flags, resilient)?;
-    let eps = get_f64(flags, "eps", 0.5)?;
+    let eps = get_eps(flags)?;
     let seed = get_u64(flags, "seed", 42)?;
     // Location: either --x/--y (km-plane) or --lat/--lon with a window.
     let x = if flags.contains_key("lat") || flags.contains_key("lon") {
@@ -242,7 +251,7 @@ fn cmd_protect(flags: &Flags) -> Result<(), String> {
 fn cmd_eval(flags: &Flags) -> Result<(), String> {
     let resilient = resilience_on(flags)?;
     let data = dataset_resilient(flags, resilient)?;
-    let eps = get_f64(flags, "eps", 0.5)?;
+    let eps = get_eps(flags)?;
     let queries = get_u64(flags, "queries", 1_000)? as usize;
     let seed = get_u64(flags, "seed", 42)?;
     let evaluator = Evaluator::sample_from(&data, queries, seed);
@@ -267,7 +276,7 @@ fn cmd_eval(flags: &Flags) -> Result<(), String> {
 
 fn cmd_audit(flags: &Flags) -> Result<(), String> {
     let data = dataset(flags)?;
-    let eps = get_f64(flags, "eps", 0.5)?;
+    let eps = get_eps(flags)?;
     let samples = get_u64(flags, "samples", 20_000)? as usize;
     let seed = get_u64(flags, "seed", 42)?;
     let side = data.domain().side();
@@ -434,10 +443,27 @@ fn cmd_precompute(flags: &Flags) -> Result<(), String> {
         "precomputed {nodes} channels ({} bytes) -> {out}",
         blob.len()
     );
-    let (primal, dual) = msm.lp_residual_watermark();
-    println!("# lp residual watermark: primal {primal:.3e} dual {dual:.3e}");
+    print_residual_watermark(&msm);
     println!("# load on-device with MsmMechanism::import_cache");
     Ok(())
+}
+
+/// Print the LP residual watermark over every solve this process ran,
+/// with its solve count, and return whether both residuals are within
+/// 1e-6: iterative refinement keeps them near machine precision, so more
+/// means the LP path is numerically unhealthy. `None` when no LP ran (an
+/// imported bundle records no residuals), so there is nothing to check.
+fn print_residual_watermark(msm: &MsmMechanism) -> Option<bool> {
+    let total = msm.solve_total();
+    if total.solves == 0 {
+        println!("# lp residual watermark: no LP ran");
+        return None;
+    }
+    println!(
+        "# lp residual watermark over {} solves: primal {:.3e} dual {:.3e}",
+        total.solves, total.primal_residual, total.dual_residual
+    );
+    Some(total.primal_residual <= 1e-6 && total.dual_residual <= 1e-6)
 }
 
 /// `geoind doctor`: health-check the channel pipeline end to end and exit
@@ -446,9 +472,9 @@ fn cmd_precompute(flags: &Flags) -> Result<(), String> {
 /// With `--cache FILE` (a `precompute` bundle built with the same flags)
 /// the cache is imported through the certify-on-load gate; otherwise the
 /// channels are solved fresh. Every cached channel is then re-certified at
-/// the strict post-repair tolerance, the LP residual watermark is
-/// re-checked, and the degradation ladder is exercised with a seeded
-/// workload.
+/// the strict post-repair tolerance, the degradation ladder is exercised
+/// with a seeded workload, and the LP residual watermark of every solve
+/// this run made, the ladder's lazy re-solves included, is re-checked.
 fn cmd_doctor(flags: &Flags) -> Result<(), String> {
     let data = dataset(flags)?;
     let seed = get_u64(flags, "seed", 42)?;
@@ -519,15 +545,6 @@ fn cmd_doctor(flags: &Flags) -> Result<(), String> {
         certs.len()
     );
 
-    // Iterative refinement keeps the solver residuals near machine
-    // precision; 1e-6 here means the LP path is numerically unhealthy.
-    let (primal, dual) = msm.lp_residual_watermark();
-    println!("# lp residual watermark: primal {primal:.3e} dual {dual:.3e}");
-    let residuals_ok = primal <= 1e-6 && dual <= 1e-6;
-    if !residuals_ok {
-        println!("#   LP RESIDUALS OUT OF BOUNDS (limit 1e-6)");
-    }
-
     let ladder = ResilientMechanism::new(msm);
     let mut rng = SeededRng::from_seed(seed);
     let checkins = data.checkins();
@@ -540,15 +557,25 @@ fn cmd_doctor(flags: &Flags) -> Result<(), String> {
     println!("{}", dr.log_line());
     quarantines += dr.quarantined;
 
-    if quarantines == 0 && residuals_ok {
+    let residuals_ok = print_residual_watermark(ladder.msm());
+    let residuals = match residuals_ok {
+        None => "not checked: no LP ran",
+        Some(true) => "in bounds",
+        Some(false) => {
+            println!("#   LP RESIDUALS OUT OF BOUNDS (limit 1e-6)");
+            "out of bounds"
+        }
+    };
+    if quarantines == 0 && residuals_ok != Some(false) {
         println!(
-            "# doctor: healthy ({} channels certified, {n} ladder requests served)",
+            "# doctor: healthy ({} channels certified, {n} ladder requests served, \
+             lp residuals {residuals})",
             certs.len()
         );
         Ok(())
     } else {
         Err(format!(
-            "doctor found problems: {quarantines} quarantine(s), lp residuals ok: {residuals_ok}"
+            "doctor found problems: {quarantines} quarantine(s), lp residuals {residuals}"
         ))
     }
 }

@@ -159,6 +159,44 @@ fn bad_flag_value_is_a_usage_error() {
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("bad number"));
+
+    // Values that parse but are out of range exit 1 with a message, never
+    // a panic: ε on the planar-Laplace paths (an infinite ε would report
+    // the true location) and ρ outside (0, 1).
+    let mut bad: Vec<Vec<&str>> = Vec::new();
+    for eps in ["nan", "0", "-1", "inf"] {
+        bad.push(vec!["protect", "--mechanism", "pl", "--eps", eps]);
+        bad.push(vec!["audit", "--mechanism", "pl", "--eps", eps]);
+    }
+    for rho in ["0", "1", "1.5", "nan", "-0.2"] {
+        bad.push(vec!["protect", "--rho", rho]);
+    }
+    for args in &bad {
+        let out = geoind()
+            .args(args)
+            .args(["--synthetic-size", "2000", "--samples", "100"])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+    }
+
+    // g ≥ 9 builds: its prior grid is g² fine, above the 64 cap that
+    // smaller g take.
+    let path = std::env::temp_dir().join(format!("geoind-cli-g9-{}.bin", std::process::id()));
+    let out = geoind()
+        .args(["precompute", "--out", path.to_str().unwrap()])
+        .args(["--g", "9", "--max-nodes", "0", "--synthetic-size", "2000"])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -255,9 +293,10 @@ fn doctor_passes_on_a_healthy_cache_and_fails_on_a_corrupt_one() {
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+    let text = String::from_utf8_lossy(&out.stdout);
     assert!(
-        String::from_utf8_lossy(&out.stdout).contains("lp residual watermark"),
-        "precompute must surface the solver residuals"
+        text.contains("# lp residual watermark over 5 solves: primal "),
+        "precompute must surface the solver residuals and their solve count:\n{text}"
     );
 
     // Healthy bundle, same flags: every channel re-certifies, exit 0.
@@ -274,6 +313,17 @@ fn doctor_passes_on_a_healthy_cache_and_fails_on_a_corrupt_one() {
     );
     assert!(text.contains("# doctor: healthy"), "{text}");
     assert!(text.contains("quarantined=0"), "{text}");
+    // An import solves no LP, so there is no residual to check, and doctor
+    // says so rather than passing a watermark of zeros.
+    assert!(
+        text.contains("# lp residual watermark: no LP ran"),
+        "{text}"
+    );
+    assert!(
+        text.contains("lp residuals not checked: no LP ran"),
+        "{text}"
+    );
+    assert!(!text.contains("primal 0.000e0"), "{text}");
     assert!(
         text.contains("# flat tables:"),
         "doctor must audit the alias tables against the certified matrices:\n{text}"
