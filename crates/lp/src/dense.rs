@@ -26,15 +26,6 @@ impl DenseMatrix {
         }
     }
 
-    /// Identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m.data[i * n + i] = 1.0;
-        }
-        m
-    }
-
     /// Reshape to an all-zero `nrows×ncols` matrix, reusing the storage.
     pub(crate) fn reset(&mut self, nrows: usize, ncols: usize) {
         self.nrows = nrows;
@@ -237,9 +228,9 @@ impl LuFactors {
     /// streams through cache once per panel of columns instead of once per
     /// column, which is the difference between seconds and minutes at the
     /// sizes the simplex engine refactorizes. Each column's arithmetic is
-    /// identical to [`LuFactors::solve`] on its unit vector, so the result
-    /// is bit-identical to the column-by-column loop.
-    pub(crate) fn inverse_into(&self, out: &mut DenseMatrix) {
+    /// that of a forward and a back substitution on its unit vector, so
+    /// the result is bit-identical to the column-by-column loop.
+    pub fn inverse_into(&self, out: &mut DenseMatrix) {
         let n = self.n;
         out.reset(n, n);
         // Column j of the permuted identity has its 1 where perm[i] == j.
@@ -284,69 +275,6 @@ impl LuFactors {
             jb = jend;
         }
     }
-
-    /// Solve `A x = b`.
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        assert_eq!(b.len(), self.n);
-        let n = self.n;
-        // Apply permutation.
-        let mut x: Vec<f64> = self.perm.iter().map(|&p| b[p]).collect();
-        // Forward substitution with unit-diagonal L.
-        for k in 0..n {
-            let xk = x[k];
-            if xk != 0.0 {
-                let col = &self.lu[k * n..(k + 1) * n];
-                for i in (k + 1)..n {
-                    x[i] -= col[i] * xk;
-                }
-            }
-        }
-        // Back substitution with U.
-        for k in (0..n).rev() {
-            let col = &self.lu[k * n..(k + 1) * n];
-            x[k] /= col[k];
-            let xk = x[k];
-            if xk != 0.0 {
-                for (i, xi) in x.iter_mut().enumerate().take(k) {
-                    *xi -= self.lu[k * n + i] * xk;
-                }
-            }
-        }
-        x
-    }
-
-    /// Solve `Aᵀ x = b`.
-    pub fn solve_transpose(&self, b: &[f64]) -> Vec<f64> {
-        assert_eq!(b.len(), self.n);
-        let n = self.n;
-        let mut x = b.to_vec();
-        // Uᵀ is lower-triangular: forward substitution.
-        for k in 0..n {
-            let col = &self.lu[k * n..(k + 1) * n];
-            let mut acc = x[k];
-            for (i, xi) in x.iter().enumerate().take(k) {
-                acc -= col[i] * xi;
-            }
-            x[k] = acc / col[k];
-        }
-        // Lᵀ is unit upper-triangular: back substitution.
-        for k in (0..n).rev() {
-            let mut acc = x[k];
-            let col_range = |j: usize| &self.lu[j * n..(j + 1) * n];
-            for j in (k + 1)..n {
-                acc -= col_range(k)[j] * x[j];
-            }
-            x[k] = acc;
-        }
-        // Undo permutation: we solved (PA)ᵀ y = ... carefully: A = Pᵀ L U,
-        // Aᵀ x = b  ⇔  Uᵀ Lᵀ P x = b; after the two substitutions x holds
-        // P·x_true, so scatter back.
-        let mut out = vec![0.0; n];
-        for (i, &p) in self.perm.iter().enumerate() {
-            out[p] = x[i];
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -367,44 +295,31 @@ mod tests {
         m
     }
 
-    #[test]
-    fn identity_solves_trivially() {
-        let id = DenseMatrix::identity(4);
-        let lu = LuFactors::factor(&id).unwrap();
-        let b = vec![1.0, 2.0, 3.0, 4.0];
-        assert_eq!(lu.solve(&b), b);
-        assert_eq!(lu.solve_transpose(&b), b);
-    }
-
-    #[test]
-    fn solve_matches_matvec() {
-        for seed in 0..10u64 {
-            let n = 1 + (seed as usize % 12) * 3;
-            let a = random_matrix(n, seed);
-            let lu = LuFactors::factor(&a).unwrap();
-            let mut rng = SeededRng::from_seed(seed + 100);
-            let x_true: Vec<f64> = (0..n).map(|_| rng.gen_range(-5.0..5.0)).collect();
-            let b = a.mul_vec(&x_true);
-            let x = lu.solve(&b);
-            for i in 0..n {
-                assert!((x[i] - x_true[i]).abs() < 1e-9, "n={n} i={i}");
+    /// `A·A⁻¹ = I` within 1e-12, column by column.
+    fn assert_inverse(a: &DenseMatrix, inv: &DenseMatrix) {
+        let n = a.nrows();
+        for j in 0..n {
+            let e = a.mul_vec(inv.col(j));
+            for (i, v) in e.iter().enumerate() {
+                let want = if i == j { 1.0 } else { 0.0 };
+                assert!((v - want).abs() < 1e-12, "n={n} ({i},{j}): {v}");
             }
         }
     }
 
     #[test]
-    fn transpose_solve_matches() {
-        for seed in 20..30u64 {
-            let n = 2 + (seed as usize % 7) * 5;
+    fn inverse_times_matrix_is_identity() {
+        // Sizes 1..34, then 100, whose inverse spans three LU panels.
+        for seed in 0..11u64 {
+            let n = if seed == 10 {
+                100
+            } else {
+                1 + (seed as usize % 12) * 3
+            };
             let a = random_matrix(n, seed);
-            let lu = LuFactors::factor(&a).unwrap();
-            let mut rng = SeededRng::from_seed(seed + 200);
-            let x_true: Vec<f64> = (0..n).map(|_| rng.gen_range(-5.0..5.0)).collect();
-            let b = a.mul_vec_transpose(&x_true);
-            let x = lu.solve_transpose(&b);
-            for i in 0..n {
-                assert!((x[i] - x_true[i]).abs() < 1e-9, "n={n} i={i}");
-            }
+            let mut inv = DenseMatrix::default();
+            LuFactors::factor(&a).unwrap().inverse_into(&mut inv);
+            assert_inverse(&a, &inv);
         }
     }
 
@@ -426,13 +341,7 @@ mod tests {
             let mut fresh = DenseMatrix::default();
             LuFactors::factor(&a).unwrap().inverse_into(&mut fresh);
             assert_eq!(out, fresh, "n={n}");
-            for j in 0..n {
-                let e = a.mul_vec(out.col(j));
-                for (i, v) in e.iter().enumerate() {
-                    let want = if i == j { 1.0 } else { 0.0 };
-                    assert!((v - want).abs() < 1e-12, "n={n} ({i},{j})");
-                }
-            }
+            assert_inverse(&a, &out);
             stale = lu.into_matrix();
         }
     }
@@ -443,10 +352,9 @@ mod tests {
         let mut a = DenseMatrix::zeros(2, 2);
         a.set(0, 1, 1.0);
         a.set(1, 0, 1.0);
-        let lu = LuFactors::factor(&a).unwrap();
-        let x = lu.solve(&[3.0, 7.0]);
-        assert!((x[0] - 7.0).abs() < 1e-12);
-        assert!((x[1] - 3.0).abs() < 1e-12);
+        let mut inv = DenseMatrix::default();
+        LuFactors::factor(&a).unwrap().inverse_into(&mut inv);
+        assert_eq!(inv, a, "a swap is its own inverse");
     }
 
     #[test]

@@ -91,13 +91,11 @@ pub struct OptSolution {
 ///
 /// # Errors
 /// An unbounded dual certifies an infeasible primal, so it surfaces as
-/// [`LpError::Infeasible`], and an infeasible dual as
-/// [`LpError::Unbounded`]; the engine's other failures pass through.
+/// [`LpError::Infeasible`]; the engine's other failures pass through.
 pub fn solve_opt_dual(lp: &StandardLp, warm: Option<Warm>) -> Result<OptSolution, LpError> {
-    let res = solve_standard(lp, warm);
+    let res = solve_standard(lp, warm)?;
     match res.status {
         SimplexStatus::Optimal => {}
-        SimplexStatus::Infeasible => return Err(LpError::Unbounded),
         SimplexStatus::Unbounded => return Err(LpError::Infeasible),
         SimplexStatus::IterationLimit => return Err(LpError::IterationLimit),
         SimplexStatus::SingularBasis => return Err(LpError::SingularBasis),

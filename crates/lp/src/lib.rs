@@ -5,15 +5,14 @@
 //! block of the paper's multi-step mechanism) is a linear program with
 //! `n²` variables and `n + n²(n−1)` constraints for `n` candidate locations —
 //! cubic in `n`. The paper solves it with Gurobi's dual simplex; this crate
-//! provides the equivalent capability without external dependencies:
+//! provides the equivalent capability without external dependencies, and
+//! solves that one LP:
 //!
-//! * [`model`] — a small modelling API ([`Model`]): non-negative or free
-//!   variables, `≤ / = / ≥` rows, min/max objectives, solved directly by
-//!   the simplex below.
 //! * [`simplex`] — a revised primal simplex on computational standard form
 //!   with an explicitly maintained (periodically refactorized) basis
-//!   inverse, crash slack basis, two phases, Dantzig pricing with Bland
-//!   anti-cycling fallback, and warm starts from an exported [`Basis`].
+//!   inverse, a slack starting basis (an LP without a slack on every row
+//!   is refused), Dantzig pricing with Bland anti-cycling fallback, and
+//!   warm starts from an exported [`Basis`].
 //!   The engine has no tuning options: its tolerances and limits are
 //!   constants ([`simplex::OPT_TOL`], [`simplex::VALUE_CLIP`] and private
 //!   ones for the pivot tolerance, the iteration and stall limits, the
@@ -27,24 +26,11 @@
 //!   the channel off its row duals is exactly how a commercial
 //!   dual-simplex run behaves on the original problem, and it is the one
 //!   path the optimal mechanism's solves take.
-//! * [`tableau`] — a naive dense two-phase tableau simplex kept as a test
-//!   oracle.
 //! * [`sparse`] / [`dense`] — CSC matrices and a dense LU with partial
 //!   pivoting.
 //!
 //! ```
 //! use geoind_lp::dual::{opt_dual, solve_opt_dual};
-//! use geoind_lp::model::{Model, Op, Sense};
-//!
-//! // max 3x + 2y  s.t.  x + y <= 4,  x + 3y <= 6,  x,y >= 0
-//! let mut m = Model::new(Sense::Maximize);
-//! let x = m.add_var(3.0);
-//! let y = m.add_var(2.0);
-//! m.add_row(&[(x, 1.0), (y, 1.0)], Op::Le, 4.0);
-//! m.add_row(&[(x, 1.0), (y, 3.0)], Op::Le, 6.0);
-//! let sol = m.solve().unwrap();
-//! assert!((sol.objective - 12.0).abs() < 1e-9);
-//! assert!((sol.values[x] - 4.0).abs() < 1e-9);
 //!
 //! // OPT over two locations 1 apart, uniform prior, ε = 1: each location
 //! // is reported as the other with probability 1 / (1 + e^ε).
@@ -69,41 +55,38 @@
 
 pub mod dense;
 pub mod dual;
-pub mod model;
 pub mod simplex;
 pub mod sparse;
-pub mod tableau;
 
-pub use model::{Model, Op, Sense, Solution, VarDomain};
 pub use simplex::{Basis, Effort, SimplexStatus, Warm};
 pub use sparse::CscMatrix;
 
 /// Errors surfaced by the solvers.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LpError {
-    /// No feasible point exists (phase-1 optimum above tolerance).
+    /// The primal has no feasible point: the dual solved for it is
+    /// unbounded.
     Infeasible,
-    /// The objective is unbounded in the optimization direction.
-    Unbounded,
     /// The iteration limit was hit before convergence.
     IterationLimit,
     /// The basis became numerically singular, or a nominally optimal
-    /// solution failed the primal-residual quality check.
+    /// solution failed the exit quality gate (its residual, or a basic
+    /// value below `−VALUE_CLIP`).
     SingularBasis,
-    /// The model is malformed (e.g. a row references a missing variable).
-    BadModel(String),
+    /// The row has no unit (+1 singleton) column, so the engine has no
+    /// slack basis to start from.
+    UncoveredRow(usize),
 }
 
 impl std::fmt::Display for LpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             LpError::Infeasible => write!(f, "infeasible"),
-            LpError::Unbounded => write!(f, "unbounded"),
             LpError::IterationLimit => write!(f, "iteration limit reached"),
             LpError::SingularBasis => {
                 write!(f, "numerically singular basis (solution not certified)")
             }
-            LpError::BadModel(m) => write!(f, "bad model: {m}"),
+            LpError::UncoveredRow(r) => write!(f, "row {r} has no unit column to start from"),
         }
     }
 }

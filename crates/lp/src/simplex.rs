@@ -1,20 +1,20 @@
 //! Revised primal simplex on computational standard form.
 //!
 //! Solves `min c·x  s.t.  A x = b, x ≥ 0` with `b ≥ 0`, where `A` is a
-//! sparse [`CscMatrix`] whose columns include any slack/surplus columns the
-//! caller appended. The engine:
+//! sparse [`CscMatrix`] in which every row has a unit (+1 singleton)
+//! column, its slack. The slack basis is then the identity with basic
+//! values `b ≥ 0`, a feasible start, so the engine has no phase 1: an LP
+//! with a row no unit column covers is refused with
+//! [`LpError::UncoveredRow`] (every dual [`crate::dual::opt_dual`] builds
+//! has a slack per row). The engine:
 //!
-//! * crashes an initial basis from unit columns (slacks), adding artificial
-//!   variables only for uncovered rows;
-//! * runs phase 1 (min Σ artificials) only when artificials exist, then
-//!   pivots surviving zero-level artificials out (redundant rows keep theirs,
-//!   harmlessly);
+//! * starts from that slack basis, or from a warm start's basis;
 //! * maintains an explicit basis inverse with exact-zero block structure:
 //!   refactorization (every `max(600, m)` pivots for an `m`-row LP, to
 //!   shed drift) factors only the k×k block of non-singleton basic columns
 //!   — `O(k³ + k·m)` instead of `O(m³)`, a decisive saving on the
 //!   slack-heavy bases these LPs produce (see `Engine::refactorize`);
-//! * computes the row duals once per phase by a cost-sparse BTRAN that
+//! * computes the row duals once per run by a cost-sparse BTRAN that
 //!   reads only the basic positions S carrying a nonzero cost — `O(m·|S|)`
 //!   instead of `O(m²)`; in an optimal-mechanism dual only the split halves
 //!   of the n row-stochasticity duals carry cost, so |S| ≤ 2n ≪ m — and
@@ -34,6 +34,7 @@
 
 use crate::dense::{DenseMatrix, LuFactors};
 use crate::sparse::CscMatrix;
+use crate::LpError;
 use geoind_testkit::failpoint;
 
 /// Magnitude below which drift-induced negative variable values are
@@ -59,9 +60,9 @@ const PIVOT_TOL: f64 = 1e-9;
 const STALL_LIMIT: usize = 2_000;
 
 /// Largest `‖Ax − b‖∞` accepted at an optimal exit; a nominally optimal
-/// basis with a larger residual is demoted to
-/// [`SimplexStatus::SingularBasis`] instead of being reported as a
-/// trustworthy optimum.
+/// basis with a larger residual, or with a basic value below
+/// `−VALUE_CLIP`, is demoted to [`SimplexStatus::SingularBasis`] instead
+/// of being reported as a trustworthy optimum.
 const RESIDUAL_TOL: f64 = 1e-6;
 
 /// The engine rebuilds the basis inverse from an LU every
@@ -96,7 +97,8 @@ const INCREMENTAL_DUALS_MIN_ROWS: usize = 1024;
 /// A linear program in computational standard form.
 #[derive(Debug, Clone)]
 pub struct StandardLp {
-    /// Constraint matrix (structural + slack columns).
+    /// Constraint matrix (structural + slack columns): every row needs a
+    /// unit (+1 singleton) column for [`solve_standard`] to start from.
     pub cols: CscMatrix,
     /// Objective coefficients, one per column.
     pub costs: Vec<f64>,
@@ -109,14 +111,13 @@ pub struct StandardLp {
 /// costs, different right-hand side — the classic dual-simplex restart).
 ///
 /// The representation is positional in the *standard-form* column space the
-/// engine actually pivoted in: entry `i` names the column basic in row `i`,
-/// or `None` where an artificial variable stayed basic (redundant rows).
+/// engine actually pivoted in: entry `i` names the column basic in row `i`.
 /// A basis only round-trips between solves whose standard forms share the
 /// same shape; the engine validates this and silently falls back to a cold
 /// start on any mismatch, so a stale basis can never corrupt a solve.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Basis {
-    rows: Vec<Option<usize>>,
+    rows: Vec<usize>,
 }
 
 impl Basis {
@@ -136,7 +137,7 @@ impl Basis {
             rows: self
                 .rows
                 .iter()
-                .map(|a| a.map(|j| if j >= insert_at { j + added } else { j }))
+                .map(|&j| if j >= insert_at { j + added } else { j })
                 .collect(),
         }
     }
@@ -167,15 +168,14 @@ pub enum Warm {
 pub enum SimplexStatus {
     /// Optimal basic feasible solution found.
     Optimal,
-    /// Phase 1 could not drive the artificials to zero.
-    Infeasible,
     /// The objective decreases without bound.
     Unbounded,
     /// `MAX_ITERATIONS` pivots exhausted.
     IterationLimit,
     /// The basis became numerically singular (LU refactorization failed,
-    /// or a nominally optimal exit violated the residual tolerance). The
-    /// reported solution cannot be certified.
+    /// or a nominally optimal exit violated the residual tolerance or kept
+    /// a basic value below `−VALUE_CLIP`). The reported solution cannot be
+    /// certified.
     SingularBasis,
 }
 
@@ -232,17 +232,13 @@ pub struct SimplexResult {
     pub basis: Basis,
 }
 
-/// Identifier for a basic variable: a real column or an artificial for a row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Basic {
-    Col(usize),
-    Artificial(usize),
-}
-
 struct Engine<'a> {
     lp: &'a StandardLp,
     m: usize,
-    basis: Vec<Basic>,
+    /// Row `r`'s slack: the first unit (+1 singleton) column on row `r`.
+    slacks: Vec<usize>,
+    /// The column basic in each row.
+    basis: Vec<usize>,
     /// Which columns are currently basic.
     in_basis: Vec<bool>,
     /// Explicit basis inverse, column-major.
@@ -271,15 +267,15 @@ struct Engine<'a> {
 /// Row duals `y = B⁻ᵀc_B` that [`Engine::pivot`] keeps current.
 struct Duals<'y> {
     y: &'y mut Vec<f64>,
-    /// Whether `c_B` holds the phase-1 costs.
-    phase1: bool,
     /// `d_q / w_r`, the step of the carried update used from
     /// `INCREMENTAL_DUALS_MIN_ROWS` rows up.
     step: f64,
 }
 
 impl<'a> Engine<'a> {
-    fn new(lp: &'a StandardLp) -> Self {
+    /// An engine at the slack basis of `lp`, or
+    /// [`LpError::UncoveredRow`] naming the first row without a slack.
+    fn new(lp: &'a StandardLp) -> Result<Self, LpError> {
         let m = lp.rhs.len();
         assert_eq!(lp.cols.nrows(), m, "matrix/rhs row mismatch");
         assert_eq!(lp.costs.len(), lp.cols.ncols(), "cost/column mismatch");
@@ -287,9 +283,24 @@ impl<'a> Engine<'a> {
             lp.rhs.iter().all(|&b| b >= 0.0),
             "standard form requires b >= 0"
         );
+        let mut cover: Vec<Option<usize>> = vec![None; m];
+        for j in 0..lp.cols.ncols() {
+            let mut it = lp.cols.col(j);
+            if let (Some((r, v)), None) = (it.next(), it.next()) {
+                if (v - 1.0).abs() < 1e-12 && cover[r].is_none() {
+                    cover[r] = Some(j);
+                }
+            }
+        }
+        let slacks = cover
+            .iter()
+            .enumerate()
+            .map(|(r, j)| j.ok_or(LpError::UncoveredRow(r)))
+            .collect::<Result<Vec<usize>, LpError>>()?;
         let mut eng = Self {
             lp,
             m,
+            slacks,
             basis: Vec::new(),
             in_basis: Vec::new(),
             binv: DenseMatrix::default(),
@@ -303,62 +314,29 @@ impl<'a> Engine<'a> {
             costed: Vec::new(),
         };
         eng.crash();
-        eng
+        Ok(eng)
     }
 
-    /// Start over from the crash basis: cover each row with a unit (+1
-    /// singleton) column if one exists, otherwise an artificial. The
-    /// inverse and workspace storage are kept, and so are the effort
-    /// counts.
+    /// Start over from the slack basis. The inverse and workspace storage
+    /// are kept, and so are the effort counts.
     fn crash(&mut self) {
-        let (lp, m) = (self.lp, self.m);
-        let mut row_cover: Vec<Option<usize>> = vec![None; m];
-        for j in 0..lp.cols.ncols() {
-            let mut it = lp.cols.col(j);
-            if let (Some((r, v)), None) = (it.next(), it.next()) {
-                if (v - 1.0).abs() < 1e-12 && row_cover[r].is_none() {
-                    row_cover[r] = Some(j);
-                }
-            }
-        }
+        let m = self.m;
         self.in_basis.clear();
-        self.in_basis.resize(lp.cols.ncols(), false);
-        let in_basis = &mut self.in_basis;
-        self.basis = row_cover
-            .iter()
-            .enumerate()
-            .map(|(r, cov)| match cov {
-                Some(j) => {
-                    in_basis[*j] = true;
-                    Basic::Col(*j)
-                }
-                None => Basic::Artificial(r),
-            })
-            .collect();
+        self.in_basis.resize(self.lp.cols.ncols(), false);
+        for &j in &self.slacks {
+            self.in_basis[j] = true;
+        }
+        self.basis.clone_from(&self.slacks);
         self.binv.reset(m, m);
         for i in 0..m {
             self.binv.set(i, i, 1.0);
         }
-        self.xb.clone_from(&lp.rhs);
+        self.xb.clone_from(&self.lp.rhs);
         self.pivots_since_refactor = 0;
         self.singular = false;
     }
 
-    fn has_artificials(&self) -> bool {
-        self.basis.iter().any(|b| matches!(b, Basic::Artificial(_)))
-    }
-
-    /// Cost of a basic variable under the given phase.
-    fn basic_cost(&self, b: Basic, phase1: bool) -> f64 {
-        match (b, phase1) {
-            (Basic::Artificial(_), true) => 1.0,
-            (Basic::Artificial(_), false) => 0.0,
-            (Basic::Col(_), true) => 0.0,
-            (Basic::Col(j), false) => self.lp.costs[j],
-        }
-    }
-
-    /// Row duals `y = B⁻ᵀc_B` for the current basis and phase (BTRAN).
+    /// Row duals `y = B⁻ᵀc_B` for the current basis (BTRAN).
     ///
     /// Each `y_k` sums only the basic positions whose cost is nonzero, in
     /// ascending position order: the same nonzero terms, in the same order,
@@ -366,12 +344,12 @@ impl<'a> Engine<'a> {
     /// `y_k` therefore equals the dense value — only the sign of an exact
     /// zero can differ, and no comparison observes it — so no pricing or
     /// ratio decision depends on which of the two computed it.
-    fn duals(&self, phase1: bool) -> Vec<f64> {
+    fn duals(&self) -> Vec<f64> {
         let costed: Vec<(usize, f64)> = self
             .basis
             .iter()
             .enumerate()
-            .map(|(p, &b)| (p, self.basic_cost(b, phase1)))
+            .map(|(p, &j)| (p, self.lp.costs[j]))
             .filter(|&(_, c)| c != 0.0)
             .collect();
         (0..self.m)
@@ -383,15 +361,14 @@ impl<'a> Engine<'a> {
     }
 
     /// Dantzig (or Bland) pricing: pick an entering column.
-    fn price(&self, y: &[f64], phase1: bool, bland: bool) -> Option<usize> {
+    fn price(&self, y: &[f64], bland: bool) -> Option<usize> {
         // (column, -d): the most negative reduced cost wins.
         let mut best: Option<(usize, f64)> = None;
         for j in 0..self.lp.cols.ncols() {
             if self.in_basis[j] {
                 continue;
             }
-            let cj = if phase1 { 0.0 } else { self.lp.costs[j] };
-            let d = cj - self.lp.cols.col_dot(j, y);
+            let d = self.lp.costs[j] - self.lp.cols.col_dot(j, y);
             if d < -OPT_TOL {
                 if bland {
                     return Some(j);
@@ -426,10 +403,9 @@ impl<'a> Engine<'a> {
                     None => best = Some((i, theta, w[i])),
                     Some((bi, bt, bw)) => {
                         let better = if bland {
-                            // Bland: smallest basic index among ties.
+                            // Bland: smallest basic column among ties.
                             theta < bt - 1e-12
-                                || (theta < bt + 1e-12
-                                    && self.basic_order(i) < self.basic_order(bi))
+                                || (theta < bt + 1e-12 && self.basis[i] < self.basis[bi])
                         } else {
                             theta < bt - 1e-12 || (theta < bt + 1e-12 && w[i] > bw)
                         };
@@ -443,48 +419,37 @@ impl<'a> Engine<'a> {
         best.map(|(i, _, _)| i)
     }
 
-    /// Total order on basic variables used by Bland's rule (artificials
-    /// after all real columns).
-    fn basic_order(&self, row: usize) -> usize {
-        match self.basis[row] {
-            Basic::Col(j) => j,
-            Basic::Artificial(r) => self.lp.cols.ncols() + r,
-        }
-    }
-
     /// Apply the pivot: column `q` enters, row `r` leaves.
     ///
-    /// With `duals`, the caller's row duals of the old basis leave as the
+    /// The caller's row duals of the old basis, `duals`, leave as the
     /// duals of the new one, updated inside the rank-1 inverse update
     /// while each inverse column is in cache. Only a column `k` with a
     /// nonzero in the leaving row changes, so only its `y_k` is touched:
     /// below `INCREMENTAL_DUALS_MIN_ROWS` rows it is re-summed over the new
     /// basis's costed positions exactly as [`Engine::duals`] sums it, and
     /// from there up it takes the carried step `y_k += (d_q/w_r)·ρ_k`
-    /// (`ρ_k` the column's old leaving-row entry; see `run_phase`). Every
+    /// (`ρ_k` the column's old leaving-row entry; see `run_phase2`). Every
     /// other `y_k` keeps its value: its column is unchanged and has an
     /// exact zero in row r, the one position whose cost the pivot changes,
     /// so a fresh sum would add the same terms plus at most a ±0. The
     /// re-summed duals therefore equal a fresh BTRAN up to the sign of an
     /// exact zero, which no comparison observes. A pivot that crosses the
     /// refactorization cadence recomputes all of them.
-    fn pivot(&mut self, r: usize, q: usize, w: &[f64], mut duals: Option<Duals>) {
+    fn pivot(&mut self, r: usize, q: usize, w: &[f64], duals: Duals) {
         let theta = self.xb[r] / w[r];
         for i in 0..self.m {
             self.xb[i] -= theta * w[i];
         }
         self.xb[r] = theta;
-        if let Basic::Col(j) = self.basis[r] {
-            self.in_basis[j] = false;
-        }
-        self.basis[r] = Basic::Col(q);
+        self.in_basis[self.basis[r]] = false;
+        self.basis[r] = q;
         self.in_basis[q] = true;
 
         let carry = self.m >= INCREMENTAL_DUALS_MIN_ROWS;
-        if let (Some(d), false) = (&duals, carry) {
+        if !carry {
             self.costed.clear();
-            for (p, &b) in self.basis.iter().enumerate() {
-                let c = self.basic_cost(b, d.phase1);
+            for (p, &j) in self.basis.iter().enumerate() {
+                let c = self.lp.costs[j];
                 if c != 0.0 {
                     self.costed.push((p, c));
                 }
@@ -501,22 +466,18 @@ impl<'a> Engine<'a> {
                     col[i] -= w[i] * t;
                 }
                 col[r] = t;
-                if let Some(d) = duals.as_mut() {
-                    d.y[k] = if carry {
-                        d.y[k] + d.step * rho
-                    } else {
-                        self.costed.iter().map(|&(p, c)| col[p] * c).sum()
-                    };
-                }
+                duals.y[k] = if carry {
+                    duals.y[k] + duals.step * rho
+                } else {
+                    self.costed.iter().map(|&(p, c)| col[p] * c).sum()
+                };
             }
         }
         self.effort.pivots += 1;
         self.pivots_since_refactor += 1;
         if self.pivots_since_refactor >= self.refactor_every {
             self.refactorize();
-            if let Some(d) = duals {
-                *d.y = self.duals(d.phase1);
-            }
+            *duals.y = self.duals();
         }
     }
 
@@ -526,7 +487,7 @@ impl<'a> Engine<'a> {
     /// optimal-mechanism dual most rows keep their slack basic (the primal
     /// channel is sparse), so up to row/column permutation the basis matrix
     /// is `[[M, 0], [C, D]]` — `D` diagonal from singleton basic columns
-    /// (slacks and artificials), `M` the square block of general columns on
+    /// (mostly slacks), `M` the square block of general columns on
     /// the k rows no singleton covers, `C` those columns' entries on the
     /// covered rows. Only `M` needs an LU; the inverse assembles in block
     /// form
@@ -554,16 +515,11 @@ impl<'a> Engine<'a> {
         // is part of the general block.
         let mut unit_of_row: Vec<Option<(usize, f64)>> = vec![None; m];
         let mut structural: Vec<usize> = Vec::new();
-        for (p, &var) in self.basis.iter().enumerate() {
-            let singleton = match var {
-                Basic::Artificial(r) => Some((r, 1.0)),
-                Basic::Col(j) => {
-                    let mut it = self.lp.cols.col(j);
-                    match (it.next(), it.next()) {
-                        (Some((r, v)), None) if v != 0.0 => Some((r, v)),
-                        _ => None,
-                    }
-                }
+        for (p, &j) in self.basis.iter().enumerate() {
+            let mut it = self.lp.cols.col(j);
+            let singleton = match (it.next(), it.next()) {
+                (Some((r, v)), None) if v != 0.0 => Some((r, v)),
+                _ => None,
             };
             match singleton {
                 Some((r, _)) if unit_of_row[r].is_some() => {
@@ -592,10 +548,7 @@ impl<'a> Engine<'a> {
         let mut block = std::mem::take(&mut self.block);
         block.reset(k, k);
         for (s, &p) in structural.iter().enumerate() {
-            let Basic::Col(j) = self.basis[p] else {
-                unreachable!("artificials are singletons")
-            };
-            for (r, v) in self.lp.cols.col(j) {
+            for (r, v) in self.lp.cols.col(self.basis[p]) {
                 if let Some(t) = t_of_row[r] {
                     block.set(t, s, v);
                 }
@@ -623,12 +576,9 @@ impl<'a> Engine<'a> {
         let covered: Vec<Vec<(usize, f64)>> = structural
             .iter()
             .map(|&p| {
-                let Basic::Col(j) = self.basis[p] else {
-                    unreachable!("artificials are singletons")
-                };
                 self.lp
                     .cols
-                    .col(j)
+                    .col(self.basis[p])
                     .filter_map(|(r, v)| unit_of_row[r].map(|(pu, vu)| (pu, v / vu)))
                     .collect()
             })
@@ -671,21 +621,21 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Objective of the current basis under the given phase costs.
-    fn objective(&self, phase1: bool) -> f64 {
+    /// Objective of the current basis.
+    fn objective(&self) -> f64 {
         self.basis
             .iter()
             .zip(&self.xb)
-            .map(|(&b, &v)| self.basic_cost(b, phase1) * v)
+            .map(|(&j, &v)| self.lp.costs[j] * v)
             .sum()
     }
 
-    /// Run one phase to optimality. Returns `None` when optimal, otherwise a
-    /// terminal status.
-    fn run_phase(&mut self, phase1: bool) -> Option<SimplexStatus> {
+    /// Primal simplex to optimality from a primal-feasible basis. Returns
+    /// `None` when optimal, otherwise a terminal status.
+    fn run_phase2(&mut self) -> Option<SimplexStatus> {
         let mut bland = false;
         let mut stall = 0usize;
-        let mut last_obj = self.objective(phase1);
+        let mut last_obj = self.objective();
         // The row duals are computed once and then kept current by each
         // pivot (see `Engine::pivot`). Below `INCREMENTAL_DUALS_MIN_ROWS`
         // the pivot re-sums the duals it changes, so they stay exact to
@@ -699,7 +649,7 @@ impl<'a> Engine<'a> {
         // inverse itself is refactorized, and a claimed optimum is never
         // trusted until it re-prices clean against freshly computed duals.
         let incremental = self.m >= INCREMENTAL_DUALS_MIN_ROWS;
-        let mut y = self.duals(phase1);
+        let mut y = self.duals();
         loop {
             // `lp.refactor.singular` simulates an LU refactorization
             // collapsing at the point where the run would detect it.
@@ -710,35 +660,31 @@ impl<'a> Engine<'a> {
             if self.effort.pivots >= MAX_ITERATIONS || failpoint::hit("lp.iterations.exhausted") {
                 return Some(SimplexStatus::IterationLimit);
             }
-            let q = match self.price(&y, phase1, bland) {
+            let q = match self.price(&y, bland) {
                 Some(q) => q,
                 None => {
                     if !incremental {
-                        return None; // phase-optimal under exact duals
+                        return None; // optimal under exact duals
                     }
                     // Optimal under the incrementally maintained (hence
                     // drifted) duals — recompute exactly and re-price
-                    // before declaring the phase done; pricing clean
-                    // against exact duals certifies the phase optimum.
-                    y = self.duals(phase1);
-                    self.price(&y, phase1, bland)?
+                    // before declaring the run done; pricing clean
+                    // against exact duals certifies the optimum.
+                    y = self.duals();
+                    self.price(&y, bland)?
                 }
             };
-            let cq = if phase1 { 0.0 } else { self.lp.costs[q] };
-            let dq = cq - self.lp.cols.col_dot(q, &y);
+            let dq = self.lp.costs[q] - self.lp.cols.col_dot(q, &y);
             let w = self.ftran(q);
             let Some(r) = self.ratio_test(&w, bland) else {
-                // Phase 1 is bounded below by 0, so an unbounded ray here
-                // signals numerical trouble; report it as unbounded anyway.
                 return Some(SimplexStatus::Unbounded);
             };
             let duals = Duals {
                 y: &mut y,
-                phase1,
                 step: dq / w[r],
             };
-            self.pivot(r, q, &w, Some(duals));
-            let obj = self.objective(phase1);
+            self.pivot(r, q, &w, duals);
+            let obj = self.objective();
             if obj < last_obj - 1e-12 {
                 last_obj = obj;
                 stall = 0;
@@ -762,21 +708,13 @@ impl<'a> Engine<'a> {
         }
         let ncols = self.lp.cols.ncols();
         let mut in_basis = vec![false; ncols];
-        for assigned in warm.rows.iter().flatten() {
-            if *assigned >= ncols || in_basis[*assigned] {
+        for &j in &warm.rows {
+            if j >= ncols || in_basis[j] {
                 return false;
             }
-            in_basis[*assigned] = true;
+            in_basis[j] = true;
         }
-        self.basis = warm
-            .rows
-            .iter()
-            .enumerate()
-            .map(|(r, a)| match a {
-                Some(j) => Basic::Col(*j),
-                None => Basic::Artificial(r),
-            })
-            .collect();
+        self.basis.clone_from(&warm.rows);
         self.in_basis = in_basis;
         // A fresh LU of the donor basis against *this* LP's rhs: basic
         // values may come out negative (the whole point of the dual-simplex
@@ -785,13 +723,13 @@ impl<'a> Engine<'a> {
         !self.singular
     }
 
-    /// Phase-2 dual feasibility of the current basis: every nonbasic
-    /// reduced cost within `-OPT_TOL`. A donor basis from a sibling LP with
-    /// identical matrix and costs passes exactly; anything else (e.g. a
-    /// basis reused across genuinely different LPs) fails here and triggers
-    /// the cold fallback.
+    /// Dual feasibility of the current basis: every nonbasic reduced cost
+    /// within `-OPT_TOL`. A donor basis from a sibling LP with identical
+    /// matrix and costs passes exactly; anything else (e.g. a basis reused
+    /// across genuinely different LPs) fails here and triggers the cold
+    /// fallback.
     fn dual_feasible(&self) -> bool {
-        let y = self.duals(false);
+        let y = self.duals();
         for j in 0..self.lp.cols.ncols() {
             if self.in_basis[j] {
                 continue;
@@ -833,9 +771,9 @@ impl<'a> Engine<'a> {
         // Duals kept current by each pivot exactly as in `run_phase` — the
         // dual-simplex basis change is the same basis change. Any drift of
         // the carried update is caught downstream: the caller always
-        // finishes with `run_phase(false)`, which re-verifies optimality
-        // against freshly computed duals.
-        let mut y = self.duals(false);
+        // finishes with `run_phase2`, which re-verifies optimality against
+        // freshly computed duals.
+        let mut y = self.duals();
         loop {
             if self.singular {
                 return false;
@@ -889,10 +827,9 @@ impl<'a> Engine<'a> {
             }
             let duals = Duals {
                 y: &mut y,
-                phase1: false,
                 step: dq / w[r],
             };
-            self.pivot(r, q, &w, Some(duals));
+            self.pivot(r, q, &w, duals);
         }
     }
 
@@ -904,52 +841,6 @@ impl<'a> Engine<'a> {
         self.xb.iter().all(|&v| v >= 0.0)
     }
 
-    /// Sum of basic-artificial values — the phase-1 objective. A warm
-    /// start that leaves an artificial basic at a real value has silently
-    /// produced an infeasible point (cold starts catch this in phase 1),
-    /// so the warm path must reject it.
-    fn artificial_mass(&self) -> f64 {
-        self.basis
-            .iter()
-            .zip(&self.xb)
-            .filter(|(b, _)| matches!(b, Basic::Artificial(_)))
-            .map(|(_, &v)| v.abs())
-            .sum()
-    }
-
-    /// After phase 1: pivot basic artificials out wherever possible.
-    fn purge_artificials(&mut self) {
-        for row in 0..self.m {
-            if !matches!(self.basis[row], Basic::Artificial(_)) {
-                continue;
-            }
-            // Row `row` of B⁻¹, gathered.
-            let rho: Vec<f64> = (0..self.m).map(|k| self.binv.col(k)[row]).collect();
-            // Find any nonbasic real column with a usable pivot in this row.
-            let mut found = None;
-            for j in 0..self.lp.cols.ncols() {
-                if self.in_basis[j] {
-                    continue;
-                }
-                let a = self.lp.cols.col_dot(j, &rho);
-                if a.abs() > 1e-7 {
-                    found = Some(j);
-                    break;
-                }
-            }
-            if let Some(q) = found {
-                let w = self.ftran(q);
-                // Degenerate pivot: the artificial sits at zero, so theta=0
-                // and feasibility is preserved regardless of the sign of w.
-                debug_assert!(self.xb[row].abs() < 1e-6);
-                self.xb[row] = 0.0;
-                self.pivot(row, q, &w, None);
-            }
-            // else: redundant row; the artificial stays basic at zero and
-            // can never move (its row of B⁻¹A is identically zero).
-        }
-    }
-
     /// One iterative-refinement pass on the final basis: correct the basic
     /// values by `xb += B⁻¹·(b − B·xb)`, shedding the drift the rank-1
     /// inverse updates accumulated since the last refactorization. A single
@@ -957,14 +848,9 @@ impl<'a> Engine<'a> {
     /// quadratically small in the drift.
     fn refine(&mut self) {
         let mut r = self.lp.rhs.clone();
-        for (i, &var) in self.basis.iter().enumerate() {
-            match var {
-                Basic::Col(j) => {
-                    for (row, v) in self.lp.cols.col(j) {
-                        r[row] -= v * self.xb[i];
-                    }
-                }
-                Basic::Artificial(row) => r[row] -= self.xb[i],
+        for (i, &j) in self.basis.iter().enumerate() {
+            for (row, v) in self.lp.cols.col(j) {
+                r[row] -= v * self.xb[i];
             }
         }
         let dx = self.binv.mul_vec(&r);
@@ -976,7 +862,7 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Refine the phase-2 duals to (near) the correctly rounded solution of
+    /// Refine the duals to (near) the correctly rounded solution of
     /// `Bᵀy = c_B` by iterating `y += B⁻ᵀ·(c_B − Bᵀy)` with the residual
     /// accumulated in doubled precision (Neumaier summation over exact
     /// `mul_add` product splits). The exact `y` at an optimum is a property
@@ -987,11 +873,7 @@ impl<'a> Engine<'a> {
     /// cold full-set run) report bit-identical duals even when they exit
     /// at different optimal bases.
     fn refined_duals(&self) -> Vec<f64> {
-        let cb: Vec<f64> = self
-            .basis
-            .iter()
-            .map(|&b| self.basic_cost(b, false))
-            .collect();
+        let cb: Vec<f64> = self.basis.iter().map(|&j| self.lp.costs[j]).collect();
         // y carried as an unevaluated double-double (hi + lo) so the
         // iteration converges to an ε²-accurate value before the final
         // rounding — a plain-f64 carrier can stall one ulp apart depending
@@ -1000,30 +882,22 @@ impl<'a> Engine<'a> {
         let mut lo = vec![0.0; self.m];
         let mut r = vec![0.0; self.m];
         for _ in 0..4 {
-            for (i, &var) in self.basis.iter().enumerate() {
+            for (i, &j) in self.basis.iter().enumerate() {
                 // Doubled-precision r_i = cb_i − (Bᵀ(hi+lo))_i: Dekker-split
                 // each product with mul_add, Neumaier-compensate the sum.
                 let mut s = cb[i];
                 let mut comp = 0.0;
-                let add = |s: &mut f64, comp: &mut f64, v: f64, row: usize| {
+                for (row, v) in self.lp.cols.col(j) {
                     let p = -(v * hi[row]);
                     let e = (-v).mul_add(hi[row], -p); // exact product error
-                    let t = *s + p;
-                    *comp += if s.abs() >= p.abs() {
-                        (*s - t) + p
+                    let t = s + p;
+                    comp += if s.abs() >= p.abs() {
+                        (s - t) + p
                     } else {
-                        (p - t) + *s
+                        (p - t) + s
                     };
-                    *s = t;
-                    *comp += e - v * lo[row];
-                };
-                match var {
-                    Basic::Col(j) => {
-                        for (row, v) in self.lp.cols.col(j) {
-                            add(&mut s, &mut comp, v, row);
-                        }
-                    }
-                    Basic::Artificial(row) => add(&mut s, &mut comp, 1.0, row),
+                    s = t;
+                    comp += e - v * lo[row];
                 }
                 r[i] = s + comp;
             }
@@ -1050,10 +924,8 @@ impl<'a> Engine<'a> {
 
     fn result(&self, status: SimplexStatus) -> SimplexResult {
         let mut x = vec![0.0; self.lp.cols.ncols()];
-        for (i, &b) in self.basis.iter().enumerate() {
-            if let Basic::Col(j) = b {
-                x[j] = self.xb[i];
-            }
+        for (i, &j) in self.basis.iter().enumerate() {
+            x[j] = self.xb[i];
         }
         // Clip drift-induced tiny negatives.
         for v in &mut x {
@@ -1063,12 +935,8 @@ impl<'a> Engine<'a> {
         }
         let ax = self.lp.cols.mul_vec(&x);
         let mut residual = 0.0f64;
-        for i in 0..self.m {
-            let mut lhs = ax[i];
-            if let Basic::Artificial(_) = self.basis[i] {
-                lhs += self.xb[i]; // artificial contribution
-            }
-            residual = residual.max((lhs - self.lp.rhs[i]).abs());
+        for (lhs, b) in ax.iter().zip(&self.lp.rhs) {
+            residual = residual.max((lhs - b).abs());
         }
         let objective = x.iter().zip(&self.lp.costs).map(|(v, c)| v * c).sum();
         // At an optimal exit the duals are a deliverable (the dual solve
@@ -1077,7 +945,7 @@ impl<'a> Engine<'a> {
         let duals = if status == SimplexStatus::Optimal {
             self.refined_duals()
         } else {
-            self.duals(false)
+            self.duals()
         };
         // Worst dual-feasibility violation over nonbasic columns — one
         // pricing-style sweep against the exit duals.
@@ -1092,14 +960,7 @@ impl<'a> Engine<'a> {
             }
         }
         let basis = Basis {
-            rows: self
-                .basis
-                .iter()
-                .map(|&b| match b {
-                    Basic::Col(j) => Some(j),
-                    Basic::Artificial(_) => None,
-                })
-                .collect(),
+            rows: self.basis.clone(),
         };
         SimplexResult {
             status,
@@ -1114,11 +975,11 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Phase 2 to optimality from a primal-feasible engine state, plus the
-/// refinement pass and the residual quality gate shared by cold and warm
-/// starts.
+/// Phase 2 to optimality from a primal-feasible engine state, then the
+/// exit gate shared by cold and warm starts: refactorization, one
+/// refinement pass, and the quality checks on the refined basic values.
 fn finish_phase2(mut eng: Engine) -> SimplexResult {
-    match eng.run_phase(false) {
+    match eng.run_phase2() {
         Some(bad) => eng.result(bad),
         None => {
             // Re-derive the inverse from a fresh LU of the exit basis before
@@ -1138,9 +999,11 @@ fn finish_phase2(mut eng: Engine) -> SimplexResult {
             eng.refine();
             let mut r = eng.result(SimplexStatus::Optimal);
             // Quality gate: a basis that claims optimality but cannot
-            // reproduce the right-hand side is numerically suspect —
-            // demote it so callers never consume an uncertified optimum.
-            if r.residual > RESIDUAL_TOL {
+            // reproduce the right-hand side, or reproduces it only with a
+            // basic value below −VALUE_CLIP (a dual-feasible basis that is
+            // not primal-feasible), is numerically suspect — demote it so
+            // callers never consume an uncertified optimum.
+            if r.residual > RESIDUAL_TOL || eng.xb.iter().any(|&v| v < -VALUE_CLIP) {
                 r.status = SimplexStatus::SingularBasis;
             }
             r
@@ -1160,45 +1023,26 @@ fn finish_phase2(mut eng: Engine) -> SimplexResult {
 /// of the result. A fallback is reported through the result's
 /// [`Effort::warm_fallbacks`], and the pivots the abandoned start executed
 /// through [`Effort::discarded_pivots`].
-pub fn solve_standard(lp: &StandardLp, warm: Option<Warm>) -> SimplexResult {
-    let mut eng = Engine::new(lp);
-    let Some(warm) = warm else {
-        return solve_cold(eng);
-    };
+///
+/// # Errors
+/// [`LpError::UncoveredRow`] when a row has no unit (+1 singleton) column
+/// to start from. How the run itself ended is the result's `status`.
+pub fn solve_standard(lp: &StandardLp, warm: Option<Warm>) -> Result<SimplexResult, LpError> {
+    let mut eng = Engine::new(lp)?;
     let usable = match warm {
-        Warm::Restart(basis) => {
-            eng.install_basis(&basis)
-                && eng.dual_feasible()
-                && eng.restore_primal_feasibility()
-                && eng.artificial_mass() <= 1e-7
+        None => true,
+        Some(Warm::Restart(basis)) => {
+            eng.install_basis(&basis) && eng.dual_feasible() && eng.restore_primal_feasibility()
         }
-        Warm::Continue(basis) => {
-            eng.install_basis(&basis) && eng.primal_feasible() && eng.artificial_mass() <= 1e-7
-        }
+        Some(Warm::Continue(basis)) => eng.install_basis(&basis) && eng.primal_feasible(),
     };
-    if usable {
-        return finish_phase2(eng);
+    if !usable {
+        // The cold fallback reuses the engine's storage.
+        eng.effort.warm_fallbacks += 1;
+        eng.effort.discarded_pivots += std::mem::take(&mut eng.effort.pivots);
+        eng.crash();
     }
-    // The cold fallback reuses the engine's storage.
-    eng.effort.warm_fallbacks += 1;
-    eng.effort.discarded_pivots += std::mem::take(&mut eng.effort.pivots);
-    eng.crash();
-    solve_cold(eng)
-}
-
-/// Phase 1 from the crash basis when artificials are needed, then phase 2.
-fn solve_cold(mut eng: Engine) -> SimplexResult {
-    if eng.has_artificials() {
-        if let Some(bad) = eng.run_phase(true) {
-            return eng.result(bad);
-        }
-        let p1 = eng.objective(true);
-        if p1 > 1e-7 {
-            return eng.result(SimplexStatus::Infeasible);
-        }
-        eng.purge_artificials();
-    }
-    finish_phase2(eng)
+    Ok(finish_phase2(eng))
 }
 
 #[cfg(test)]
@@ -1224,14 +1068,14 @@ mod tests {
     }
 
     #[test]
-    fn slack_start_no_artificials() {
+    fn slack_start_reaches_the_optimum() {
         // min -3x - 2y s.t. x + y + s1 = 4, x + 3y + s2 = 6.
         let lp = lp_from_dense(
             &[&[1.0, 1.0, 1.0, 0.0], &[1.0, 3.0, 0.0, 1.0]],
             &[-3.0, -2.0, 0.0, 0.0],
             &[4.0, 6.0],
         );
-        let r = solve_standard(&lp, None);
+        let r = solve_standard(&lp, None).unwrap();
         assert_eq!(r.status, SimplexStatus::Optimal);
         assert!((r.objective + 12.0).abs() < 1e-9);
         assert!((r.x[0] - 4.0).abs() < 1e-9);
@@ -1240,29 +1084,24 @@ mod tests {
     }
 
     #[test]
-    fn phase1_needed_for_equalities() {
-        // min x + y s.t. x + y = 2, x - y = 0  ->  x = y = 1, obj 2.
-        let lp = lp_from_dense(&[&[1.0, 1.0], &[1.0, -1.0]], &[1.0, 1.0], &[2.0, 0.0]);
-        let r = solve_standard(&lp, None);
-        assert_eq!(r.status, SimplexStatus::Optimal);
-        assert!((r.objective - 2.0).abs() < 1e-9);
-        assert!((r.x[0] - 1.0).abs() < 1e-9);
-        assert!((r.x[1] - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn infeasible_detected() {
-        // x = 1 and x = 2 simultaneously.
-        let lp = lp_from_dense(&[&[1.0], &[1.0]], &[0.0], &[1.0, 2.0]);
-        let r = solve_standard(&lp, None);
-        assert_eq!(r.status, SimplexStatus::Infeasible);
+    fn uncovered_row_is_refused() {
+        // Row 0 has its slack (column 1). Row 1's only singleton columns
+        // hold −1 (column 2) and 2 (column 3): neither is a unit column.
+        let lp = lp_from_dense(
+            &[&[1.0, 1.0, 0.0, 0.0], &[1.0, 0.0, -1.0, 2.0]],
+            &[1.0, 0.0, 0.0, 1.0],
+            &[2.0, 1.0],
+        );
+        let err = solve_standard(&lp, None).unwrap_err();
+        assert_eq!(err, LpError::UncoveredRow(1));
+        assert_eq!(err.to_string(), "row 1 has no unit column to start from");
     }
 
     #[test]
     fn unbounded_detected() {
         // min -x s.t. x - s = 0 (x can grow forever).
         let lp = lp_from_dense(&[&[1.0, -1.0]], &[-1.0, 0.0], &[0.0]);
-        let r = solve_standard(&lp, None);
+        let r = solve_standard(&lp, None).unwrap();
         assert_eq!(r.status, SimplexStatus::Unbounded);
     }
 
@@ -1278,20 +1117,9 @@ mod tests {
             &[-1.0, -1.0, 0.0, 0.0, 0.0],
             &[1.0, 1.0, 1.0],
         );
-        let r = solve_standard(&lp, None);
+        let r = solve_standard(&lp, None).unwrap();
         assert_eq!(r.status, SimplexStatus::Optimal);
         assert!((r.objective + 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn redundant_rows_tolerated() {
-        // Row 2 = 2 x row 1: artificial stays basic at zero on the
-        // redundant row; solution still optimal.
-        let lp = lp_from_dense(&[&[1.0, 1.0], &[2.0, 2.0]], &[1.0, 2.0], &[3.0, 6.0]);
-        let r = solve_standard(&lp, None);
-        assert_eq!(r.status, SimplexStatus::Optimal);
-        assert!((r.objective - 3.0).abs() < 1e-9, "obj={}", r.objective);
-        assert!(r.residual < 1e-8);
     }
 
     #[test]
@@ -1302,7 +1130,7 @@ mod tests {
             &[-5.0, -4.0, 0.0, 0.0],
             &[8.0, 9.0],
         );
-        let r = solve_standard(&lp, None);
+        let r = solve_standard(&lp, None).unwrap();
         assert_eq!(r.status, SimplexStatus::Optimal);
         let yb: f64 = r.duals.iter().zip(&lp.rhs).map(|(y, b)| y * b).sum();
         assert!((yb - r.objective).abs() < 1e-8);
@@ -1342,10 +1170,10 @@ mod tests {
     fn warm_start_on_identical_rhs_needs_no_pivots() {
         let rhs: Vec<f64> = (0..24).map(|i| 1.0 + (i % 4) as f64).collect();
         let lp = banded_lp(&rhs);
-        let donor = solve_standard(&lp, None);
+        let donor = solve_standard(&lp, None).unwrap();
         assert_eq!(donor.status, SimplexStatus::Optimal);
         assert!(donor.effort.pivots > 0, "donor solved without pivoting");
-        let warm = solve_standard(&lp, Some(Warm::Restart(donor.basis.clone())));
+        let warm = solve_standard(&lp, Some(Warm::Restart(donor.basis.clone()))).unwrap();
         assert_eq!(warm.status, SimplexStatus::Optimal);
         assert_eq!(
             warm.effort.pivots, 0,
@@ -1358,11 +1186,11 @@ mod tests {
     fn warm_start_matches_cold_optimum_on_sibling_rhs() {
         let rhs_a: Vec<f64> = (0..24).map(|i| 1.0 + (i % 4) as f64).collect();
         let rhs_b: Vec<f64> = (0..24).map(|i| 1.3 + (i % 3) as f64).collect();
-        let donor = solve_standard(&banded_lp(&rhs_a), None);
+        let donor = solve_standard(&banded_lp(&rhs_a), None).unwrap();
         assert_eq!(donor.status, SimplexStatus::Optimal);
         let sibling = banded_lp(&rhs_b);
-        let cold = solve_standard(&sibling, None);
-        let warm = solve_standard(&sibling, Some(Warm::Restart(donor.basis.clone())));
+        let cold = solve_standard(&sibling, None).unwrap();
+        let warm = solve_standard(&sibling, Some(Warm::Restart(donor.basis.clone()))).unwrap();
         assert_eq!(cold.status, SimplexStatus::Optimal);
         assert_eq!(warm.status, SimplexStatus::Optimal);
         assert!(
@@ -1390,10 +1218,11 @@ mod tests {
         let foreign = solve_standard(
             &banded_lp(&(0..30).map(|i| 1.0 + (i % 2) as f64).collect::<Vec<_>>()),
             None,
-        );
+        )
+        .unwrap();
         let lp = banded_lp(&rhs);
-        let cold = solve_standard(&lp, None);
-        let warm = solve_standard(&lp, Some(Warm::Restart(foreign.basis.clone())));
+        let cold = solve_standard(&lp, None).unwrap();
+        let warm = solve_standard(&lp, Some(Warm::Restart(foreign.basis.clone()))).unwrap();
         assert_eq!(warm.status, cold.status);
         assert_eq!(warm.effort.pivots, cold.effort.pivots);
         for (a, b) in warm.x.iter().zip(&cold.x) {
@@ -1435,7 +1264,7 @@ mod tests {
         let rhs: Vec<f64> = (0..24).map(|i| 1.0 + (i % 4) as f64).collect();
         let n = rhs.len();
         let base = banded_lp_with_inserted(&rhs, &[]);
-        let donor = solve_standard(&base, None);
+        let donor = solve_standard(&base, None).unwrap();
         assert_eq!(donor.status, SimplexStatus::Optimal);
 
         // Insert two attractive columns before the slack block; the old
@@ -1446,14 +1275,15 @@ mod tests {
             (vec![(11, 1.0), (12, 0.25)], -8.0),
         ];
         let grown = banded_lp_with_inserted(&rhs, &extra);
-        let cold = solve_standard(&grown, None);
+        let cold = solve_standard(&grown, None).unwrap();
         assert_eq!(cold.status, SimplexStatus::Optimal);
         let warm = solve_standard(
             &grown,
             Some(Warm::Continue(
                 donor.basis.with_columns_inserted(n, extra.len()),
             )),
-        );
+        )
+        .unwrap();
         assert_eq!(warm.status, SimplexStatus::Optimal);
         assert!(
             (warm.objective - cold.objective).abs() < 1e-9,
@@ -1474,7 +1304,8 @@ mod tests {
             Some(Warm::Restart(
                 donor.basis.with_columns_inserted(n, extra.len()),
             )),
-        );
+        )
+        .unwrap();
         assert_eq!(fallback.effort.pivots, cold.effort.pivots);
         for (a, b) in fallback.x.iter().zip(&cold.x) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -1484,10 +1315,10 @@ mod tests {
     #[test]
     fn column_insertion_remap_shifts_only_tail_entries() {
         let basis = Basis {
-            rows: vec![Some(0), Some(4), None, Some(9)],
+            rows: vec![0, 4, 2, 9],
         };
         let shifted = basis.with_columns_inserted(4, 3);
-        assert_eq!(shifted.rows, vec![Some(0), Some(7), None, Some(12)]);
+        assert_eq!(shifted.rows, vec![0, 7, 2, 12]);
         // Inserting zero columns is the identity.
         assert_eq!(basis.with_columns_inserted(2, 0), basis);
     }
@@ -1519,9 +1350,9 @@ mod tests {
             costs,
             rhs,
         };
-        let mut eng = Engine::new(&lp);
+        let mut eng = Engine::new(&lp).unwrap();
         eng.refactor_every = 3;
-        let r = solve_cold(eng);
+        let r = finish_phase2(eng);
         assert_eq!(r.status, SimplexStatus::Optimal);
         assert!(r.residual < 1e-9, "residual {}", r.residual);
     }
@@ -1555,18 +1386,33 @@ mod tests {
         crate::dual::opt_dual(n, &losses, &pairs)
     }
 
+    #[test]
+    fn exit_gate_refuses_a_negative_basic_value() {
+        // The optimal basis of one prior's dual, installed on a sibling's:
+        // dual-feasible, so phase 2 prices clean at once, but not
+        // primal-feasible. Refinement reproduces the right-hand side, so
+        // only the sign of the basic values can tell.
+        let donor = solve_standard(&dualized_opt_g3(5), None).unwrap();
+        let sibling = dualized_opt_g3(3);
+        let mut eng = Engine::new(&sibling).unwrap();
+        assert!(eng.install_basis(&donor.basis) && eng.dual_feasible());
+        assert!(
+            eng.xb.iter().any(|&v| v < -VALUE_CLIP),
+            "the donor basis is primal-feasible on the sibling"
+        );
+        let r = finish_phase2(eng);
+        assert!(r.residual < RESIDUAL_TOL, "residual {}", r.residual);
+        assert_eq!(r.status, SimplexStatus::SingularBasis);
+    }
+
     /// The row duals a pivot carried, checked against a fresh
     /// cost-sparse BTRAN and the dense product `B⁻ᵀc_B`. `==` lets ±0
     /// compare equal: the sign of an exact zero is the one thing the
     /// sparse sum and the carried duals may change.
     fn assert_duals_current(eng: &Engine, y: &[f64], pivots: usize) {
-        let fresh = eng.duals(false);
+        let fresh = eng.duals();
         assert_eq!(y, &fresh[..], "carried duals differ after {pivots} pivots");
-        let cb: Vec<f64> = eng
-            .basis
-            .iter()
-            .map(|&b| eng.basic_cost(b, false))
-            .collect();
+        let cb: Vec<f64> = eng.basis.iter().map(|&j| eng.lp.costs[j]).collect();
         assert_eq!(
             fresh,
             eng.binv.mul_vec_transpose(&cb),
@@ -1580,31 +1426,22 @@ mod tests {
         // refactorizing every 16 pivots), carrying the duals through each
         // pivot, and compare them with a fresh BTRAN after each pivot.
         let lp = dualized_opt_g3(5);
-        let mut eng = Engine::new(&lp);
+        let mut eng = Engine::new(&lp).unwrap();
         eng.refactor_every = 16;
-        assert!(!eng.has_artificials(), "an OPT dual starts from its slacks");
         let (mut pivots, mut most_costed) = (0usize, 0usize);
-        let mut y = eng.duals(false);
+        let mut y = eng.duals();
         loop {
             assert_duals_current(&eng, &y, pivots);
-            most_costed = most_costed.max(
-                eng.basis
-                    .iter()
-                    .filter(|&&b| eng.basic_cost(b, false) != 0.0)
-                    .count(),
-            );
-            let Some(q) = eng.price(&y, false, false) else {
+            most_costed =
+                most_costed.max(eng.basis.iter().filter(|&&j| lp.costs[j] != 0.0).count());
+            let Some(q) = eng.price(&y, false) else {
                 break;
             };
             let w = eng.ftran(q);
             let r = eng.ratio_test(&w, false).expect("an OPT dual is bounded");
             let step = (lp.costs[q] - lp.cols.col_dot(q, &y)) / w[r];
-            let duals = Duals {
-                y: &mut y,
-                phase1: false,
-                step,
-            };
-            eng.pivot(r, q, &w, Some(duals));
+            let duals = Duals { y: &mut y, step };
+            eng.pivot(r, q, &w, duals);
             pivots += 1;
         }
         assert!(pivots > 16, "too few pivots to cross a refactorization");
@@ -1616,12 +1453,12 @@ mod tests {
         // The same through a dual-simplex restart: a sibling LP installs
         // the optimal basis and pivots back to primal feasibility,
         // choosing its pivots as `restore_primal_feasibility` does.
-        let donor = solve_cold(Engine::new(&lp));
+        let donor = solve_standard(&lp, None).unwrap();
         let sibling = dualized_opt_g3(3);
-        let mut eng = Engine::new(&sibling);
+        let mut eng = Engine::new(&sibling).unwrap();
         eng.refactor_every = 4;
         assert!(eng.install_basis(&donor.basis) && eng.dual_feasible());
-        let mut y = eng.duals(false);
+        let mut y = eng.duals();
         let mut pivots = 0usize;
         loop {
             assert_duals_current(&eng, &y, pivots);
@@ -1644,12 +1481,8 @@ mod tests {
                 .0;
             let w = eng.ftran(q);
             let step = (sibling.costs[q] - sibling.cols.col_dot(q, &y)) / w[r];
-            let duals = Duals {
-                y: &mut y,
-                phase1: false,
-                step,
-            };
-            eng.pivot(r, q, &w, Some(duals));
+            let duals = Duals { y: &mut y, step };
+            eng.pivot(r, q, &w, duals);
             pivots += 1;
         }
         assert!(

@@ -37,12 +37,6 @@ impl CscBuilder {
         }
     }
 
-    /// Reserve space for an expected number of nonzeros.
-    pub fn reserve(&mut self, nnz: usize) {
-        self.row_idx.reserve(nnz);
-        self.values.reserve(nnz);
-    }
-
     /// Append one column given `(row, value)` entries. Zero values are
     /// dropped; duplicate rows within a column are summed.
     ///
@@ -102,11 +96,6 @@ impl CscMatrix {
         self.col_ptr.len() - 1
     }
 
-    /// Number of stored nonzeros.
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
     /// The `(row, value)` entries of column `j`.
     pub fn col(&self, j: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
         let range = self.col_ptr[j]..self.col_ptr[j + 1];
@@ -144,12 +133,6 @@ impl CscMatrix {
         }
         y
     }
-
-    /// Dense transposed mat-vec `y = Aᵀ x`.
-    pub fn mul_vec_transpose(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.nrows);
-        (0..self.ncols()).map(|j| self.col_dot(j, x)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -168,11 +151,10 @@ mod tests {
     }
 
     #[test]
-    fn shape_and_nnz() {
+    fn shape() {
         let m = sample();
         assert_eq!(m.nrows(), 3);
         assert_eq!(m.ncols(), 3);
-        assert_eq!(m.nnz(), 5);
     }
 
     #[test]
@@ -197,17 +179,15 @@ mod tests {
         b.push_col(&[(0, 0.0), (1, 1.0)]);
         b.push_col(&[]);
         let m = b.finish();
-        assert_eq!(m.nnz(), 1);
+        assert_eq!(m.col(0).collect::<Vec<_>>(), vec![(1, 1.0)]);
         assert_eq!(m.col(1).count(), 0);
     }
 
     #[test]
-    fn matvec_roundtrip() {
+    fn matvec() {
         let m = sample();
         let y = m.mul_vec(&[1.0, 2.0, 3.0]);
         assert_eq!(y, vec![7.0, 6.0, 19.0]);
-        let yt = m.mul_vec_transpose(&[1.0, 1.0, 1.0]);
-        assert_eq!(yt, vec![5.0, 3.0, 7.0]);
     }
 
     #[test]

@@ -1,27 +1,62 @@
 //! Property tests: the revised simplex against the dense tableau oracle on
-//! randomized LPs, duality invariants, and the optimal mechanism's dual
-//! against its primal (on the deterministic `geoind-testkit` harness;
-//! failures print a per-case seed).
+//! randomized slack-covered LPs, duality invariants, and the optimal
+//! mechanism's dual checked by its own weak-duality certificate (on the
+//! deterministic `geoind-testkit` harness; failures print a per-case seed).
 
-use geoind_lp::dual::{opt_dual, solve_opt_dual};
-use geoind_lp::model::{Model, Op, Sense};
-use geoind_lp::simplex::VALUE_CLIP;
-use geoind_lp::tableau::solve_dense;
-use geoind_lp::LpError;
+mod tableau;
+
+use geoind_lp::dual::opt_dual;
+use geoind_lp::simplex::{solve_standard, SimplexStatus, StandardLp, OPT_TOL, VALUE_CLIP};
+use geoind_lp::sparse::CscBuilder;
 use geoind_rng::{Rng, SeededRng};
-use geoind_testkit::gens::{bool_any, Gen};
+use geoind_testkit::gens::Gen;
 use geoind_testkit::{check, ensure, Config};
+use tableau::solve_dense;
 
-/// A randomized LP that is feasible by construction: we pick a witness
-/// point `x0 ≥ 0` first and derive compatible right-hand sides.
+/// A randomized LP in slack-covered standard form: structural columns,
+/// then one +1 slack per row, with a non-negative right-hand side, so the
+/// slack basis is a feasible start. It may be unbounded.
 #[derive(Debug, Clone)]
 struct RandomLp {
+    /// The structural columns' costs.
     costs: Vec<f64>,
-    rows: Vec<(Vec<f64>, Op, f64)>,
+    /// Each row: its structural coefficients, its slack's cost and its
+    /// right-hand side.
+    rows: Vec<(Vec<f64>, f64, f64)>,
 }
 
-/// Generator for [`RandomLp`]: 2–5 variables, 1–6 rows. Shrinks by
-/// dropping trailing rows (the witness keeps every prefix feasible).
+impl RandomLp {
+    fn standard(&self) -> StandardLp {
+        let mut cols = CscBuilder::new(self.rows.len());
+        for j in 0..self.costs.len() {
+            let col: Vec<(usize, f64)> = self
+                .rows
+                .iter()
+                .enumerate()
+                .map(|(i, (coefs, _, _))| (i, coefs[j]))
+                .collect();
+            cols.push_col(&col);
+        }
+        for i in 0..self.rows.len() {
+            cols.push_col(&[(i, 1.0)]);
+        }
+        StandardLp {
+            cols: cols.finish(),
+            costs: self
+                .costs
+                .iter()
+                .copied()
+                .chain(self.rows.iter().map(|&(_, cost, _)| cost))
+                .collect(),
+            rhs: self.rows.iter().map(|&(_, _, rhs)| rhs).collect(),
+        }
+    }
+}
+
+/// Generator for [`RandomLp`]: 2–5 structural columns, 1–6 rows. About a
+/// quarter of the coefficients are zero, a third of the slacks carry a
+/// positive cost, and a sixth of the right-hand sides are zero
+/// (degenerate vertices). Shrinks by dropping trailing rows.
 struct RandomLpGen;
 
 impl Gen for RandomLpGen {
@@ -31,23 +66,28 @@ impl Gen for RandomLpGen {
         let n = rng.gen_range(2..=5usize);
         let m = rng.gen_range(1..=6usize);
         let costs: Vec<f64> = (0..n).map(|_| rng.gen_range(-5.0..5.0)).collect();
-        let witness: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..4.0)).collect();
         let rows = (0..m)
             .map(|_| {
-                let row: Vec<f64> = (0..n).map(|_| rng.gen_range(-3.0..3.0)).collect();
-                let op = match rng.gen_range(0..3usize) {
-                    0 => Op::Le,
-                    1 => Op::Ge,
-                    _ => Op::Eq,
+                let coefs: Vec<f64> = (0..n)
+                    .map(|_| {
+                        if rng.gen_range(0..4usize) == 0 {
+                            0.0
+                        } else {
+                            rng.gen_range(-3.0..3.0)
+                        }
+                    })
+                    .collect();
+                let slack_cost = if rng.gen_range(0..3usize) == 0 {
+                    rng.gen_range(0.0..3.0)
+                } else {
+                    0.0
                 };
-                let slack = rng.gen_range(0.0..3.0);
-                let ax: f64 = row.iter().zip(&witness).map(|(a, x)| a * x).sum();
-                let rhs = match op {
-                    Op::Le => ax + slack,
-                    Op::Ge => ax - slack,
-                    Op::Eq => ax,
+                let rhs = if rng.gen_range(0..6usize) == 0 {
+                    0.0
+                } else {
+                    rng.gen_range(0.0..6.0)
                 };
-                (row, op, rhs)
+                (coefs, slack_cost, rhs)
             })
             .collect();
         RandomLp { costs, rows }
@@ -64,44 +104,67 @@ impl Gen for RandomLpGen {
     }
 }
 
-fn build_model(lp: &RandomLp, sense: Sense) -> Model {
-    let mut m = Model::new(sense);
-    let vars: Vec<usize> = lp.costs.iter().map(|&c| m.add_var(c)).collect();
-    for (coefs, op, rhs) in &lp.rows {
-        let entries: Vec<(usize, f64)> = vars.iter().zip(coefs).map(|(&v, &c)| (v, c)).collect();
-        m.add_row(&entries, *op, *rhs);
-    }
-    m
-}
-
-/// Revised simplex (primal path) agrees with the tableau oracle.
+/// Revised simplex agrees with the tableau oracle: the same objective when
+/// both find an optimum, and both report an unbounded LP as such.
 #[test]
 fn primal_matches_oracle() {
     check(
         "primal_matches_oracle",
         Config::cases(300),
-        &(RandomLpGen, bool_any()),
-        |(lp, maximize)| {
-            let sense = if *maximize {
-                Sense::Maximize
-            } else {
-                Sense::Minimize
-            };
-            let model = build_model(lp, sense);
-            let oracle = solve_dense(sense, &lp.costs, &lp.rows);
-            let ours = model.solve();
-            match (oracle, ours) {
-                (Ok((obj_o, _)), Ok(sol)) => {
+        &RandomLpGen,
+        |lp| {
+            let lp = lp.standard();
+            let ours = solve_standard(&lp, None).map_err(|e| format!("refused: {e}"))?;
+            match (solve_dense(&lp), ours.status) {
+                (Some((obj_o, _)), SimplexStatus::Optimal) => {
                     ensure!(
-                        (obj_o - sol.objective).abs() < 1e-6 * (1.0 + obj_o.abs()),
+                        (obj_o - ours.objective).abs() < 1e-6 * (1.0 + obj_o.abs()),
                         "objective mismatch: oracle {obj_o}, ours {}",
-                        sol.objective
+                        ours.objective
                     );
-                    ensure!(sol.residual < 1e-6);
+                    ensure!(ours.residual < 1e-6);
                 }
-                (Err(LpError::Unbounded), Err(LpError::Unbounded)) => {}
-                // These LPs are feasible by construction; anything else is a bug.
-                (o, u) => ensure!(false, "status mismatch: oracle {o:?}, ours {u:?}"),
+                (None, SimplexStatus::Unbounded) => {}
+                (o, s) => ensure!(false, "status mismatch: oracle {o:?}, ours {s:?}"),
+            }
+            Ok(())
+        },
+    );
+}
+
+/// At an optimum, the row duals close the gap to the objective and to the
+/// oracle's (`y·b`), price every column non-negatively (on a zero-cost
+/// slack that is the `≤` row's sign convention `y_i ≤ 0`) and are
+/// complementary to the solution.
+#[test]
+fn duality_invariants() {
+    check(
+        "duality_invariants",
+        Config::cases(300),
+        &RandomLpGen,
+        |lp| {
+            let lp = lp.standard();
+            let sol = solve_standard(&lp, None).map_err(|e| format!("refused: {e}"))?;
+            if sol.status != SimplexStatus::Optimal {
+                return Ok(()); // unbounded: `primal_matches_oracle`'s case
+            }
+            let (oracle, _) = solve_dense(&lp).ok_or("the oracle found it unbounded")?;
+            let tol = 1e-6 * (1.0 + oracle.abs());
+            let yb: f64 = sol.duals.iter().zip(&lp.rhs).map(|(y, b)| y * b).sum();
+            ensure!(
+                (yb - sol.objective).abs() < tol,
+                "y'b={yb} obj={}",
+                sol.objective
+            );
+            ensure!((yb - oracle).abs() < tol, "y'b={yb} oracle={oracle}");
+            for j in 0..lp.cols.ncols() {
+                let d = lp.costs[j] - lp.cols.col_dot(j, &sol.duals);
+                ensure!(d > -1e-6, "negative reduced cost {d} at column {j}");
+                ensure!(
+                    (sol.x[j] * d).abs() < 1e-6,
+                    "column {j} at {} has reduced cost {d}",
+                    sol.x[j]
+                );
             }
             Ok(())
         },
@@ -118,15 +181,13 @@ struct RandomOpt {
     pairs: Vec<(usize, usize, f64)>,
 }
 
-/// Generator for [`RandomOpt`]: 2–5 random points in a 3 km square, a
+/// Generator for [`RandomOpt`]: 2–5 random points in a 10 km square, a
 /// random prior, ε in [0.1, 2], and either every ordered pair or a random
 /// subset of them. Does not shrink.
 ///
-/// The square keeps every row scale `e^{−ε·d}` above ~2e-4. Drawn from a
-/// 10 km square, scales fall to ~1e-8 and the reference, a solve of the
-/// primal `Model`, turns ill-conditioned: it can exit "optimal" with
-/// GeoInd rows violated by up to ~1e-3 while the dual's channel is
-/// feasible.
+/// Across the square the row scales `e^{−ε·d}` fall as low as ~5e-13, so
+/// the duals mix columns whose entries differ by twelve orders of
+/// magnitude.
 struct RandomOptGen;
 
 impl Gen for RandomOptGen {
@@ -135,7 +196,7 @@ impl Gen for RandomOptGen {
     fn generate(&self, rng: &mut SeededRng) -> RandomOpt {
         let n = rng.gen_range(2..=5usize);
         let pts: Vec<(f64, f64)> = (0..n)
-            .map(|_| (rng.gen_range(0.0..3.0), rng.gen_range(0.0..3.0)))
+            .map(|_| (rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0)))
             .collect();
         let dist = |a: usize, b: usize| {
             let (dx, dy) = (pts[a].0 - pts[b].0, pts[a].1 - pts[b].1);
@@ -160,30 +221,19 @@ impl Gen for RandomOptGen {
     }
 }
 
-/// The OPT instance as a primal [`Model`]: row-stochasticity equalities
-/// and one row-scaled GeoInd row per pair and output.
-fn opt_primal(opt: &RandomOpt) -> Model {
-    let n = opt.n;
-    let mut m = Model::new(Sense::Minimize);
-    for &loss in &opt.losses {
-        m.add_var(loss);
-    }
-    for x in 0..n {
-        let row: Vec<(usize, f64)> = (0..n).map(|z| (x * n + z, 1.0)).collect();
-        m.add_row(&row, Op::Eq, 1.0);
-    }
-    for &(x, xp, scale) in &opt.pairs {
-        for z in 0..n {
-            m.add_row(&[(x * n + z, scale), (xp * n + z, -1.0)], Op::Le, 0.0);
-        }
-    }
-    m
-}
-
-/// The optimal mechanism's dual, built in standard form and solved, agrees
-/// with a cold solve of the same primal (objectives within 1e-9 relative
-/// to `max(|objective|, 1)`), and reads off a channel: every entry at
-/// least `−VALUE_CLIP`, every row summing to 1 within 1e-9.
+/// The optimal mechanism's dual, built in standard form and solved,
+/// carries its own optimality certificate, checked here against the
+/// primal rows the test writes out itself:
+/// - the channel `K = −duals` is primal-feasible: every entry at least
+///   `−VALUE_CLIP`, every row summing to 1 within 1e-9, and every GeoInd
+///   row `scale·K(x,z) − K(x′,z) ≤ 0` within `OPT_TOL`;
+/// - the dual point read off the solution in `opt_dual`'s column order,
+///   `u_x = x[2x] − x[2x+1]` and `λ_{p,z} = x[2n + p·n + z]`, is
+///   dual-feasible: `λ ≥ 0`, and for every `(x, z)`,
+///   `u_x − Σ_{p=(x,·)} scale_p·λ_{p,z} + Σ_{p=(·,x)} λ_{p,z} ≤ loss(x,z)`
+///   within 1e-9;
+/// - the objectives `Σ loss·K` and `Σ_x u_x` agree within 1e-9 relative to
+///   `max(|objective|, 1)`, so by weak duality both points are optimal.
 #[test]
 fn opt_dual_matches_the_primal() {
     check(
@@ -191,73 +241,64 @@ fn opt_dual_matches_the_primal() {
         Config::cases(300),
         &RandomOptGen,
         |opt| {
-            let n = opt.n;
-            let primal = opt_primal(opt).solve();
-            let dual = solve_opt_dual(&opt_dual(n, &opt.losses, &opt.pairs), None);
-            let (p, d) = match (primal, dual) {
-                (Ok(p), Ok(d)) => (p, d),
-                (p, d) => return Err(format!("OPT is bounded and feasible: {p:?} vs {d:?}")),
-            };
+            let (n, losses, pairs) = (opt.n, &opt.losses, &opt.pairs);
+            let res = solve_standard(&opt_dual(n, losses, pairs), None)
+                .map_err(|e| format!("refused: {e}"))?;
             ensure!(
-                (p.objective - d.objective).abs() <= 1e-9 * p.objective.abs().max(1.0),
-                "objective mismatch: primal {} dual {}",
-                p.objective,
-                d.objective
+                res.status == SimplexStatus::Optimal,
+                "OPT is bounded and feasible: {:?}",
+                res.status
             );
-            ensure!(d.channel.len() == n * n);
-            for &k in &d.channel {
-                ensure!(k >= -VALUE_CLIP, "entry {k} below -VALUE_CLIP");
+            let k: Vec<f64> = res.duals.iter().map(|y| -y).collect();
+            for &v in &k {
+                ensure!(v >= -VALUE_CLIP, "entry {v} below -VALUE_CLIP");
             }
-            for row in d.channel.chunks(n) {
+            for row in k.chunks(n) {
                 let sum: f64 = row.iter().sum();
                 ensure!((sum - 1.0).abs() <= 1e-9, "row sums to {sum}");
             }
-            Ok(())
-        },
-    );
-}
-
-/// Strong duality and sign conventions of the returned duals.
-#[test]
-fn duality_invariants() {
-    check(
-        "duality_invariants",
-        Config::cases(300),
-        &RandomLpGen,
-        |lp| {
-            let model = build_model(lp, Sense::Minimize);
-            if let Ok(sol) = model.solve() {
-                // objective == y'b
-                let yb: f64 = sol
-                    .duals
-                    .iter()
-                    .zip(&lp.rows)
-                    .map(|(y, (_, _, b))| y * b)
-                    .sum();
-                ensure!(
-                    (yb - sol.objective).abs() < 1e-6 * (1.0 + sol.objective.abs()),
-                    "y'b={yb} obj={}",
-                    sol.objective
-                );
-                // Reduced costs are >= 0 for a minimization at optimum.
-                for j in 0..lp.costs.len() {
-                    let ya: f64 = sol
-                        .duals
-                        .iter()
-                        .zip(&lp.rows)
-                        .map(|(y, (coefs, _, _))| y * coefs[j])
-                        .sum();
-                    ensure!(lp.costs[j] - ya > -1e-6, "negative reduced cost at var {j}");
-                }
-                // Dual sign conventions: Ge rows have y >= 0, Le rows y <= 0.
-                for (i, (_, op, _)) in lp.rows.iter().enumerate() {
-                    match op {
-                        Op::Ge => ensure!(sol.duals[i] >= -1e-7),
-                        Op::Le => ensure!(sol.duals[i] <= 1e-7),
-                        Op::Eq => {}
-                    }
+            for &(x, xp, scale) in pairs {
+                for z in 0..n {
+                    let excess = scale * k[x * n + z] - k[xp * n + z];
+                    ensure!(
+                        excess <= OPT_TOL,
+                        "GeoInd row ({x}, {xp}, {z}) violated by {excess}"
+                    );
                 }
             }
+
+            let u: Vec<f64> = (0..n).map(|x| res.x[2 * x] - res.x[2 * x + 1]).collect();
+            let lambda = |p: usize, z: usize| res.x[2 * n + p * n + z];
+            for p in 0..pairs.len() {
+                for z in 0..n {
+                    ensure!(lambda(p, z) >= 0.0, "λ({p}, {z}) = {}", lambda(p, z));
+                }
+            }
+            for x in 0..n {
+                for z in 0..n {
+                    let mut lhs = u[x];
+                    for (p, &(from, to, scale)) in pairs.iter().enumerate() {
+                        if from == x {
+                            lhs -= scale * lambda(p, z);
+                        }
+                        if to == x {
+                            lhs += lambda(p, z);
+                        }
+                    }
+                    let excess = lhs - losses[x * n + z];
+                    ensure!(
+                        excess <= 1e-9,
+                        "dual row ({x}, {z}) exceeds its loss by {excess}"
+                    );
+                }
+            }
+
+            let primal: f64 = losses.iter().zip(&k).map(|(l, v)| l * v).sum();
+            let dual: f64 = u.iter().sum();
+            ensure!(
+                (primal - dual).abs() <= 1e-9 * primal.abs().max(1.0),
+                "duality gap: primal {primal}, dual {dual}"
+            );
             Ok(())
         },
     );

@@ -57,6 +57,13 @@ cargo build --workspace --release --offline
 echo "== cargo test --workspace -q --offline"
 cargo test --workspace -q --offline
 
+echo "== full benchmark tree pinned (release: kept pivots, bundle length and FNV-1a)"
+# Precomputes all 273 nodes of the repository benchmark's hierarchy in
+# both solve modes and compares them with recorded values. A debug build
+# takes minutes over it, so the test is ignored there and runs here.
+cargo test --release -q --offline --test determinism -- \
+    benchmark_full_tree_keeps_recorded_pivots_and_bytes
+
 echo "== fault injection sweep (degradation ladder stays total per armed site)"
 # Arm each failpoint site in rotation (see geoind_testkit::failpoint) and
 # drive the env-facing resilience binary. Global arming is process-wide,

@@ -333,6 +333,43 @@ fn eager_precompute_prefix_keeps_recorded_pivots_and_bytes() {
     }
 }
 
+/// The two prefix pins above, extended to the whole benchmark hierarchy:
+/// all 273 nodes, in both solve modes, at 2 workers. The bundle the
+/// repository benchmark loads is this one, so its bytes (and the kept
+/// pivots behind them) are pinned here rather than only by the prefixes.
+/// A debug build takes minutes over it, so it is ignored there;
+/// `scripts/ci.sh` runs it in release, where both modes take ~3 s.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release only: scripts/ci.sh runs it")]
+fn benchmark_full_tree_keeps_recorded_pivots_and_bytes() {
+    let city = SyntheticCity::austin_like().generate_with_size(80_000, 8_000);
+    for (cutgen, pivots, fnv) in [
+        (true, 21_705, 0xbf59_67e6_e2b2_4853),
+        (false, 34_470, 0xbbf2_6b31_50fd_aea9),
+    ] {
+        let msm = MsmMechanism::builder(city.domain(), GridPrior::from_dataset(&city, 64))
+            .epsilon(0.5)
+            .granularity(4)
+            .strategy(AllocationStrategy::FixedHeight(3))
+            .opt_options(OptOptions {
+                cutgen,
+                ..OptOptions::default()
+            })
+            .build()
+            .expect("benchmark configuration");
+        assert_eq!(msm.precompute_jobs(1_000, 2).expect("precompute"), 273);
+        assert_eq!(
+            msm.lp_pivot_count(),
+            pivots,
+            "kept pivots moved, cutgen {cutgen}"
+        );
+        let mut blob = Vec::new();
+        msm.export_cache(&mut blob).expect("export");
+        assert_eq!(blob.len(), 718_564, "bundle length moved, cutgen {cutgen}");
+        assert_eq!(fnv1a64(&blob), fnv, "bundle bytes moved, cutgen {cutgen}");
+    }
+}
+
 /// Cross-mechanism: interleaving two mechanisms on one RNG stream is still
 /// reproducible (the stream position, not the mechanism, owns determinism).
 #[test]
