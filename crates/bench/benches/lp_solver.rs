@@ -1,8 +1,7 @@
 //! Wall-clock micro-benchmarks for the LP substrate.
 
-use geoind_lp::dense::{DenseMatrix, LuFactors};
 use geoind_lp::dual::{opt_dual, solve_opt_dual};
-use geoind_rng::{Rng, SeededRng};
+use geoind_lp::lu::SparseLu;
 use geoind_testkit::bench::Bench;
 use std::hint::black_box;
 
@@ -32,26 +31,68 @@ fn bench_paths(b: &mut Bench) {
     }
 }
 
-/// The dense work of the engine's refactorization: the LU of a basis
-/// block and the block's explicit inverse built from it.
+/// The refactorization kernel on an OPT-shaped block: OPT's dual over a
+/// collinear g=4-sized instance (16 locations, m = 256) has two-entry pair
+/// columns and a ±1 stochasticity border. Each non-slack column in turn
+/// replaces the slack of its largest-index row still covered by one, and
+/// stays while the block of replacing columns on the uncovered rows
+/// remains regular; the bench times that block's factorization and the
+/// solve of all its inverse columns.
 fn bench_lu(b: &mut Bench) {
-    let mut rng = SeededRng::from_seed(10);
-    let n = 200usize;
-    let mut a = DenseMatrix::zeros(n, n);
-    for j in 0..n {
-        for i in 0..n {
-            a.set(i, j, rng.gen_range(-1.0..1.0));
+    let n = 16usize;
+    let (losses, pairs) = opt_shaped(n, 0.6);
+    let lp = opt_dual(n, &losses, &pairs);
+    let m = n * n;
+    let slack0 = lp.cols.ncols() - m;
+    let mut block: Vec<Vec<(usize, f64)>> = Vec::new();
+    let mut lu = SparseLu::default();
+    let mut taken = vec![false; m];
+    for j in 0..slack0 {
+        let col: Vec<(usize, f64)> = lp.cols.col(j).collect();
+        let Some(&(row, _)) = col.iter().rev().find(|&&(r, _)| !taken[r]) else {
+            continue;
+        };
+        taken[row] = true;
+        block.push(col);
+        let rows: Vec<usize> = (0..m).filter(|&r| taken[r]).collect();
+        let index = |r: usize| rows.binary_search(&r).ok();
+        let k = block.len();
+        let regular = lu
+            .factor(
+                k,
+                block
+                    .iter()
+                    .map(|c| c.iter().filter_map(|&(r, v)| index(r).map(|t| (t, v)))),
+            )
+            .is_ok();
+        if !regular {
+            taken[row] = false;
+            block.pop();
         }
-        a.set(j, j, a.get(j, j) + 5.0);
     }
-    let lu = LuFactors::factor(&a).unwrap();
-    let mut inv = DenseMatrix::default();
-    b.iter("dense_lu_200/factor", || {
-        black_box(LuFactors::factor(&a).unwrap())
+    let rows: Vec<usize> = (0..m).filter(|&r| taken[r]).collect();
+    let k = block.len();
+    let local: Vec<Vec<(usize, f64)>> = block
+        .iter()
+        .map(|c| {
+            c.iter()
+                .filter_map(|&(r, v)| rows.binary_search(&r).ok().map(|t| (t, v)))
+                .collect()
+        })
+        .collect();
+    let mut col = Vec::new();
+    b.iter(&format!("opt_block_k{k}/factor"), || {
+        lu.factor(k, local.iter().map(|c| c.iter().copied()))
+            .unwrap();
+        black_box(lu.nonzeros())
     });
-    b.iter("dense_lu_200/inverse", || {
-        lu.inverse_into(&mut inv);
-        black_box(&inv);
+    b.iter(&format!("opt_block_k{k}/inverse_columns"), || {
+        let mut nnz = 0;
+        for t in 0..k {
+            lu.inverse_column(t, &mut col);
+            nnz += col.len();
+        }
+        black_box(nnz)
     });
 }
 

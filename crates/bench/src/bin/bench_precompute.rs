@@ -19,7 +19,9 @@
 //! `discarded_pivots` (the pivots those abandoned starts executed, which
 //! `pivots` does not count; cold cells report both as 0) and
 //! `refactorizations` (LU factorizations of a basis, each sibling's
-//! install of its donor's basis included).
+//! install of its donor's basis included), with `block_order` (the order
+//! k of each factored block, summed) and `factor_nonzeros` (the nonzeros
+//! of each factorization's L and U, summed).
 //!
 //! `cutgen` times single-node OPT solves across constraint strategies:
 //! eager (every row materialized) vs delayed constraint generation, at a
@@ -29,7 +31,8 @@
 //! JSON fragment that `scripts/bench.sh` folds into
 //! `BENCH_precompute.json` — every row records
 //! `{"constraints", "cutgen", "g", rows_total, rows_active, cut_rounds,
-//! pivots, refactorizations, wall_s, loss}` so the working-set ratio
+//! pivots, refactorizations, block_order, factor_nonzeros, wall_s, loss}`
+//! so the working-set ratio
 //! behind each wall clock is part of the artifact.
 //!
 //! `dilation` prints the utility-vs-dilation markdown table of
@@ -133,17 +136,21 @@ fn bench_precompute(g: u32, height: u32, eps: f64, jobs_max: usize, max_nodes: u
             warm_fallbacks: fallbacks,
             discarded_pivots: discarded,
             refactorizations,
+            block_order,
+            factor_nonzeros,
         } = total.effort;
         eprintln!(
             "# jobs={jobs} warm={warm}: {nodes} nodes, {wall:.3}s, {pivots} pivots, \
              {fallbacks} warm fallbacks discarding {discarded} pivots, \
-             {refactorizations} refactorizations"
+             {refactorizations} refactorizations of order {block_order} \
+             with {factor_nonzeros} factor nonzeros"
         );
         cells.push(format!(
             "    {{\"jobs\": {jobs}, \"warm\": {warm}, \"nodes\": {nodes}, \
              \"wall_s\": {wall:.6}, \"pivots\": {pivots}, \
              \"warm_fallbacks\": {fallbacks}, \"discarded_pivots\": {discarded}, \
-             \"refactorizations\": {refactorizations}}}"
+             \"refactorizations\": {refactorizations}, \"block_order\": {block_order}, \
+             \"factor_nonzeros\": {factor_nonzeros}}}"
         ));
         (wall, pivots)
     };
@@ -193,17 +200,31 @@ fn cutgen_cell(g: u32, eps: f64, constraints: ConstraintSet, cutgen: bool) -> (f
         ConstraintSet::Full => "full".to_string(),
         ConstraintSet::Spanner { dilation } => format!("spanner:{dilation}"),
     };
+    let e = st.effort;
     eprintln!(
         "# g={g} constraints={label} cutgen={cutgen}: {wall:.2}s, {} pivots, \
-         {} refactorizations, {} rounds, {}/{} rows, loss {loss:.6}",
-        st.effort.pivots, st.effort.refactorizations, st.cut_rounds, st.rows_active, st.rows_total
+         {} refactorizations of order {} with {} factor nonzeros, {} rounds, \
+         {}/{} rows, loss {loss:.6}",
+        e.pivots,
+        e.refactorizations,
+        e.block_order,
+        e.factor_nonzeros,
+        st.cut_rounds,
+        st.rows_active,
+        st.rows_total
     );
     let cell = format!(
         "    {{\"constraints\": \"{label}\", \"cutgen\": {cutgen}, \"g\": {g}, \
          \"rows_total\": {}, \"rows_active\": {}, \"cut_rounds\": {}, \
-         \"pivots\": {}, \"refactorizations\": {}, \"wall_s\": {wall:.6}, \
-         \"loss\": {loss:.9}}}",
-        st.rows_total, st.rows_active, st.cut_rounds, st.effort.pivots, st.effort.refactorizations
+         \"pivots\": {}, \"refactorizations\": {}, \"block_order\": {}, \
+         \"factor_nonzeros\": {}, \"wall_s\": {wall:.6}, \"loss\": {loss:.9}}}",
+        st.rows_total,
+        st.rows_active,
+        st.cut_rounds,
+        e.pivots,
+        e.refactorizations,
+        e.block_order,
+        e.factor_nonzeros
     );
     (wall, cell)
 }
@@ -212,7 +233,7 @@ fn bench_cutgen(g: u32, g_small: u32, eps: f64, dilation: f64) {
     // Both strategies at both sizes. The eager/cutgen ratio is reported
     // at the headline size, not extrapolated from the small one — and it
     // is a finding, not a victory lap: after the engine-level work
-    // (block refactorization, incremental duals, blocked LU; DESIGN.md
+    // (block refactorization, incremental duals, sparse LU; DESIGN.md
     // §16) the eager build finishes the headline grid too, and the cut
     // loop's extra warm-restarted round costs real dense pivots on these
     // fully-dense optima. The spanner cell relaxes the guarantee to

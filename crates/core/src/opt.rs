@@ -517,6 +517,8 @@ mod tests {
                 warm_fallbacks: 1,
                 discarded_pivots: 7,
                 refactorizations: 3,
+                block_order: 600,
+                factor_nonzeros: 5_000,
             },
             cut_rounds: 2,
             rows_active: 40,
@@ -531,6 +533,8 @@ mod tests {
                 warm_fallbacks: 0,
                 discarded_pivots: 0,
                 refactorizations: 4,
+                block_order: 900,
+                factor_nonzeros: 8_000,
             },
             cut_rounds: 3,
             rows_active: 60,
@@ -547,6 +551,8 @@ mod tests {
                 warm_fallbacks: 1,
                 discarded_pivots: 7,
                 refactorizations: 7,
+                block_order: 1_500,
+                factor_nonzeros: 13_000,
             },
             cut_rounds: 5,
             rows_active: 100,

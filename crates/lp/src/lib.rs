@@ -26,8 +26,10 @@
 //!   the channel off its row duals is exactly how a commercial
 //!   dual-simplex run behaves on the original problem, and it is the one
 //!   path the optimal mechanism's solves take.
-//! * [`sparse`] / [`dense`] — CSC matrices and a dense LU with partial
-//!   pivoting.
+//! * [`lu`] — the sparse LU with partial pivoting that refactorizes the
+//!   basis, bit-identical to the dense right-looking LU it replaced.
+//! * [`sparse`] / [`dense`] — CSC matrices, and the dense matrix that
+//!   holds the explicit basis inverse.
 //!
 //! ```
 //! use geoind_lp::dual::{opt_dual, solve_opt_dual};
@@ -55,6 +57,7 @@
 
 pub mod dense;
 pub mod dual;
+pub mod lu;
 pub mod simplex;
 pub mod sparse;
 

@@ -1,11 +1,15 @@
 //! Property tests: the revised simplex against the dense tableau oracle on
-//! randomized slack-covered LPs, duality invariants, and the optimal
-//! mechanism's dual checked by its own weak-duality certificate (on the
-//! deterministic `geoind-testkit` harness; failures print a per-case seed).
+//! randomized slack-covered LPs, duality invariants, the optimal
+//! mechanism's dual checked by its own weak-duality certificate, and the
+//! sparse LU against the dense LU it replaced (on the deterministic
+//! `geoind-testkit` harness; failures print a per-case seed).
 
+mod dense_lu;
 mod tableau;
 
+use dense_lu::DenseLu;
 use geoind_lp::dual::opt_dual;
+use geoind_lp::lu::SparseLu;
 use geoind_lp::simplex::{solve_standard, SimplexStatus, StandardLp, OPT_TOL, VALUE_CLIP};
 use geoind_lp::sparse::CscBuilder;
 use geoind_rng::{Rng, SeededRng};
@@ -299,6 +303,143 @@ fn opt_dual_matches_the_primal() {
                 (primal - dual).abs() <= 1e-9 * primal.abs().max(1.0),
                 "duality gap: primal {primal}, dual {dual}"
             );
+            Ok(())
+        },
+    );
+}
+
+/// A square block shaped like the general block of an OPT dual's basis,
+/// as `(row, value)` columns over shuffled rows.
+#[derive(Debug, Clone)]
+struct OptBlock {
+    n: usize,
+    cols: Vec<Vec<(usize, f64)>>,
+}
+
+/// Generator for [`OptBlock`]: orders 1–80. Most columns are pair columns,
+/// `−e^{−ε·d}` and `+1` on two random rows (or one, when the other row is
+/// covered by a singleton outside the block); up to √n are dense ±1
+/// border columns. A third of the pair columns use the scale 1, so equal
+/// magnitudes of both signs tie and the first row in the dense order
+/// decides. One case in four scales some columns to straddle the `1e-13`
+/// singularity floor. Rows are shuffled. Does not shrink.
+struct OptBlockGen;
+
+impl Gen for OptBlockGen {
+    type Value = OptBlock;
+
+    fn generate(&self, rng: &mut SeededRng) -> OptBlock {
+        let n = rng.gen_range(1..=80usize);
+        let borders = rng.gen_range(0..=(n as f64).sqrt() as usize);
+        let tiny = rng.gen_range(0..4usize) == 0;
+        let mut perm: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            perm.swap(i, rng.gen_range(0..=i));
+        }
+        let cols = (0..n)
+            .map(|j| {
+                let mut col: Vec<(usize, f64)> = if j < borders {
+                    let mut col = Vec::new();
+                    for r in 0..n {
+                        if rng.gen_range(0..3usize) != 0 {
+                            col.push((
+                                r,
+                                if rng.gen_range(0..2usize) == 0 {
+                                    1.0
+                                } else {
+                                    -1.0
+                                },
+                            ));
+                        }
+                    }
+                    col
+                } else {
+                    let scale = if rng.gen_range(0..3usize) == 0 {
+                        1.0
+                    } else {
+                        (-rng.gen_range(0.0..30.0f64)).exp()
+                    };
+                    let a = rng.gen_range(0..n);
+                    let b = rng.gen_range(0..n);
+                    match rng.gen_range(0..4usize) {
+                        0 => vec![(a, -scale)],
+                        1 => vec![(b, 1.0)],
+                        _ if a == b => vec![(a, 1.0 - scale)],
+                        _ => vec![(a, -scale), (b, 1.0)],
+                    }
+                };
+                if tiny && rng.gen_range(0..3usize) == 0 {
+                    let f = [5e-14, 9.999_999e-14, 1e-13, 1.000_001e-13, 2e-13];
+                    let f = f[rng.gen_range(0..f.len())];
+                    for e in &mut col {
+                        e.1 *= f;
+                    }
+                }
+                for e in &mut col {
+                    e.0 = perm[e.0];
+                }
+                col.retain(|e| e.1 != 0.0);
+                col
+            })
+            .collect();
+        OptBlock { n, cols }
+    }
+}
+
+/// The sparse LU agrees with the dense LU it replaced: the same singular
+/// verdict at the same column, and an inverse with identical bits on every
+/// entry (`==`, so ±0 compare equal; the sparse solve returns no zeros).
+#[test]
+fn sparse_lu_replays_the_dense_lu() {
+    check(
+        "sparse_lu_replays_the_dense_lu",
+        Config::cases(400),
+        &OptBlockGen,
+        |block| {
+            let n = block.n;
+            let mut dense = vec![0.0; n * n];
+            for (j, col) in block.cols.iter().enumerate() {
+                for &(r, v) in col {
+                    dense[j * n + r] = v;
+                }
+            }
+            let mut lu = SparseLu::default();
+            let sparse = lu.factor(n, block.cols.iter().map(|c| c.iter().copied()));
+            let oracle = DenseLu::factor(n, dense);
+            let oracle = match (oracle, sparse) {
+                (Ok(oracle), Ok(())) => oracle,
+                (Err(a), Err(b)) => {
+                    ensure!(
+                        a == b,
+                        "singular at {} (dense), {} (sparse)",
+                        a.column,
+                        b.column
+                    );
+                    return Ok(());
+                }
+                (a, b) => {
+                    ensure!(false, "dense {:?}, sparse {:?}", a.err(), b.err());
+                    return Ok(());
+                }
+            };
+            let inv = oracle.inverse();
+            let mut col = Vec::new();
+            for t in 0..n {
+                lu.inverse_column(t, &mut col);
+                let mut got = vec![0.0; n];
+                for &(s, v) in &col {
+                    ensure!(v != 0.0, "zero returned at ({s}, {t})");
+                    got[s] = v;
+                }
+                for s in 0..n {
+                    let want = inv[t * n + s];
+                    ensure!(
+                        got[s] == want && (want == 0.0 || got[s].to_bits() == want.to_bits()),
+                        "inverse ({s}, {t}): sparse {:e}, dense {want:e}",
+                        got[s]
+                    );
+                }
+            }
             Ok(())
         },
     );

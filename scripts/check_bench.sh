@@ -89,6 +89,11 @@ else:
         assert refactorizations >= 0, f"negative refactorizations: {cell}"
         if cell["pivots"] > 0:
             assert refactorizations >= 1, f"pivots without a refactorization: {cell}"
+        # What those factorizations factored: the blocks' orders and their
+        # L and U nonzeros, each summed.
+        for key in ("block_order", "factor_nonzeros"):
+            assert isinstance(cell.get(key), int), f"missing integer {key}: {cell}"
+            assert cell[key] >= 0, f"negative {key}: {cell}"
     # Abandoned sibling warm starts: every jobs-grid cell counts them and
     # the pivots they threw away (never part of "pivots"); a cold cell
     # tries no warm start, so it must report both as 0.

@@ -400,7 +400,9 @@ fn cmd_precompute(flags: &Flags) -> Result<(), String> {
     // is what the delayed-constraint solve saved; warm_fallbacks and
     // discarded_pivots are what abandoned sibling warm starts cost;
     // refactorizations counts the LU factorizations, one per sibling's
-    // install of its donor's basis included; pivots are the kept ones.
+    // install of its donor's basis included, block_order sums their
+    // blocks' orders and factor_nonzeros their L and U nonzeros; pivots
+    // are the kept ones.
     let fanout = (msm.granularity() as usize).pow(2);
     let (mut through, mut width, mut nodes) = (0usize, 1usize, 0);
     for level in 1..=msm.height() {
@@ -418,7 +420,8 @@ fn cmd_precompute(flags: &Flags) -> Result<(), String> {
         {
             println!(
                 "# level {level}: solves {} cut_rounds {} rows_active {} rows_total {} \
-                 warm_fallbacks {} discarded_pivots {} refactorizations {} pivots {} wall_s {wall:.3}",
+                 warm_fallbacks {} discarded_pivots {} refactorizations {} block_order {} \
+                 factor_nonzeros {} pivots {} wall_s {wall:.3}",
                 s.solves,
                 s.cut_rounds,
                 s.rows_active,
@@ -426,6 +429,8 @@ fn cmd_precompute(flags: &Flags) -> Result<(), String> {
                 s.effort.warm_fallbacks,
                 s.effort.discarded_pivots,
                 s.effort.refactorizations,
+                s.effort.block_order,
+                s.effort.factor_nonzeros,
                 s.effort.pivots
             );
         }
